@@ -285,14 +285,19 @@ def _slot_elements(n: int, i: int) -> list[int]:
     return [x for x in range(1, n + 1) if x != i]
 
 
+def _overlap(located: dict, point: int, names) -> tuple[frozenset, ...]:
+    """The located tuples that avoid `point`, one frozenset per relation name.
+
+    Slots i and j overlap on [n] minus {i, j}: the part of slot i's member
+    there is `_overlap(loc_i, j)`.
+    """
+    return tuple(frozenset(t for t in located[name] if point not in t)
+                 for name in names)
+
+
 def _compatible(loc_a: dict, i_a: int, loc_b: dict, i_b: int, names) -> bool:
     """Located structures on [n] minus i_a and [n] minus i_b agree on the overlap."""
-    for name in names:
-        aa = {t for t in loc_a[name] if i_b not in t}
-        bb = {t for t in loc_b[name] if i_a not in t}
-        if aa != bb:
-            return False
-    return True
+    return _overlap(loc_a, i_b, names) == _overlap(loc_b, i_a, names)
 
 
 def _surjective_tuples(n: int, arity: int):
@@ -347,21 +352,9 @@ def _complete_partial(klass: FiniteClass, n: int,
     return sorted(found, key=lambda s: s.key())
 
 
-def _family_to_partial(family: list[Structure], n: int, names) -> dict[str, set]:
-    partial: dict[str, set] = {name: set() for name in names}
-    for i in range(1, n + 1):
-        located = _located_tuples(family[i - 1], _slot_elements(n, i))
-        for name in names:
-            partial[name] |= located[name]
-    return partial
-
-
-def _check_family_compatible(family: list[Structure], n: int, names) -> None:
-    located = [(_located_tuples(family[i - 1], _slot_elements(n, i)), i)
-               for i in range(1, n + 1)]
-    for (loc_a, i_a), (loc_b, i_b) in itertools.combinations(located, 2):
-        if not _compatible(loc_a, i_a, loc_b, i_b, names):
-            raise ValueError(f"family is not pairwise compatible at slots {i_a}, {i_b}")
+def _union_located(located: list[dict], names) -> dict[str, set]:
+    """The partial structure on [1, n] that a family of located members fixes."""
+    return {name: set().union(*(loc[name] for loc in located)) for name in names}
 
 
 @dataclass
@@ -415,8 +408,13 @@ def amalgams(family: list[Structure], klass: FiniteClass
     for i, member in enumerate(family, start=1):
         if member.signature != klass.signature or member.n != n - 1:
             raise ValueError(f"family slot {i} must be a structure on [1, {n - 1}]")
-    _check_family_compatible(family, n, names)
-    classes = _amalgam_classes(klass, n, _family_to_partial(family, n, names))
+    located = [_located_tuples(member, _slot_elements(n, i))
+               for i, member in enumerate(family, start=1)]
+    for (i_a, loc_a), (i_b, loc_b) in itertools.combinations(
+            enumerate(located, start=1), 2):
+        if not _compatible(loc_a, i_a, loc_b, i_b, names):
+            raise ValueError(f"family is not pairwise compatible at slots {i_a}, {i_b}")
+    classes = _amalgam_classes(klass, n, _union_located(located, names))
     return classes.all_amalgams, classes.representatives
 
 
@@ -476,10 +474,16 @@ class DapReport:
 def check_ndap(klass: FiniteClass, n: int) -> NdapReport:
     """Exhaustive n-DAP check.
 
-    Enumerates every pairwise-compatible family (S_i on [1, n] minus {i}),
-    slot by slot with compatibility enforced incrementally, and searches
-    each family for an extending member.  Returns the first family with no
-    amalgam as witness, in deterministic order.
+    Enumerates every pairwise-compatible family (S_i on [1, n] minus {i})
+    depth first, slot by slot, and searches each family for an extending
+    member.  Returns the first family with no amalgam as witness, in
+    deterministic order (slot members in enumeration order).
+
+    Members are indexed by overlap: at slot k they are bucketed by their
+    tuples that avoid each earlier slot's point, so the members compatible
+    with the slots already chosen are one dictionary lookup away, in
+    enumeration order.  The cost therefore follows the number of
+    compatible families, not members^n.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -487,34 +491,47 @@ def check_ndap(klass: FiniteClass, n: int) -> NdapReport:
         raise CapExceededError(f"n={n} exceeds cap {klass.cap}")
     names = klass.signature.names()
     members = klass.enumerate(n - 1)
-    slots = []
-    for i in range(1, n + 1):
-        elems = _slot_elements(n, i)
-        slots.append([(member, _located_tuples(member, elems)) for member in members])
+    # located[k-1][m]: member m's tuples on [1, n] minus {k};
+    # overlaps[k-1][m][j-1]: for j != k, the id of the part of them that
+    # avoids point j.  Members share few distinct overlaps, so ids keep the
+    # index small.
+    located = [[_located_tuples(member, _slot_elements(n, k)) for member in members]
+               for k in range(1, n + 1)]
+    overlap_ids: dict[tuple[frozenset, ...], int] = {}
+    overlaps = [[[overlap_ids.setdefault(_overlap(loc, j, names), len(overlap_ids))
+                  if j != k else None for j in range(1, n + 1)] for loc in slot]
+                for k, slot in enumerate(located, start=1)]
+    # buckets[k-1]: overlap with slots 1..k-1 -> indices of slot k's members.
+    buckets: list[dict[tuple, list[int]]] = [{} for _ in range(n)]
+    for k, slot in enumerate(overlaps):
+        for m, over in enumerate(slot):
+            buckets[k].setdefault(tuple(over[:k]), []).append(m)
 
-    chosen: list[tuple[Structure, dict]] = []
+    for family in _compatible_families(buckets, overlaps, []):
+        partial = _union_located([located[k][m] for k, m in enumerate(family)], names)
+        if not _complete_partial(klass, n, partial, first_only=True):
+            return NdapReport(n=n, holds=False,
+                              witness_family=[members[m] for m in family])
+    return NdapReport(n=n, holds=True)
 
-    def search(slot: int) -> Optional[list[Structure]]:
-        if slot > n:
-            family = [member for member, _ in chosen]
-            partial = _family_to_partial(family, n, names)
-            if not _complete_partial(klass, n, partial, first_only=True):
-                return family
-            return None
-        for member, located in slots[slot - 1]:
-            if all(_compatible(located, slot, prev_loc, prev_slot, names)
-                   for prev_slot, (_, prev_loc) in enumerate(chosen, start=1)):
-                chosen.append((member, located))
-                failure = search(slot + 1)
-                if failure is not None:
-                    return failure
-                chosen.pop()
-        return None
 
-    witness = search(1)
-    if witness is None:
-        return NdapReport(n=n, holds=True)
-    return NdapReport(n=n, holds=False, witness_family=witness)
+def _compatible_families(buckets: list[dict], overlaps: list, chosen: list[int]):
+    """Member indices of every compatible family extending `chosen`, depth first.
+
+    Yields `chosen` itself, filled in; copy it to keep a family.  A module
+    function, not a recursive closure: a closure that calls itself is a
+    reference cycle, which keeps the whole index alive after check_ndap
+    returns, until the next full garbage collection.
+    """
+    slot = len(chosen)
+    if slot == len(buckets):
+        yield chosen
+        return
+    required = tuple(overlaps[k][m][slot] for k, m in enumerate(chosen))
+    for m in buckets[slot].get(required, ()):
+        chosen.append(m)
+        yield from _compatible_families(buckets, overlaps, chosen)
+        chosen.pop()
 
 
 # --- JEP ---------------------------------------------------------------------

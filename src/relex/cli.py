@@ -33,7 +33,6 @@ from .theory import TheoryParseError, enumerate_models, is_parametric, load_theo
 
 @dataclass
 class RunConfig:
-    seed: int = 0
     cap: int = 6
     alpha: float = 0.01
     sample_count: int = 1000

@@ -69,12 +69,6 @@ class EmpiricalLaw:
         return {k: c / self.n_samples for k, c in sorted(self.counts.items())}
 
 
-def _seed_at(seeds: Union[SeedStream, Sequence[int]], index: int) -> int:
-    if isinstance(seeds, SeedStream):
-        return seeds[index]
-    return seeds[index]
-
-
 def empirical_law(sampler, subset: Sequence[int], n_samples: int,
                   seeds: Union[SeedStream, Sequence[int], int],
                   offset: int = 0) -> EmpiricalLaw:
@@ -94,7 +88,7 @@ def empirical_law(sampler, subset: Sequence[int], n_samples: int,
     top = max(subset)
     law = EmpiricalLaw(subset, n_samples)
     for i in range(n_samples):
-        src = HierarchicalRandomSource(_seed_at(seeds, offset + i))
+        src = HierarchicalRandomSource(seeds[offset + i])
         sample = sampler.sample(src, top)
         law.record(restrict(sample, subset))
     return law
@@ -329,9 +323,9 @@ def test_dissociation(sampler, s_set: Sequence[int], t_set: Sequence[int],
     """Chi-square independence of (X restricted to S, X restricted to T).
 
     One batch of samples fills a contingency table over the two restricted
-    laws; rows/columns with small marginals are merged until every expected
-    count reaches 5.  A single remaining row or column is degenerate
-    independence and passes.
+    laws; the rarest row or column group is merged, against the current
+    groups of the other axis, until every expected count reaches 5.  A
+    single remaining row or column is degenerate independence and passes.
     """
     s_set = tuple(sorted(set(s_set)))
     t_set = tuple(sorted(set(t_set)))
@@ -354,38 +348,31 @@ def test_dissociation(sampler, s_set: Sequence[int], t_set: Sequence[int],
     cols = sorted({k[1] for k in table})
     counts = {(r, c): table.get((r, c), 0) for r in rows for c in cols}
 
-    def merge_pass(axis_labels: list[str], axis: int) -> list[list[str]]:
-        groups = [[label] for label in axis_labels]
-        def group_total(group):
-            return sum(counts[(r, c)]
-                       for r in (group if axis == 0 else rows)
-                       for c in (cols if axis == 0 else group))
-        while len(groups) > 1:
-            totals = [group_total(g) for g in groups]
-            # the smallest opposite-axis marginal bounds the minimum expected count
-            other_min = min(
-                sum(counts[(r, c)] for (r, c) in counts
-                    if (c == label if axis == 0 else r == label))
-                for label in (cols if axis == 0 else rows))
-            smallest = min(range(len(groups)), key=lambda g: totals[g])
-            if totals[smallest] * other_min / n_samples >= _MIN_EXPECTED:
-                break
-            merge_into = min((g for g in range(len(groups)) if g != smallest),
-                             key=lambda g: totals[g])
-            groups[merge_into].extend(groups[smallest])
-            del groups[smallest]
-        return groups
-
-    row_groups = merge_pass(rows, 0)
-    col_groups = merge_pass(cols, 1)
+    # Merge the rarest row or column group into the next rarest on its axis
+    # until the smallest expected cell, (min row total)(min column total)/N,
+    # reaches 5.  Each axis is measured against the other axis's current
+    # groups, so one rare column cannot collapse every row.
+    groups = ([[r] for r in rows], [[c] for c in cols])
+    totals = ([sum(counts[(r, c)] for c in cols) for r in rows],
+              [sum(counts[(r, c)] for r in rows) for c in cols])
+    while min(totals[0]) * min(totals[1]) / n_samples < _MIN_EXPECTED:
+        mergeable = [axis for axis in (0, 1) if len(groups[axis]) > 1]
+        if not mergeable:
+            break
+        axis = min(mergeable, key=lambda a: min(totals[a]))
+        axis_groups, axis_totals = groups[axis], totals[axis]
+        smallest = min(range(len(axis_groups)), key=axis_totals.__getitem__)
+        merge_into = min((g for g in range(len(axis_groups)) if g != smallest),
+                         key=axis_totals.__getitem__)
+        axis_groups[merge_into].extend(axis_groups[smallest])
+        axis_totals[merge_into] += axis_totals[smallest]
+        del axis_groups[smallest], axis_totals[smallest]
+    row_groups, col_groups = groups
+    row_tot, col_tot = totals
     merged = {}
     for gi, rgroup in enumerate(row_groups):
         for gj, cgroup in enumerate(col_groups):
             merged[(gi, gj)] = sum(counts[(r, c)] for r in rgroup for c in cgroup)
-    row_tot = {gi: sum(merged[(gi, gj)] for gj in range(len(col_groups)))
-               for gi in range(len(row_groups))}
-    col_tot = {gj: sum(merged[(gi, gj)] for gi in range(len(row_groups)))
-               for gj in range(len(col_groups))}
     dof = (len(row_groups) - 1) * (len(col_groups) - 1)
     statistic = 0.0
     if dof > 0:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from relex import Injection, Signature, Structure
+from relex import Injection, Signature, Structure, restrict
 
 
 def naive_embeddings(s: Structure, t: Structure) -> list[tuple[int, ...]]:
@@ -86,3 +86,32 @@ def random_graph(rng: random.Random, n: int, density: float = 0.5) -> Structure:
 def injection_images(phis: list[Injection]) -> list[tuple[int, ...]]:
     """Embeddings as sorted image sequences, comparable to naive_embeddings."""
     return sorted(phi.image_sequence() for phi in phis)
+
+
+def naive_ndap_witness(klass, n: int):
+    """First family (in slot-by-slot enumeration order) with no amalgam, or None.
+
+    Brute force over the full product of slot members: slot i holds a
+    member on [1, n-1] standing for [1, n] minus {i}.  Two slots are
+    compatible when their restrictions to the shared points agree, and a
+    family has an amalgam when some member on [1, n] restricts to every
+    slot.  Costs members^n; keep the product small.
+    """
+    def shared(member, i, j):
+        # member lives on [1, n] minus {i}, re-indexed; keep [1, n] minus {i, j}
+        return restrict(member, [x if x < i else x - 1
+                                 for x in range(1, n + 1) if x not in (i, j)]).key()
+
+    extended = {tuple(restrict(host, [x for x in range(1, n + 1) if x != i]).key()
+                      for i in range(1, n + 1))
+                for host in klass.enumerate(n)}
+    members = klass.enumerate(n - 1)
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    overlap = {(i, j): [shared(m, i, j) for m in members]
+               for a, b in pairs for i, j in ((a, b), (b, a))}
+    for family in itertools.product(range(len(members)), repeat=n):
+        if all(overlap[i, j][family[i - 1]] == overlap[j, i][family[j - 1]]
+               for i, j in pairs):
+            if tuple(members[m].key() for m in family) not in extended:
+                return [members[m] for m in family]
+    return None

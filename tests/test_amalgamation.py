@@ -1,11 +1,18 @@
 """Finite classes, amalgam enumeration, and the n-DAP / DAP / JEP checkers."""
 
+import itertools
+from pathlib import Path
+
 import pytest
+from helpers import naive_ndap_witness
 
 from relex import (CapExceededError, FiniteClass, Signature, Structure,
                    amalgams, builtin_class, check_dap, check_jep, check_ndap,
                    embedding_exists, enumerate_age, from_theory,
-                   k_hypergraphs, make_builtin_class, parse_theory)
+                   k_hypergraphs, load_theory, make_builtin_class,
+                   parse_theory, restrict, serialize)
+from relex.amalgamation import (BUILTIN_CLASS_NAMES, _compatible,
+                                _located_tuples, _slot_elements)
 
 GRAPHS = builtin_class("graphs")
 EQUIV = builtin_class("equivalence")
@@ -170,6 +177,60 @@ def test_ndap_fails_for_parity_hypergraphs_at_four():
     # the same family amalgamates fine among unconstrained 3-hypergraphs
     everything, _ = amalgams(family, builtin_class("hypergraphs3"))
     assert everything
+
+
+_THEORIES = sorted((Path(__file__).resolve().parent.parent / "theories").glob("*.th"))
+_ORACLE_BUDGET = 10 ** 5  # families in the brute-force product
+
+
+def _oracle_cases():
+    """(class factory, n) for every builtin and theory class and every n whose
+    brute-force product fits the budget."""
+    factories = [(name, lambda name=name: make_builtin_class(name))
+                 for name in BUILTIN_CLASS_NAMES]
+    factories += [(path.name, lambda path=path: from_theory(load_theory(str(path)), cap=4))
+                  for path in _THEORIES]
+    cases = []
+    for label, factory in factories:
+        klass = factory()
+        for n in range(1, klass.cap + 1):
+            if len(klass.enumerate(n - 1)) ** n > _ORACLE_BUDGET:
+                break  # the product only grows with n
+            cases.append(pytest.param(factory, n, id=f"{label}-{n}"))
+    return cases
+
+
+def _serialized(family):
+    return None if family is None else [serialize(s) for s in family]
+
+
+@pytest.mark.parametrize("factory, n", _oracle_cases())
+def test_ndap_matches_brute_force_product(factory, n):
+    klass = factory()
+    expected = naive_ndap_witness(klass, n)
+    report = check_ndap(klass, n)
+    assert report.holds == (expected is None)
+    assert _serialized(report.witness_family) == _serialized(expected)
+
+
+def test_oracle_cases_include_failing_classes():
+    ids = {case.id for case in _oracle_cases()}
+    assert {"equivalence-3", "parity3-4", "graphs-4", "digraphs_loopfree.th-3"} <= ids
+
+
+def test_compatible_agrees_with_restrictions():
+    # slots i and j agree exactly when their restrictions to [n] minus {i, j} do
+    n = 4
+    members = builtin_class("digraphs").enumerate(n - 1)
+    names = members[0].signature.names()
+    for i, j in itertools.combinations(range(1, n + 1), 2):
+        shared = [x for x in range(1, n + 1) if x not in (i, j)]
+        for a, b in itertools.product(members[:16], members[-16:]):
+            loc_a = _located_tuples(a, _slot_elements(n, i))
+            loc_b = _located_tuples(b, _slot_elements(n, j))
+            on_a = restrict(a, [x - (x > i) for x in shared])
+            on_b = restrict(b, [x - (x > j) for x in shared])
+            assert _compatible(loc_a, i, loc_b, j, names) == (on_a == on_b)
 
 
 def test_ndap_validates_input():

@@ -1,17 +1,25 @@
 """End-to-end command-line tests driven through subprocess."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import relex
 from relex.structures import Signature, Structure, deserialize, restrict, serialize
 
 GRAPH_SIG = Signature((("E", 2),))
+# the subprocess imports the same relex as the tests, installed or not
+RELEX_PARENT = str(Path(relex.__file__).resolve().parent.parent)
 
 
 def run_cli(*args, env=None):
+    env = dict(os.environ if env is None else env)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [RELEX_PARENT, env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "relex", *args],
                           capture_output=True, text=True, env=env)
 

@@ -294,6 +294,42 @@ def test_dissociation_global_mixture_fails():
     assert report.dof == 1
 
 
+class RareFlagSampler:
+    """P marks points by a coin; Q flags point 2 with probability 0.05%.
+
+    With `shared`, every point copies one global coin, so P(1) and P(2)
+    are fully dependent; otherwise each point has its own coin.  The flag
+    reads point 2's own uniform, so it never ties point 2 to point 1.
+    """
+
+    signature = Signature((("P", 1), ("Q", 1)))
+
+    def __init__(self, shared: bool):
+        self.shared = shared
+
+    def sample(self, src, n):
+        coin = src.xi(()) < 0.5
+        marked = [(i,) for i in range(1, n + 1)
+                  if (coin if self.shared else src.xi((i,)) < 0.5)]
+        flagged = [(2,)] if n >= 2 and src.xi((2,)) < 0.0005 else []
+        return Structure(self.signature, n, {"P": marked, "Q": flagged})
+
+
+def test_dissociation_rare_column_does_not_collapse_rows():
+    # a rare column once merged every row into one group: dof 0, p = 1, pass
+    report = st.test_dissociation(RareFlagSampler(shared=True), (1,), (2,),
+                                  20000, meta_seed=3)
+    assert not report.passed
+    assert report.dof >= 1 and report.details["rows"] == 2
+
+
+def test_dissociation_rare_column_independent_sampler_passes():
+    report = st.test_dissociation(RareFlagSampler(shared=False), (1,), (2,),
+                                  20000, meta_seed=3)
+    assert report.passed
+    assert report.dof >= 1
+
+
 def test_dissociation_constant_sampler_is_degenerate():
     sampler = ExchangeableSampler(complete_graph_rules())
     report = st.test_dissociation(sampler, (1,), (2, 3), 800, meta_seed=0)

@@ -15,7 +15,7 @@ from .randomness import (HierarchicalRandomSource, ArityExceededError,
                          SeedStream)
 from .amalgamation import (FiniteClass, CapExceededError, builtin_class,
                            make_builtin_class, BUILTIN_CLASS_NAMES, k_hypergraphs,
-                           from_theory, enumerate_age, amalgams, check_ndap,
+                           from_theory, amalgams, check_ndap,
                            check_dap, check_jep, NdapReport, DapReport, JepReport)
 from .rules import (DecisionFunction, TableDecisionFunction, TableEntry,
                     FunctionDecisionFunction, DecisionContext, context_key,
@@ -45,7 +45,7 @@ __all__ = [
     "HierarchicalRandomSource", "ArityExceededError", "InducedOrdering",
     "induced_ordering", "permutation_rank", "SeedStream",
     "FiniteClass", "CapExceededError", "builtin_class", "make_builtin_class",
-    "BUILTIN_CLASS_NAMES", "k_hypergraphs", "from_theory", "enumerate_age",
+    "BUILTIN_CLASS_NAMES", "k_hypergraphs", "from_theory",
     "amalgams", "check_ndap", "check_dap", "check_jep",
     "NdapReport", "DapReport", "JepReport",
     "DecisionFunction", "TableDecisionFunction", "TableEntry",

@@ -21,7 +21,8 @@ from functools import lru_cache
 from typing import Callable, Iterable, Optional
 
 from .embeddings import enumerate_embeddings, iter_embeddings
-from .structures import (Injection, Signature, Structure, canonical_form,
+from .structures import (EMPTY_SIGNATURE, GRAPH_SIGNATURE, UNARY_SIGNATURE,
+                         Injection, Signature, Structure, canonical_form,
                          restrict, serialize)
 from .theory import Theory, enumerate_models, satisfies
 
@@ -73,11 +74,6 @@ class FiniteClass:
         return f"FiniteClass({self.name!r})"
 
 
-def enumerate_age(klass: FiniteClass, n: int) -> tuple[Structure, ...]:
-    """All members with universe [1, n]; n = 0 gives the empty structure."""
-    return klass.enumerate(n)
-
-
 # --- builtin class catalog ---------------------------------------------------
 
 def _guard_count(count: int, name: str) -> None:
@@ -94,7 +90,7 @@ def _enumerate_graphs(n: int):
         for (a, b), bit in zip(pairs, bits):
             if bit:
                 edges.extend([(a, b), (b, a)])
-        yield Structure(GRAPH_SIG, n, {"E": edges})
+        yield Structure(GRAPH_SIGNATURE, n, {"E": edges})
 
 
 def _graph_ok(s: Structure) -> bool:
@@ -107,7 +103,7 @@ def _enumerate_digraphs(n: int):
     _guard_count(1 << len(arcs), "digraphs")
     for bits in itertools.product((0, 1), repeat=len(arcs)):
         chosen = [arc for arc, bit in zip(arcs, bits) if bit]
-        yield Structure(GRAPH_SIG, n, {"E": chosen})
+        yield Structure(GRAPH_SIGNATURE, n, {"E": chosen})
 
 
 def _digraph_ok(s: Structure) -> bool:
@@ -119,7 +115,7 @@ def _enumerate_tournaments(n: int):
     _guard_count(1 << len(pairs), "tournaments")
     for bits in itertools.product((0, 1), repeat=len(pairs)):
         arcs = [(a, b) if bit else (b, a) for (a, b), bit in zip(pairs, bits)]
-        yield Structure(GRAPH_SIG, n, {"E": arcs})
+        yield Structure(GRAPH_SIGNATURE, n, {"E": arcs})
 
 
 def _tournament_ok(s: Structure) -> bool:
@@ -155,7 +151,7 @@ def _enumerate_equivalences(n: int):
         tuples = []
         for block in partition:
             tuples.extend((x, y) for x in block for y in block)
-        yield Structure(GRAPH_SIG, n, {"E": tuples})
+        yield Structure(GRAPH_SIGNATURE, n, {"E": tuples})
 
 
 def _equivalence_ok(s: Structure) -> bool:
@@ -209,9 +205,12 @@ def _parity_ok_extra(s: Structure) -> bool:
     return True
 
 
-GRAPH_SIG = Signature((("E", 2),))
-UNARY_SIG = Signature((("P", 1),))
-EMPTY_SIG = Signature(())
+_BINARY_CLASSES = {
+    "graphs": (_graph_ok, _enumerate_graphs),
+    "digraphs": (_digraph_ok, _enumerate_digraphs),
+    "tournaments": (_tournament_ok, _enumerate_tournaments),
+    "equivalence": (_equivalence_ok, _enumerate_equivalences),
+}
 
 
 def k_hypergraphs(k: int, cap: int = 6) -> FiniteClass:
@@ -222,14 +221,9 @@ def k_hypergraphs(k: int, cap: int = 6) -> FiniteClass:
 
 def make_builtin_class(name: str, cap: int = 6) -> FiniteClass:
     """Fresh instance of a builtin class with a custom enumeration cap."""
-    if name == "graphs":
-        return FiniteClass(name, GRAPH_SIG, _graph_ok, _enumerate_graphs, cap=cap)
-    if name == "digraphs":
-        return FiniteClass(name, GRAPH_SIG, _digraph_ok, _enumerate_digraphs, cap=cap)
-    if name == "tournaments":
-        return FiniteClass(name, GRAPH_SIG, _tournament_ok, _enumerate_tournaments, cap=cap)
-    if name == "equivalence":
-        return FiniteClass(name, GRAPH_SIG, _equivalence_ok, _enumerate_equivalences, cap=cap)
+    if name in _BINARY_CLASSES:
+        ok, enum = _BINARY_CLASSES[name]
+        return FiniteClass(name, GRAPH_SIGNATURE, ok, enum, cap=cap)
     if name == "hypergraphs3":
         return k_hypergraphs(3, cap=cap)
     if name == "parity3":
@@ -242,12 +236,13 @@ def make_builtin_class(name: str, cap: int = 6) -> FiniteClass:
     if name == "subsets":
         def enum_subsets(n: int):
             for bits in itertools.product((0, 1), repeat=n):
-                yield Structure(UNARY_SIG, n,
+                yield Structure(UNARY_SIGNATURE, n,
                                 {"P": [(i,) for i, b in enumerate(bits, start=1) if b]})
-        return FiniteClass(name, UNARY_SIG, lambda s: True, enum_subsets, cap=cap)
+        return FiniteClass(name, UNARY_SIGNATURE, lambda s: True, enum_subsets,
+                           cap=cap)
     if name == "trivial":
-        return FiniteClass(name, EMPTY_SIG, lambda s: True,
-                           lambda n: [Structure(EMPTY_SIG, n)], cap=cap)
+        return FiniteClass(name, EMPTY_SIGNATURE, lambda s: True,
+                           lambda n: [Structure(EMPTY_SIGNATURE, n)], cap=cap)
     raise KeyError(f"unknown builtin class {name!r}")
 
 

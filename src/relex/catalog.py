@@ -19,12 +19,10 @@ from .rules import (FunctionDecisionFunction, TableDecisionFunction,
                     TableEntry, context_key)
 from .samplers import (FramewiseSampler, sample_framewise,
                        sample_m_exchangeable, sample_maxseg_exchangeable)
-from .structures import Signature, Structure
+from .structures import GRAPH_SIGNATURE, UNARY_SIGNATURE, Signature, Structure
 
 PAPER_EXAMPLE_NAMES = ("weak-rep", "tdc-evens", "parity-overlay", "strong-rep")
 
-UNARY_SIG = Signature((("P", 1),))
-EDGE_SIG = Signature((("E", 2),))
 TRIPLE_SIG = Signature((("R", 3),))
 OVERLAY_SIG = Signature((("E", 2), ("R", 3)))
 SAMPLE_EDGE_SIG = Signature((("S", 2),))
@@ -35,8 +33,8 @@ SAMPLE_EDGE_SIG = Signature((("S", 2),))
 def evens_oracle() -> LazyStructure:
     """Unary P holding exactly the even numbers."""
     def builder(m: int) -> Structure:
-        return Structure(UNARY_SIG, m, {"P": [(i,) for i in range(2, m + 1, 2)]})
-    return LazyStructure(UNARY_SIG, builder, name="evens")
+        return Structure(UNARY_SIGNATURE, m, {"P": [(i,) for i in range(2, m + 1, 2)]})
+    return LazyStructure(UNARY_SIGNATURE, builder, name="evens")
 
 
 def _block_of(i: int, x: int) -> int:
@@ -66,8 +64,8 @@ def odd_target_oracle() -> LazyStructure:
     """Binary E(i, j) iff j is odd and j != i."""
     def builder(m: int) -> Structure:
         tuples = [(i, j) for i in range(1, m + 1) for j in range(1, m + 1, 2) if j != i]
-        return Structure(EDGE_SIG, m, {"E": tuples})
-    return LazyStructure(EDGE_SIG, builder, name="odd-target")
+        return Structure(GRAPH_SIGNATURE, m, {"E": tuples})
+    return LazyStructure(GRAPH_SIGNATURE, builder, name="odd-target")
 
 
 def parity_overlay_oracle(src: HierarchicalRandomSource) -> LazyStructure:
@@ -131,8 +129,8 @@ def _cells_below(partition: tuple[float, ...], theta: float) -> frozenset:
 
 
 def _unary_context_keys() -> tuple[str, str]:
-    with_p = Structure(UNARY_SIG, 1, {"P": [(1,)]})
-    without_p = Structure(UNARY_SIG, 1)
+    with_p = Structure(UNARY_SIGNATURE, 1, {"P": [(1,)]})
+    without_p = Structure(UNARY_SIGNATURE, 1)
     return context_key(with_p, (1,)), context_key(without_p, (1,))
 
 
@@ -233,14 +231,14 @@ class TdcSampler:
     inclusion probability is 1/3."""
 
     def __init__(self):
-        self.signature = UNARY_SIG
+        self.signature = UNARY_SIGNATURE
 
     def sample(self, src: HierarchicalRandomSource, n: int) -> Structure:
         if src.xi(()) < 1.0 / 3.0:
             chosen = [(i,) for i in range(2, n + 1, 2)]
         else:
             chosen = [(i,) for i in range(1, n + 1, 2) if src.xi((i,)) < 0.5]
-        return Structure(UNARY_SIG, n, {"P": chosen})
+        return Structure(UNARY_SIGNATURE, n, {"P": chosen})
 
 
 class LoopViolatorSampler:

@@ -17,9 +17,10 @@ from dataclasses import dataclass
 
 from .amalgamation import (BUILTIN_CLASS_NAMES, CapExceededError, FiniteClass,
                            builtin_class, check_dap, check_jep, check_ndap,
-                           enumerate_age, from_theory, make_builtin_class)
-from .catalog import (PAPER_EXAMPLE_NAMES, evens_oracle, odd_target_oracle,
-                      paper_example, same_class_triple_oracle, verify_all)
+                           from_theory, make_builtin_class)
+from .catalog import (PAPER_EXAMPLE_NAMES, SAMPLE_EDGE_SIG, evens_oracle,
+                      odd_target_oracle, paper_example, same_class_triple_oracle,
+                      verify_all)
 from .embeddings import enumerate_embeddings
 from .randomness import HierarchicalRandomSource
 from .rules import load_rules
@@ -27,7 +28,7 @@ from .samplers import (AmalgamationFailure, ExchangeableSampler,
                        FramewiseSampler, MaxSegSampler, MExchangeableSampler)
 from .stattests import (empirical_law, test_dissociation, test_equal_law,
                         test_exchangeability, test_relative_exchangeability)
-from .structures import Signature, Structure, load_structure, serialize
+from .structures import UNARY_SIGNATURE, Structure, load_structure, serialize
 from .theory import TheoryParseError, enumerate_models, is_parametric, load_theory
 
 
@@ -89,10 +90,10 @@ def _load_oracle(spec: str):
 
 
 _EXAMPLE_SIGNATURES = {
-    "weak-rep": Signature((("S", 2),)),
-    "tdc-evens": Signature((("P", 1),)),
-    "parity-overlay": Signature((("S", 2),)),
-    "strong-rep": Signature((("P", 1),)),
+    "weak-rep": SAMPLE_EDGE_SIG,
+    "tdc-evens": UNARY_SIGNATURE,
+    "parity-overlay": SAMPLE_EDGE_SIG,
+    "strong-rep": UNARY_SIGNATURE,
 }
 
 
@@ -190,7 +191,7 @@ def _cmd_age(args) -> int:
     config = RunConfig(cap=args.cap)
     config.validate()
     klass = _load_class(args.klass, args.cap)
-    members = enumerate_age(klass, args.n)
+    members = klass.enumerate(args.n)
     payload = {"class": klass.name, "n": args.n, "count": len(members),
                "members": [json.loads(serialize(m)) for m in members]}
     lines = [serialize(m) for m in members]

@@ -77,6 +77,7 @@ class Signature:
 
 EMPTY_SIGNATURE = Signature(())
 GRAPH_SIGNATURE = Signature((("E", 2),))
+UNARY_SIGNATURE = Signature((("P", 1),))
 
 
 class Structure:
@@ -100,11 +101,11 @@ class Structure:
         members: dict[str, frozenset[tuple[int, ...]]] = {}
         stored: dict[str, tuple[tuple[int, ...], ...]] = {}
         for name, arity in signature:
-            tups = frozenset(tuple(int(c) for c in t) for t in relations.get(name, ()))
+            tups = frozenset(tuple(map(int, t)) for t in relations.get(name, ()))
             for t in tups:
                 if len(t) != arity:
                     raise ValueError(f"tuple {t} has wrong arity for {name!r}/{arity}")
-                if any(c < 1 or c > n for c in t):
+                if t and (min(t) < 1 or max(t) > n):
                     raise ValueError(f"tuple {t} out of universe [1,{n}]")
             members[name] = tups
             stored[name] = tuple(sorted(tups))

@@ -8,7 +8,7 @@ from helpers import naive_ndap_witness
 
 from relex import (CapExceededError, FiniteClass, Signature, Structure,
                    amalgams, builtin_class, check_dap, check_jep, check_ndap,
-                   embedding_exists, enumerate_age, from_theory,
+                   embedding_exists, from_theory,
                    k_hypergraphs, load_theory, make_builtin_class,
                    parse_theory, restrict, serialize)
 from relex.amalgamation import (BUILTIN_CLASS_NAMES, _compatible,
@@ -40,7 +40,6 @@ def test_enumerate_is_deterministic_consistent_with_contains():
         assert members == klass.enumerate(3)
         assert list(members) == sorted(members, key=lambda s: s.key())
         assert all(klass.contains(m) for m in members)
-    assert enumerate_age(GRAPHS, 2) == GRAPHS.enumerate(2)
 
 
 def test_contains_rejects_non_members():

@@ -1,9 +1,16 @@
 """Chi-square harness: empirical laws, equality/exchangeability/dissociation tests."""
 
 import json
+import math
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import relex
 from relex import stattests as st
 from relex.amalgamation import builtin_class
 from relex.catalog import (
@@ -119,6 +126,47 @@ def test_empirical_law_validation():
         st.empirical_law(sampler, (), 10, 1)
 
 
+# --- chi-square tail --------------------------------------------------------------
+
+def test_chi2_sf_matches_scipy():
+    scipy_stats = pytest.importorskip("scipy.stats")
+    rng = random.Random(20261018)
+    grid = [(0.0, 1), (1e-9, 1), (0.5, 1), (3.84, 1), (6.63, 1), (30.0, 1), (5.99, 2),
+            (100.0, 3), (400.0, 400), (600.0, 400), (250.0, 400)]
+    for _ in range(2000):
+        dof = rng.randint(1, 400)
+        grid.append((rng.uniform(0.0, 3.0 * dof + 40.0), dof))
+    for x, dof in grid:
+        ours, ref = st.chi2.sf(x, dof), float(scipy_stats.chi2.sf(x, dof))
+        assert abs(ours - ref) <= 1e-10, (x, dof)
+        if ref < 1e-3:
+            assert abs(ours - ref) <= 1e-10 * ref, (x, dof)
+
+
+def test_chi2_sf_edge_cases():
+    assert st.chi2.sf(0.0, 3) == 1.0
+    assert st.chi2.sf(-2.5, 1) == 1.0
+    deep = st.chi2.sf(2000.0, 2)
+    assert math.isfinite(deep) and 0.0 <= deep < 1e-300
+    assert st.chi2.sf(2.0, 2) == pytest.approx(math.exp(-1.0), rel=1e-14)
+    tail = [st.chi2.sf(x, 7) for x in (0.5, 2.0, 7.0, 8.0, 9.0, 40.0, 200.0)]
+    assert all(a > b for a, b in zip(tail, tail[1:]))
+    with pytest.raises(ValueError):
+        st.chi2.sf(1.0, 0)
+
+
+def test_import_relex_loads_neither_scipy_nor_numpy():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(relex.__file__).resolve().parent.parent),
+                      env.get("PYTHONPATH")]))
+    code = ("import sys, relex; "
+            "print(sorted(m for m in ('scipy', 'numpy') if m in sys.modules))")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, env=env, check=True)
+    assert result.stdout.strip() == "[]"
+
+
 # --- equal-law chi-square ---------------------------------------------------------
 
 def test_equal_law_identical_laws_trivially_pass():
@@ -195,6 +243,9 @@ def test_exchangeability_loop_violator_fails():
     assert not report.passed
     assert report.p_value < 1e-100
     assert any(not r["passed"] for r in report.details["results"])
+    assert report.details["correction"] == "holm"
+    flags = [r["passed"] for r in report.details["results"]]
+    assert _holm_flags([r["p_value"] for r in report.details["results"]]) == (False, flags)
 
 
 def test_exchangeability_explicit_permutations():
@@ -225,6 +276,27 @@ def test_exchangeability_validation():
                                 permutations=[(1, 2)])
 
 
+def _holm_flags(p_values, alpha=0.01):
+    probes = [{"p_value": p} for p in p_values]
+    family = st._holm(probes, alpha)
+    return family, [r["passed"] for r in probes]
+
+
+def test_holm_rejects_a_second_probe_that_bonferroni_keeps():
+    # Bonferroni keeps 0.006 (>= 0.01 / 2); Holm's second step tests it at 0.01
+    p_values = [0.006, 0.001]
+    assert [p >= 0.01 / 2 for p in p_values] == [True, False]
+    assert _holm_flags(p_values) == (False, [False, False])
+
+
+def test_holm_steps_down_until_the_first_kept_probe():
+    # thresholds 0.01/4, 0.01/3, 0.01/2, 0.01 in ascending order of p
+    assert _holm_flags([0.02, 0.002, 0.006, 0.003]) == (
+        False, [True, False, True, False])
+    assert _holm_flags([0.5, 0.005]) == (True, [True, True])   # p = alpha / m is kept
+    assert _holm_flags([0.001, 0.001, 0.001]) == (False, [False, False, False])
+
+
 # --- relative exchangeability -----------------------------------------------------
 
 def test_relative_exchangeability_two_coin_over_evens_passes():
@@ -236,6 +308,7 @@ def test_relative_exchangeability_two_coin_over_evens_passes():
     assert report.details["probes"] == 16
     assert report.details["skipped_pairs"] == 26
     assert report.details["window"] == 4
+    assert report.details["correction"] == "holm"
     first = report.details["results"][0]
     assert set(first) == {"s", "t", "phi", "p_value", "statistic", "dof", "passed"}
 

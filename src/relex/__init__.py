@@ -3,11 +3,11 @@ sampling with subset-keyed randomness, plus a chi-square invariance harness.
 """
 
 from .structures import (Signature, Structure, Injection, relabel, restrict,
-                         is_isomorphic, canonical_form, serialize, deserialize,
+                         canonical_form, serialize, deserialize,
                          load_structure, dump_structure)
 from .embeddings import (NoEmbeddingError, iter_embeddings, enumerate_embeddings,
-                         embedding_exists, automorphisms, LazyStructure,
-                         natural_embedding)
+                         embedding_exists, is_isomorphic, automorphisms,
+                         LazyStructure, ensure_lazy, natural_embedding)
 from .theory import (Theory, Sentence, Atom, TheoryParseError, parse_theory,
                      load_theory, is_parametric, satisfies, enumerate_models)
 from .randomness import (HierarchicalRandomSource, ArityExceededError,
@@ -26,7 +26,7 @@ from .samplers import (AmalgamationFailure, ZeroProbabilityConditioning,
                        sample_maxseg_exchangeable, sample_framewise,
                        AgeIndexedLaw, age_indexed_from_sampler, sample_sequential,
                        ExchangeableSampler, MExchangeableSampler, MaxSegSampler,
-                       FramewiseSampler, SequentialSampler, ensure_lazy)
+                       FramewiseSampler, SequentialSampler)
 from .stattests import (TestReport, EmpiricalLaw, empirical_law, test_equal_law,
                         test_exchangeability, test_relative_exchangeability,
                         test_dissociation)

@@ -20,10 +20,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Optional
 
-from .embeddings import enumerate_embeddings, iter_embeddings
+from .embeddings import embedding_exists, enumerate_embeddings
 from .structures import (EMPTY_SIGNATURE, GRAPH_SIGNATURE, UNARY_SIGNATURE,
                          Injection, Signature, Structure, canonical_form,
-                         restrict, serialize)
+                         serialize)
 from .theory import Theory, enumerate_models, satisfies
 
 
@@ -531,10 +531,6 @@ def _compatible_families(buckets: list[dict], overlaps: list, chosen: list[int])
 
 # --- JEP ---------------------------------------------------------------------
 
-def _embeds(s: Structure, t: Structure) -> bool:
-    return next(iter_embeddings(s, t), None) is not None
-
-
 def check_jep(klass: FiniteClass, bound: int) -> JepReport:
     """Joint embedding property over members of size <= bound.
 
@@ -553,7 +549,7 @@ def check_jep(klass: FiniteClass, bound: int) -> JepReport:
             found = False
             for host_size in range(lo, 2 * bound + 1):
                 for host in klass.enumerate(host_size):
-                    if _embeds(s, host) and _embeds(t, host):
+                    if embedding_exists(s, host) and embedding_exists(t, host):
                         found = True
                         break
                 if found:

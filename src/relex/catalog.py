@@ -10,7 +10,6 @@ known to satisfy.  The four named examples are addressable through
 from __future__ import annotations
 
 import itertools
-from typing import Optional
 
 from .amalgamation import builtin_class
 from .embeddings import LazyStructure
@@ -21,11 +20,18 @@ from .samplers import (FramewiseSampler, sample_framewise,
                        sample_m_exchangeable, sample_maxseg_exchangeable)
 from .structures import GRAPH_SIGNATURE, UNARY_SIGNATURE, Signature, Structure
 
-PAPER_EXAMPLE_NAMES = ("weak-rep", "tdc-evens", "parity-overlay", "strong-rep")
-
 TRIPLE_SIG = Signature((("R", 3),))
 OVERLAY_SIG = Signature((("E", 2), ("R", 3)))
 SAMPLE_EDGE_SIG = Signature((("S", 2),))
+
+# The named examples and the signature of each one's sample.
+PAPER_EXAMPLE_SIGNATURES = {
+    "weak-rep": SAMPLE_EDGE_SIG,
+    "tdc-evens": UNARY_SIGNATURE,
+    "parity-overlay": SAMPLE_EDGE_SIG,
+    "strong-rep": UNARY_SIGNATURE,
+}
+PAPER_EXAMPLE_NAMES = tuple(PAPER_EXAMPLE_SIGNATURES)
 
 
 # --- reference oracles ----------------------------------------------------------

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from .amalgamation import (BUILTIN_CLASS_NAMES, CapExceededError, FiniteClass,
                            builtin_class, check_dap, check_jep, check_ndap,
                            from_theory, make_builtin_class)
-from .catalog import (PAPER_EXAMPLE_NAMES, SAMPLE_EDGE_SIG, evens_oracle,
+from .catalog import (PAPER_EXAMPLE_NAMES, PAPER_EXAMPLE_SIGNATURES, evens_oracle,
                       odd_target_oracle, paper_example, same_class_triple_oracle,
                       verify_all)
 from .embeddings import enumerate_embeddings
@@ -28,7 +28,7 @@ from .samplers import (AmalgamationFailure, ExchangeableSampler,
                        FramewiseSampler, MaxSegSampler, MExchangeableSampler)
 from .stattests import (empirical_law, test_dissociation, test_equal_law,
                         test_exchangeability, test_relative_exchangeability)
-from .structures import UNARY_SIGNATURE, Structure, load_structure, serialize
+from .structures import Structure, load_structure, serialize
 from .theory import TheoryParseError, enumerate_models, is_parametric, load_theory
 
 
@@ -89,14 +89,6 @@ def _load_oracle(spec: str):
         f"({', '.join(sorted(_ORACLE_BUILDERS))}) and no such structure file")
 
 
-_EXAMPLE_SIGNATURES = {
-    "weak-rep": SAMPLE_EDGE_SIG,
-    "tdc-evens": UNARY_SIGNATURE,
-    "parity-overlay": SAMPLE_EDGE_SIG,
-    "strong-rep": UNARY_SIGNATURE,
-}
-
-
 class _ExampleSampler:
     """Sampler view of a named catalog example (reference built per seed)."""
 
@@ -104,7 +96,7 @@ class _ExampleSampler:
         if name not in PAPER_EXAMPLE_NAMES:
             raise UsageError(f"unknown example {name!r}; choose from {PAPER_EXAMPLE_NAMES}")
         self.name = name
-        self.signature = _EXAMPLE_SIGNATURES[name]
+        self.signature = PAPER_EXAMPLE_SIGNATURES[name]
 
     def sample(self, src: HierarchicalRandomSource, n: int) -> Structure:
         return paper_example(self.name, n, src)[1]

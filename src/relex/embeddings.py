@@ -1,15 +1,16 @@
-"""Embedding enumeration and the greedy least-image embedding.
+"""Embedding enumeration, isomorphism, and the greedy least-image embedding.
 
 An embedding of S into T is an injection of universes under which tuple
 membership is preserved and reflected.  Reference structures with infinite
 intent are consumed through a restriction oracle handing out initial
-segments, so they can be defined lazily by generators.
+segments, so they can be defined lazily by generators; a finite reference
+goes through the same oracle type.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, Optional, Union
 
 from .structures import Injection, Signature, Structure, restrict
 
@@ -71,6 +72,13 @@ def embedding_exists(s: Structure, t: Structure) -> bool:
     return next(iter_embeddings(s, t), None) is not None
 
 
+def is_isomorphic(a: Structure, b: Structure) -> Optional[Injection]:
+    """An isomorphism of a onto b (the first embedding found), or None."""
+    if a.n != b.n:
+        return None
+    return next(iter_embeddings(a, b), None)
+
+
 def automorphisms(s: Structure) -> list[Injection]:
     """The automorphism group of s (all self-embeddings)."""
     return enumerate_embeddings(s, s)
@@ -92,7 +100,8 @@ class LazyStructure:
         self._builder = builder
         self._segment: Optional[Structure] = None
 
-    def initial_segment(self, n: int) -> Structure:
+    def _grown(self, n: int) -> Structure:
+        """The memoized segment, built out to at least [1, n]."""
         if n < 0:
             raise ValueError("segment size must be >= 0")
         if self._segment is None or self._segment.n < n:
@@ -104,12 +113,31 @@ class LazyStructure:
                 if old != self._segment:
                     raise ValueError("oracle builder is inconsistent across segment sizes")
             self._segment = fresh
-        return restrict(self._segment, range(1, n + 1))
+        return self._segment
+
+    def initial_segment(self, n: int) -> Structure:
+        return restrict(self._grown(n), range(1, n + 1))
 
     def restrict_to(self, subset) -> Structure:
         elems = sorted(set(subset))
-        top = elems[-1] if elems else 0
-        return restrict(self.initial_segment(top), elems)
+        return restrict(self._grown(elems[-1] if elems else 0), elems)
+
+
+Oracle = Union[Structure, LazyStructure]
+
+
+def ensure_lazy(oracle: Oracle) -> LazyStructure:
+    """The reference as a LazyStructure; a finite Structure serves its own
+    initial segments and runs out past its size."""
+    if isinstance(oracle, LazyStructure):
+        return oracle
+    if isinstance(oracle, Structure):
+        def builder(m: int) -> Structure:
+            if m > oracle.n:
+                raise ValueError(f"finite reference exhausted at size {oracle.n}")
+            return restrict(oracle, range(1, m + 1))
+        return LazyStructure(oracle.signature, builder, name="finite")
+    raise TypeError("reference oracle must be a Structure or LazyStructure")
 
 
 def natural_embedding(s: Structure, oracle: LazyStructure, bound: int) -> Injection:

@@ -10,8 +10,11 @@ DecisionContext:
   * ranks of tuple entries under the keyed random ordering of those entries,
   * in `restriction` mode, the reference structure restricted to the
     tuple's range (as a canonical context key),
-  * in `segment` mode, the reference structure's initial segment up to the
-    largest tuple entry.
+  * in `segment` mode, also the reference structure's initial segment up
+    to the largest tuple entry.
+
+Samplers hand every context the same finite reference view, the reference
+on [1, n]; each channel restricts it.
 
 Table rules are data (JSON-loadable); function rules wrap an arbitrary
 callable on the context.
@@ -19,15 +22,13 @@ callable on the context.
 
 from __future__ import annotations
 
-import itertools
 import json
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .randomness import HierarchicalRandomSource, induced_ordering
-from .structures import (Signature, Structure, restrict, serialize,
-                         _relabel_by_permutation)
+from .structures import Signature, Structure, _canonical_cached, restrict
 
 CONTEXT_MODES = ("none", "restriction", "segment")
 
@@ -41,14 +42,9 @@ def context_key(structure: Structure, tup: tuple[int, ...]) -> str:
     """
     if any(c < 1 or c > structure.n for c in tup):
         raise ValueError("tuple entries must lie in the structure's universe")
-    best: Optional[tuple[str, tuple[int, ...]]] = None
-    for perm in itertools.permutations(range(1, structure.n + 1)):
-        relabeled = _relabel_by_permutation(structure, perm)
-        mapped = tuple(perm[c - 1] for c in tup)
-        cand = (serialize(relabeled), mapped)
-        if best is None or cand < best:
-            best = cand
-    return f"{best[0]}|{json.dumps(list(best[1]))}"
+    rels = tuple(structure.tuples(name) for name in structure.signature.names())
+    best, mapped = _canonical_cached(structure.signature, structure.n, rels, tuple(tup))
+    return f"{best.key()}|{json.dumps(list(mapped))}"
 
 
 def tuple_pattern(tup: Sequence[int]) -> tuple[int, ...]:
@@ -67,21 +63,17 @@ class DecisionContext:
 
     def __init__(self, source: HierarchicalRandomSource, relation: str,
                  tup: tuple[int, ...], partition: tuple[float, ...] = (),
-                 context_mode: str = "none",
-                 restriction_provider: Optional[Callable[[tuple[int, ...]], Structure]] = None,
-                 segment_provider: Optional[Callable[[int], Structure]] = None):
+                 context_mode: str = "none", reference: Optional[Structure] = None):
         self.source = source
         self.relation = relation
         self.tuple = tuple(tup)
         self.partition = tuple(partition)
         self.context_mode = context_mode
-        self._restriction_provider = restriction_provider
-        self._segment_provider = segment_provider
+        self.reference = reference
         self._xi_cache: dict[tuple[int, ...], float] = {}
         self._rank_cache: dict[tuple[int, ...], tuple[int, ...]] = {}
         self._context_key: Optional[str] = None
         self._restriction: Optional[Structure] = None
-        self._segment: Optional[Structure] = None
 
     # -- coordinate selection -------------------------------------------------
 
@@ -123,42 +115,36 @@ class DecisionContext:
 
     # -- reference-structure channels ------------------------------------------
 
+    def _reference(self) -> Structure:
+        if self.reference is None:
+            raise ValueError("no reference structure available in this context")
+        return self.reference
+
     def restriction(self) -> Structure:
         """Reference structure restricted to the tuple's range, on [1, k]."""
         if self._restriction is None:
-            if self._restriction_provider is None:
-                raise ValueError("no reference structure available in this context")
-            self._restriction = self._restriction_provider(self.subset())
+            self._restriction = restrict(self._reference(), self.subset())
         return self._restriction
 
     def segment(self) -> Structure:
         """Reference structure's initial segment on [1, max entry]."""
-        if self._segment is None:
-            if self._segment_provider is None:
-                raise ValueError("no segment provider available in this context")
-            self._segment = self._segment_provider(max(self.tuple))
-        return self._segment
+        return restrict(self._reference(), range(1, max(self.tuple) + 1))
 
     def context_key(self) -> str:
-        """Canonical key of the local reference view together with the tuple.
+        """Canonical key of the reference restricted to the tuple's range,
+        together with the tuple.
 
-        In `restriction` mode the view is the reference restricted to the
-        tuple's range; in `segment` mode it is the segment restricted the
-        same way (so keys stay small and isomorphism-invariant).
+        Both `restriction` and `segment` mode key this view: the segment
+        [1, max entry] restricted to the tuple's range is the same structure,
+        and the restriction keeps keys small and isomorphism-invariant.
         """
         if self._context_key is None:
-            if self.context_mode == "none":
-                raise ValueError("context_key is unavailable in context mode 'none'")
-            subset = self.subset()
-            if self.context_mode == "restriction":
-                local = self.restriction()
-            elif self.context_mode == "segment":
-                local = restrict(self.segment(), subset)
-            else:
-                raise ValueError(f"unknown context mode {self.context_mode!r}")
-            index = {c: k for k, c in enumerate(subset, start=1)}
+            if self.context_mode not in ("restriction", "segment"):
+                raise ValueError(
+                    f"context_key is unavailable in context mode {self.context_mode!r}")
+            index = {c: k for k, c in enumerate(self.subset(), start=1)}
             mapped = tuple(index[c] for c in self.tuple)
-            self._context_key = context_key(local, mapped)
+            self._context_key = context_key(self.restriction(), mapped)
         return self._context_key
 
 
@@ -310,9 +296,6 @@ class FunctionDecisionFunction(DecisionFunction):
 
 
 # --- rule sets ----------------------------------------------------------------
-
-RuleSet = dict  # name -> DecisionFunction
-
 
 def normalize_rules(rules: Union[DecisionFunction, Mapping[str, DecisionFunction],
                                  Iterable[DecisionFunction]]) -> dict[str, DecisionFunction]:

@@ -12,16 +12,15 @@ the subset it concerns.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence
 
 from .amalgamation import FiniteClass, _amalgam_classes
-from .embeddings import (LazyStructure, enumerate_embeddings, natural_embedding)
+from .embeddings import (Oracle, enumerate_embeddings, ensure_lazy,
+                         natural_embedding)
 from .randomness import (HierarchicalRandomSource, SeedStream, permutation_rank)
 from .rules import (DecisionContext, DecisionFunction, normalize_rules,
                     rules_signature)
 from .structures import Signature, Structure, relabel, restrict
-
-Oracle = Union[Structure, LazyStructure]
 
 
 class AmalgamationFailure(RuntimeError):
@@ -48,40 +47,6 @@ class ZeroProbabilityConditioning(RuntimeError):
         super().__init__(f"conditioning event at step {step} has probability below the floor")
 
 
-# --- reference-oracle plumbing -------------------------------------------------
-
-def _providers(oracle: Optional[Oracle]):
-    """(restriction_provider, segment_provider) for a reference structure."""
-    if oracle is None:
-        return None, None
-    if isinstance(oracle, LazyStructure):
-        return oracle.restrict_to, oracle.initial_segment
-    if isinstance(oracle, Structure):
-        def restriction_provider(subset):
-            return restrict(oracle, subset)
-
-        def segment_provider(m: int) -> Structure:
-            if m > oracle.n:
-                raise ValueError(
-                    f"reference structure has {oracle.n} points; segment [1, {m}] unavailable")
-            return restrict(oracle, range(1, m + 1))
-
-        return restriction_provider, segment_provider
-    raise TypeError("reference oracle must be a Structure or LazyStructure")
-
-
-def ensure_lazy(oracle: Oracle) -> LazyStructure:
-    if isinstance(oracle, LazyStructure):
-        return oracle
-    if isinstance(oracle, Structure):
-        def builder(m: int) -> Structure:
-            if m > oracle.n:
-                raise ValueError(f"finite reference exhausted at size {oracle.n}")
-            return restrict(oracle, range(1, m + 1))
-        return LazyStructure(oracle.signature, builder, name="finite")
-    raise TypeError("reference oracle must be a Structure or LazyStructure")
-
-
 # --- per-tuple samplers --------------------------------------------------------
 
 _ALLOWED_CONTEXTS = {
@@ -100,18 +65,17 @@ def _sample_by_rules(rules: Mapping[str, DecisionFunction], n: int,
             raise ValueError(
                 f"{kind} sampling cannot serve context mode {df.context_mode!r} "
                 f"(rule for {df.relation!r})")
-    restriction_provider, segment_provider = _providers(oracle)
+    reference = None
+    if any(df.context_mode != "none" for df in rules.values()):
+        reference = ensure_lazy(oracle).initial_segment(n)
     signature = rules_signature(rules)
     relations = {}
     for name in signature.names():
         df = rules[name]
         chosen = []
         for tup in itertools.product(range(1, n + 1), repeat=df.arity):
-            ctx = DecisionContext(
-                src, name, tup, partition=df.partition,
-                context_mode=df.context_mode,
-                restriction_provider=restriction_provider,
-                segment_provider=segment_provider)
+            ctx = DecisionContext(src, name, tup, partition=df.partition,
+                                  context_mode=df.context_mode, reference=reference)
             if df.decide(ctx):
                 chosen.append(tup)
         relations[name] = chosen
@@ -330,10 +294,10 @@ def sample_sequential(law: AgeIndexedLaw, oracle: Oracle, n: int,
     ZeroProbabilityConditioning when the conditioning event's mass falls
     below `epsilon`.
     """
-    _, segment_provider = _providers(oracle)
+    lazy = ensure_lazy(oracle)
     current = Structure(law.signature, 0)
     for m in range(1, n + 1):
-        segment = segment_provider(m)
+        segment = lazy.initial_segment(m)
         table = law.table_for(segment)
         prefix_key = current.key()
         candidates = [(outcome, prob) for outcome, prob in table

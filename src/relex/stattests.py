@@ -16,9 +16,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence, Union
 
-from .embeddings import enumerate_embeddings
+from .embeddings import Oracle, ensure_lazy, enumerate_embeddings
 from .randomness import HierarchicalRandomSource, SeedStream
-from .samplers import Oracle, ensure_lazy
 from .structures import Injection, Structure, relabel, restrict
 
 _MIN_EXPECTED = 5.0

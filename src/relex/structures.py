@@ -256,77 +256,6 @@ def restrict(structure: Structure, subset: Iterable[int]) -> Structure:
     return result
 
 
-def _profile(structure: Structure, x: int) -> tuple:
-    """Occurrence counts of x per relation and position, an isomorphism
-    invariant used to prune the matching search."""
-    prof = []
-    for name, arity in structure.signature:
-        counts = [0] * arity
-        diag = 0
-        for tup in structure.tuples(name):
-            for pos, c in enumerate(tup):
-                if c == x:
-                    counts[pos] += 1
-            if all(c == x for c in tup):
-                diag += 1
-        prof.append((tuple(counts), diag))
-    return tuple(prof)
-
-
-def _extension_ok(a: Structure, b: Structure, assign: dict[int, int], new: int) -> bool:
-    """Check all tuples through `new` among assigned elements transfer both ways."""
-    mapped = assign
-    placed = list(mapped)
-    for name, arity in a.signature:
-        asets = a.relation_sets()[name]
-        bsets = b.relation_sets()[name]
-        for tup in itertools.product(placed, repeat=arity):
-            if new not in tup:
-                continue
-            image = tuple(mapped[c] for c in tup)
-            if (tup in asets) != (image in bsets):
-                return False
-    return True
-
-
-def is_isomorphic(a: Structure, b: Structure) -> Optional[Injection]:
-    """Search for an isomorphism; returns a witness bijection or None.
-
-    Backtracking over partial bijections with per-element profile pruning.
-    """
-    if a.signature != b.signature or a.n != b.n:
-        return None
-    for name in a.signature.names():
-        if len(a.tuples(name)) != len(b.tuples(name)):
-            return None
-    n = a.n
-    prof_a = {x: _profile(a, x) for x in a.universe()}
-    prof_b = {y: _profile(b, y) for y in b.universe()}
-    if sorted(prof_a.values()) != sorted(prof_b.values()):
-        return None
-
-    assign: dict[int, int] = {}
-    used: set[int] = set()
-
-    def extend(x: int) -> Optional[Injection]:
-        if x > n:
-            return Injection(dict(assign))
-        for y in range(1, n + 1):
-            if y in used or prof_a[x] != prof_b[y]:
-                continue
-            assign[x] = y
-            used.add(y)
-            if _extension_ok(a, b, assign, x):
-                found = extend(x + 1)
-                if found is not None:
-                    return found
-            del assign[x]
-            used.discard(y)
-        return None
-
-    return extend(1)
-
-
 def _relabel_by_permutation(structure: Structure, perm: tuple[int, ...]) -> Structure:
     """Relabel so that old element i becomes perm[i-1]."""
     relations = {}
@@ -337,18 +266,23 @@ def _relabel_by_permutation(structure: Structure, perm: tuple[int, ...]) -> Stru
 
 @lru_cache(maxsize=65536)
 def _canonical_cached(signature: Signature, n: int,
-                      rels: tuple[tuple[tuple[int, ...], ...], ...]) -> Structure:
+                      rels: tuple[tuple[tuple[int, ...], ...], ...],
+                      tup: tuple[int, ...]) -> tuple[Structure, tuple[int, ...]]:
+    """The relabeling of the structure, and the image of `tup` under it, that
+    minimize (serialization, relabeled tuple) over all n! relabelings.
+
+    The one canonical search, shared by `canonical_form` and
+    `rules.context_key`.
+    """
     base = Structure(signature, n,
                      {name: rels[i] for i, (name, _) in enumerate(signature)})
     best = None
-    best_serial = None
     for perm in itertools.permutations(range(1, n + 1)):
         cand = _relabel_by_permutation(base, perm)
-        s = cand.key()
-        if best_serial is None or s < best_serial:
-            best_serial = s
-            best = cand
-    return best if best is not None else base
+        score = (cand.key(), tuple(perm[c - 1] for c in tup))
+        if best is None or score < best[0]:
+            best = (score, cand)
+    return best[1], best[0][1]
 
 
 def canonical_form(structure: Structure) -> Structure:
@@ -359,7 +293,7 @@ def canonical_form(structure: Structure) -> Structure:
     equal.  Cost grows as n!, intended for n <= 8.
     """
     rels = tuple(structure.tuples(name) for name in structure.signature.names())
-    return _canonical_cached(structure.signature, structure.n, rels)
+    return _canonical_cached(structure.signature, structure.n, rels, ())[0]
 
 
 def serialize(structure: Structure) -> str:

@@ -16,7 +16,7 @@ forbids diagonal tuples.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .structures import Signature, Structure

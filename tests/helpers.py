@@ -9,9 +9,10 @@ checked.
 from __future__ import annotations
 
 import itertools
+import json
 import random
 
-from relex import Injection, Signature, Structure, restrict
+from relex import Injection, Signature, Structure, restrict, serialize
 
 
 def naive_embeddings(s: Structure, t: Structure) -> list[tuple[int, ...]]:
@@ -35,6 +36,25 @@ def naive_embeddings(s: Structure, t: Structure) -> list[tuple[int, ...]]:
         if ok:
             found.append(images)
     return sorted(found)
+
+
+def naive_context_key(structure: Structure, tup: tuple[int, ...]) -> str:
+    """The (structure, tuple) key by trying every relabeling.
+
+    Relabels through each permutation of [1, n] and keeps the smallest
+    (serialization, mapped tuple) pair, written as `serialization|[tuple]`.
+    With the empty tuple the serialization is the canonical form's.
+    """
+    best = None
+    for perm in itertools.permutations(range(1, structure.n + 1)):
+        relabeled = Structure(structure.signature, structure.n,
+                              {name: [tuple(perm[c - 1] for c in t)
+                                      for t in structure.tuples(name)]
+                               for name in structure.signature.names()})
+        cand = (serialize(relabeled), tuple(perm[c - 1] for c in tup))
+        if best is None or cand < best:
+            best = cand
+    return f"{best[0]}|{json.dumps(list(best[1]))}"
 
 
 def naive_models(theory, n: int) -> list[Structure]:

@@ -2,15 +2,18 @@
 
 import itertools
 import json
+import random
 from pathlib import Path
 
 import pytest
 
+from helpers import naive_context_key, random_structure
 from relex import (DecisionContext, FunctionDecisionFunction,
                    HierarchicalRandomSource, Signature, Structure, TableEntry,
-                   TableDecisionFunction, context_key, load_rules,
-                   normalize_rules, rules_from_json, rules_signature,
-                   tuple_pattern)
+                   TableDecisionFunction, canonical_form, context_key,
+                   load_rules, normalize_rules, rules_from_json,
+                   rules_signature, tuple_pattern)
+from relex.catalog import evens_oracle, parity_overlay_oracle
 
 RULES_DIR = Path(__file__).resolve().parent.parent / "rules"
 GRAPH = Signature((("E", 2),))
@@ -42,13 +45,26 @@ def test_context_key_separates_different_situations():
     assert context_key(edge, (1, 2)) != context_key(non_edge, (1, 2))
 
 
+def test_context_key_and_canonical_form_match_brute_force():
+    # canonical_form and context_key share one memoized search; a plain
+    # loop over every relabeling is the reference
+    rng = random.Random(1509)
+    sig = Signature((("E", 2), ("P", 1), ("R", 3)))
+    for _ in range(240):
+        n = rng.randint(0, 4)
+        s = random_structure(rng, sig, n, density=rng.choice((0.15, 0.4, 0.7)))
+        assert f"{canonical_form(s).key()}|[]" == naive_context_key(s, ())
+        for arity in (1, 2):
+            for tup in itertools.product(range(1, n + 1), repeat=arity):
+                assert context_key(s, tup) == naive_context_key(s, tup)
+
+
 # --- DecisionContext -------------------------------------------------------------------
 
-def _ctx(tup, partition=(0.5,), seed=3, mode="none", restriction=None, segment=None):
+def _ctx(tup, partition=(0.5,), seed=3, mode="none", reference=None):
     return DecisionContext(
         HierarchicalRandomSource(seed), "E", tup, partition=partition,
-        context_mode=mode,
-        restriction_provider=restriction, segment_provider=segment)
+        context_mode=mode, reference=reference)
 
 
 def test_context_elements_subset_and_positions():
@@ -64,7 +80,7 @@ def test_context_elements_subset_and_positions():
 def test_context_xi_matches_source():
     src = HierarchicalRandomSource(3)
     ctx = DecisionContext(src, "E", (4, 9), partition=(0.5,), context_mode="none",
-                          restriction_provider=None, segment_provider=None)
+                          reference=None)
     assert ctx.xi() == src.xi((4, 9))
     assert ctx.xi((1,)) == src.xi((4,))
     assert ctx.xi(()) == src.xi(())
@@ -80,7 +96,7 @@ def test_context_interval_uses_partition():
 def test_context_ordering_ranks_match_source_order():
     src = HierarchicalRandomSource(11)
     ctx = DecisionContext(src, "E", (4, 9, 4), partition=(), context_mode="none",
-                          restriction_provider=None, segment_provider=None)
+                          reference=None)
     order = src.ordering((4, 9))
     pos = {v: r for r, v in enumerate(order)}
     assert ctx.ordering_ranks() == (pos[4], pos[9], pos[4])
@@ -88,14 +104,7 @@ def test_context_ordering_ranks_match_source_order():
 
 def test_context_restriction_and_key_modes():
     ref = Structure(GRAPH, 9, {"E": [(4, 9), (9, 4)]})
-    def restriction(subset):
-        from relex import restrict
-        return restrict(ref, subset)
-    def segment(m):
-        from relex import restrict
-        return restrict(ref, range(1, m + 1))
-
-    ctx = _ctx((4, 9), mode="restriction", restriction=restriction, segment=segment)
+    ctx = _ctx((4, 9), mode="restriction", reference=ref)
     assert ctx.restriction().has("E", (1, 2))
     edge_local = Structure(GRAPH, 2, {"E": [(1, 2), (2, 1)]})
     assert ctx.context_key() == context_key(edge_local, (1, 2))
@@ -161,10 +170,10 @@ def test_threshold_and_ordering_conditions():
         src = HierarchicalRandomSource(seed)
         fwd = tournament.decide(DecisionContext(
             src, "E", (1, 2), partition=(), context_mode="none",
-            restriction_provider=None, segment_provider=None))
+            reference=None))
         bwd = tournament.decide(DecisionContext(
             src, "E", (2, 1), partition=(), context_mode="none",
-            restriction_provider=None, segment_provider=None))
+            reference=None))
         assert fwd != bwd   # exactly one orientation
 
 
@@ -285,6 +294,26 @@ def test_shipped_rules_agree_with_catalog_builders():
     for filename, df in expected.items():
         loaded = load_rules(str(RULES_DIR / filename))
         assert next(iter(loaded.values())).to_json() == df.to_json()
+
+
+def test_segment_mode_keys_the_restriction():
+    references = (evens_oracle().initial_segment(6),
+                  parity_overlay_oracle(HierarchicalRandomSource(3)).initial_segment(6))
+    checked = 0
+    for path in sorted(RULES_DIR.glob("*.json")):
+        df = next(iter(load_rules(str(path)).values()))
+        if df.context_mode != "restriction":
+            continue
+        checked += 1
+        for reference, seed in itertools.product(references, range(3)):
+            src = HierarchicalRandomSource(seed)
+            for tup in itertools.product(range(1, 7), repeat=df.arity):
+                ctxs = [DecisionContext(src, df.relation, tup, partition=df.partition,
+                                        context_mode=mode, reference=reference)
+                        for mode in ("restriction", "segment")]
+                assert ctxs[0].context_key() == ctxs[1].context_key()
+                assert df.decide(ctxs[0]) == df.decide(ctxs[1])
+    assert checked == 3
 
 
 def test_rules_from_json_rejects_malformed():

@@ -6,7 +6,7 @@ import itertools
 import pytest
 
 from relex import (AgeIndexedLaw, AmalgamationFailure, FramewiseSampler,
-                   HierarchicalRandomSource, MaxSegSampler, SeedStream,
+                   HierarchicalRandomSource, LazyStructure, MaxSegSampler, SeedStream,
                    Signature, Structure, ZeroProbabilityConditioning, amalgams,
                    builtin_class, ensure_lazy, restrict, sample_exchangeable,
                    sample_framewise, sample_m_exchangeable,
@@ -168,6 +168,25 @@ def test_ensure_lazy_wraps_finite_structures():
     assert ensure_lazy(evens_oracle()) is not None
     with pytest.raises(TypeError):
         ensure_lazy("not a structure")
+
+
+def _counting_evens():
+    calls = []
+
+    def builder(m):
+        calls.append(m)
+        return Structure(UNARY, m, {"P": [(i,) for i in range(2, m + 1, 2)]})
+    return LazyStructure(UNARY, builder, name="counting-evens"), calls
+
+
+@pytest.mark.parametrize("sample", [sample_m_exchangeable, sample_maxseg_exchangeable])
+def test_rule_samplers_read_one_reference_view(sample):
+    finite = Structure(UNARY, 40, {"P": [(i,) for i in range(2, 41, 2)]})
+    for seed in range(3):
+        lazy, calls = _counting_evens()
+        drawn = sample(two_coin_rules(), lazy, 40, HierarchicalRandomSource(seed))
+        assert calls == [40]
+        assert drawn == sample(two_coin_rules(), finite, 40, HierarchicalRandomSource(seed))
 
 
 # --- age-indexed laws ----------------------------------------------------------------------

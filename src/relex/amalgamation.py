@@ -7,6 +7,11 @@ the disjoint amalgamation property (DAP), and its n-ary strengthening
 (n-DAP): every pairwise-compatible family of members on the coordinate
 hyperplanes of [1, n] must extend to a member on [1, n].
 
+One completion search, `_completions`, serves n-DAP, DAP, `amalgams` and
+frame-wise steps: the members that hold a partial structure outside a set
+of free tuples, found by trying every assignment of the free tuples, or by
+scanning the class enumeration above _MAX_FREE_TUPLES free tuples.
+
 All checkers are exact searches; worst cases are exponential and guarded
 by the cap.  All classes here are closed under isomorphism and
 substructure, which the DAP layout argument relies on.
@@ -269,11 +274,8 @@ def from_theory(theory: Theory, name: str | None = None, cap: int = 6) -> Finite
 
 def _located_tuples(member: Structure, elems: list[int]) -> dict[str, frozenset]:
     """Tuples of a structure on [1, len(elems)] transported onto elems."""
-    out = {}
-    for name in member.signature.names():
-        out[name] = frozenset(tuple(elems[c - 1] for c in tup)
-                              for tup in member.tuples(name))
-    return out
+    return {name: frozenset(tuple(elems[c - 1] for c in tup) for tup in member.tuples(name))
+            for name in member.signature.names()}
 
 
 def _slot_elements(n: int, i: int) -> list[int]:
@@ -295,13 +297,39 @@ def _compatible(loc_a: dict, i_a: int, loc_b: dict, i_b: int, names) -> bool:
     return _overlap(loc_a, i_b, names) == _overlap(loc_b, i_a, names)
 
 
-def _surjective_tuples(n: int, arity: int):
-    if arity < n:
-        return
-    full = frozenset(range(1, n + 1))
-    for tup in itertools.product(range(1, n + 1), repeat=arity):
-        if frozenset(tup) == full:
-            yield tup
+def _completions(klass: FiniteClass, m: int, partial: dict[str, set],
+                 free: list[tuple[str, tuple[int, ...]]], first_only: bool = False
+                 ) -> list[Structure]:
+    """The members on [1, m] that hold exactly `partial` outside the `free` tuples.
+
+    Each (name, tuple) pair in `free` may go either way; every other tuple
+    is in the member exactly when it is in `partial`.  Up to
+    _MAX_FREE_TUPLES free tuples, enumerate their assignments and keep the
+    members; above that, scan the class enumeration.  Members come in
+    serialization order, except that `first_only` returns the first member
+    found, unsorted (sorting would serialize every candidate).
+    """
+    names = klass.signature.names()
+    if len(free) > _MAX_FREE_TUPLES:
+        free_set = set(free)
+        fixed = {name: set(partial.get(name, ())) for name in names}
+        matching = (member for member in klass.enumerate(m)
+                    if all({t for t in member.tuples(name) if (name, t) not in free_set}
+                           == fixed[name] for name in names))
+        return list(itertools.islice(matching, 1 if first_only else None))
+
+    found = []
+    for bits in itertools.product((0, 1), repeat=len(free)):
+        relations = {name: set(partial.get(name, ())) for name in names}
+        for (name, tup), bit in zip(free, bits):
+            if bit:
+                relations[name].add(tup)
+        candidate = Structure(klass.signature, m, relations)
+        if klass.contains(candidate):
+            if first_only:
+                return [candidate]
+            found.append(candidate)
+    return sorted(found, key=lambda s: s.key())
 
 
 def _complete_partial(klass: FiniteClass, n: int,
@@ -309,42 +337,13 @@ def _complete_partial(klass: FiniteClass, n: int,
                       ) -> list[Structure]:
     """All members on [1, n] whose non-surjective tuples are exactly `partial`.
 
-    Only tuples whose range is all of [1, n] are undetermined; enumerate
-    their assignments and filter by membership.  Falls back to scanning the
-    class enumeration when the free-tuple count is too large.
+    Only tuples whose range is all of [1, n] are free; a relation of arity
+    below n has none.
     """
-    free: list[tuple[str, tuple[int, ...]]] = []
-    for name, arity in klass.signature:
-        free.extend((name, tup) for tup in _surjective_tuples(n, arity))
-
-    if len(free) > _MAX_FREE_TUPLES:
-        found = []
-        for member in klass.enumerate(n):
-            sets = member.relation_sets()
-            ok = True
-            for name, _ in klass.signature:
-                fixed = {t for t in sets[name] if frozenset(t) != frozenset(range(1, n + 1))}
-                if fixed != set(partial.get(name, ())):
-                    ok = False
-                    break
-            if ok:
-                found.append(member)
-                if first_only:
-                    return found
-        return found
-
-    found = []
-    for bits in itertools.product((0, 1), repeat=len(free)):
-        relations = {name: set(partial.get(name, ())) for name, _ in klass.signature}
-        for (name, tup), bit in zip(free, bits):
-            if bit:
-                relations[name].add(tup)
-        candidate = Structure(klass.signature, n, relations)
-        if klass.contains(candidate):
-            found.append(candidate)
-            if first_only:
-                return found
-    return sorted(found, key=lambda s: s.key())
+    free = [(name, tup) for name, arity in klass.signature if arity >= n
+            for tup in itertools.product(range(1, n + 1), repeat=arity)
+            if len(set(tup)) == n]
+    return _completions(klass, n, partial, free, first_only)
 
 
 def _union_located(located: list[dict], names) -> dict[str, set]:
@@ -420,7 +419,6 @@ class NdapReport:
     n: int
     holds: bool
     witness_family: Optional[list[Structure]] = None
-    amalgam: Optional[Structure] = None
 
     def to_json(self) -> dict:
         return {
@@ -428,8 +426,6 @@ class NdapReport:
             "holds": self.holds,
             "witness_family": None if self.witness_family is None else
                 [json.loads(serialize(s)) for s in self.witness_family],
-            "amalgam": None if self.amalgam is None else
-                json.loads(serialize(self.amalgam)),
         }
 
 
@@ -543,19 +539,12 @@ def check_jep(klass: FiniteClass, bound: int) -> JepReport:
         raise CapExceededError(
             f"joint host search needs sizes up to {2 * bound}, over cap {klass.cap}")
     members = [m for size in range(1, bound + 1) for m in klass.enumerate(size)]
-    for a_idx, s in enumerate(members):
-        for t in members[a_idx:]:
-            lo = max(s.n, t.n)
-            found = False
-            for host_size in range(lo, 2 * bound + 1):
-                for host in klass.enumerate(host_size):
-                    if embedding_exists(s, host) and embedding_exists(t, host):
-                        found = True
-                        break
-                if found:
-                    break
-            if not found:
-                return JepReport(bound=bound, holds=False, witness_pair=(s, t))
+    for s, t in itertools.combinations_with_replacement(members, 2):
+        hosts = (host for size in range(max(s.n, t.n), 2 * bound + 1)
+                 for host in klass.enumerate(size))
+        if not any(embedding_exists(s, host) and embedding_exists(t, host)
+                   for host in hosts):
+            return JepReport(bound=bound, holds=False, witness_pair=(s, t))
     return JepReport(bound=bound, holds=True)
 
 
@@ -567,8 +556,9 @@ def _dap_instance_holds(klass: FiniteClass, s: Structure, t: Structure,
 
     Host universe [1, m] with m = |t| + |tp| - |s|: t sits on [1, |t|]
     identically, tp's non-overlap part on the fresh tail, the overlap glued
-    through phi and phip.  Tuples mixing the two private parts are free;
-    all others are forced.  Sound and complete for classes closed under
+    through phi and phip.  Tuples inside either part are fixed by t or tp
+    (both embed s, so they agree on the overlap); tuples mixing the two
+    private parts are free.  Sound and complete for classes closed under
     isomorphism and substructure.
     """
     m = t.n + tp.n - s.n
@@ -583,55 +573,26 @@ def _dap_instance_holds(klass: FiniteClass, s: Structure, t: Structure,
         else:
             fresh += 1
             tau[y] = fresh
-    t_part = set(range(1, t.n + 1))
-    tp_image = set(tau.values())
+    t_part, tp_part = list(range(1, t.n + 1)), [tau[y] for y in range(1, tp.n + 1)]
+    partial = _union_located([_located_tuples(t, t_part), _located_tuples(tp, tp_part)],
+                             klass.signature.names())
+    parts = (set(t_part), set(tp_part))
+    free = [(name, tup) for name, arity in klass.signature
+            for tup in itertools.product(range(1, m + 1), repeat=arity)
+            if not any(part.issuperset(tup) for part in parts)]
+    return bool(_completions(klass, m, partial, free, first_only=True))
 
-    partial: dict[str, set] = {name: set() for name in klass.signature.names()}
-    forced: dict[str, dict] = {name: {} for name in klass.signature.names()}
-    for name, arity in klass.signature:
-        t_rel = t.relation_sets()[name]
-        for tup in itertools.product(range(1, t.n + 1), repeat=arity):
-            forced[name][tup] = tup in t_rel
-        tp_rel = tp.relation_sets()[name]
-        for tup in itertools.product(range(1, tp.n + 1), repeat=arity):
-            image = tuple(tau[c] for c in tup)
-            value = tup in tp_rel
-            if image in forced[name] and forced[name][image] != value:
-                return False  # embeddings disagree on the overlap; not a valid diagram
-            forced[name][image] = value
 
-    free: list[tuple[str, tuple[int, ...]]] = []
-    for name, arity in klass.signature:
-        for tup in itertools.product(range(1, m + 1), repeat=arity):
-            if tup in forced[name]:
-                if forced[name][tup]:
-                    partial[name].add(tup)
-                continue
-            free.append((name, tup))
-
-    if len(free) <= _MAX_FREE_TUPLES:
-        for bits in itertools.product((0, 1), repeat=len(free)):
-            relations = {name: set(vals) for name, vals in partial.items()}
-            for (name, tup), bit in zip(free, bits):
-                if bit:
-                    relations[name].add(tup)
-            if klass.contains(Structure(klass.signature, m, relations)):
-                return True
-        return False
-
-    for host in klass.enumerate(m):
-        sets = host.relation_sets()
-        ok = True
-        for name, _ in klass.signature:
-            for tup, value in forced[name].items():
-                if (tup in sets[name]) != value:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return True
-    return False
+def _dap_diagrams(members: list[Structure]):
+    """Every overlap diagram (s, t, t', phi, phi') over `members`, in order:
+    s, then t, then t', then phi, then phi'."""
+    for s, t in itertools.product(members, repeat=2):
+        phis = enumerate_embeddings(s, t)
+        if not phis:
+            continue
+        for tp in members:
+            for phi, phip in itertools.product(phis, enumerate_embeddings(s, tp)):
+                yield s, t, tp, phi, phip
 
 
 def check_dap(klass: FiniteClass, bound: int = 2) -> DapReport:
@@ -651,51 +612,18 @@ def check_dap(klass: FiniteClass, bound: int = 2) -> DapReport:
     ndap2 = check_ndap(klass, 2)
 
     members = [m for size in range(0, bound + 1) for m in klass.enumerate(size)]
-    direct_holds = True
-    counterexample = None
-    for s in members:
-        for t in members:
-            if t.n < s.n:
-                continue
-            phis = enumerate_embeddings(s, t)
-            if not phis:
-                continue
-            for tp in members:
-                if tp.n < s.n:
-                    continue
-                phips = enumerate_embeddings(s, tp)
-                for phi in phis:
-                    for phip in phips:
-                        if not _dap_instance_holds(klass, s, t, tp, phi, phip):
-                            direct_holds = False
-                            counterexample = {
-                                "s": s, "t": t, "t_prime": tp,
-                                "phi": phi.items(), "phi_prime": phip.items(),
-                            }
-                            break
-                    if counterexample:
-                        break
-                if counterexample:
-                    break
-            if counterexample:
-                break
-        if counterexample:
-            break
-
-    if direct_holds != ndap2.holds:
+    failed = next((diagram for diagram in _dap_diagrams(members)
+                   if not _dap_instance_holds(klass, *diagram)), None)
+    if (failed is None) != ndap2.holds:
         raise RuntimeError(
             f"2-point family amalgamation and the direct overlap formulation disagree "
             f"on class {klass.name!r}: the class is outside the scope where the two "
             "are equivalent (it is not the age of a single structure, e.g. it lacks "
             "joint embedding), so no DAP verdict is returned")
-    json_counterexample = None
-    if counterexample is not None:
-        json_counterexample = {
-            "s": json.loads(serialize(counterexample["s"])),
-            "t": json.loads(serialize(counterexample["t"])),
-            "t_prime": json.loads(serialize(counterexample["t_prime"])),
-            "phi": counterexample["phi"],
-            "phi_prime": counterexample["phi_prime"],
-        }
-    return DapReport(bound=bound, holds=direct_holds, ndap=ndap2,
-                     counterexample=json_counterexample)
+    counterexample = None
+    if failed is not None:
+        counterexample = {key: json.loads(serialize(x))
+                          for key, x in zip(("s", "t", "t_prime"), failed)}
+        counterexample.update(phi=failed[3].items(), phi_prime=failed[4].items())
+    return DapReport(bound=bound, holds=failed is None, ndap=ndap2,
+                     counterexample=counterexample)

@@ -133,6 +133,16 @@ def _parse_subset(text: str) -> tuple[int, ...]:
     return values
 
 
+def _parse_weights(text: str) -> tuple[float, ...]:
+    weights = []
+    for part in text.split(","):
+        try:
+            weights.append(float(part))
+        except ValueError:
+            raise UsageError(f"--rep-weights: {part!r} in {text!r} is not a number") from None
+    return tuple(weights)
+
+
 def _emit(payload, as_json: bool, human_lines) -> None:
     if as_json:
         print(json.dumps(payload, indent=2, sort_keys=True, default=str))
@@ -236,7 +246,7 @@ def _cmd_sample(args) -> int:
         klass = _load_class(args.klass, args.cap)
         weights = None
         if args.rep_weights:
-            weights = tuple(float(w) for w in args.rep_weights.split(","))
+            weights = _parse_weights(args.rep_weights)
         sampler = FramewiseSampler(klass, rep_weights=weights)
     elif args.kind == "exchangeable":
         if not args.rules:

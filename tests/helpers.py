@@ -12,7 +12,8 @@ import itertools
 import json
 import random
 
-from relex import Injection, Signature, Structure, restrict, serialize
+from relex import (Injection, Signature, Structure, enumerate_embeddings, restrict,
+                   serialize)
 
 
 def naive_embeddings(s: Structure, t: Structure) -> list[tuple[int, ...]]:
@@ -135,3 +136,20 @@ def naive_ndap_witness(klass, n: int):
             if tuple(members[m].key() for m in family) not in extended:
                 return [members[m] for m in family]
     return None
+
+
+def naive_dap_instance(klass, s, t, tp, phi, phip) -> bool:
+    """Whether one overlap diagram phi: s -> t, phip: s -> tp has a disjoint amalgam.
+
+    Scans every member on [1, m], m = |t| + |tp| - |s|, for embeddings f of
+    t and g of tp that agree on s (f after phi equals g after phip) and
+    whose images together cover the host.
+    """
+    m = t.n + tp.n - s.n
+    for host in klass.enumerate(m):
+        for f in enumerate_embeddings(t, host):
+            for g in enumerate_embeddings(tp, host):
+                if (f.compose(phi) == g.compose(phip)
+                        and f.image() | g.image() == frozenset(range(1, m + 1))):
+                    return True
+    return False

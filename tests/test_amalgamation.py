@@ -4,15 +4,15 @@ import itertools
 from pathlib import Path
 
 import pytest
-from helpers import naive_ndap_witness
+from helpers import naive_dap_instance, naive_ndap_witness
 
 from relex import (CapExceededError, FiniteClass, Signature, Structure,
-                   amalgams, builtin_class, check_dap, check_jep, check_ndap,
-                   embedding_exists, from_theory,
+                   amalgamation, amalgams, builtin_class, check_dap, check_jep,
+                   check_ndap, embedding_exists, from_theory,
                    k_hypergraphs, load_theory, make_builtin_class,
                    parse_theory, restrict, serialize)
-from relex.amalgamation import (BUILTIN_CLASS_NAMES, _compatible,
-                                _located_tuples, _slot_elements)
+from relex.amalgamation import (BUILTIN_CLASS_NAMES, _compatible, _dap_diagrams,
+                                _dap_instance_holds, _located_tuples, _slot_elements)
 
 GRAPHS = builtin_class("graphs")
 EQUIV = builtin_class("equivalence")
@@ -180,17 +180,18 @@ def test_ndap_fails_for_parity_hypergraphs_at_four():
 
 _THEORIES = sorted((Path(__file__).resolve().parent.parent / "theories").glob("*.th"))
 _ORACLE_BUDGET = 10 ** 5  # families in the brute-force product
+# (label, factory of a fresh instance) for every builtin and theory class
+_CLASS_FACTORIES = (
+    [(name, lambda name=name: make_builtin_class(name)) for name in BUILTIN_CLASS_NAMES]
+    + [(path.name, lambda path=path: from_theory(load_theory(str(path)), cap=4))
+       for path in _THEORIES])
 
 
 def _oracle_cases():
     """(class factory, n) for every builtin and theory class and every n whose
     brute-force product fits the budget."""
-    factories = [(name, lambda name=name: make_builtin_class(name))
-                 for name in BUILTIN_CLASS_NAMES]
-    factories += [(path.name, lambda path=path: from_theory(load_theory(str(path)), cap=4))
-                  for path in _THEORIES]
     cases = []
-    for label, factory in factories:
+    for label, factory in _CLASS_FACTORIES:
         klass = factory()
         for n in range(1, klass.cap + 1):
             if len(klass.enumerate(n - 1)) ** n > _ORACLE_BUDGET:
@@ -314,3 +315,46 @@ def test_dap_raises_outside_equivalence_scope():
     # non-edge over a shared point have no host (overlap formulation fails)
     with pytest.raises(RuntimeError, match="joint embedding"):
         check_dap(_complete_or_empty_class(), bound=2)
+
+
+def _dap_verdicts(klass, bound=2):
+    """(library, brute force) verdict of every overlap diagram check_dap tries."""
+    members = [m for size in range(bound + 1) for m in klass.enumerate(size)]
+    return [(_dap_instance_holds(klass, *diagram), naive_dap_instance(klass, *diagram))
+            for diagram in _dap_diagrams(members)]
+
+
+@pytest.mark.parametrize("factory", [factory for _, factory in _CLASS_FACTORIES]
+                         + [_tiny_class, _complete_or_empty_class],
+                         ids=[label for label, _ in _CLASS_FACTORIES]
+                         + ["size-at-most-one", "complete-or-empty"])
+def test_dap_instances_match_brute_force(factory):
+    verdicts = _dap_verdicts(factory())
+    assert verdicts
+    assert all(ours == naive for ours, naive in verdicts)
+
+
+def test_dap_brute_force_cases_include_failures():
+    assert not all(ours for ours, _ in _dap_verdicts(_complete_or_empty_class()))
+
+
+def _search_outputs():
+    """n-DAP, DAP and amalgams outputs over every builtin and theory class."""
+    out = []
+    for _, factory in _CLASS_FACTORIES:
+        klass = factory()
+        out.append([check_ndap(klass, n).to_json() for n in (1, 2, 3)])
+        out.append([check_dap(klass, bound).to_json() for bound in (1, 2)])
+        for n in (2, 3):
+            for host in klass.enumerate(n)[:8]:
+                family = [restrict(host, _slot_elements(n, i)) for i in range(1, n + 1)]
+                out.append(amalgams(family, klass))
+    return out
+
+
+@pytest.mark.parametrize("limit", [0, 10 ** 9])
+def test_completion_routes_agree(monkeypatch, limit):
+    # 0 scans the class enumeration for every completion; 10**9 never does
+    expected = _search_outputs()
+    monkeypatch.setattr(amalgamation, "_MAX_FREE_TUPLES", limit)
+    assert _search_outputs() == expected

@@ -39,3 +39,29 @@ def test_workload_and_observer_names_resolve():
         assert callable(getattr(samplers, name, None)), name
     assert callable(structures._canonical_cached.cache_info)
     assert callable(stattests.chi2.sf)
+
+
+def test_amalgam_cache_is_read_through_get():
+    # the traced run swaps a class's plain-dict amalgam cache for a dict
+    # subclass that counts .get calls; a cache read any other way would
+    # leave amalgamation.amalgam_cache.hit_frac at 0
+    from relex.amalgamation import _amalgam_classes, make_builtin_class
+
+    klass = make_builtin_class("graphs")
+    assert type(klass._amalgam_cache) is dict
+
+    class CountingCache(dict):
+        lookups = hits = 0
+
+        def get(self, key, default=None):
+            value = super().get(key, default)
+            self.lookups += 1
+            self.hits += value is not None
+            return value
+
+    klass._amalgam_cache = cache = CountingCache()
+    partial = {"E": set()}  # two points, the pair 1-2 free: a cacheable partial
+    first = _amalgam_classes(klass, 2, partial)
+    second = _amalgam_classes(klass, 2, partial)
+    assert (cache.lookups, cache.hits) == (2, 1)
+    assert second is first

@@ -43,6 +43,7 @@ def test_check_ndap_json_shape():
     result = run_cli("--json", "check", "ndap", "--class", "equivalence", "--n", "3")
     assert result.returncode == 1
     payload = json.loads(result.stdout)
+    assert set(payload) == {"n", "holds", "witness_family"}
     assert payload["holds"] is False
     assert len(payload["witness_family"]) == 3
 
@@ -182,6 +183,15 @@ def test_sample_usage_errors():
                      "--n", "3")
     assert result.returncode == 2
     assert "context mode" in result.stderr
+
+
+def test_sample_rep_weights_error_names_the_flag():
+    result = run_cli("sample", "framewise", "--class", "graphs", "--n", "3",
+                     "--rep-weights", "a,b")
+    assert result.returncode == 2
+    assert "--rep-weights" in result.stderr and "'a'" in result.stderr
+    assert run_cli("sample", "framewise", "--class", "graphs", "--n", "3",
+                   "--rep-weights", "1,3").returncode == 0
 
 
 # --- test -------------------------------------------------------------------------

@@ -1,7 +1,9 @@
-"""The amalgamation checkers against the pinned corpus in tests/golden/.
+"""The amalgamation checkers and the samplers against the pinned corpus in
+tests/golden/.
 
-tests/golden/make_amalgamation_golden.py wrote amalgamation.json once; every
-case is recomputed here and must match byte for byte after JSON.
+tests/golden/make_amalgamation_golden.py wrote amalgamation.json once, and
+tests/golden/make_sampler_golden.py wrote samplers.json; every case is
+recomputed here and must match byte for byte after JSON.
 """
 
 import importlib.util
@@ -13,15 +15,14 @@ import pytest
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 
-def _load_generator():
-    spec = importlib.util.spec_from_file_location(
-        "make_amalgamation_golden", GOLDEN_DIR / "make_amalgamation_golden.py")
+def _load_generator(name: str):
+    spec = importlib.util.spec_from_file_location(name, GOLDEN_DIR / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-GENERATOR = _load_generator()
+GENERATOR = _load_generator("make_amalgamation_golden")
 GOLDEN = json.loads((GOLDEN_DIR / "amalgamation.json").read_text())
 CASES = GENERATOR.cases()
 
@@ -37,3 +38,20 @@ def test_golden_covers_every_case():
                          ids=[case[0] for case in CASES])
 def test_amalgamation_matches_golden(case_id, factory, kind, arg):
     assert GENERATOR.compute(factory, kind, arg) == GOLDEN[case_id]
+
+
+SAMPLER_GENERATOR = _load_generator("make_sampler_golden")
+SAMPLER_GOLDEN = json.loads((GOLDEN_DIR / "samplers.json").read_text())
+SAMPLERS = SAMPLER_GENERATOR.samplers()
+
+
+def test_sampler_golden_covers_every_sampler():
+    assert sorted(label for label, _ in SAMPLERS) == sorted(SAMPLER_GOLDEN)
+    # the corpus pins amalgamation failures too, not only digests
+    assert any("failure" in r for r in SAMPLER_GOLDEN["framewise/equivalence"].values())
+    assert any("failure" in r for r in SAMPLER_GOLDEN["framewise/parity3"].values())
+
+
+@pytest.mark.parametrize("label, draw", SAMPLERS, ids=[label for label, _ in SAMPLERS])
+def test_sampler_matches_golden(label, draw):
+    assert SAMPLER_GENERATOR.compute(draw) == SAMPLER_GOLDEN[label]

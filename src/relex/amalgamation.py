@@ -7,6 +7,16 @@ the disjoint amalgamation property (DAP), and its n-ary strengthening
 (n-DAP): every pairwise-compatible family of members on the coordinate
 hyperplanes of [1, n] must extend to a member on [1, n].
 
+A class may declare its locality L: the largest size of a minimal
+non-member, so a structure is a member exactly when its substructures on at
+most L points are.  Above max(arity, L) every amalgam is forced and is a
+member: a family on n > max(arity, L) points leaves no tuple free (none can
+range over all n points), and every L-point part of the union lies inside
+one slot.  So n-DAP holds there without search, "n-DAP for every n"
+reduces to the finitely many n up to max(arity, L), and a frame-wise step
+above that size adds nothing.  Unknown locality (None) keeps every search
+exhaustive.
+
 One completion search, `_completions`, serves n-DAP, DAP, `amalgams` and
 frame-wise steps: the members that hold a partial structure outside a set
 of free tuples, found by trying every assignment of the free tuples, or by
@@ -46,19 +56,34 @@ class FiniteClass:
     `predicate` must be isomorphism-invariant; `enumerator(n)` must yield
     exactly the members with universe [1, n].  Enumeration is memoized and
     returned in serialization order.
+
+    `locality`, when known, is the largest size of a minimal non-member
+    (see the module docstring); None means unknown.  It is a property of
+    the class, and an understated value makes checks report false verdicts.
     """
 
     def __init__(self, name: str, signature: Signature,
                  predicate: Callable[[Structure], bool],
                  enumerator: Callable[[int], Iterable[Structure]],
-                 cap: int = 6):
+                 cap: int = 6, locality: Optional[int] = None):
+        if locality is not None and locality < 0:
+            raise ValueError("locality must be >= 0")
         self.name = name
         self.signature = signature
         self._predicate = predicate
         self._enumerator = enumerator
         self.cap = cap
+        self.locality = locality
         self._enum_cache: dict[int, tuple[Structure, ...]] = {}
         self._amalgam_cache: dict = {}
+
+    @property
+    def forced_above(self) -> Optional[int]:
+        """max(arity, locality): above this size every amalgam is forced and
+        is a member; None when the locality is unknown."""
+        if self.locality is None:
+            return None
+        return max(self.signature.max_arity(), self.locality)
 
     def contains(self, structure: Structure) -> bool:
         if structure.signature != self.signature:
@@ -210,44 +235,50 @@ def _parity_ok_extra(s: Structure) -> bool:
     return True
 
 
+# name: (predicate, enumerator, locality).  Minimal non-members: a loop
+# (digraphs); a loop or a one-way pair (graphs, tournaments); three points
+# breaking transitivity (equivalence).
 _BINARY_CLASSES = {
-    "graphs": (_graph_ok, _enumerate_graphs),
-    "digraphs": (_digraph_ok, _enumerate_digraphs),
-    "tournaments": (_tournament_ok, _enumerate_tournaments),
-    "equivalence": (_equivalence_ok, _enumerate_equivalences),
+    "graphs": (_graph_ok, _enumerate_graphs, 2),
+    "digraphs": (_digraph_ok, _enumerate_digraphs, 1),
+    "tournaments": (_tournament_ok, _enumerate_tournaments, 2),
+    "equivalence": (_equivalence_ok, _enumerate_equivalences, 3),
 }
 
 
 def k_hypergraphs(k: int, cap: int = 6) -> FiniteClass:
-    """Symmetric anti-reflexive k-ary hypergraphs."""
+    """Symmetric anti-reflexive k-ary hypergraphs (locality k: one bad tuple)."""
     sig, enum, ok = _k_hypergraph_pieces(k)
-    return FiniteClass(f"hypergraphs{k}", sig, ok, enum, cap=cap)
+    return FiniteClass(f"hypergraphs{k}", sig, ok, enum, cap=cap, locality=k)
 
 
 def make_builtin_class(name: str, cap: int = 6) -> FiniteClass:
     """Fresh instance of a builtin class with a custom enumeration cap."""
     if name in _BINARY_CLASSES:
-        ok, enum = _BINARY_CLASSES[name]
-        return FiniteClass(name, GRAPH_SIGNATURE, ok, enum, cap=cap)
+        ok, enum, locality = _BINARY_CLASSES[name]
+        return FiniteClass(name, GRAPH_SIGNATURE, ok, enum, cap=cap, locality=locality)
     if name == "hypergraphs3":
         return k_hypergraphs(3, cap=cap)
     if name == "parity3":
+        # a minimal non-member is a bad triple or four points spanning an
+        # odd number of triples
         sig, enum, ok = _k_hypergraph_pieces(3)
         return FiniteClass(
             name, sig,
             lambda s: ok(s) and _parity_ok_extra(s),
             lambda n: (s for s in enum(n) if _parity_ok_extra(s)),
-            cap=cap)
+            cap=cap, locality=4)
     if name == "subsets":
         def enum_subsets(n: int):
             for bits in itertools.product((0, 1), repeat=n):
                 yield Structure(UNARY_SIGNATURE, n,
                                 {"P": [(i,) for i, b in enumerate(bits, start=1) if b]})
         return FiniteClass(name, UNARY_SIGNATURE, lambda s: True, enum_subsets,
-                           cap=cap)
+                           cap=cap, locality=0)
     if name == "trivial":
         return FiniteClass(name, EMPTY_SIGNATURE, lambda s: True,
-                           lambda n: [Structure(EMPTY_SIGNATURE, n)], cap=cap)
+                           lambda n: [Structure(EMPTY_SIGNATURE, n)], cap=cap,
+                           locality=0)
     raise KeyError(f"unknown builtin class {name!r}")
 
 
@@ -262,12 +293,19 @@ def builtin_class(name: str) -> FiniteClass:
 
 
 def from_theory(theory: Theory, name: str | None = None, cap: int = 6) -> FiniteClass:
-    """The class of finite models of a universal theory."""
+    """The class of finite models of a universal theory.
+
+    Its locality is the largest variable count of any sentence: a structure
+    violating a sentence violates it on the at most that many points that
+    the variables take.
+    """
     label = name or f"theory:{theory.source_name}"
     return FiniteClass(label, theory.signature,
                        lambda s: satisfies(theory, s),
                        lambda n: enumerate_models(theory, n),
-                       cap=cap)
+                       cap=cap,
+                       locality=max((len(s.variables) for s in theory.sentences),
+                                    default=0))
 
 
 # --- located families --------------------------------------------------------
@@ -419,11 +457,14 @@ class NdapReport:
     n: int
     holds: bool
     witness_family: Optional[list[Structure]] = None
+    # "locality" when n is above max(arity, locality), else "search"
+    method: str = "search"
 
     def to_json(self) -> dict:
         return {
             "n": self.n,
             "holds": self.holds,
+            "method": self.method,
             "witness_family": None if self.witness_family is None else
                 [json.loads(serialize(s)) for s in self.witness_family],
         }
@@ -463,9 +504,12 @@ class DapReport:
 # --- n-DAP -------------------------------------------------------------------
 
 def check_ndap(klass: FiniteClass, n: int) -> NdapReport:
-    """Exhaustive n-DAP check.
+    """n-DAP check: by locality above max(arity, locality), else exhaustive.
 
-    Enumerates every pairwise-compatible family (S_i on [1, n] minus {i})
+    When the class declares its locality and n exceeds max(arity,
+    locality), n-DAP holds (see the module docstring) and the report says
+    `method="locality"` without enumerating anything.  Otherwise the search
+    enumerates every pairwise-compatible family (S_i on [1, n] minus {i})
     depth first, slot by slot, and searches each family for an extending
     member.  Returns the first family with no amalgam as witness, in
     deterministic order (slot members in enumeration order).
@@ -480,6 +524,9 @@ def check_ndap(klass: FiniteClass, n: int) -> NdapReport:
         raise ValueError("n must be >= 1")
     if n > klass.cap:
         raise CapExceededError(f"n={n} exceeds cap {klass.cap}")
+    forced_above = klass.forced_above
+    if forced_above is not None and n > forced_above:
+        return NdapReport(n=n, holds=True, method="locality")
     names = klass.signature.names()
     members = klass.enumerate(n - 1)
     # located[k-1][m]: member m's tuples on [1, n] minus {k};

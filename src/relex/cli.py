@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -140,6 +141,9 @@ def _parse_weights(text: str) -> tuple[float, ...]:
             weights.append(float(part))
         except ValueError:
             raise UsageError(f"--rep-weights: {part!r} in {text!r} is not a number") from None
+        if not (math.isfinite(weights[-1]) and weights[-1] > 0):
+            raise UsageError(f"--rep-weights: {part!r} in {text!r} is not a finite "
+                             "positive number")
     return tuple(weights)
 
 
@@ -161,7 +165,7 @@ def _cmd_check(args) -> int:
     if args.kind == "ndap":
         report = check_ndap(klass, args.n)
         lines = [f"{args.n}-DAP on class {klass.name!r}: "
-                 f"{'holds' if report.holds else 'FAILS'}"]
+                 f"{'holds' if report.holds else 'FAILS'} (by {report.method})"]
         if not report.holds:
             lines.append("witness family (slot i is the structure on the "
                          "base set minus its i-th element):")

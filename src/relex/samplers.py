@@ -12,6 +12,7 @@ the subset it concerns.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Mapping, Optional, Sequence
 
 from .amalgamation import FiniteClass, _amalgam_classes
@@ -101,14 +102,35 @@ def sample_maxseg_exchangeable(rules, oracle: Oracle, n: int,
 
 # --- frame-wise uniform construction -------------------------------------------
 
-def _local_restriction(decided: Mapping[str, set], names, elems: Sequence[int]) -> dict[str, set]:
+def _local_restriction(by_support: Mapping[tuple, list], names, max_arity: int,
+                       elems: Sequence[int]) -> dict[str, set]:
+    """The decided tuples inside `elems`, relabelled onto [1, len(elems)].
+
+    `by_support` maps each sorted support to its decided (name, tuple)
+    pairs, so only the supports inside `elems` are read.
+    """
     pos = {e: j for j, e in enumerate(elems, start=1)}
     out: dict[str, set] = {name: set() for name in names}
-    for name in names:
-        for gtup in decided[name]:
-            if all(c in pos for c in gtup):
+    for size in range(1, min(max_arity, len(elems)) + 1):
+        for support in itertools.combinations(elems, size):
+            for name, gtup in by_support.get(support, ()):
                 out[name].add(tuple(pos[c] for c in gtup))
     return out
+
+
+def _class_index(u: float, count: int, rep_weights: Optional[tuple]) -> int:
+    """The choice among `count` classes that the uniform u makes: equal-width
+    intervals, or intervals proportional to `rep_weights` when it has
+    `count` entries."""
+    if rep_weights is None or len(rep_weights) != count:
+        return min(int(u * count), count - 1)
+    total = sum(rep_weights)
+    cum = 0.0
+    for j, w in enumerate(rep_weights):
+        cum += w
+        if u < cum / total:
+            return j
+    return count - 1
 
 
 def sample_framewise(klass: FiniteClass, n: int, src: HierarchicalRandomSource,
@@ -124,6 +146,14 @@ def sample_framewise(klass: FiniteClass, n: int, src: HierarchicalRandomSource,
     concrete member within the class is orbit[rank(ordering of s) mod orbit
     size], which is uniform because the orbit size divides |s|!.
 
+    Only subsets of size at most max(arity, locality) are visited, or every
+    subset when the class's locality is unknown: above that size the step
+    adds no tuple and cannot fail (see `amalgamation`).  A step with one
+    amalgam, a singleton when there is one size-1 member or a larger subset
+    with one class of one member, draws nothing; every step with a choice
+    draws both xi_s and the ordering of s.  Keyed randomness carries no
+    stream state, so skipping a draw changes no other draw.
+
     The decision at s reads only the structures already built on proper
     subsets of s, xi_s, and the ordering of s.
     """
@@ -131,8 +161,8 @@ def sample_framewise(klass: FiniteClass, n: int, src: HierarchicalRandomSource,
         raise ValueError("n must be >= 0")
     if rep_weights is not None:
         rep_weights = tuple(float(w) for w in rep_weights)
-        if not rep_weights or any(w <= 0 for w in rep_weights):
-            raise ValueError("rep_weights must be positive")
+        if not rep_weights or not all(math.isfinite(w) and w > 0 for w in rep_weights):
+            raise ValueError("rep_weights must be finite and positive")
     names = klass.signature.names()
     if n == 0:
         return Structure(klass.signature, 0)
@@ -140,50 +170,51 @@ def sample_framewise(klass: FiniteClass, n: int, src: HierarchicalRandomSource,
     age1 = klass.enumerate(1)
     if not age1:
         raise ValueError(f"class {klass.name!r} has no members of size 1")
-    decided: dict[str, set] = {name: set() for name in names}
+    max_arity = klass.signature.max_arity()
+    # sorted support -> the decided (name, tuple) pairs with that range
+    by_support: dict[tuple, list] = {}
     for i in range(1, n + 1):
-        u = src.xi((i,))
-        member = age1[min(int(u * len(age1)), len(age1) - 1)]
+        if len(age1) == 1:
+            member = age1[0]
+        else:
+            member = age1[_class_index(src.xi((i,)), len(age1), None)]
         for name in names:
             for tup in member.tuples(name):
-                decided[name].add(tuple(i for _ in tup))
+                by_support.setdefault((i,), []).append((name, (i,) * len(tup)))
 
-    for k in range(2, n + 1):
+    top = n if klass.forced_above is None else min(n, klass.forced_above)
+    for k in range(2, top + 1):
         full_local = frozenset(range(1, k + 1))
         for s in itertools.combinations(range(1, n + 1), k):
             elems = list(s)
-            partial = _local_restriction(decided, names, elems)
+            partial = _local_restriction(by_support, names, max_arity, elems)
             classes = _amalgam_classes(klass, k, partial)
             if not classes.representatives:
                 family = []
                 for removed in elems:
                     rest = [e for e in elems if e != removed]
-                    local = _local_restriction(decided, names, rest)
+                    local = _local_restriction(by_support, names, max_arity, rest)
                     family.append(Structure(klass.signature, k - 1, local))
                 raise AmalgamationFailure(s, family, klass.name)
             reps = classes.representatives
-            u = src.xi(s)
-            if rep_weights is not None and len(rep_weights) == len(reps):
-                total = sum(rep_weights)
-                cum = 0.0
-                class_idx = len(reps) - 1
-                for j, w in enumerate(rep_weights):
-                    cum += w
-                    if u < cum / total:
-                        class_idx = j
-                        break
+            if len(reps) == 1 and len(classes.orbits[0]) == 1:
+                amalgam = reps[0]
             else:
-                class_idx = min(int(u * len(reps)), len(reps) - 1)
-            orbit = classes.orbits[class_idx]
-            pos = {e: j for j, e in enumerate(elems, start=1)}
-            local_order = tuple(pos[x] for x in src.ordering(s))
-            amalgam = orbit[permutation_rank(local_order) % len(orbit)]
+                orbit = classes.orbits[_class_index(src.xi(s), len(reps), rep_weights)]
+                pos = {e: j for j, e in enumerate(elems, start=1)}
+                local_order = tuple(pos[x] for x in src.ordering(s))
+                amalgam = orbit[permutation_rank(local_order) % len(orbit)]
             for name in names:
                 for tup in amalgam.tuples(name):
                     if frozenset(tup) == full_local:
-                        decided[name].add(tuple(elems[c - 1] for c in tup))
+                        by_support.setdefault(s, []).append(
+                            (name, tuple(elems[c - 1] for c in tup)))
 
-    return Structure(klass.signature, n, decided)
+    relations: dict[str, list] = {name: [] for name in names}
+    for pairs in by_support.values():
+        for name, gtup in pairs:
+            relations[name].append(gtup)
+    return Structure(klass.signature, n, relations)
 
 
 # --- age-indexed laws and sequential growth ------------------------------------

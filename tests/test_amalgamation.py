@@ -1,5 +1,6 @@
 """Finite classes, amalgam enumeration, and the n-DAP / DAP / JEP checkers."""
 
+import copy
 import itertools
 from pathlib import Path
 
@@ -236,6 +237,103 @@ def test_compatible_agrees_with_restrictions():
 def test_ndap_validates_input():
     with pytest.raises(ValueError):
         check_ndap(GRAPHS, 0)
+    with pytest.raises(CapExceededError):
+        check_ndap(GRAPHS, GRAPHS.cap + 1)     # the cap is checked before locality
+
+
+# --- locality -------------------------------------------------------------------------
+
+_TRIPLES = Signature((("R", 3),))
+
+
+def _symmetric(*triples):
+    return [perm for triple in triples for perm in itertools.permutations(triple)]
+
+
+# name -> a non-member on `locality` points whose proper restrictions are members
+_TIGHT_WITNESSES = {
+    "graphs": Structure(GRAPHS.signature, 2, {"E": [(1, 2)]}),
+    "digraphs": Structure(GRAPHS.signature, 1, {"E": [(1, 1)]}),
+    "tournaments": Structure(GRAPHS.signature, 2),
+    "equivalence": Structure(GRAPHS.signature, 3, {"E": [
+        (1, 1), (2, 2), (3, 3), (1, 2), (2, 1), (2, 3), (3, 2)]}),
+    "hypergraphs3": Structure(_TRIPLES, 3, {"R": [(1, 2, 3)]}),
+    "parity3": Structure(_TRIPLES, 4, {"R": _symmetric((1, 2, 3))}),
+}
+
+
+def test_declared_localities():
+    assert {name: make_builtin_class(name).locality for name in BUILTIN_CLASS_NAMES} == {
+        "graphs": 2, "digraphs": 1, "tournaments": 2, "equivalence": 3,
+        "hypergraphs3": 3, "parity3": 4, "subsets": 0, "trivial": 0}
+    assert {name for name in BUILTIN_CLASS_NAMES
+            if make_builtin_class(name).locality} == set(_TIGHT_WITNESSES)
+
+
+@pytest.mark.parametrize("name", sorted(_TIGHT_WITNESSES))
+def test_declared_locality_is_tight(name):
+    klass = make_builtin_class(name)
+    witness = _TIGHT_WITNESSES[name]
+    assert witness.n == klass.locality
+    assert not klass.contains(witness)
+    for size in range(witness.n):
+        for part in itertools.combinations(range(1, witness.n + 1), size):
+            assert klass.contains(restrict(witness, part)), part
+
+
+# The first n at which the exhaustive search takes well over a second (it
+# only grows with n); every other class is searched up to its cap.
+_SEARCH_SLOW_FROM = {"graphs": 6, "digraphs": 5, "tournaments": 6, "hypergraphs3": 6}
+
+
+def _locality_cases():
+    """(class factory, n) for every n with max(arity, locality) < n <= cap
+    that the exhaustive search finishes in about a second."""
+    cases = []
+    for label, factory in _CLASS_FACTORIES:
+        klass = factory()
+        top = min(klass.cap, _SEARCH_SLOW_FROM.get(label, klass.cap + 1) - 1)
+        cases.extend(pytest.param(factory, n, id=f"{label}-{n}")
+                     for n in range(klass.forced_above + 1, top + 1))
+    return cases
+
+
+@pytest.mark.parametrize("factory, n", _locality_cases())
+def test_locality_shortcut_agrees_with_search(factory, n):
+    klass = factory()
+    report = check_ndap(klass, n)
+    assert (report.holds, report.method, report.witness_family) == (True, "locality", None)
+    unbounded = copy.copy(klass)
+    unbounded.locality = None
+    searched = check_ndap(unbounded, n)
+    assert (searched.holds, searched.method) == (True, "search")
+
+
+def test_locality_cases_cover_every_class():
+    covered = {case.id.rsplit("-", 1)[0] for case in _locality_cases()}
+    assert covered == {label for label, _ in _CLASS_FACTORIES}
+
+
+def test_from_theory_locality_is_the_largest_variable_count():
+    theory = parse_theory("rel E/2;\nforall x . !E(x,x);\n"
+                          "forall x y z . (E(x,y) & E(y,z)) -> E(x,z);\n"
+                          "forall x y . E(x,y) -> E(y,x);\n")
+    assert from_theory(theory).locality == 3
+    expected = {"digraphs_loopfree.th": 1, "equivalence.th": 3, "graphs.th": 2,
+                "hypergraphs3.th": 3, "oriented_graphs.th": 2}
+    assert {path.name: from_theory(load_theory(str(path))).locality
+            for path in _THEORIES} == expected
+
+
+def test_class_without_locality_never_takes_the_shortcut():
+    empty = Signature(())
+    plain = FiniteClass("plain", empty, lambda s: True, lambda n: [Structure(empty, n)])
+    assert plain.locality is None and plain.forced_above is None
+    for n in range(1, plain.cap + 1):
+        report = check_ndap(plain, n)
+        assert (report.holds, report.method) == (True, "search")
+    with pytest.raises(ValueError, match="locality"):
+        FiniteClass("bad", empty, lambda s: True, lambda n: [], locality=-1)
 
 
 # --- JEP ----------------------------------------------------------------------------

@@ -43,9 +43,19 @@ def test_check_ndap_json_shape():
     result = run_cli("--json", "check", "ndap", "--class", "equivalence", "--n", "3")
     assert result.returncode == 1
     payload = json.loads(result.stdout)
-    assert set(payload) == {"n", "holds", "witness_family"}
+    assert set(payload) == {"n", "holds", "method", "witness_family"}
     assert payload["holds"] is False
     assert len(payload["witness_family"]) == 3
+
+
+def test_check_ndap_reports_how_the_verdict_was_reached():
+    # digraphs: arity 2, locality 1, so 3-DAP holds by locality; 2-DAP is searched
+    result = run_cli("--json", "check", "ndap", "--class", "digraphs", "--n", "3")
+    assert result.returncode == 0
+    assert json.loads(result.stdout)["method"] == "locality"
+    result = run_cli("check", "ndap", "--class", "digraphs", "--n", "2")
+    assert result.returncode == 0
+    assert "holds (by search)" in result.stdout
 
 
 def test_check_dap_and_jep_graphs():
@@ -192,6 +202,14 @@ def test_sample_rep_weights_error_names_the_flag():
     assert "--rep-weights" in result.stderr and "'a'" in result.stderr
     assert run_cli("sample", "framewise", "--class", "graphs", "--n", "3",
                    "--rep-weights", "1,3").returncode == 0
+
+
+@pytest.mark.parametrize("weights", ["nan,1", "inf,1", "1,-inf"])
+def test_sample_rejects_non_finite_rep_weights(weights):
+    result = run_cli("sample", "framewise", "--class", "graphs", "--n", "3",
+                     "--rep-weights", weights)
+    assert result.returncode == 2
+    assert "--rep-weights" in result.stderr and result.stdout == ""
 
 
 # --- test -------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import itertools
 
 import pytest
 
-from relex import (AgeIndexedLaw, AmalgamationFailure, FramewiseSampler,
+from relex import (AgeIndexedLaw, AmalgamationFailure, FiniteClass, FramewiseSampler,
                    HierarchicalRandomSource, LazyStructure, MaxSegSampler, SeedStream,
                    Signature, Structure, ZeroProbabilityConditioning, amalgams,
                    builtin_class, ensure_lazy, restrict, sample_exchangeable,
@@ -155,6 +155,82 @@ def test_framewise_rejects_bad_weights_and_sizes():
         sample_framewise(GRAPHS, 2, HierarchicalRandomSource(0), rep_weights=(1.0, -2.0))
     with pytest.raises(ValueError):
         sample_framewise(GRAPHS, -1, HierarchicalRandomSource(0))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_framewise_rejects_non_finite_weights(bad):
+    with pytest.raises(ValueError, match="finite and positive"):
+        sample_framewise(GRAPHS, 2, HierarchicalRandomSource(0), rep_weights=(bad, 1.0))
+
+
+class _CountingSource(HierarchicalRandomSource):
+    """Records the subset of every xi and ordering draw."""
+
+    def __init__(self, seed, max_arity=None):
+        super().__init__(seed, max_arity)
+        self.draws = {"xi": [], "ordering": []}
+
+    def xi(self, subset=()):
+        self.draws["xi"].append(tuple(sorted(subset)))
+        return super().xi(subset)
+
+    def ordering(self, subset):
+        self.draws["ordering"].append(tuple(sorted(subset)))
+        return super().ordering(subset)
+
+
+def test_framewise_graphs_draw_only_on_pairs():
+    # one size-1 member: singletons draw nothing; above the pairs
+    # max(arity, locality) = 2 no subset is visited
+    src = _CountingSource(3)
+    sample_framewise(GRAPHS, 5, src)
+    pairs = list(itertools.combinations(range(1, 6), 2))
+    assert src.draws == {"xi": pairs, "ordering": pairs}
+
+
+def test_framewise_forced_step_draws_nothing():
+    # equivalence visits the triple (locality 3), but its amalgam is forced
+    equivalence = builtin_class("equivalence")
+    for seed in range(20):
+        src = _CountingSource(seed)
+        try:
+            sample_framewise(equivalence, 3, src)
+        except AmalgamationFailure:
+            continue
+        assert (1, 2, 3) not in src.draws["xi"] + src.draws["ordering"]
+        assert len(src.draws["xi"]) == len(src.draws["ordering"]) == 3
+        break
+    else:
+        pytest.fail("no seed in 0-19 samples equivalence at n = 3")
+
+
+def test_framewise_draws_the_ordering_of_a_two_element_orbit():
+    # a tournament pair has one class whose orbit holds both arcs
+    src = _CountingSource(5)
+    sample_framewise(builtin_class("tournaments"), 3, src)
+    pairs = list(itertools.combinations(range(1, 4), 2))
+    assert src.draws == {"xi": pairs, "ordering": pairs}
+
+
+def test_framewise_never_queries_above_the_visited_sizes():
+    # a source capped at arity 2 used to raise at the first triple
+    capped = HierarchicalRandomSource(8, max_arity=2)
+    assert (sample_framewise(GRAPHS, 6, capped)
+            == sample_framewise(GRAPHS, 6, HierarchicalRandomSource(8)))
+
+
+def test_framewise_unknown_locality_visits_every_subset():
+    # the same class without a declared locality: same sample, all subsets checked
+    sizes = []
+
+    def predicate(s):
+        sizes.append(s.n)
+        return GRAPHS.contains(s)
+
+    bare = FiniteClass("graphs-bare", GRAPHS.signature, predicate, GRAPHS.enumerate)
+    assert (sample_framewise(bare, 4, HierarchicalRandomSource(2))
+            == sample_framewise(GRAPHS, 4, HierarchicalRandomSource(2)))
+    assert {3, 4} <= set(sizes)
 
 
 # --- reference plumbing -----------------------------------------------------------------

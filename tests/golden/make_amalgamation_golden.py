@@ -2,7 +2,7 @@
 
 Run from the checkout root:
 
-    PYTHONPATH=src python tests/golden/make_amalgamation_golden.py
+    PYTHONPATH=src python tests/golden/make_amalgamation_golden.py [--force]
 
 For every builtin class, and every theories/*.th class built as
 `from_theory(theory, cap=4)`, it records `check_ndap` at n = 2-4 (and n = 5
@@ -13,12 +13,14 @@ Cases in SKIPPED take well over a second and are left out.
 
 tests/test_golden.py recomputes every case and compares it with the file.
 The file is generated once; regenerating it changes what the test pins,
-so give the reason in CHANGES.md whenever you do.
+so give the reason in CHANGES.md whenever you do.  The script refuses to
+overwrite an existing file unless given --force.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 
 from relex.amalgamation import (BUILTIN_CLASS_NAMES, check_dap, check_jep,
@@ -78,6 +80,8 @@ def compute(factory, kind: str, arg: int) -> dict:
 
 
 def main() -> None:
+    if GOLDEN.exists() and "--force" not in sys.argv[1:]:
+        sys.exit(f"{GOLDEN} exists; pass --force to overwrite it")
     golden = {case_id: compute(factory, kind, arg)
               for case_id, factory, kind, arg in cases()}
     GOLDEN.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")

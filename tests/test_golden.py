@@ -46,12 +46,13 @@ SAMPLERS = SAMPLER_GENERATOR.samplers()
 
 
 def test_sampler_golden_covers_every_sampler():
-    assert sorted(label for label, _ in SAMPLERS) == sorted(SAMPLER_GOLDEN)
+    assert sorted(label for label, *_ in SAMPLERS) == sorted(SAMPLER_GOLDEN)
     # the corpus pins amalgamation failures too, not only digests
     assert any("failure" in r for r in SAMPLER_GOLDEN["framewise/equivalence"].values())
     assert any("failure" in r for r in SAMPLER_GOLDEN["framewise/parity3"].values())
 
 
-@pytest.mark.parametrize("label, draw", SAMPLERS, ids=[label for label, _ in SAMPLERS])
-def test_sampler_matches_golden(label, draw):
-    assert SAMPLER_GENERATOR.compute(draw) == SAMPLER_GOLDEN[label]
+@pytest.mark.parametrize("label, draw, sizes", SAMPLERS,
+                         ids=[label for label, *_ in SAMPLERS])
+def test_sampler_matches_golden(label, draw, sizes):
+    assert SAMPLER_GENERATOR.compute(draw, sizes) == SAMPLER_GOLDEN[label]

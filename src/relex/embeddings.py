@@ -90,7 +90,8 @@ class LazyStructure:
     Wraps a builder n -> structure on [1, n].  Memoizes the largest segment
     queried and serves smaller segments by restriction, verifying along the
     way that the builder is consistent (each new segment must extend the
-    previous one).
+    previous one).  Restrictions are memoized on that largest segment, so
+    repeated queries return one instance until a larger segment replaces it.
     """
 
     def __init__(self, signature: Signature, builder: Callable[[int], Structure],

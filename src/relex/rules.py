@@ -44,7 +44,7 @@ def context_key(structure: Structure, tup: tuple[int, ...]) -> str:
         raise ValueError("tuple entries must lie in the structure's universe")
     rels = tuple(structure.tuples(name) for name in structure.signature.names())
     best, mapped = _canonical_cached(structure.signature, structure.n, rels, tuple(tup))
-    return f"{best.key()}|{json.dumps(list(mapped))}"
+    return f"{best.key()}|[{', '.join(map(str, mapped))}]"
 
 
 def tuple_pattern(tup: Sequence[int]) -> tuple[int, ...]:
@@ -73,7 +73,6 @@ class DecisionContext:
         self._xi_cache: dict[tuple[int, ...], float] = {}
         self._rank_cache: dict[tuple[int, ...], tuple[int, ...]] = {}
         self._context_key: Optional[str] = None
-        self._restriction: Optional[Structure] = None
 
     # -- coordinate selection -------------------------------------------------
 
@@ -121,13 +120,13 @@ class DecisionContext:
         return self.reference
 
     def restriction(self) -> Structure:
-        """Reference structure restricted to the tuple's range, on [1, k]."""
-        if self._restriction is None:
-            self._restriction = restrict(self._reference(), self.subset())
-        return self._restriction
+        """Reference structure restricted to the tuple's range, on [1, k]
+        (memoized on the reference by `restrict`)."""
+        return restrict(self._reference(), self.subset())
 
     def segment(self) -> Structure:
-        """Reference structure's initial segment on [1, max entry]."""
+        """Reference structure's initial segment on [1, max entry]; `restrict`
+        memoizes it on the reference, so it is built once per reference."""
         return restrict(self._reference(), range(1, max(self.tuple) + 1))
 
     def context_key(self) -> str:

@@ -88,7 +88,7 @@ class Structure:
     literal (same signature, same universe size, same tuple sets).
     """
 
-    __slots__ = ("_signature", "_n", "_relations", "_members", "_key")
+    __slots__ = ("_signature", "_n", "_relations", "_members", "_key", "_restrictions")
 
     def __init__(self, signature: Signature, n: int,
                  relations: dict[str, Iterable[tuple[int, ...]]] | None = None):
@@ -114,6 +114,7 @@ class Structure:
         self._relations = stored
         self._members = members
         self._key: Optional[str] = None
+        self._restrictions: Optional[dict[tuple[int, ...], Structure]] = None
 
     @property
     def signature(self) -> Signature:
@@ -222,6 +223,18 @@ class Injection:
         return f"Injection({inner})"
 
 
+def _pull_back(structure: Structure, images: tuple[int, ...]) -> Structure:
+    """The pull-back along i -> images[i-1]: the shared body of relabel and restrict."""
+    k = len(images)
+    relations = {}
+    for name, arity in structure.signature:
+        source = structure._members[name]
+        relations[name] = [tup for tup, image in zip(
+            itertools.product(range(1, k + 1), repeat=arity),
+            itertools.product(images, repeat=arity)) if image in source]
+    return Structure(structure.signature, k, relations)
+
+
 def relabel(structure: Structure, phi: Injection) -> tuple[Structure, Injection]:
     """Pull a structure back along an injection.
 
@@ -232,28 +245,26 @@ def relabel(structure: Structure, phi: Injection) -> tuple[Structure, Injection]
     """
     if any(v < 1 or v > structure.n for v in phi.image()):
         raise ValueError("injection image must lie inside the structure's universe")
-    domain = phi.domain
-    k = len(domain)
-    index_map = Injection.from_sequence(domain)
-    relations: dict[str, list[tuple[int, ...]]] = {}
-    for name, arity in structure.signature:
-        source = structure.relation_sets()[name]
-        out = []
-        for tup in itertools.product(range(1, k + 1), repeat=arity):
-            image = tuple(phi(index_map(c)) for c in tup)
-            if image in source:
-                out.append(tup)
-        relations[name] = out
-    return Structure(structure.signature, k, relations), index_map
+    return _pull_back(structure, phi.image_sequence()), Injection.from_sequence(phi.domain)
 
 
 def restrict(structure: Structure, subset: Iterable[int]) -> Structure:
-    """Restriction to a subset of the universe, re-indexed to [1, |subset|]."""
-    elems = sorted(set(int(x) for x in subset))
-    if any(x < 1 or x > structure.n for x in elems):
-        raise ValueError("subset must lie inside the universe")
-    result, _ = relabel(structure, Injection.identity(elems))
-    return result
+    """Restriction to a subset of the universe, re-indexed to [1, |subset|].
+
+    Memoized on the structure by sorted subset: a repeated restriction
+    returns the stored instance, kept for as long as the structure lives.
+    """
+    elems = tuple(sorted(set(int(x) for x in subset)))
+    memo = structure._restrictions
+    if memo is None:
+        memo = structure._restrictions = {}
+    if elems not in memo:
+        for x in elems[:1] + elems[-1:]:
+            if x < 1 or x > structure.n:
+                raise ValueError(
+                    f"subset element {x} lies outside the universe [1, {structure.n}]")
+        memo[elems] = _pull_back(structure, elems)
+    return memo[elems]
 
 
 def _relabel_by_permutation(structure: Structure, perm: tuple[int, ...]) -> Structure:

@@ -58,6 +58,21 @@ def naive_context_key(structure: Structure, tup: tuple[int, ...]) -> str:
     return f"{best[0]}|{json.dumps(list(best[1]))}"
 
 
+def naive_restrict(structure: Structure, images) -> Structure:
+    """The structure on [1, k] pulled back along i -> images[i-1].
+
+    A tuple is in the result exactly when its image is in the input, checked
+    over all k^arity candidate tuples.  Given a set, the images are taken in
+    increasing order, which makes the result the restriction to that set.
+    """
+    images = sorted(images) if isinstance(images, (set, frozenset)) else list(images)
+    k = len(images)
+    relations = {name: [tup for tup in itertools.product(range(1, k + 1), repeat=arity)
+                        if structure.has(name, tuple(images[c - 1] for c in tup))]
+                 for name, arity in structure.signature}
+    return Structure(structure.signature, k, relations)
+
+
 def naive_models(theory, n: int) -> list[Structure]:
     """All models of a universal theory on [1, n] by filtering every structure."""
     from relex import satisfies

@@ -82,6 +82,13 @@ def test_lazy_structure_serves_segments_and_restrictions():
     assert lazy.restrict_to(()).n == 0
 
 
+def test_lazy_structure_hands_out_one_instance_per_segment():
+    lazy = LazyStructure(GRAPH, lambda m: _graph(m, [(i, i + 1) for i in range(1, m)]))
+    assert lazy.initial_segment(6) is lazy.initial_segment(6)
+    assert lazy.initial_segment(4) is lazy.initial_segment(4)
+    assert lazy.restrict_to({2, 5}) is lazy.restrict_to([5, 2])
+
+
 def test_lazy_structure_rejects_inconsistent_builder():
     def builder(m):
         # membership of (1,2) flips with the segment size: not projective

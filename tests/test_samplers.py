@@ -88,6 +88,20 @@ def test_maxseg_weak_rep_exactly_one_link():
         assert s.has("S", (1, 2)) != s.has("S", (1, 3))
 
 
+def test_maxseg_weak_rep_builds_each_segment_once(monkeypatch):
+    """n = 10 asks for about 90 segments but needs only the 10 distinct ones."""
+    from relex.rules import DecisionContext
+
+    built = []
+    segment = DecisionContext.segment
+    monkeypatch.setattr(DecisionContext, "segment",
+                        lambda ctx: built.append(segment(ctx)) or built[-1])
+    sample_maxseg_exchangeable(weak_rep_rules(), same_class_triple_oracle(), 10,
+                               HierarchicalRandomSource(4))
+    assert len(built) > 10
+    assert len({id(view) for view in built}) <= 10   # `built` keeps every view alive
+
+
 # --- frame-wise sampler --------------------------------------------------------------
 
 def test_framewise_members_and_determinism():

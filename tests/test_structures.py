@@ -5,14 +5,17 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import all_structures, random_structure
+from helpers import all_structures, naive_restrict, random_structure
 from relex import (Injection, Signature, Structure, canonical_form, deserialize,
                    dump_structure, is_isomorphic, load_structure, relabel,
                    restrict, serialize)
 
 GRAPH = Signature((("E", 2),))
 MIXED = Signature((("P", 1), ("R", 3)))
+PULL_BACK_SIGNATURES = (GRAPH, Signature((("P", 1),)), Signature((("R", 3),)), MIXED)
 
 
 # --- Signature ---------------------------------------------------------------
@@ -146,6 +149,79 @@ def test_restrict_reindexes_increasing():
     assert r.tuples("E") == ((1, 2), (2, 1))   # 2 -> 1, 4 -> 2
     assert restrict(s, range(1, 5)) == s
     assert restrict(s, ()).n == 0
+
+
+def test_restrict_names_the_element_outside_the_universe():
+    s = Structure(GRAPH, 5, {"E": [(1, 2)]})
+    with pytest.raises(ValueError, match=r"subset element 7 lies outside the universe \[1, 5\]"):
+        restrict(s, {2, 7})
+    with pytest.raises(ValueError, match=r"subset element 0 lies outside the universe \[1, 5\]"):
+        restrict(s, [0, 3])
+
+
+def test_restrict_and_relabel_match_naive_pull_back():
+    rng = random.Random(8)
+    for trial in range(60):
+        signature = PULL_BACK_SIGNATURES[trial % len(PULL_BACK_SIGNATURES)]
+        n = rng.randint(0, 6)
+        s = random_structure(rng, signature, n, density=rng.random())
+        subset = set(rng.sample(range(1, n + 1), rng.randint(0, n)))
+        first = restrict(s, subset)
+        assert first == naive_restrict(s, subset)
+        hit = restrict(s, sorted(subset, reverse=True))
+        assert hit is first and hit == naive_restrict(s, subset)
+        k = rng.randint(0, n)
+        phi = Injection(dict(zip(rng.sample(range(1, 9), k), rng.sample(range(1, n + 1), k))))
+        for source in (s, hit):   # a fresh structure, then a memoized restriction
+            if max(phi.image(), default=0) > source.n:
+                continue
+            pulled, index_map = relabel(source, phi)
+            assert pulled == naive_restrict(source, phi.image_sequence())
+            assert index_map.image_sequence() == phi.domain
+
+
+def test_memoized_restriction_equals_and_hashes_like_a_fresh_one():
+    rng = random.Random(3)
+    s = random_structure(rng, MIXED, 6)
+    memoized = restrict(s, {1, 3, 4, 6})
+    assert restrict(s, (6, 4, 3, 1)) is memoized
+    fresh = restrict(Structure(MIXED, 6, s.relation_sets()), {1, 3, 4, 6})
+    assert fresh is not memoized
+    assert fresh == memoized and hash(fresh) == hash(memoized)
+    assert fresh.key() == memoized.key()
+
+
+@st.composite
+def _structure_injection_subset(draw):
+    signature = draw(st.sampled_from(PULL_BACK_SIGNATURES))
+    n = draw(st.integers(0, 5))
+    cells = [(name, tup) for name, arity in signature
+             for tup in itertools.product(range(1, n + 1), repeat=arity)]
+    chosen = draw(st.lists(st.booleans(), min_size=len(cells), max_size=len(cells)))
+    relations = {name: [] for name in signature.names()}
+    for keep, (name, tup) in zip(chosen, cells):
+        if keep:
+            relations[name].append(tup)
+    k = draw(st.integers(0, n))
+    domain = draw(st.lists(st.integers(1, 9), min_size=k, max_size=k, unique=True))
+    images = draw(st.permutations(range(1, n + 1)))[:k]
+    part = draw(st.sets(st.sampled_from(domain))) if domain else set()
+    return Structure(signature, n, relations), Injection(dict(zip(domain, images))), part
+
+
+@settings(max_examples=150, deadline=None)
+@given(_structure_injection_subset())
+def test_restrict_and_relabel_commute(case):
+    """Restricting a pull-back to the indices of T is the pull-back along phi on T."""
+    s, phi, part = case
+    pulled, index_map = relabel(s, phi)
+    indices = [i for i, d in index_map.items() if d in part]
+    along_part, _ = relabel(s, Injection({d: phi(d) for d in part}))
+    assert restrict(pulled, indices) == along_part
+    # relabeling the restriction to the image of phi gives the same pull-back
+    image = sorted(phi.image())
+    inner = Injection({d: image.index(phi(d)) + 1 for d in phi.domain})
+    assert relabel(restrict(s, image), inner)[0] == pulled
 
 
 # --- isomorphism and canonical forms -------------------------------------------

@@ -8,6 +8,7 @@ checked.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import random
@@ -168,3 +169,38 @@ def naive_dap_instance(klass, s, t, tp, phi, phip) -> bool:
                         and f.image() | g.image() == frozenset(range(1, m + 1))):
                     return True
     return False
+
+
+def naive_keyed_draws(seed: int, subset) -> tuple[float, tuple[int, ...]]:
+    """xi and the ordering of a subset, built from the documented construction.
+
+    The key is the seed reduced mod 2^64, as 8 big-endian bytes.  Block c
+    of a draw is the 32-byte keyed blake2b of `tag|s#c`, s the sorted
+    subset written as comma-separated decimals, hashed afresh per block.
+    xi is the top 53 bits of the first 7 bytes of the `xi` blocks over
+    2^53.  The ordering shuffles the sorted subset by Fisher-Yates from
+    the last position down: position i takes a draw below i + 1, read as
+    the top k = bit_length(i) bits of the next ceil(k / 8) bytes of the
+    `ord` blocks, read on from one block into the next, and a draw above
+    i is thrown away and read again.
+    """
+    key = (seed % 2 ** 64).to_bytes(8, "big")
+    text = ",".join(str(x) for x in sorted(set(subset)))
+
+    def block(tag: str, counter: int) -> bytes:
+        data = f"{tag}|{text}#{counter}".encode("ascii")
+        return hashlib.blake2b(data, key=key, digest_size=32).digest()
+
+    xi = (int.from_bytes(block("xi", 0)[:7], "big") >> 3) / 2 ** 53
+    stream = (byte for counter in itertools.count() for byte in block("ord", counter))
+    items = sorted(set(subset))
+    for i in range(len(items) - 1, 0, -1):
+        k = i.bit_length()
+        nbytes = (k + 7) // 8
+        while True:
+            j = int.from_bytes(bytes(next(stream) for _ in range(nbytes)), "big")
+            j >>= 8 * nbytes - k
+            if j <= i:
+                break
+        items[i], items[j] = items[j], items[i]
+    return xi, tuple(items)

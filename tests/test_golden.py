@@ -1,8 +1,9 @@
-"""The amalgamation checkers and the samplers against the pinned corpus in
-tests/golden/.
+"""The amalgamation checkers, the samplers and the keyed randomness against
+the pinned corpus in tests/golden/.
 
-tests/golden/make_amalgamation_golden.py wrote amalgamation.json once, and
-tests/golden/make_sampler_golden.py wrote samplers.json; every case is
+tests/golden/make_amalgamation_golden.py wrote amalgamation.json once,
+tests/golden/make_sampler_golden.py wrote samplers.json and
+tests/golden/make_randomness_golden.py wrote randomness.json; every case is
 recomputed here and must match byte for byte after JSON.
 """
 
@@ -56,3 +57,11 @@ def test_sampler_golden_covers_every_sampler():
                          ids=[label for label, *_ in SAMPLERS])
 def test_sampler_matches_golden(label, draw, sizes):
     assert SAMPLER_GENERATOR.compute(draw, sizes) == SAMPLER_GOLDEN[label]
+
+
+RANDOMNESS_GENERATOR = _load_generator("make_randomness_golden")
+RANDOMNESS_GOLDEN = json.loads((GOLDEN_DIR / "randomness.json").read_text())
+
+
+def test_randomness_matches_golden():
+    assert RANDOMNESS_GENERATOR.compute() == RANDOMNESS_GOLDEN

@@ -2,12 +2,15 @@
 distributional sanity, induced orderings, permutation ranks, seed streams."""
 
 import itertools
+import random
 from collections import Counter
 
 import pytest
 
 from relex import (ArityExceededError, HierarchicalRandomSource, InducedOrdering,
                    SeedStream, induced_ordering, permutation_rank)
+
+from helpers import naive_keyed_draws
 
 
 # --- xi ---------------------------------------------------------------------------
@@ -82,6 +85,18 @@ def test_ordering_independent_of_xi_queries():
     b.xi((1, 2))
     b.xi((1,))
     assert b.ordering((1, 2)) == expected
+
+
+# --- the documented construction ---------------------------------------------------
+
+def test_draws_match_the_documented_construction():
+    rng = random.Random(20261018)
+    for _ in range(200):
+        seed = rng.choice((rng.randrange(2 ** 64), rng.randrange(-2 ** 70, 2 ** 70)))
+        size = rng.choice((0, 1, 2, 3, 4, 5, 8, 31, 33, 64, 257))
+        subset = rng.sample(range(1, 3 * size + 2), size)
+        src = HierarchicalRandomSource(seed)
+        assert (src.xi(subset), src.ordering(subset)) == naive_keyed_draws(seed, subset)
 
 
 # --- induced orderings ----------------------------------------------------------------

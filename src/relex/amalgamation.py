@@ -400,11 +400,11 @@ class AmalgamClasses:
 def _amalgam_classes(klass: FiniteClass, n: int, partial: dict[str, set]) -> AmalgamClasses:
     # Without surjective tuples the single candidate is cheap to rebuild, and
     # caching those partials would grow without bound on long sampling runs.
-    cacheable = any(arity >= n for _, arity in klass.signature)
+    cacheable = klass.signature.max_arity() >= n
     cache_key = None
     if cacheable:
-        cache_key = (n, tuple(tuple(sorted(partial.get(name, ())))
-                              for name in klass.signature.names()))
+        cache_key = (n, tuple([tuple(sorted(partial.get(name, ())))
+                               for name in klass.signature.names()]))
         cached = klass._amalgam_cache.get(cache_key)
         if cached is not None:
             return cached

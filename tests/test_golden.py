@@ -1,9 +1,10 @@
-"""The amalgamation checkers, the samplers and the keyed randomness against
-the pinned corpus in tests/golden/.
+"""The amalgamation checkers, the samplers, the keyed randomness and the
+chi-square reports against the pinned corpus in tests/golden/.
 
 tests/golden/make_amalgamation_golden.py wrote amalgamation.json once,
-tests/golden/make_sampler_golden.py wrote samplers.json and
-tests/golden/make_randomness_golden.py wrote randomness.json; every case is
+tests/golden/make_sampler_golden.py wrote samplers.json,
+tests/golden/make_randomness_golden.py wrote randomness.json and
+tests/golden/make_stattests_golden.py wrote stattests.json; every case is
 recomputed here and must match byte for byte after JSON.
 """
 
@@ -65,3 +66,23 @@ RANDOMNESS_GOLDEN = json.loads((GOLDEN_DIR / "randomness.json").read_text())
 
 def test_randomness_matches_golden():
     assert RANDOMNESS_GENERATOR.compute() == RANDOMNESS_GOLDEN
+
+
+STATTESTS_GENERATOR = _load_generator("make_stattests_golden")
+STATTESTS_GOLDEN = json.loads((GOLDEN_DIR / "stattests.json").read_text())
+REPORTS = STATTESTS_GENERATOR.cases()
+
+
+def test_stattests_golden_covers_every_report():
+    assert sorted(label for label, _ in REPORTS) == sorted(STATTESTS_GOLDEN)
+    # failing, zero-probe, truncated and dof-0 reports are pinned too
+    verdicts = {label: json.loads(text) for label, text in STATTESTS_GOLDEN.items()}
+    assert verdicts["exch/loop-violator/n3"]["verdict"] == "fail"
+    assert verdicts["rel-exch/two-coin/evens/no-probes"]["details"]["probes"] == 0
+    assert verdicts["rel-exch/two-coin/evens/probe_cap=7"]["details"]["probes"] == 7
+    assert verdicts["dissoc/complete"]["dof"] == 0
+
+
+@pytest.mark.parametrize("label, run", REPORTS, ids=[label for label, _ in REPORTS])
+def test_report_matches_golden(label, run):
+    assert STATTESTS_GENERATOR.compute(run) == STATTESTS_GOLDEN[label]

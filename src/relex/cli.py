@@ -103,6 +103,15 @@ class _ExampleSampler:
         return paper_example(self.name, n, src)[1]
 
 
+def _rule_sampler(kind: str, rules: str, ref: str | None = None):
+    """The exchangeable (no reference), m-exch or maxseg sampler over a rules file."""
+    table = load_rules(rules)
+    if kind == "exchangeable":
+        return ExchangeableSampler(table)
+    return {"m-exch": MExchangeableSampler, "maxseg": MaxSegSampler}[kind](
+        table, _load_oracle(ref))
+
+
 def _build_sampler(spec: str, cap: int):
     """Mini-spec grammar: framewise:<class>, exchangeable:<rules.json>,
     m-exch:<rules.json>:<ref>, maxseg:<rules.json>:<ref>, ref:<example>."""
@@ -110,12 +119,8 @@ def _build_sampler(spec: str, cap: int):
     kind = parts[0]
     if kind == "framewise" and len(parts) == 2:
         return FramewiseSampler(_load_class(parts[1], cap))
-    if kind == "exchangeable" and len(parts) == 2:
-        return ExchangeableSampler(load_rules(parts[1]))
-    if kind == "m-exch" and len(parts) == 3:
-        return MExchangeableSampler(load_rules(parts[1]), _load_oracle(parts[2]))
-    if kind == "maxseg" and len(parts) == 3:
-        return MaxSegSampler(load_rules(parts[1]), _load_oracle(parts[2]))
+    if len(parts) == {"exchangeable": 2, "m-exch": 3, "maxseg": 3}.get(kind):
+        return _rule_sampler(*parts)
     if kind == "ref" and len(parts) == 2:
         return _ExampleSampler(parts[1])
     raise UsageError(
@@ -255,15 +260,11 @@ def _cmd_sample(args) -> int:
     elif args.kind == "exchangeable":
         if not args.rules:
             raise UsageError("sample exchangeable requires --rules")
-        sampler = ExchangeableSampler(load_rules(args.rules))
-    elif args.kind == "m-exch":
+        sampler = _rule_sampler(args.kind, args.rules)
+    elif args.kind in ("m-exch", "maxseg"):
         if not (args.rules and args.ref):
-            raise UsageError("sample m-exch requires --rules and --ref")
-        sampler = MExchangeableSampler(load_rules(args.rules), _load_oracle(args.ref))
-    elif args.kind == "maxseg":
-        if not (args.rules and args.ref):
-            raise UsageError("sample maxseg requires --rules and --ref")
-        sampler = MaxSegSampler(load_rules(args.rules), _load_oracle(args.ref))
+            raise UsageError(f"sample {args.kind} requires --rules and --ref")
+        sampler = _rule_sampler(args.kind, args.rules, args.ref)
     else:
         raise UsageError(f"unknown sampler kind {args.kind!r}")
     try:

@@ -39,11 +39,19 @@ class ArityExceededError(ValueError):
     """Queried subset is larger than the declared max arity."""
 
 
+def _integer(value, what: str) -> int:
+    """`value` through `operator.index`, so 2.7 or "5" raise instead of truncating."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} {value!r} is not an integer") from None
+
+
 class HierarchicalRandomSource:
     """Deterministic per-seed family of per-subset uniforms and orders."""
 
     def __init__(self, seed: int, max_arity: int | None = None):
-        self.seed = int(seed) & _MASK64
+        self.seed = _integer(seed, "seed") & _MASK64
         self.max_arity = max_arity
         # keyed once; every block hashes a copy
         self._hasher = hashlib.blake2b(key=self.seed.to_bytes(8, "big"), digest_size=32)
@@ -173,12 +181,12 @@ class SeedStream:
     """Reproducible stream of 64-bit seeds derived from one meta-seed."""
 
     def __init__(self, meta_seed: int):
-        self.meta_seed = int(meta_seed) & _MASK64
+        self.meta_seed = _integer(meta_seed, "meta seed") & _MASK64
         self._hasher = hashlib.blake2b(key=self.meta_seed.to_bytes(8, "big"), digest_size=8)
 
     def __getitem__(self, index: int) -> int:
         hasher = self._hasher.copy()
-        hasher.update(b"seed|%d" % int(index))
+        hasher.update(b"seed|%d" % _integer(index, "stream index"))
         return int.from_bytes(hasher.digest(), "big")
 
     def take(self, count: int, offset: int = 0) -> list[int]:

@@ -174,9 +174,6 @@ class DecisionFunction:
     def num_intervals(self) -> int:
         return len(self.partition) + 1
 
-    def interval_of(self, x: float) -> int:
-        return bisect_right(self.partition, x)
-
     def decide(self, ctx: DecisionContext) -> bool:
         raise NotImplementedError
 

@@ -5,7 +5,9 @@ laws, exchangeability under relabelings, invariance under reference-
 structure embeddings, and independence across disjoint subsets are all
 reduced to chi-square tests with rare-cell merging and Holm's step-down
 correction across probes.  Every report is reproducible from its meta
-seed.
+seed.  Three pieces are shared: `_law` builds every empirical law,
+`_probe_family` runs every family of equal-law probes, and `_chi2_report`
+ends every chi-square test with its p-value and verdict.
 """
 
 from __future__ import annotations
@@ -142,9 +144,17 @@ def empirical_law(sampler, subset: Sequence[int], n_samples: int,
     subset = tuple(sorted(set(subset)))
     if not subset:
         raise ValueError("subset must be nonempty")
+    return _law(sampler, subset, n_samples, seeds, offset)
+
+
+def _law(sampler, subset: tuple[int, ...], n_samples: int, seeds, offset: int,
+         along: Optional[Injection] = None) -> EmpiricalLaw:
+    """Each distinct sample, restricted to the sorted `subset` and pulled back
+    along `along` when given, recorded with its count."""
     law = EmpiricalLaw(subset, n_samples)
     for sample, count in _tally(sampler, max(subset), n_samples, seeds, offset).items():
-        law.record(restrict(sample, subset), count)
+        restricted = restrict(sample, subset)
+        law.record(restricted if along is None else relabel(restricted, along)[0], count)
     return law
 
 
@@ -160,7 +170,15 @@ def _tally(sampler, n: int, n_samples: int, seeds, offset: int) -> dict[Structur
     return counts
 
 
-# --- two-sample chi-square ------------------------------------------------------
+# --- chi-square tests -----------------------------------------------------------
+
+def _chi2_report(name: str, statistic: float, dof: int, alpha: float,
+                 details: dict) -> TestReport:
+    """The chi-square tail: p from `chi2.sf`, or 1.0 for a one-cell table."""
+    p_value = float(chi2.sf(statistic, dof)) if dof > 0 else 1.0
+    return TestReport(name=name, statistic=statistic, dof=dof, p_value=p_value,
+                      alpha=alpha, passed=p_value >= alpha, details=details)
+
 
 def _merged_cells(law_a: EmpiricalLaw, law_b: EmpiricalLaw) -> dict[str, tuple[int, int]]:
     """Union support with rare cells merged so every expected count is >= 5."""
@@ -170,17 +188,15 @@ def _merged_cells(law_a: EmpiricalLaw, law_b: EmpiricalLaw) -> dict[str, tuple[i
     keys = sorted(set(law_a.counts) | set(law_b.counts))
     cells: dict[str, tuple[int, int]] = {}
     small_a = small_b = 0
-    small_seen = False
     for key in keys:
         a = law_a.counts.get(key, 0)
         b = law_b.counts.get(key, 0)
         if n_min * (a + b) / total < _MIN_EXPECTED:
             small_a += a
             small_b += b
-            small_seen = True
         else:
             cells[key] = (a, b)
-    if small_seen:
+    if small_a + small_b:
         if cells and n_min * (small_a + small_b) / total < _MIN_EXPECTED:
             smallest = min(cells, key=lambda k: sum(cells[k]))
             a0, b0 = cells.pop(smallest)
@@ -214,18 +230,12 @@ def test_equal_law(law_a: EmpiricalLaw, law_b: EmpiricalLaw,
             pooled = a + b
             exp_a = n_a * pooled / total
             exp_b = n_b * pooled / total
-            contribution = (a - exp_a) ** 2 / exp_a + (b - exp_b) ** 2 / exp_b
-            contributions[key] = contribution
-            statistic += contribution
-        p_value = float(chi2.sf(statistic, dof))
-    else:
-        p_value = 1.0
-    return TestReport(
-        name="equal-law", statistic=statistic, dof=dof, p_value=p_value,
-        alpha=alpha, passed=p_value >= alpha,
-        details={"cells": {k: list(v) for k, v in sorted(cells.items())},
-                 "contributions": contributions,
-                 "n_a": n_a, "n_b": n_b})
+            contributions[key] = (a - exp_a) ** 2 / exp_a + (b - exp_b) ** 2 / exp_b
+            statistic += contributions[key]
+    return _chi2_report(
+        "equal-law", statistic, dof, alpha,
+        {"cells": {k: list(v) for k, v in sorted(cells.items())},
+         "contributions": contributions, "n_a": n_a, "n_b": n_b})
 
 
 # --- multiple probes ------------------------------------------------------------
@@ -246,6 +256,30 @@ def _holm(probe_results: list[dict], alpha: float) -> bool:
     return all(r["passed"] for r in probe_results)
 
 
+def _probe_family(name: str, probes: Iterable[tuple[dict, EmpiricalLaw, EmpiricalLaw]],
+                  alpha: float, note: str, head: dict, tail: dict) -> TestReport:
+    """Test each lazily drawn `(fields, law_a, law_b)` probe for equal laws,
+    flag them by Holm, and report the worst probe with its Bonferroni p.
+
+    Details hold `probes` and `head`, then `note` if there was no probe."""
+    results, worst = [], None
+    for fields, law_a, law_b in probes:
+        sub = test_equal_law(law_a, law_b, alpha=alpha)
+        results.append({**fields, "p_value": sub.p_value,
+                        "statistic": sub.statistic, "dof": sub.dof})
+        if worst is None or sub.p_value < worst.p_value:
+            worst = sub
+    if worst is None:
+        return TestReport(name=name, statistic=0.0, dof=0, p_value=1.0, alpha=alpha,
+                          passed=True, details={"probes": 0, **head, "note": note})
+    m = len(results)
+    return TestReport(
+        name=name, statistic=worst.statistic, dof=worst.dof,
+        p_value=min(1.0, worst.p_value * m), alpha=alpha, passed=_holm(results, alpha),
+        details={"probes": m, **head, "per_alpha": alpha / m, "correction": "holm",
+                 **tail, "results": results})
+
+
 # --- exchangeability -------------------------------------------------------------
 
 def test_exchangeability(sampler, n: int, n_samples: int, alpha: float = 0.01,
@@ -256,48 +290,37 @@ def test_exchangeability(sampler, n: int, n_samples: int, alpha: float = 0.01,
 
     Without an explicit permutation list, all non-identity permutations of
     [1, n] are probed, which requires n <= 5.  Each probe uses a fresh
-    independent batch of samples.
+    independent batch of samples, and with no probe none is drawn.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
+    identity = tuple(range(1, n + 1))
     if permutations is None:
         if n > 5:
             raise ValueError("probing all permutations needs n <= 5; "
                              "pass an explicit permutation subset")
-        identity = tuple(range(1, n + 1))
-        perms = [p for p in itertools.permutations(range(1, n + 1)) if p != identity]
+        perms = [p for p in itertools.permutations(identity) if p != identity]
     else:
         perms = [tuple(p) for p in permutations]
         for p in perms:
-            if sorted(p) != list(range(1, n + 1)):
+            if sorted(p) != list(identity):
                 raise ValueError(f"{p} is not a permutation of [1, {n}]")
     seeds = SeedStream(meta_seed)
-    base = empirical_law(sampler, range(1, n + 1), n_samples, seeds, offset=0)
-    if not perms:
-        return TestReport(name="exchangeability", statistic=0.0, dof=0,
-                          p_value=1.0, alpha=alpha, passed=True,
-                          details={"probes": 0, "note": "no non-identity permutations"})
-    worst: Optional[TestReport] = None
-    probe_results = []
-    for b, perm in enumerate(perms, start=1):
-        # the law of the relabeled output X^perm on [1, n], over fresh seeds
-        phi = Injection(dict(enumerate(perm, start=1)))
-        law_perm = EmpiricalLaw(base.subset, n_samples)
-        for sample, count in _tally(sampler, n, n_samples, seeds, b * n_samples).items():
-            law_perm.record(relabel(sample, phi)[0], count)
-        sub = test_equal_law(base, law_perm, alpha=alpha)
-        probe_results.append({"permutation": list(perm), "p_value": sub.p_value,
-                              "statistic": sub.statistic, "dof": sub.dof})
-        if worst is None or sub.p_value < worst.p_value:
-            worst = sub
-    passed = _holm(probe_results, alpha)
-    adjusted_p = min(1.0, worst.p_value * len(perms))
-    return TestReport(
-        name="exchangeability", statistic=worst.statistic, dof=worst.dof,
-        p_value=adjusted_p, alpha=alpha, passed=passed,
-        details={"probes": len(perms), "per_alpha": alpha / len(perms),
-                 "correction": "holm", "n_samples_per_batch": n_samples,
-                 "results": probe_results})
+
+    def probes():
+        # batch 0 is the law of X; batch b that of the relabeled output X^perm
+        for b, perm in enumerate(perms, start=1):
+            if b == 1:
+                base = empirical_law(sampler, identity, n_samples, seeds)
+            phi = Injection(dict(enumerate(perm, start=1)))
+            yield ({"permutation": list(perm)}, base,
+                   _law(sampler, identity, n_samples, seeds, b * n_samples, along=phi))
+
+    return _probe_family("exchangeability", probes(), alpha,
+                         "no non-identity permutations", {},
+                         {"n_samples_per_batch": n_samples})
 
 
 # --- relative exchangeability -----------------------------------------------------
@@ -325,63 +348,28 @@ def test_relative_exchangeability(sampler, oracle: Oracle, n: int,
     subsets = [tuple(c)
                for size in range(1, n + 1)
                for c in itertools.combinations(range(1, window + 1), size)]
-    probes: list[tuple[tuple[int, ...], tuple[int, ...], Injection]] = []
-    skipped = 0
+    probes, skipped = [], 0
     for s_set in subsets:
         for t_set in subsets:
             if len(t_set) != len(s_set) or t_set == s_set:
                 continue
-            m_s = lazy.restrict_to(s_set)
-            m_t = lazy.restrict_to(t_set)
-            embeddings = enumerate_embeddings(m_s, m_t)
-            if not embeddings:
-                skipped += 1
-                continue
-            for phi in embeddings:
-                probes.append((s_set, t_set, phi))
-    probes = probes[:probe_cap]
-    if not probes:
-        return TestReport(name="relative-exchangeability", statistic=0.0, dof=0,
-                          p_value=1.0, alpha=alpha, passed=True,
-                          details={"probes": 0, "skipped_pairs": skipped,
-                                   "note": "no embeddings found in the window"})
-    seeds = SeedStream(meta_seed)
-    law_cache: dict[tuple[tuple[int, ...], int], EmpiricalLaw] = {}
-    next_offset = 0
-    probe_results = []
-    worst: Optional[TestReport] = None
+            embeddings = enumerate_embeddings(lazy.restrict_to(s_set), lazy.restrict_to(t_set))
+            skipped += not embeddings
+            probes += [(s_set, t_set, phi) for phi in embeddings]
+    seeds, offsets = SeedStream(meta_seed), itertools.count(0, n_samples)
+    laws_s: dict[tuple[int, ...], EmpiricalLaw] = {}
 
-    def law_for(subset: tuple[int, ...], batch: int) -> EmpiricalLaw:
-        nonlocal next_offset
-        cache_key = (subset, batch)
-        if cache_key not in law_cache:
-            law_cache[cache_key] = empirical_law(
-                sampler, subset, n_samples, seeds, offset=next_offset)
-            next_offset += n_samples
-        return law_cache[cache_key]
+    def probe_laws():
+        # one batch per distinct S, drawn at its first probe, and one per T
+        for s_set, t_set, phi in probes[:probe_cap]:
+            if s_set not in laws_s:
+                laws_s[s_set] = empirical_law(sampler, s_set, n_samples, seeds, next(offsets))
+            yield ({"s": list(s_set), "t": list(t_set), "phi": phi.items()}, laws_s[s_set],
+                   _law(sampler, t_set, n_samples, seeds, next(offsets), along=phi))
 
-    for idx, (s_set, t_set, phi) in enumerate(probes):
-        law_s = law_for(s_set, 0)
-        law_t_raw = empirical_law(sampler, t_set, n_samples, seeds,
-                                  offset=next_offset)
-        next_offset += n_samples
-        pulled = EmpiricalLaw(s_set, law_t_raw.n_samples)
-        for key, count in law_t_raw.counts.items():
-            pulled.record(relabel(law_t_raw.structures[key], phi)[0], count)
-        sub = test_equal_law(law_s, pulled, alpha=alpha)
-        probe_results.append({
-            "s": list(s_set), "t": list(t_set), "phi": phi.items(),
-            "p_value": sub.p_value, "statistic": sub.statistic, "dof": sub.dof})
-        if worst is None or sub.p_value < worst.p_value:
-            worst = sub
-    passed = _holm(probe_results, alpha)
-    adjusted_p = min(1.0, worst.p_value * len(probes))
-    return TestReport(
-        name="relative-exchangeability", statistic=worst.statistic,
-        dof=worst.dof, p_value=adjusted_p, alpha=alpha, passed=passed,
-        details={"probes": len(probes), "skipped_pairs": skipped,
-                 "per_alpha": alpha / len(probes), "correction": "holm",
-                 "window": window, "results": probe_results})
+    return _probe_family("relative-exchangeability", probe_laws(), alpha,
+                         "no embeddings found in the window", {"skipped_pairs": skipped},
+                         {"window": window})
 
 
 # --- dissociation ------------------------------------------------------------------
@@ -435,23 +423,15 @@ def test_dissociation(sampler, s_set: Sequence[int], t_set: Sequence[int],
         del axis_groups[smallest], axis_totals[smallest]
     row_groups, col_groups = groups
     row_tot, col_tot = totals
-    merged = {}
-    for gi, rgroup in enumerate(row_groups):
-        for gj, cgroup in enumerate(col_groups):
-            merged[(gi, gj)] = sum(counts[(r, c)] for r in rgroup for c in cgroup)
     dof = (len(row_groups) - 1) * (len(col_groups) - 1)
     statistic = 0.0
     if dof > 0:
-        for (gi, gj), observed in merged.items():
-            expected = row_tot[gi] * col_tot[gj] / n_samples
-            if expected > 0:
+        for gi, rgroup in enumerate(row_groups):
+            for gj, cgroup in enumerate(col_groups):
+                observed = sum(counts[(r, c)] for r in rgroup for c in cgroup)
+                expected = row_tot[gi] * col_tot[gj] / n_samples
                 statistic += (observed - expected) ** 2 / expected
-        p_value = float(chi2.sf(statistic, dof))
-    else:
-        p_value = 1.0
-    return TestReport(
-        name="dissociation", statistic=statistic, dof=dof, p_value=p_value,
-        alpha=alpha, passed=p_value >= alpha,
-        details={"s": list(s_set), "t": list(t_set),
-                 "rows": len(row_groups), "cols": len(col_groups),
-                 "n_samples": n_samples})
+    return _chi2_report(
+        "dissociation", statistic, dof, alpha,
+        {"s": list(s_set), "t": list(t_set),
+         "rows": len(row_groups), "cols": len(col_groups), "n_samples": n_samples})

@@ -20,6 +20,11 @@ the per-seed parity-overlay oracle (as the catalog pairs it); and
 `MaxSegSampler` over `catalog.weak_rep_rules()` with the same-class-triple
 oracle.
 
+`sample_sequential` is pinned at n in {0, 1, 3, 6} over the evens oracle,
+with an age-indexed law of fixed tables built here (`sequential_law`):
+independent coins, 0.3 on odd and 0.7 on even positions, tabulated exactly
+for every initial segment of the reference up to size 6.
+
 tests/test_golden.py recomputes every case and compares it with the file.
 The file is generated once; regenerating it changes what the test pins,
 so give the reason in CHANGES.md whenever you do.  The script refuses to
@@ -29,7 +34,9 @@ overwrite an existing file unless given --force.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -39,9 +46,10 @@ from relex.catalog import (PAPER_EXAMPLE_NAMES, LoopViolatorSampler, evens_oracl
                            weak_rep_rules)
 from relex.randomness import HierarchicalRandomSource
 from relex.rules import load_rules
-from relex.samplers import (AmalgamationFailure, ExchangeableSampler, MaxSegSampler,
-                            MExchangeableSampler, sample_framewise)
-from relex.structures import serialize
+from relex.samplers import (AgeIndexedLaw, AmalgamationFailure, ExchangeableSampler,
+                            MaxSegSampler, MExchangeableSampler, sample_framewise,
+                            sample_sequential)
+from relex.structures import UNARY_SIGNATURE, Structure, serialize
 
 HERE = Path(__file__).resolve().parent
 GOLDEN = HERE / "samplers.json"
@@ -69,6 +77,22 @@ def rule_samplers():
     return out
 
 
+def sequential_law(cap: int) -> AgeIndexedLaw:
+    """Coins with P(i) = 0.3 for odd i and 0.7 for even i, one exact table
+    per initial segment of the evens reference, sizes 1 to cap."""
+    law = AgeIndexedLaw(UNARY_SIGNATURE, cap)
+    evens = evens_oracle()
+    for m in range(1, cap + 1):
+        thetas = [0.7 if i % 2 == 0 else 0.3 for i in range(1, m + 1)]
+        table = {}
+        for bits in itertools.product((0, 1), repeat=m):
+            outcome = Structure(UNARY_SIGNATURE, m,
+                                {"P": [(i,) for i, bit in enumerate(bits, start=1) if bit]})
+            table[outcome] = math.prod(t if bit else 1.0 - t for t, bit in zip(thetas, bits))
+        law.add_table(evens.initial_segment(m), table)
+    return law
+
+
 def samplers():
     """(label, draw, sizes) triples; draw(src, n) returns one sample."""
     out = [(f"framewise/{name}",
@@ -81,6 +105,9 @@ def samplers():
     out.append(("loop-violator", lambda src, n: violator.sample(src, n)))
     out += [(f"example/{name}", lambda src, n, name=name: paper_example(name, n, src)[1])
             for name in PAPER_EXAMPLE_NAMES]
+    coins = sequential_law(max(SIZES))
+    out.append(("sequential/coins-0.3-0.7/evens",
+                lambda src, n: sample_sequential(coins, evens_oracle(), n, src)))
     return ([(label, draw, SIZES) for label, draw in out]
             + [(label, draw, RULE_SIZES) for label, draw in rule_samplers()])
 

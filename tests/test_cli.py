@@ -184,6 +184,38 @@ def test_sample_m_exch_and_maxseg():
     assert deserialize(m_exch.stdout.strip()).n == 4
 
 
+RULE_SAMPLER_FLAGS = [
+    ("exchangeable", ["--rules", "rules/random_graph.json"]),
+    ("m-exch", ["--rules", "rules/two_coin.json", "--ref", "evens"]),
+    ("maxseg", ["--rules", "rules/two_coin.json", "--ref", "evens"])]
+
+
+@pytest.mark.parametrize("kind, flags", RULE_SAMPLER_FLAGS, ids=[k for k, _ in RULE_SAMPLER_FLAGS])
+def test_sample_rule_samplers_match_the_library(kind, flags):
+    from relex.catalog import evens_oracle
+    from relex.randomness import HierarchicalRandomSource
+    from relex.rules import load_rules
+    from relex.samplers import ExchangeableSampler, MaxSegSampler, MExchangeableSampler
+
+    rules = load_rules(flags[1])
+    sampler = {"exchangeable": lambda: ExchangeableSampler(rules),
+               "m-exch": lambda: MExchangeableSampler(rules, evens_oracle()),
+               "maxseg": lambda: MaxSegSampler(rules, evens_oracle())}[kind]()
+    result = run_cli("sample", kind, *flags, "--n", "5", "--seed", "11")
+    assert result.returncode == 0
+    assert deserialize(result.stdout.strip()) == sampler.sample(HierarchicalRandomSource(11), 5)
+
+
+@pytest.mark.parametrize("kind, flags, message", [
+    ("exchangeable", [], "sample exchangeable requires --rules"),
+    ("m-exch", ["--rules", "rules/two_coin.json"], "sample m-exch requires --rules and --ref"),
+    ("maxseg", ["--ref", "evens"], "sample maxseg requires --rules and --ref")])
+def test_sample_missing_flags_name_the_subcommand(kind, flags, message):
+    result = run_cli("sample", kind, *flags, "--n", "3")
+    assert result.returncode == 2
+    assert message in result.stderr
+
+
 def test_sample_usage_errors():
     assert run_cli("sample", "framewise", "--n", "3").returncode == 2
     assert run_cli("sample", "m-exch", "--rules", "rules/two_coin.json",

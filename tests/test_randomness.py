@@ -67,6 +67,29 @@ def test_integral_stand_ins_are_accepted():
     assert src.ordering(np.arange(1, 4)) == src.ordering((1, 2, 3))
 
 
+@pytest.mark.parametrize("make, culprit", [
+    (lambda: HierarchicalRandomSource(2.7), "seed 2.7 "),
+    (lambda: HierarchicalRandomSource("5"), "seed '5' "),
+    (lambda: HierarchicalRandomSource(None), "seed None "),
+    (lambda: SeedStream(0.9), "meta seed 0.9 "),
+    (lambda: SeedStream("1"), "meta seed '1' "),
+    (lambda: SeedStream(0)[1.5], "stream index 1.5 "),
+    (lambda: SeedStream(0)["3"], "stream index '3' "),
+    (lambda: SeedStream(0).take(2, offset=0.5), "stream index 0.5 ")])
+def test_non_integral_seeds_and_stream_indices_are_rejected(make, culprit):
+    with pytest.raises(ValueError, match=f"^{re.escape(culprit)}is not an integer"):
+        make()
+
+
+def test_integral_seed_stand_ins_are_accepted():
+    np = pytest.importorskip("numpy")
+    assert HierarchicalRandomSource(True).xi((1,)) == HierarchicalRandomSource(1).xi((1,))
+    assert (HierarchicalRandomSource(np.uint64(2 ** 63)).ordering((1, 2, 3))
+            == HierarchicalRandomSource(2 ** 63).ordering((1, 2, 3)))
+    assert SeedStream(np.int64(7))[np.int32(3)] == SeedStream(7)[3]
+    assert SeedStream(False)[True] == SeedStream(0)[1]
+
+
 def test_max_arity_enforced_but_empty_subset_exempt():
     src = HierarchicalRandomSource(0, max_arity=2)
     src.xi((1, 2))

@@ -343,10 +343,45 @@ def test_exchangeability_degenerate_cases():
     assert report.passed and report.details["probes"] == 0
 
 
+class CountingSampler:
+    """Wraps a sampler and counts the samples drawn through it."""
+
+    def __init__(self, base):
+        self.base, self.signature, self.calls = base, base.signature, 0
+
+    def sample(self, src, n):
+        self.calls += 1
+        return self.base.sample(src, n)
+
+
+def test_exchangeability_without_probes_draws_nothing():
+    for n, permutations in ((1, None), (3, [])):
+        sampler = CountingSampler(_graphs_sampler())
+        report = st.test_exchangeability(sampler, n=n, n_samples=40, meta_seed=3,
+                                         permutations=permutations)
+        assert sampler.calls == 0
+        assert report.details == {"probes": 0, "note": "no non-identity permutations"}
+    sampler = CountingSampler(_graphs_sampler())
+    st.test_exchangeability(sampler, n=3, n_samples=40, meta_seed=3,
+                            permutations=[(2, 1, 3), (1, 3, 2)])
+    assert sampler.calls == 3 * 40  # the law of X, then one batch per probe
+
+
+def test_relative_exchangeability_draws_one_batch_per_s_and_per_probe():
+    sampler = CountingSampler(MExchangeableSampler(two_coin_rules(), evens_oracle()))
+    report = st.test_relative_exchangeability(sampler, evens_oracle(), n=2, n_samples=30,
+                                              meta_seed=1, probe_cap=7)
+    distinct_s = {tuple(r["s"]) for r in report.details["results"]}
+    assert sampler.calls == 30 * (len(distinct_s) + 7)
+
+
 def test_exchangeability_validation():
     sampler = _graphs_sampler()
     with pytest.raises(ValueError):
         st.test_exchangeability(sampler, n=0, n_samples=10)
+    for n in (1, 3):
+        with pytest.raises(ValueError, match="n_samples"):
+            st.test_exchangeability(sampler, n=n, n_samples=0)
     with pytest.raises(ValueError):
         st.test_exchangeability(sampler, n=6, n_samples=10)  # too many perms
     with pytest.raises(ValueError):

@@ -334,15 +334,6 @@ def test_exchangeability_explicit_permutations():
     assert report.passed
 
 
-def test_exchangeability_degenerate_cases():
-    report = st.test_exchangeability(_graphs_sampler(), n=1, n_samples=20,
-                                     meta_seed=0)
-    assert report.passed and report.details["probes"] == 0
-    report = st.test_exchangeability(_graphs_sampler(), n=3, n_samples=20,
-                                     meta_seed=0, permutations=[])
-    assert report.passed and report.details["probes"] == 0
-
-
 class CountingSampler:
     """Wraps a sampler and counts the samples drawn through it."""
 
@@ -354,20 +345,21 @@ class CountingSampler:
         return self.base.sample(src, n)
 
 
-def test_exchangeability_without_probes_draws_nothing():
+def test_exchangeability_degenerate_cases():
+    # with no permutation to probe, no sample is drawn
     for n, permutations in ((1, None), (3, [])):
         sampler = CountingSampler(_graphs_sampler())
-        report = st.test_exchangeability(sampler, n=n, n_samples=40, meta_seed=3,
+        report = st.test_exchangeability(sampler, n=n, n_samples=20, meta_seed=0,
                                          permutations=permutations)
+        assert report.passed and report.details["probes"] == 0
         assert sampler.calls == 0
-        assert report.details == {"probes": 0, "note": "no non-identity permutations"}
+
+
+def test_probe_families_draw_one_batch_per_law():
     sampler = CountingSampler(_graphs_sampler())
     st.test_exchangeability(sampler, n=3, n_samples=40, meta_seed=3,
                             permutations=[(2, 1, 3), (1, 3, 2)])
     assert sampler.calls == 3 * 40  # the law of X, then one batch per probe
-
-
-def test_relative_exchangeability_draws_one_batch_per_s_and_per_probe():
     sampler = CountingSampler(MExchangeableSampler(two_coin_rules(), evens_oracle()))
     report = st.test_relative_exchangeability(sampler, evens_oracle(), n=2, n_samples=30,
                                               meta_seed=1, probe_cap=7)

@@ -75,7 +75,9 @@ class FiniteClass:
         self.cap = cap
         self.locality = locality
         self._enum_cache: dict[int, tuple[Structure, ...]] = {}
+        # (k, mask) -> AmalgamClasses for k <= max arity; see _amalgam_classes
         self._amalgam_cache: dict = {}
+        self._slot_bits: dict[int, dict] = {}
 
     @property
     def forced_above(self) -> Optional[int]:
@@ -362,7 +364,7 @@ def _completions(klass: FiniteClass, m: int, partial: dict[str, set],
         for (name, tup), bit in zip(free, bits):
             if bit:
                 relations[name].add(tup)
-        candidate = Structure(klass.signature, m, relations)
+        candidate = Structure._trusted(klass.signature, m, relations)
         if klass.contains(candidate):
             if first_only:
                 return [candidate]
@@ -395,16 +397,41 @@ class AmalgamClasses:
     all_amalgams: list[Structure]
     representatives: list[Structure]
     orbits: list[list[Structure]]  # aligned with representatives
+    # per orbit member, its (name, tuple) pairs whose range is all of [1, n]
+    new_tuples: list[list[tuple[tuple[str, tuple[int, ...]], ...]]]
+
+
+def _slot_bits(klass: FiniteClass, k: int) -> dict[tuple[str, tuple[int, ...]], int]:
+    """Bit 1 << j for the j-th non-surjective (name, tuple) on [1, k], the
+    tuples listed in signature order; computed once per class and k."""
+    bits = klass._slot_bits.get(k)
+    if bits is None:
+        slots = ((name, tup) for name, arity in klass.signature
+                 for tup in itertools.product(range(1, k + 1), repeat=arity)
+                 if len(set(tup)) < k)
+        bits = klass._slot_bits[k] = {slot: 1 << j for j, slot in enumerate(slots)}
+    return bits
 
 
 def _amalgam_classes(klass: FiniteClass, n: int, partial: dict[str, set]) -> AmalgamClasses:
-    # Without surjective tuples the single candidate is cheap to rebuild, and
-    # caching those partials would grow without bound on long sampling runs.
+    # Up to max arity the cache key is (n, mask), the mask the sum of the
+    # partial's bits in _slot_bits(klass, n), so there are finitely many
+    # keys.  Above max arity no tuple is free, the single
+    # candidate is cheap to rebuild, and caching those partials would grow
+    # without bound on long sampling runs.
     cacheable = klass.signature.max_arity() >= n
     cache_key = None
     if cacheable:
-        cache_key = (n, tuple([tuple(sorted(partial.get(name, ())))
-                               for name in klass.signature.names()]))
+        bit_of = _slot_bits(klass, n)
+        mask = 0
+        for name, tups in partial.items():
+            for tup in tups:
+                bit = bit_of.get((name, tup))
+                if bit is None:
+                    raise ValueError(f"partial tuple {tup} of {name!r} is not a "
+                                     f"non-surjective tuple on [1, {n}]")
+                mask |= bit
+        cache_key = (n, mask)
         cached = klass._amalgam_cache.get(cache_key)
         if cached is not None:
             return cached
@@ -417,10 +444,13 @@ def _amalgam_classes(klass: FiniteClass, n: int, partial: dict[str, set]) -> Ama
             groups.setdefault(canonical_form(s).key(), []).append(s)
         orbits = [sorted(group, key=lambda s: s.key()) for group in groups.values()]
         orbits.sort(key=lambda orbit: orbit[0].key())
+    names = klass.signature.names()
     result = AmalgamClasses(
         all_amalgams=amalgams_list,
         representatives=[orbit[0] for orbit in orbits],
-        orbits=orbits)
+        orbits=orbits,
+        new_tuples=[[tuple((name, tup) for name in names for tup in member.tuples(name)
+                           if len(set(tup)) == n) for member in orbit] for orbit in orbits])
     if cacheable:
         klass._amalgam_cache[cache_key] = result
     return result

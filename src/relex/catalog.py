@@ -264,7 +264,7 @@ class LoopViolatorSampler:
             return graph
         edges = set(graph.tuples("E"))
         edges.add((1, 1))
-        return Structure(self.signature, n, {"E": edges})
+        return Structure._trusted(self.signature, n, {"E": edges})
 
 
 # --- the named examples ---------------------------------------------------------

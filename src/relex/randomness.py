@@ -87,14 +87,20 @@ class HierarchicalRandomSource:
         drawn order; all |s|! orders are equally likely across seeds.
         """
         items = self._check(tuple(subset))
-        stem = self._hasher.copy()  # absorbs `ord|s#` once for every block
-        stem.update(b"ord|%s#" % ",".join(map(str, items)).encode("ascii"))
-        buffer, used, counter = b"", 0, 0
+        if len(items) < 2:
+            return tuple(items)
+        label = b"ord|%s#" % ",".join(map(str, items)).encode("ascii")
+        block = self._hasher.copy()
+        block.update(label + b"0")
+        buffer, used, counter, stem = block.digest(), 0, 1, None
         for i in range(len(items) - 1, 0, -1):
             k = i.bit_length()
             nbytes = (k + 7) >> 3
             while True:
                 if used + nbytes > len(buffer):
+                    if stem is None:  # absorbs `ord|s#` once for the later blocks
+                        stem = self._hasher.copy()
+                        stem.update(label)
                     block = stem.copy()
                     block.update(b"%d" % counter)
                     buffer, used = buffer[used:] + block.digest(), 0

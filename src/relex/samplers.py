@@ -15,7 +15,7 @@ import itertools
 import math
 from typing import Mapping, Optional, Sequence
 
-from .amalgamation import FiniteClass, _amalgam_classes
+from .amalgamation import FiniteClass, _amalgam_classes, _slot_bits
 from .embeddings import (Oracle, enumerate_embeddings, ensure_lazy,
                          natural_embedding)
 from .randomness import (HierarchicalRandomSource, SeedStream, permutation_rank)
@@ -80,7 +80,7 @@ def _sample_by_rules(rules: Mapping[str, DecisionFunction], n: int,
             if df.decide(ctx):
                 chosen.append(tup)
         relations[name] = chosen
-    return Structure(signature, n, relations)
+    return Structure._trusted(signature, n, relations)
 
 
 def sample_exchangeable(rules, n: int, src: HierarchicalRandomSource) -> Structure:
@@ -102,20 +102,12 @@ def sample_maxseg_exchangeable(rules, oracle: Oracle, n: int,
 
 # --- frame-wise uniform construction -------------------------------------------
 
-def _local_restriction(by_support: Mapping[tuple, list], names, max_arity: int,
-                       elems: Sequence[int]) -> dict[str, set]:
-    """The decided tuples inside `elems`, relabelled onto [1, len(elems)].
-
-    `by_support` maps each sorted support to its decided (name, tuple)
-    pairs, so only the supports inside `elems` are read.
-    """
-    pos = {e: j for j, e in enumerate(elems, start=1)}
-    out: dict[str, set] = {name: set() for name in names}
-    for size in range(1, min(max_arity, len(elems)) + 1):
-        for support in itertools.combinations(elems, size):
-            for name, gtup in by_support.get(support, ()):
-                out[name].add(tuple(pos[c] for c in gtup))
-    return out
+def _partial(names, pairs) -> dict[str, set]:
+    """The (name, tuple) pairs as a partial structure: name -> set of tuples."""
+    partial: dict[str, set] = {name: set() for name in names}
+    for name, tup in pairs:
+        partial[name].add(tup)
+    return partial
 
 
 def _class_index(u: float, count: int, rep_weights: Optional[tuple]) -> int:
@@ -146,6 +138,13 @@ def sample_framewise(klass: FiniteClass, n: int, src: HierarchicalRandomSource,
     concrete member within the class is orbit[rank(ordering of s) mod orbit
     size], which is uniform because the orbit size divides |s|!.
 
+    A step with |s| up to the max arity is one lookup in the class's
+    amalgam cache under (|s|, mask), the bits of the decided tuples inside s
+    among the non-surjective tuples on [1, |s|] (see `_amalgam_classes`);
+    the entry also lists each orbit member's tuples with range all of
+    [1, |s|].  A miss, or a larger step, which nothing caches, hands the
+    partial to `_amalgam_classes`.
+
     Only subsets of size at most max(arity, locality) are visited, or every
     subset when the class's locality is unknown: above that size the step
     adds no tuple and cannot fail (see `amalgamation`).  A step with one
@@ -165,57 +164,69 @@ def sample_framewise(klass: FiniteClass, n: int, src: HierarchicalRandomSource,
         rep_weights = tuple(float(w) for w in rep_weights)
         if not rep_weights or not all(math.isfinite(w) and w > 0 for w in rep_weights):
             raise ValueError("rep_weights must be finite and positive")
-    names = klass.signature.names()
+    signature = klass.signature
+    names = signature.names()
     if n == 0:
-        return Structure(klass.signature, 0)
+        return Structure._trusted(signature, 0, {})
 
     age1 = klass.enumerate(1)
     if not age1:
         raise ValueError(f"class {klass.name!r} has no members of size 1")
-    max_arity = klass.signature.max_arity()
-    # sorted support -> the decided (name, tuple) pairs with that range
-    by_support: dict[tuple, list] = {}
+    max_arity = signature.max_arity()
+    # sorted support -> its decided (name, tuple) pairs, the tuples with
+    # exactly that range, labelled on [1, |support|]; only nonempty entries
+    decided: dict[tuple, tuple] = {}
+    singles = [tuple((name, tup) for name in names for tup in member.tuples(name))
+               for member in age1]
     for i in range(1, n + 1):
-        if len(age1) == 1:
-            member = age1[0]
-        else:
-            member = age1[_class_index(src.xi((i,)), len(age1), None)]
-        for name in names:
-            for tup in member.tuples(name):
-                by_support.setdefault((i,), []).append((name, (i,) * len(tup)))
+        index = 0 if len(age1) == 1 else _class_index(src.xi((i,)), len(age1), None)
+        if singles[index]:
+            decided[(i,)] = singles[index]
 
-    top = n if klass.forced_above is None else min(n, klass.forced_above)
+    forced_above = klass.forced_above
+    top = n if forced_above is None else min(n, forced_above)
     for k in range(2, top + 1):
-        full_local = frozenset(range(1, k + 1))
+        bit_of = _slot_bits(klass, k) if k <= max_arity else None
+        # by size, the positions in s of each proper subset that can be a support
+        positions = [list(itertools.combinations(range(1, k + 1), size))
+                     for size in range(1, min(max_arity, k - 1) + 1)]
         for s in itertools.combinations(range(1, n + 1), k):
-            partial = _local_restriction(by_support, names, max_arity, s)
-            classes = _amalgam_classes(klass, k, partial)
-            if not classes.representatives:
-                family = []
-                for removed in s:
-                    rest = [e for e in s if e != removed]
-                    local = _local_restriction(by_support, names, max_arity, rest)
-                    family.append(Structure(klass.signature, k - 1, local))
-                raise AmalgamationFailure(s, family, klass.name)
+            # the decided tuples inside s, relabelled onto [1, k]
+            inside = [(name, tuple([pos[c - 1] for c in tup]))
+                      for size, sub_positions in enumerate(positions, start=1)
+                      for support, pos in zip(itertools.combinations(s, size), sub_positions)
+                      for name, tup in decided.get(support, ())]
+            classes = None
+            if bit_of is not None:
+                mask = 0
+                for slot in inside:
+                    mask |= bit_of[slot]
+                classes = klass._amalgam_cache.get((k, mask))
+            if classes is None:
+                classes = _amalgam_classes(klass, k, _partial(names, inside))
             reps = classes.representatives
+            if not reps:
+                local = Structure._trusted(signature, k, _partial(names, inside))
+                family = [restrict(local, [j for j in range(1, k + 1) if j != i])
+                          for i in range(1, k + 1)]
+                raise AmalgamationFailure(s, family, klass.name)
             if len(reps) == 1 and len(classes.orbits[0]) == 1:
-                amalgam = reps[0]
+                index, rank = 0, 0
             else:
-                orbit = classes.orbits[_class_index(src.xi(s), len(reps), rep_weights)]
+                index = _class_index(src.xi(s), len(reps), rep_weights)
                 order = src.ordering(s)
-                rank = permutation_rank([s.index(x) + 1 for x in order]) if len(orbit) > 1 else 0
-                amalgam = orbit[rank % len(orbit)]
-            for name in names:
-                for tup in amalgam.tuples(name):
-                    if frozenset(tup) == full_local:
-                        by_support.setdefault(s, []).append(
-                            (name, tuple(s[c - 1] for c in tup)))
+                orbit_size = len(classes.orbits[index])
+                rank = (permutation_rank([s.index(x) + 1 for x in order]) % orbit_size
+                        if orbit_size > 1 else 0)
+            new = classes.new_tuples[index][rank]
+            if new:
+                decided[s] = new
 
     relations: dict[str, list] = {name: [] for name in names}
-    for pairs in by_support.values():
-        for name, gtup in pairs:
-            relations[name].append(gtup)
-    return Structure(klass.signature, n, relations)
+    for support, pairs in decided.items():
+        for name, tup in pairs:
+            relations[name].append(tuple([support[c - 1] for c in tup]))
+    return Structure._trusted(signature, n, relations)
 
 
 # --- age-indexed laws and sequential growth ------------------------------------

@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence, Union
 
@@ -134,13 +135,15 @@ def empirical_law(sampler, subset: Sequence[int], n_samples: int,
     """Law of the sampler's output restricted to `subset`, over fresh seeds.
 
     `seeds` may be a SeedStream, a sequence of integers, or a meta seed
-    (int) from which a stream is derived; `offset` shifts into the stream
-    so successive batches stay independent.
+    (any integer, numpy's included) from which a stream is derived;
+    `offset` shifts into the stream so successive batches stay independent.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    if isinstance(seeds, int):
-        seeds = SeedStream(seeds)
+    try:
+        seeds = SeedStream(operator.index(seeds))
+    except TypeError:  # a SeedStream or a sequence of seeds
+        pass
     subset = tuple(sorted(set(subset)))
     if not subset:
         raise ValueError("subset must be nonempty")
@@ -149,11 +152,14 @@ def empirical_law(sampler, subset: Sequence[int], n_samples: int,
 
 def _law(sampler, subset: tuple[int, ...], n_samples: int, seeds, offset: int,
          along: Optional[Injection] = None) -> EmpiricalLaw:
-    """Each distinct sample, restricted to the sorted `subset` and pulled back
-    along `along` when given, recorded with its count."""
-    law = EmpiricalLaw(subset, n_samples)
+    """Each distinct restriction of the samples to the sorted `subset`, pulled
+    back along `along` when given, recorded with its count."""
+    restrictions: dict[Structure, int] = {}
     for sample, count in _tally(sampler, max(subset), n_samples, seeds, offset).items():
         restricted = restrict(sample, subset)
+        restrictions[restricted] = restrictions.get(restricted, 0) + count
+    law = EmpiricalLaw(subset, n_samples)
+    for restricted, count in restrictions.items():
         law.record(restricted if along is None else relabel(restricted, along)[0], count)
     return law
 

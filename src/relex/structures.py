@@ -23,7 +23,7 @@ class Signature:
     allowed (structures then carry a bare universe).
     """
 
-    __slots__ = ("_symbols", "_arity_by_name")
+    __slots__ = ("_symbols", "_arity_by_name", "_names", "_max_arity")
 
     def __init__(self, symbols: Iterable[tuple[str, int]]):
         syms = tuple((str(name), int(arity)) for name, arity in symbols)
@@ -38,6 +38,8 @@ class Signature:
             seen.add(name)
         self._symbols = syms
         self._arity_by_name = {name: arity for name, arity in syms}
+        self._names = tuple(name for name, _ in syms)
+        self._max_arity = max((a for _, a in syms), default=0)
 
     @property
     def symbols(self) -> tuple[tuple[str, int], ...]:
@@ -50,10 +52,10 @@ class Signature:
             raise KeyError(f"unknown relation {name!r}") from None
 
     def names(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self._symbols)
+        return self._names
 
     def max_arity(self) -> int:
-        return max((a for _, a in self._symbols), default=0)
+        return self._max_arity
 
     def __contains__(self, name: object) -> bool:
         return name in self._arity_by_name
@@ -88,7 +90,8 @@ class Structure:
     literal (same signature, same universe size, same tuple sets).
     """
 
-    __slots__ = ("_signature", "_n", "_relations", "_members", "_key", "_restrictions")
+    __slots__ = ("_signature", "_n", "_relations", "_members", "_key", "_hash",
+                 "_restrictions")
 
     def __init__(self, signature: Signature, n: int,
                  relations: dict[str, Iterable[tuple[int, ...]]] | None = None):
@@ -98,8 +101,7 @@ class Structure:
         for name in relations:
             if name not in signature:
                 raise ValueError(f"relation {name!r} not in signature")
-        members: dict[str, frozenset[tuple[int, ...]]] = {}
-        stored: dict[str, tuple[tuple[int, ...], ...]] = {}
+        checked = {}
         for name, arity in signature:
             tups = frozenset(tuple(map(int, t)) for t in relations.get(name, ()))
             for t in tups:
@@ -107,13 +109,26 @@ class Structure:
                     raise ValueError(f"tuple {t} has wrong arity for {name!r}/{arity}")
                 if t and (min(t) < 1 or max(t) > n):
                     raise ValueError(f"tuple {t} out of universe [1,{n}]")
-            members[name] = tups
-            stored[name] = tuple(sorted(tups))
+            checked[name] = tups
+        self._fill(signature, n, checked)
+
+    @classmethod
+    def _trusted(cls, signature: Signature, n: int,
+                 relations: dict[str, Iterable[tuple[int, ...]]]) -> "Structure":
+        """`Structure(signature, n, relations)` without the checks, for callers
+        whose tuples are already int tuples of the right arity in [1, n]."""
+        self = object.__new__(cls)
+        self._fill(signature, n, relations)
+        return self
+
+    def _fill(self, signature: Signature, n: int,
+              relations: dict[str, Iterable[tuple[int, ...]]]) -> None:
         self._signature = signature
         self._n = n
-        self._relations = stored
-        self._members = members
+        self._members = {name: frozenset(relations.get(name, ())) for name in signature.names()}
+        self._relations = {name: tuple(sorted(tups)) for name, tups in self._members.items()}
         self._key: Optional[str] = None
+        self._hash: Optional[int] = None
         self._restrictions: Optional[dict[tuple[int, ...], Structure]] = None
 
     @property
@@ -150,8 +165,9 @@ class Structure:
                 and self._relations == other._relations)
 
     def __hash__(self) -> int:
-        return hash((self._signature, self._n,
-                     tuple(self._relations[name] for name in self._signature.names())))
+        if self._hash is None:
+            self._hash = hash((self._signature, self._n, tuple(self._relations.values())))
+        return self._hash
 
     def __repr__(self) -> str:
         parts = ", ".join(f"{name}={list(self._relations[name])}"
@@ -232,7 +248,7 @@ def _pull_back(structure: Structure, images: tuple[int, ...]) -> Structure:
         relations[name] = [tup for tup, image in zip(
             itertools.product(range(1, k + 1), repeat=arity),
             itertools.product(images, repeat=arity)) if image in source]
-    return Structure(structure.signature, k, relations)
+    return Structure._trusted(structure.signature, k, relations)
 
 
 def relabel(structure: Structure, phi: Injection) -> tuple[Structure, Injection]:

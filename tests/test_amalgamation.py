@@ -12,8 +12,9 @@ from relex import (CapExceededError, FiniteClass, Signature, Structure,
                    check_ndap, embedding_exists, from_theory,
                    k_hypergraphs, load_theory, make_builtin_class,
                    parse_theory, restrict, serialize)
-from relex.amalgamation import (BUILTIN_CLASS_NAMES, _compatible, _dap_diagrams,
-                                _dap_instance_holds, _located_tuples, _slot_elements)
+from relex.amalgamation import (BUILTIN_CLASS_NAMES, _amalgam_classes, _compatible,
+                                _dap_diagrams, _dap_instance_holds, _located_tuples,
+                                _slot_elements)
 
 GRAPHS = builtin_class("graphs")
 EQUIV = builtin_class("equivalence")
@@ -130,6 +131,20 @@ def test_amalgams_rejects_incompatible_and_misshapen_families():
         amalgams([marked, unmarked, unmarked], SUBSETS)
     with pytest.raises(ValueError, match="slot"):
         amalgams([Structure(GRAPHS.signature, 3), _graph(2, []), _graph(2, [])], GRAPHS)
+
+
+def test_amalgam_classes_rejects_a_partial_outside_the_slots():
+    # a surjective or out-of-range tuple has no bit in the cache key, so it
+    # must raise rather than be looked up under another partial's key
+    klass = make_builtin_class("graphs")
+    for bad in ({"E": {(1, 2)}}, {"E": {(2, 1)}}, {"E": {(1, 3)}}, {"E": {(1,)}}):
+        with pytest.raises(ValueError, match="non-surjective tuple on"):
+            _amalgam_classes(klass, 2, bad)
+    assert klass._amalgam_cache == {}
+    hypergraphs = make_builtin_class("hypergraphs3")
+    with pytest.raises(ValueError, match="non-surjective tuple on"):
+        _amalgam_classes(hypergraphs, 3, {"R": {(3, 1, 2)}})
+    assert hypergraphs._amalgam_cache == {}
 
 
 def test_amalgams_empty_when_no_member_extends():

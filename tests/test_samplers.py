@@ -2,6 +2,7 @@
 and the failure-witness contracts."""
 
 import itertools
+from pathlib import Path
 
 import pytest
 
@@ -12,9 +13,11 @@ from relex import (AgeIndexedLaw, AmalgamationFailure, FiniteClass, FramewiseSam
                    sample_framewise, sample_m_exchangeable,
                    sample_maxseg_exchangeable, sample_sequential,
                    ExchangeableSampler, age_indexed_from_sampler)
+from relex.amalgamation import BUILTIN_CLASS_NAMES, from_theory
 from relex.catalog import (evens_oracle, random_graph_rules,
                            same_class_triple_oracle, tournament_rules,
                            two_coin_rules, weak_rep_rules)
+from relex.theory import load_theory
 
 GRAPHS = builtin_class("graphs")
 UNARY = Signature((("P", 1),))
@@ -140,6 +143,34 @@ def test_framewise_failure_carries_a_real_witness():
     assert 40 <= failures <= 110, failures
 
 
+def test_framewise_failure_at_a_cached_step_names_its_own_family():
+    # at most one loop: a pair with two loops has no amalgam, at a step up to
+    # max arity, so every failure after the first is a cache hit
+    def enumerate_members(n):
+        cells = list(itertools.product(range(1, n + 1), repeat=2))
+        for bits in itertools.product((0, 1), repeat=len(cells)):
+            member = Structure(GRAPHS.signature, n,
+                               {"E": [c for c, bit in zip(cells, bits) if bit]})
+            if one_loop(member):
+                yield member
+
+    def one_loop(s):
+        return sum(s.has("E", (i, i)) for i in s.universe()) <= 1
+
+    klass = FiniteClass("one-loop", GRAPHS.signature, one_loop, enumerate_members,
+                        cap=3, locality=2)
+    loop = Structure(GRAPHS.signature, 1, {"E": [(1, 1)]})
+    failures = 0
+    for src in _sources(20, meta_seed=3):
+        try:
+            sample_framewise(klass, 3, src)
+        except AmalgamationFailure as failure:
+            failures += 1
+            assert failure.family == [loop, loop]
+            assert amalgams(failure.family, klass)[0] == []
+    assert failures >= 3
+
+
 def test_framewise_rep_weights_shift_the_class_choice():
     def edge_rate(weights):
         hits = 0
@@ -245,6 +276,33 @@ def test_framewise_unknown_locality_visits_every_subset():
     assert (sample_framewise(bare, 4, HierarchicalRandomSource(2))
             == sample_framewise(GRAPHS, 4, HierarchicalRandomSource(2)))
     assert {3, 4} <= set(sizes)
+
+
+def _framewise_outcome(klass, n, seed):
+    try:
+        return sample_framewise(klass, n, HierarchicalRandomSource(seed))
+    except AmalgamationFailure as failure:
+        return failure.subset, failure.family
+
+
+THEORY_PATHS = sorted((Path(__file__).resolve().parent.parent / "theories").glob("*.th"))
+FRAMEWISE_CLASSES = ([(name, lambda name=name: builtin_class(name))
+                      for name in BUILTIN_CLASS_NAMES]
+                     + [(path.name, lambda path=path: from_theory(load_theory(str(path))))
+                        for path in THEORY_PATHS])
+
+
+@pytest.mark.parametrize("label, make", FRAMEWISE_CLASSES,
+                         ids=[label for label, _ in FRAMEWISE_CLASSES])
+def test_framewise_step_tables_agree_with_unknown_locality(label, make):
+    # the bare class visits every subset: steps up to max arity read the
+    # step table, steps above it rebuild their partial uncached
+    klass = make()
+    bare = FiniteClass(label, klass.signature, klass.contains, klass.enumerate,
+                       cap=klass.cap)
+    for seed in range(10):
+        for n in range(6):
+            assert _framewise_outcome(bare, n, seed) == _framewise_outcome(klass, n, seed)
 
 
 # --- reference plumbing -----------------------------------------------------------------

@@ -23,7 +23,7 @@ from relex.catalog import (
 )
 from relex.randomness import HierarchicalRandomSource, SeedStream
 from relex.samplers import ExchangeableSampler, FramewiseSampler, MExchangeableSampler
-from relex.structures import Signature, Structure, restrict
+from relex.structures import Signature, Structure, relabel, restrict
 
 UNARY = Signature((("P", 1),))
 
@@ -97,6 +97,17 @@ def test_empirical_law_seed_forms_agree():
     by_sequence = st.empirical_law(sampler, (1, 2), 80,
                                    [SeedStream(11)[i] for i in range(90)])
     assert by_int.counts == by_stream.counts == by_sequence.counts
+
+
+def test_empirical_law_takes_a_numpy_meta_seed():
+    np = pytest.importorskip("numpy")
+    sampler = _graphs_sampler()
+    plain = st.empirical_law(sampler, (1, 2), 10, 3)
+    for seed in (np.int64(3), np.uint8(3), np.array(3)):
+        assert st.empirical_law(sampler, (1, 2), 10, seed).counts == plain.counts
+    # an array of seeds is still a sequence, not a meta seed
+    seeds = np.array([SeedStream(3)[i] for i in range(10)], dtype=np.uint64)
+    assert st.empirical_law(sampler, (1, 2), 10, seeds).counts == plain.counts
 
 
 def test_empirical_law_offset_slices_the_stream():
@@ -193,6 +204,25 @@ def test_dissociation_and_relative_exchangeability_match_a_per_sample_loop(monke
     tallied = run()
     monkeypatch.setattr(st, "_tally", _per_sample_tally)
     assert tallied == run()
+
+
+def test_law_pulls_back_each_distinct_restriction_once(monkeypatch):
+    sampler, seeds = _two_coin_sampler(), SeedStream(17)
+    swap = st.Injection({1: 2, 2: 1})
+    expected = _law_record(st._law(sampler, (2, 4), 300, seeds, 0, along=swap))
+    calls = []
+
+    def counting_relabel(structure, phi):
+        calls.append(structure)
+        return relabel(structure, phi)
+
+    monkeypatch.setattr(st, "relabel", counting_relabel)
+    law = st._law(sampler, (2, 4), 300, seeds, 0, along=swap)
+    assert _law_record(law) == expected
+    assert len(calls) == len(set(calls)) == len(law.counts)
+    distinct_samples = {sampler.sample(HierarchicalRandomSource(seeds[i]), 4)
+                        for i in range(300)}
+    assert len(calls) < len(distinct_samples)
 
 
 def test_record_with_a_count_equals_repeated_records():

@@ -78,6 +78,33 @@ def test_structure_equality_and_hash():
     assert len({a, b, c}) == 2
 
 
+@st.composite
+def _signature_and_relations(draw):
+    """Int tuples in range under some of the signature's names, in any order,
+    with repeats."""
+    signature = draw(st.sampled_from(PULL_BACK_SIGNATURES + (Signature(()),)))
+    n = draw(st.integers(0, 4))
+    relations = {}
+    for name, arity in signature:
+        if n and draw(st.booleans()):
+            cell = st.tuples(*[st.integers(1, n)] * arity)
+            relations[name] = draw(st.lists(cell, max_size=12))
+    return signature, n, relations
+
+
+@settings(max_examples=150, deadline=None)
+@given(_signature_and_relations())
+def test_trusted_construction_equals_checked_construction(case):
+    signature, n, relations = case
+    checked = Structure(signature, n, relations)
+    trusted = Structure._trusted(signature, n, relations)
+    assert trusted == checked and checked == trusted
+    assert hash(trusted) == hash(checked) == hash(trusted)
+    assert trusted.key() == checked.key()
+    assert trusted.relation_sets() == checked.relation_sets()
+    assert all(trusted.tuples(name) == checked.tuples(name) for name in signature.names())
+
+
 def test_empty_signature_structure():
     s = Structure(Signature(()), 4)
     assert s.n == 4

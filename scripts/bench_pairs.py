@@ -12,8 +12,9 @@ S, S+1, ..., S+P-1.  Pair i runs
     python3 perfbench/run.py --workload W --seed S+i --seconds T --trace 0
 
 in each checkout, T being `run_seconds` of BENCHMARK.json, the parent first
-when i is even and the change first when it is odd; run.py writes each result to `.perfbench/W-seedS-trace0.json` in
-its checkout.  With `--no-run` the script only reads those files.
+when i is even and the change first when it is odd; run.py writes each
+result to `.perfbench/W-seedS-trace0.json` in its checkout, and the summary
+is read from those files.
 
 For every end-to-end metric of BENCHMARK.json the summary gives each side's
 runs, median, quartiles and IQR (inclusive quartiles), and the number of
@@ -70,18 +71,15 @@ def main() -> int:
     parser.add_argument("--out", type=Path, required=True)
     parser.add_argument("--workload", type=_workload, action="append", required=True,
                         help="NAME:FIRST_SEED:PAIRS")
-    parser.add_argument("--no-run", action="store_true",
-                        help="summarise the existing .perfbench results only")
     args = parser.parse_args()
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = benchmark["run_seconds"]
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
 
-    if not args.no_run:
-        for name, first_seed, pairs in args.workload:
-            for i in range(pairs):
-                for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
-                    _run(checkouts[side], name, first_seed + i, seconds)
+    for name, first_seed, pairs in args.workload:
+        for i in range(pairs):
+            for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
+                _run(checkouts[side], name, first_seed + i, seconds)
 
     results = {side: [] for side in SIDES}
     workloads = {}

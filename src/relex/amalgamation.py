@@ -398,6 +398,7 @@ class AmalgamClasses:
     representatives: list[Structure]
     orbits: list[list[Structure]]  # aligned with representatives
     # per orbit member, its (name, tuple) pairs whose range is all of [1, n]
+    # (empty above max arity, where no tuple reaches that range)
     new_tuples: list[list[tuple[tuple[str, tuple[int, ...]], ...]]]
 
 
@@ -413,25 +414,49 @@ def _slot_bits(klass: FiniteClass, k: int) -> dict[tuple[str, tuple[int, ...]], 
     return bits
 
 
+def _mask(klass: FiniteClass, k: int, pairs) -> int:
+    """The OR of the (name, tuple) pairs' bits in `_slot_bits(klass, k)`."""
+    bit_of = _slot_bits(klass, k)
+    mask = 0
+    for slot in pairs:
+        bit = bit_of.get(slot)
+        if bit is None:
+            raise ValueError(f"partial tuple {slot[1]} of {slot[0]!r} is not a "
+                             f"non-surjective tuple on [1, {k}]")
+        mask |= bit
+    return mask
+
+
+def _partial(names, pairs) -> dict[str, set]:
+    """The (name, tuple) pairs as a partial structure: name -> set of tuples."""
+    partial: dict[str, set] = {name: set() for name in names}
+    for name, tup in pairs:
+        partial[name].add(tup)
+    return partial
+
+
+def _step_classes(klass: FiniteClass, k: int, pairs) -> AmalgamClasses:
+    """The amalgam classes of the partial on [1, k] that the (name, tuple)
+    pairs fix: up to max arity one cache lookup under (k, mask); a miss, or
+    a larger k, goes through `_amalgam_classes`."""
+    if k <= klass.signature.max_arity():
+        cached = klass._amalgam_cache.get((k, _mask(klass, k, pairs)))
+        if cached is not None:
+            return cached
+    return _amalgam_classes(klass, k, _partial(klass.signature.names(), pairs))
+
+
 def _amalgam_classes(klass: FiniteClass, n: int, partial: dict[str, set]) -> AmalgamClasses:
-    # Up to max arity the cache key is (n, mask), the mask the sum of the
+    # Up to max arity the cache key is (n, mask), the mask the OR of the
     # partial's bits in _slot_bits(klass, n), so there are finitely many
-    # keys.  Above max arity no tuple is free, the single
+    # keys, and each entry also lists every orbit member's new tuples for
+    # `_step_classes`' callers.  Above max arity no tuple is free, the single
     # candidate is cheap to rebuild, and caching those partials would grow
     # without bound on long sampling runs.
     cacheable = klass.signature.max_arity() >= n
-    cache_key = None
     if cacheable:
-        bit_of = _slot_bits(klass, n)
-        mask = 0
-        for name, tups in partial.items():
-            for tup in tups:
-                bit = bit_of.get((name, tup))
-                if bit is None:
-                    raise ValueError(f"partial tuple {tup} of {name!r} is not a "
-                                     f"non-surjective tuple on [1, {n}]")
-                mask |= bit
-        cache_key = (n, mask)
+        cache_key = (n, _mask(klass, n, ((name, tup) for name, tups in partial.items()
+                                         for tup in tups)))
         cached = klass._amalgam_cache.get(cache_key)
         if cached is not None:
             return cached
@@ -444,13 +469,17 @@ def _amalgam_classes(klass: FiniteClass, n: int, partial: dict[str, set]) -> Ama
             groups.setdefault(canonical_form(s).key(), []).append(s)
         orbits = [sorted(group, key=lambda s: s.key()) for group in groups.values()]
         orbits.sort(key=lambda orbit: orbit[0].key())
-    names = klass.signature.names()
+    if cacheable:
+        names = klass.signature.names()
+        new_tuples = [[tuple((name, tup) for name in names for tup in member.tuples(name)
+                             if len(set(tup)) == n) for member in orbit] for orbit in orbits]
+    else:  # no tuple of arity below n has range [1, n]
+        new_tuples = [[()] * len(orbit) for orbit in orbits]
     result = AmalgamClasses(
         all_amalgams=amalgams_list,
         representatives=[orbit[0] for orbit in orbits],
         orbits=orbits,
-        new_tuples=[[tuple((name, tup) for name in names for tup in member.tuples(name)
-                           if len(set(tup)) == n) for member in orbit] for orbit in orbits])
+        new_tuples=new_tuples)
     if cacheable:
         klass._amalgam_cache[cache_key] = result
     return result

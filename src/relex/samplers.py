@@ -15,7 +15,7 @@ import itertools
 import math
 from typing import Mapping, Optional, Sequence
 
-from .amalgamation import FiniteClass, _amalgam_classes, _slot_bits
+from .amalgamation import FiniteClass, _partial, _step_classes
 from .embeddings import (Oracle, enumerate_embeddings, ensure_lazy,
                          natural_embedding)
 from .randomness import (HierarchicalRandomSource, SeedStream, permutation_rank)
@@ -102,14 +102,6 @@ def sample_maxseg_exchangeable(rules, oracle: Oracle, n: int,
 
 # --- frame-wise uniform construction -------------------------------------------
 
-def _partial(names, pairs) -> dict[str, set]:
-    """The (name, tuple) pairs as a partial structure: name -> set of tuples."""
-    partial: dict[str, set] = {name: set() for name in names}
-    for name, tup in pairs:
-        partial[name].add(tup)
-    return partial
-
-
 def _class_index(u: float, count: int, rep_weights: Optional[tuple]) -> int:
     """The choice among `count` classes that the uniform u makes: equal-width
     intervals, or intervals proportional to `rep_weights` when it has
@@ -138,12 +130,12 @@ def sample_framewise(klass: FiniteClass, n: int, src: HierarchicalRandomSource,
     concrete member within the class is orbit[rank(ordering of s) mod orbit
     size], which is uniform because the orbit size divides |s|!.
 
-    A step with |s| up to the max arity is one lookup in the class's
-    amalgam cache under (|s|, mask), the bits of the decided tuples inside s
-    among the non-surjective tuples on [1, |s|] (see `_amalgam_classes`);
-    the entry also lists each orbit member's tuples with range all of
-    [1, |s|].  A miss, or a larger step, which nothing caches, hands the
-    partial to `_amalgam_classes`.
+    Each step hands the decided tuples inside s, relabelled onto [1, |s|],
+    to `_step_classes`: up to the max arity that is one lookup in the
+    class's amalgam cache under (|s|, mask), the bits of those tuples among
+    the non-surjective tuples on [1, |s|]; the entry also lists each orbit
+    member's tuples with range all of [1, |s|].  A miss, or a larger step,
+    which nothing caches, builds the partial for `_amalgam_classes`.
 
     Only subsets of size at most max(arity, locality) are visited, or every
     subset when the class's locality is unknown: above that size the step
@@ -186,7 +178,6 @@ def sample_framewise(klass: FiniteClass, n: int, src: HierarchicalRandomSource,
     forced_above = klass.forced_above
     top = n if forced_above is None else min(n, forced_above)
     for k in range(2, top + 1):
-        bit_of = _slot_bits(klass, k) if k <= max_arity else None
         # by size, the positions in s of each proper subset that can be a support
         positions = [list(itertools.combinations(range(1, k + 1), size))
                      for size in range(1, min(max_arity, k - 1) + 1)]
@@ -196,14 +187,7 @@ def sample_framewise(klass: FiniteClass, n: int, src: HierarchicalRandomSource,
                       for size, sub_positions in enumerate(positions, start=1)
                       for support, pos in zip(itertools.combinations(s, size), sub_positions)
                       for name, tup in decided.get(support, ())]
-            classes = None
-            if bit_of is not None:
-                mask = 0
-                for slot in inside:
-                    mask |= bit_of[slot]
-                classes = klass._amalgam_cache.get((k, mask))
-            if classes is None:
-                classes = _amalgam_classes(klass, k, _partial(names, inside))
+            classes = _step_classes(klass, k, inside)
             reps = classes.representatives
             if not reps:
                 local = Structure._trusted(signature, k, _partial(names, inside))

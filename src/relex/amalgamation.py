@@ -78,6 +78,7 @@ class FiniteClass:
         # (k, mask) -> AmalgamClasses for k <= max arity; see _amalgam_classes
         self._amalgam_cache: dict = {}
         self._slot_bits: dict[int, dict] = {}
+        self._singles: Optional[tuple] = None
 
     @property
     def forced_above(self) -> Optional[int]:
@@ -412,6 +413,18 @@ def _slot_bits(klass: FiniteClass, k: int) -> dict[tuple[str, tuple[int, ...]], 
                  if len(set(tup)) < k)
         bits = klass._slot_bits[k] = {slot: 1 << j for j, slot in enumerate(slots)}
     return bits
+
+
+def _singles(klass: FiniteClass) -> tuple[tuple[tuple[str, tuple[int, ...]], ...], ...]:
+    """Per size-1 member, in enumeration order, its (name, tuple) pairs;
+    computed once per class."""
+    singles = klass._singles
+    if singles is None:
+        names = klass.signature.names()
+        singles = klass._singles = tuple(
+            tuple((name, tup) for name in names for tup in member.tuples(name))
+            for member in klass.enumerate(1))
+    return singles
 
 
 def _mask(klass: FiniteClass, k: int, pairs) -> int:

@@ -24,10 +24,16 @@ The byte contract, pinned by tests/golden/randomness.json:
 
 SeedStream keys the same way with its meta seed and hashes `seed|index`
 to an 8-byte digest, read big-endian.
+
+The sorted subset and its label text are memoised per validated subset (the
+elements as exact ints, after `operator.index`), in a bounded module-level
+cache shared by all sources; every call still runs every input check, and
+no byte of any draw changes.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import operator
 from typing import Iterable, Sequence
@@ -47,6 +53,17 @@ def _integer(value, what: str) -> int:
         raise ValueError(f"{what} {value!r} is not an integer") from None
 
 
+@functools.lru_cache(maxsize=4096)
+def _label(ints: tuple[int, ...]) -> tuple[tuple[int, ...], bytes]:
+    """The sorted distinct elements of a subset of exact ints, and their
+    comma-separated decimal text.  Keyed by `operator.index` results only:
+    (1.0, 2.0) hashes and compares equal to (1, 2)."""
+    items = tuple(sorted(set(ints)))
+    if items and items[0] < 1:
+        raise ValueError("subset elements must be positive integers")
+    return items, ",".join(map(str, items)).encode("ascii")
+
+
 class HierarchicalRandomSource:
     """Deterministic per-seed family of per-subset uniforms and orders."""
 
@@ -56,18 +73,18 @@ class HierarchicalRandomSource:
         # keyed once; every block hashes a copy
         self._hasher = hashlib.blake2b(key=self.seed.to_bytes(8, "big"), digest_size=32)
 
-    def _check(self, subset: Sequence[int]) -> list[int]:
+    def _check(self, subset: Iterable[int]) -> tuple[tuple[int, ...], bytes]:
+        subset = tuple(subset)
         try:
-            s = sorted(set(map(operator.index, subset)))
+            ints = tuple(map(operator.index, subset))
         except TypeError:
             bad = next(x for x in subset if not hasattr(type(x), "__index__"))
             raise ValueError(f"subset element {bad!r} is not an integer") from None
-        if s and s[0] < 1:
-            raise ValueError("subset elements must be positive integers")
-        if self.max_arity is not None and len(s) > max(self.max_arity, 0):
+        items, text = _label(ints)
+        if self.max_arity is not None and len(items) > max(self.max_arity, 0):
             raise ArityExceededError(
-                f"subset size {len(s)} exceeds max arity {self.max_arity}")
-        return s
+                f"subset size {len(items)} exceeds max arity {self.max_arity}")
+        return items, text
 
     def xi(self, subset: Iterable[int] = ()) -> float:
         """Uniform [0,1) value attached to the subset; 53 random bits.
@@ -75,9 +92,8 @@ class HierarchicalRandomSource:
         The empty subset is always allowed and acts as the global mixing
         variable shared by the whole sample.
         """
-        s = self._check(tuple(subset))
         hasher = self._hasher.copy()
-        hasher.update(b"xi|%s#0" % ",".join(map(str, s)).encode("ascii"))
+        hasher.update(b"xi|" + self._check(subset)[1] + b"#0")
         return (int.from_bytes(hasher.digest()[:7], "big") >> 3) / (1 << 53)
 
     def ordering(self, subset: Iterable[int]) -> tuple[int, ...]:
@@ -86,10 +102,11 @@ class HierarchicalRandomSource:
         Returned as the subset's elements listed smallest-first in the
         drawn order; all |s|! orders are equally likely across seeds.
         """
-        items = self._check(tuple(subset))
+        items, text = self._check(subset)
         if len(items) < 2:
-            return tuple(items)
-        label = b"ord|%s#" % ",".join(map(str, items)).encode("ascii")
+            return items
+        items = list(items)
+        label = b"ord|" + text + b"#"
         block = self._hasher.copy()
         block.update(label + b"0")
         buffer, used, counter, stem = block.digest(), 0, 1, None

@@ -11,11 +11,12 @@ the subset it concerns.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from typing import Mapping, Optional, Sequence
 
-from .amalgamation import FiniteClass, _partial, _step_classes
+from .amalgamation import FiniteClass, _partial, _singles, _step_classes
 from .embeddings import (Oracle, enumerate_embeddings, ensure_lazy,
                          natural_embedding)
 from .randomness import (HierarchicalRandomSource, SeedStream, permutation_rank)
@@ -117,6 +118,14 @@ def _class_index(u: float, count: int, rep_weights: Optional[tuple]) -> int:
     return count - 1
 
 
+@functools.lru_cache(maxsize=256)
+def _support_positions(k: int, max_arity: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """By size, from 1 to min(max_arity, k - 1), the positions in a k-subset
+    of each of its proper subsets that can be a support."""
+    return tuple(tuple(itertools.combinations(range(1, k + 1), size))
+                 for size in range(1, min(max_arity, k - 1) + 1))
+
+
 def sample_framewise(klass: FiniteClass, n: int, src: HierarchicalRandomSource,
                      rep_weights: Optional[Sequence[float]] = None) -> Structure:
     """Grow a structure subset by subset, uniformly over amalgam classes.
@@ -135,7 +144,10 @@ def sample_framewise(klass: FiniteClass, n: int, src: HierarchicalRandomSource,
     class's amalgam cache under (|s|, mask), the bits of those tuples among
     the non-surjective tuples on [1, |s|]; the entry also lists each orbit
     member's tuples with range all of [1, |s|].  A miss, or a larger step,
-    which nothing caches, builds the partial for `_amalgam_classes`.
+    which nothing caches, builds the partial for `_amalgam_classes`.  The
+    size-1 members' pairs are computed once per class (`_singles`), the
+    positions of the supports inside a k-subset once per (k, max arity),
+    and no subset is scanned for decided tuples while none has been decided.
 
     Only subsets of size at most max(arity, locality) are visited, or every
     subset when the class's locality is unknown: above that size the step
@@ -161,32 +173,29 @@ def sample_framewise(klass: FiniteClass, n: int, src: HierarchicalRandomSource,
     if n == 0:
         return Structure._trusted(signature, 0, {})
 
-    age1 = klass.enumerate(1)
-    if not age1:
+    singles = _singles(klass)
+    if not singles:
         raise ValueError(f"class {klass.name!r} has no members of size 1")
     max_arity = signature.max_arity()
     # sorted support -> its decided (name, tuple) pairs, the tuples with
     # exactly that range, labelled on [1, |support|]; only nonempty entries
     decided: dict[tuple, tuple] = {}
-    singles = [tuple((name, tup) for name in names for tup in member.tuples(name))
-               for member in age1]
+    count = len(singles)
     for i in range(1, n + 1):
-        index = 0 if len(age1) == 1 else _class_index(src.xi((i,)), len(age1), None)
-        if singles[index]:
-            decided[(i,)] = singles[index]
+        pairs = singles[0 if count == 1 else min(int(src.xi((i,)) * count), count - 1)]
+        if pairs:
+            decided[(i,)] = pairs
 
     forced_above = klass.forced_above
     top = n if forced_above is None else min(n, forced_above)
     for k in range(2, top + 1):
-        # by size, the positions in s of each proper subset that can be a support
-        positions = [list(itertools.combinations(range(1, k + 1), size))
-                     for size in range(1, min(max_arity, k - 1) + 1)]
+        positions = _support_positions(k, max_arity)
         for s in itertools.combinations(range(1, n + 1), k):
             # the decided tuples inside s, relabelled onto [1, k]
             inside = [(name, tuple([pos[c - 1] for c in tup]))
                       for size, sub_positions in enumerate(positions, start=1)
                       for support, pos in zip(itertools.combinations(s, size), sub_positions)
-                      for name, tup in decided.get(support, ())]
+                      for name, tup in decided.get(support, ())] if decided else []
             classes = _step_classes(klass, k, inside)
             reps = classes.representatives
             if not reps:
@@ -197,7 +206,9 @@ def sample_framewise(klass: FiniteClass, n: int, src: HierarchicalRandomSource,
             if len(reps) == 1 and len(classes.orbits[0]) == 1:
                 index, rank = 0, 0
             else:
-                index = _class_index(src.xi(s), len(reps), rep_weights)
+                u, count = src.xi(s), len(reps)
+                index = (min(int(u * count), count - 1) if rep_weights is None
+                         else _class_index(u, count, rep_weights))
                 order = src.ordering(s)
                 orbit_size = len(classes.orbits[index])
                 rank = (permutation_rank([s.index(x) + 1 for x in order]) % orbit_size

@@ -103,11 +103,12 @@ def sample_maxseg_exchangeable(rules, oracle: Oracle, n: int,
 
 # --- frame-wise uniform construction -------------------------------------------
 
-def _class_index(u: float, count: int, rep_weights: Optional[tuple]) -> int:
-    """The choice among `count` classes that the uniform u makes: equal-width
-    intervals, or intervals proportional to `rep_weights` when it has
-    `count` entries."""
-    if rep_weights is None or len(rep_weights) != count:
+def _class_index(u: float, count: int, rep_weights: tuple) -> int:
+    """The choice among `count` classes that the uniform u makes: intervals
+    proportional to `rep_weights` when it has `count` entries, else
+    equal-width intervals (`sample_framewise` takes those inline when there
+    are no weights)."""
+    if len(rep_weights) != count:
         return min(int(u * count), count - 1)
     total = sum(rep_weights)
     cum = 0.0

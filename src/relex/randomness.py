@@ -25,10 +25,10 @@ The byte contract, pinned by tests/golden/randomness.json:
 SeedStream keys the same way with its meta seed and hashes `seed|index`
 to an 8-byte digest, read big-endian.
 
-The sorted subset and its label text are memoised per validated subset (the
-elements as exact ints, after `operator.index`), in a bounded module-level
-cache shared by all sources; every call still runs every input check, and
-no byte of any draw changes.
+The sorted subset and its label text are memoised per validated subset of
+at most 16 elements (the elements as exact ints, after `operator.index`), in
+a bounded module-level cache shared by all sources; every call still runs
+every input check, and no byte of any draw changes.
 """
 
 from __future__ import annotations
@@ -39,6 +39,9 @@ import operator
 from typing import Iterable, Sequence
 
 _MASK64 = (1 << 64) - 1
+# subsets longer than this are labelled afresh: memoised, each would pin its
+# elements and text (about 3.5 MB for 65,548 elements) until evicted
+_MEMO_MAX_LEN = 16
 
 
 class ArityExceededError(ValueError):
@@ -80,7 +83,7 @@ class HierarchicalRandomSource:
         except TypeError:
             bad = next(x for x in subset if not hasattr(type(x), "__index__"))
             raise ValueError(f"subset element {bad!r} is not an integer") from None
-        items, text = _label(ints)
+        items, text = (_label if len(ints) <= _MEMO_MAX_LEN else _label.__wrapped__)(ints)
         if self.max_arity is not None and len(items) > max(self.max_arity, 0):
             raise ArityExceededError(
                 f"subset size {len(items)} exceeds max arity {self.max_arity}")

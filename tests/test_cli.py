@@ -2,6 +2,7 @@
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -16,12 +17,12 @@ GRAPH_SIG = Signature((("E", 2),))
 RELEX_PARENT = str(Path(relex.__file__).resolve().parent.parent)
 
 
-def run_cli(*args, env=None):
+def run_cli(*args, env=None, cwd=None):
     env = dict(os.environ if env is None else env)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [RELEX_PARENT, env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "relex", *args],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=env, cwd=cwd)
 
 
 # --- check ------------------------------------------------------------------------
@@ -337,6 +338,52 @@ def test_embeddings_between_structure_files(tmp_path):
 def test_embeddings_missing_file():
     assert run_cli("embeddings", "--source", "no.json",
                    "--target", "no.json").returncode == 2
+
+
+# --- the README's CLI block ---------------------------------------------------------
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _readme_cli_examples() -> list[tuple[str, list[str]]]:
+    """Each `$ relex ...` line of the README's CLI block with the lines
+    printed below it, trailing blank lines dropped."""
+    text = (ROOT / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```text\n", 1)[1].split("```", 1)[0]
+    examples = []
+    for line in block.splitlines():
+        if line.startswith("$ relex "):
+            examples.append((line[2:], []))
+        elif examples:
+            examples[-1][1].append(line)
+    for _, expected in examples:
+        while expected and not expected[-1]:
+            expected.pop()
+    return examples
+
+
+README_EXAMPLES = _readme_cli_examples()
+
+
+def test_readme_cli_block_is_found():
+    assert [command.split()[1] for command, _ in README_EXAMPLES] == [
+        "check", "sample", "theory", "test"]
+
+
+@pytest.mark.parametrize("command, expected", README_EXAMPLES,
+                         ids=[command for command, _ in README_EXAMPLES])
+def test_readme_cli_output(command, expected):
+    """A README line ending in `...}` elides the rest of the line; it is
+    matched as a prefix."""
+    result = run_cli(*shlex.split(command)[1:], cwd=ROOT)
+    assert result.returncode in (0, 1), result.stderr
+    actual = result.stdout.rstrip("\n").split("\n")
+    assert len(actual) == len(expected), result.stdout
+    for got, want in zip(actual, expected):
+        if want.endswith("...}"):
+            assert got.startswith(want[:-len("...}")]), (got, want)
+        else:
+            assert got == want
 
 
 # --- argparse-level errors ----------------------------------------------------------

@@ -7,9 +7,12 @@ import re
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relex import (ArityExceededError, HierarchicalRandomSource, InducedOrdering,
                    SeedStream, induced_ordering, permutation_rank)
+from relex.randomness import _label
 
 from helpers import naive_keyed_draws
 
@@ -138,6 +141,55 @@ def test_draws_match_the_documented_construction():
         subset = rng.sample(range(1, 3 * size + 2), size)
         src = HierarchicalRandomSource(seed)
         assert (src.xi(subset), src.ordering(subset)) == naive_keyed_draws(seed, subset)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-2 ** 70, 2 ** 70), st.lists(st.integers(1, 12), max_size=8))
+def test_random_subsets_match_the_documented_construction(seed, subset):
+    """Unsorted, duplicated subsets; the label memo is warm for many of them."""
+    src = HierarchicalRandomSource(seed)
+    assert (src.xi(subset), src.ordering(subset)) == naive_keyed_draws(seed, subset)
+
+
+# --- the label memo keeps every check ----------------------------------------------
+
+def test_memoised_subset_keeps_every_check():
+    src = HierarchicalRandomSource(11)
+    src.xi((1, 2))                                    # memoises (1, 2)
+    for draw in (src.xi, src.ordering):
+        for subset, culprit in (((1.0, 2.0), "1.0"), (("1", 2), "'1'"),
+                                ((x for x in (1, 2.0)), "2.0")):
+            with pytest.raises(ValueError, match=f"subset element {re.escape(culprit)} "):
+                draw(subset)
+        for _ in range(2):                            # a rejection is not memoised
+            with pytest.raises(ValueError, match="positive integers"):
+                draw((0, 1))
+    with pytest.raises(ArityExceededError, match="subset size 2 exceeds max arity 1"):
+        HierarchicalRandomSource(11, max_arity=1).xi((1, 2))
+    with pytest.raises(ArityExceededError):
+        HierarchicalRandomSource(11, max_arity=1).ordering((2, 1))
+
+
+def test_memoised_subset_draws_the_same_for_every_spelling():
+    np = pytest.importorskip("numpy")
+    src = HierarchicalRandomSource(12)
+    xi, order = src.xi((1, 2)), src.ordering((1, 2))
+    for spelling in (lambda: (2, 1, 2), lambda: (True, 2), lambda: [np.int64(2), np.int64(1)],
+                     lambda: (x for x in (2, 1))):
+        assert src.xi(spelling()) == xi
+        drawn = src.ordering(spelling())
+        assert drawn == order and all(type(x) is int for x in drawn)
+
+
+def test_only_short_subsets_are_memoised():
+    src = HierarchicalRandomSource(13)
+    before = _label.cache_info()
+    src.xi(range(1, 18))                              # 17 elements: labelled afresh
+    src.ordering(range(17, 0, -1))
+    assert _label.cache_info() == before
+    src.xi(range(1, 17))                              # 16 elements: memoised
+    after = _label.cache_info()
+    assert after.hits + after.misses == before.hits + before.misses + 1
 
 
 # --- induced orderings ----------------------------------------------------------------

@@ -5,6 +5,8 @@ import itertools
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relex import (AgeIndexedLaw, AmalgamationFailure, FiniteClass, FramewiseSampler,
                    HierarchicalRandomSource, LazyStructure, MaxSegSampler, SeedStream,
@@ -13,10 +15,11 @@ from relex import (AgeIndexedLaw, AmalgamationFailure, FiniteClass, FramewiseSam
                    sample_framewise, sample_m_exchangeable,
                    sample_maxseg_exchangeable, sample_sequential,
                    ExchangeableSampler, age_indexed_from_sampler)
-from relex.amalgamation import BUILTIN_CLASS_NAMES, from_theory
+from relex.amalgamation import BUILTIN_CLASS_NAMES, from_theory, make_builtin_class
 from relex.catalog import (evens_oracle, random_graph_rules,
                            same_class_triple_oracle, tournament_rules,
                            two_coin_rules, weak_rep_rules)
+from relex.samplers import _support_positions
 from relex.theory import load_theory
 
 GRAPHS = builtin_class("graphs")
@@ -303,6 +306,44 @@ def test_framewise_step_tables_agree_with_unknown_locality(label, make):
     for seed in range(10):
         for n in range(6):
             assert _framewise_outcome(bare, n, seed) == _framewise_outcome(klass, n, seed)
+
+
+FRAMEWISE_BUILTINS = [name for name in BUILTIN_CLASS_NAMES if builtin_class(name).enumerate(1)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(FRAMEWISE_BUILTINS), st.integers(0, 6), st.data(),
+       st.integers(0, 2 ** 64 - 1))
+def test_framewise_projective_over_random_seeds(name, n, data, seed):
+    m = data.draw(st.integers(0, n), label="m")
+    klass = builtin_class(name)
+    big, small = _framewise_outcome(klass, n, seed), _framewise_outcome(klass, m, seed)
+    if isinstance(big, Structure):
+        assert restrict(big, range(1, m + 1)) == small
+    elif max(big[0]) <= m:
+        # the subsets inside [1, m] come in the same order at n and at m
+        assert small == big
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 5), st.integers(0, 2 ** 64 - 1), st.integers(0, 2 ** 64 - 1))
+def test_framewise_draws_on_a_fresh_class_as_on_a_warmed_one(n, seed, warm_seed):
+    for name in FRAMEWISE_BUILTINS:
+        fresh = _framewise_outcome(make_builtin_class(name), n, seed)
+        warmed = make_builtin_class(name)
+        _framewise_outcome(warmed, 6, warm_seed)
+        assert _framewise_outcome(warmed, n, seed) == fresh, name
+
+
+def test_support_positions_are_keyed_by_max_arity_too():
+    # one memo serves every class: the positions built for a binary class at
+    # k = 4 must not serve a ternary one, nor the other way round
+    for arities in ((2, 3), (3, 2)):
+        _support_positions.cache_clear()
+        for max_arity in arities:
+            assert _support_positions(4, max_arity) == tuple(
+                tuple(itertools.combinations((1, 2, 3, 4), size))
+                for size in range(1, max_arity + 1))
 
 
 # --- reference plumbing -----------------------------------------------------------------

@@ -290,7 +290,38 @@ def test_canonical_form_is_a_fixed_point_and_isomorphic_to_input():
         assert canonical_form(c) == c
 
 
+@st.composite
+def _structure_and_permutation(draw):
+    """A structure on at most 6 points (a random set of in-range tuples) and a
+    permutation of its universe."""
+    signature = draw(st.sampled_from(PULL_BACK_SIGNATURES + (Signature(()),)))
+    n = draw(st.integers(0, 6))
+    relations = {name: draw(st.lists(st.tuples(*[st.integers(1, n)] * arity), max_size=16))
+                 if n else [] for name, arity in signature}
+    return Structure(signature, n, relations), draw(st.permutations(range(1, n + 1)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_structure_and_permutation())
+def test_canonical_form_is_unchanged_by_a_permutation(case):
+    s, perm = case
+    permuted = Structure(s.signature, s.n,
+                         {name: [tuple(perm[c - 1] for c in tup) for tup in s.tuples(name)]
+                          for name in s.signature.names()})
+    assert canonical_form(permuted) == canonical_form(s)
+    assert canonical_form(permuted).key() == canonical_form(s).key()
+
+
 # --- serialization ---------------------------------------------------------------
+
+@settings(max_examples=100, deadline=None)
+@given(_structure_and_permutation())
+def test_serialize_round_trips_with_equal_key(case):
+    s, _ = case
+    back = deserialize(serialize(s))
+    assert back == s and hash(back) == hash(s)
+    assert back.key() == s.key()
+
 
 def test_serialize_round_trip_random():
     rng = random.Random(3)

@@ -26,9 +26,9 @@ SeedStream keys the same way with its meta seed and hashes `seed|index`
 to an 8-byte digest, read big-endian.
 
 The sorted subset and its label text are memoised per validated subset of
-at most 16 elements (the elements as exact ints, after `operator.index`), in
-a bounded module-level cache shared by all sources; every call still runs
-every input check, and no byte of any draw changes.
+at most 8 elements (the elements as exact ints, after `operator.index`), in
+a module-level cache of at most 1024 subsets shared by all sources; every
+call still runs every input check, and no byte of any draw changes.
 """
 
 from __future__ import annotations
@@ -39,9 +39,11 @@ import operator
 from typing import Iterable, Sequence
 
 _MASK64 = (1 << 64) - 1
-# subsets longer than this are labelled afresh: memoised, each would pin its
-# elements and text (about 3.5 MB for 65,548 elements) until evicted
-_MEMO_MAX_LEN = 16
+# Subsets longer than this are labelled afresh: memoised, each would pin its
+# elements and text (about 3.5 MB for 65,548 elements) until evicted.  The
+# frame-wise sampler draws on subsets of at most max(arity, locality)
+# elements, 4 for the builtin classes, and rule samplers on tuples' entry sets.
+_MEMO_MAX_LEN = 8
 
 
 class ArityExceededError(ValueError):
@@ -56,7 +58,9 @@ def _integer(value, what: str) -> int:
         raise ValueError(f"{what} {value!r} is not an integer") from None
 
 
-@functools.lru_cache(maxsize=4096)
+# full of 8-element subsets, the memo holds at most about 0.7 MB; the most
+# any benchmark workload draws on is 315 distinct subsets (rules-reference)
+@functools.lru_cache(maxsize=1024)
 def _label(ints: tuple[int, ...]) -> tuple[tuple[int, ...], bytes]:
     """The sorted distinct elements of a subset of exact ints, and their
     comma-separated decimal text.  Keyed by `operator.index` results only:

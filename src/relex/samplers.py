@@ -11,7 +11,6 @@ the subset it concerns.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from typing import Mapping, Optional, Sequence
@@ -103,12 +102,11 @@ def sample_maxseg_exchangeable(rules, oracle: Oracle, n: int,
 
 # --- frame-wise uniform construction -------------------------------------------
 
-def _class_index(u: float, count: int, rep_weights: tuple) -> int:
-    """The choice among `count` classes that the uniform u makes: intervals
-    proportional to `rep_weights` when it has `count` entries, else
-    equal-width intervals (`sample_framewise` takes those inline when there
-    are no weights)."""
-    if len(rep_weights) != count:
+def _class_index(u: float, count: int, rep_weights: Optional[tuple]) -> int:
+    """The choice among `count` classes that the uniform u makes: equal-width
+    intervals, or intervals proportional to `rep_weights` when it has
+    `count` entries."""
+    if rep_weights is None or len(rep_weights) != count:
         return min(int(u * count), count - 1)
     total = sum(rep_weights)
     cum = 0.0
@@ -117,14 +115,6 @@ def _class_index(u: float, count: int, rep_weights: tuple) -> int:
         if u < cum / total:
             return j
     return count - 1
-
-
-@functools.lru_cache(maxsize=256)
-def _support_positions(k: int, max_arity: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """By size, from 1 to min(max_arity, k - 1), the positions in a k-subset
-    of each of its proper subsets that can be a support."""
-    return tuple(tuple(itertools.combinations(range(1, k + 1), size))
-                 for size in range(1, min(max_arity, k - 1) + 1))
 
 
 def sample_framewise(klass: FiniteClass, n: int, src: HierarchicalRandomSource,
@@ -146,9 +136,8 @@ def sample_framewise(klass: FiniteClass, n: int, src: HierarchicalRandomSource,
     the non-surjective tuples on [1, |s|]; the entry also lists each orbit
     member's tuples with range all of [1, |s|].  A miss, or a larger step,
     which nothing caches, builds the partial for `_amalgam_classes`.  The
-    size-1 members' pairs are computed once per class (`_singles`), the
-    positions of the supports inside a k-subset once per (k, max arity),
-    and no subset is scanned for decided tuples while none has been decided.
+    size-1 members' pairs are computed once per class (`_singles`), and no
+    subset is scanned for decided tuples while none has been decided.
 
     Only subsets of size at most max(arity, locality) are visited, or every
     subset when the class's locality is unknown: above that size the step
@@ -181,16 +170,17 @@ def sample_framewise(klass: FiniteClass, n: int, src: HierarchicalRandomSource,
     # sorted support -> its decided (name, tuple) pairs, the tuples with
     # exactly that range, labelled on [1, |support|]; only nonempty entries
     decided: dict[tuple, tuple] = {}
-    count = len(singles)
     for i in range(1, n + 1):
-        pairs = singles[0 if count == 1 else min(int(src.xi((i,)) * count), count - 1)]
-        if pairs:
-            decided[(i,)] = pairs
+        index = 0 if len(singles) == 1 else _class_index(src.xi((i,)), len(singles), None)
+        if singles[index]:
+            decided[(i,)] = singles[index]
 
     forced_above = klass.forced_above
     top = n if forced_above is None else min(n, forced_above)
     for k in range(2, top + 1):
-        positions = _support_positions(k, max_arity)
+        # by size, the positions in s of each proper subset that can be a support
+        positions = [list(itertools.combinations(range(1, k + 1), size))
+                     for size in range(1, min(max_arity, k - 1) + 1)]
         for s in itertools.combinations(range(1, n + 1), k):
             # the decided tuples inside s, relabelled onto [1, k]
             inside = [(name, tuple([pos[c - 1] for c in tup]))
@@ -207,9 +197,7 @@ def sample_framewise(klass: FiniteClass, n: int, src: HierarchicalRandomSource,
             if len(reps) == 1 and len(classes.orbits[0]) == 1:
                 index, rank = 0, 0
             else:
-                u, count = src.xi(s), len(reps)
-                index = (min(int(u * count), count - 1) if rep_weights is None
-                         else _class_index(u, count, rep_weights))
+                index = _class_index(src.xi(s), len(reps), rep_weights)
                 order = src.ordering(s)
                 orbit_size = len(classes.orbits[index])
                 rank = (permutation_rank([s.index(x) + 1 for x in order]) % orbit_size

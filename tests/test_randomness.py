@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from relex import (ArityExceededError, HierarchicalRandomSource, InducedOrdering,
                    SeedStream, induced_ordering, permutation_rank)
-from relex.randomness import _label
+from relex.randomness import _MEMO_MAX_LEN, _label
 
 from helpers import naive_keyed_draws
 
@@ -184,10 +184,10 @@ def test_memoised_subset_draws_the_same_for_every_spelling():
 def test_only_short_subsets_are_memoised():
     src = HierarchicalRandomSource(13)
     before = _label.cache_info()
-    src.xi(range(1, 18))                              # 17 elements: labelled afresh
-    src.ordering(range(17, 0, -1))
+    src.xi(range(1, _MEMO_MAX_LEN + 2))               # one too long: labelled afresh
+    src.ordering(range(_MEMO_MAX_LEN + 1, 0, -1))
     assert _label.cache_info() == before
-    src.xi(range(1, 17))                              # 16 elements: memoised
+    src.xi(range(1, _MEMO_MAX_LEN + 1))               # the longest memoised
     after = _label.cache_info()
     assert after.hits + after.misses == before.hits + before.misses + 1
 

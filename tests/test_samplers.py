@@ -19,7 +19,6 @@ from relex.amalgamation import BUILTIN_CLASS_NAMES, from_theory, make_builtin_cl
 from relex.catalog import (evens_oracle, random_graph_rules,
                            same_class_triple_oracle, tournament_rules,
                            two_coin_rules, weak_rep_rules)
-from relex.samplers import _support_positions
 from relex.theory import load_theory
 
 GRAPHS = builtin_class("graphs")
@@ -333,17 +332,6 @@ def test_framewise_draws_on_a_fresh_class_as_on_a_warmed_one(n, seed, warm_seed)
         warmed = make_builtin_class(name)
         _framewise_outcome(warmed, 6, warm_seed)
         assert _framewise_outcome(warmed, n, seed) == fresh, name
-
-
-def test_support_positions_are_keyed_by_max_arity_too():
-    # one memo serves every class: the positions built for a binary class at
-    # k = 4 must not serve a ternary one, nor the other way round
-    for arities in ((2, 3), (3, 2)):
-        _support_positions.cache_clear()
-        for max_arity in arities:
-            assert _support_positions(4, max_arity) == tuple(
-                tuple(itertools.combinations((1, 2, 3, 4), size))
-                for size in range(1, max_arity + 1))
 
 
 # --- reference plumbing -----------------------------------------------------------------

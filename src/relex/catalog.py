@@ -3,8 +3,9 @@
 Each entry pairs a concretely constructed reference structure (as a lazy
 restriction oracle) with a sampler whose output is tied to it, plus a
 verification routine for the structural or statistical claim the pair is
-known to satisfy.  The four named examples are addressable through
-`paper_example` and the `verify-paper-examples` CLI subcommand.
+known to satisfy.  The four named examples are written down once, in
+`_EXAMPLES`; `paper_example`, the CLI's `ref:<example>` sampler spec and
+its `--ref` names read that table, and `verify-paper-examples` checks them.
 """
 
 from __future__ import annotations
@@ -16,22 +17,13 @@ from .embeddings import LazyStructure
 from .randomness import HierarchicalRandomSource, SeedStream
 from .rules import (FunctionDecisionFunction, TableDecisionFunction,
                     TableEntry, context_key)
-from .samplers import (FramewiseSampler, sample_framewise,
-                       sample_m_exchangeable, sample_maxseg_exchangeable)
+from .samplers import (FramewiseSampler, MaxSegSampler, MExchangeableSampler,
+                       sample_framewise)
+from .stattests import _tally
 from .structures import GRAPH_SIGNATURE, UNARY_SIGNATURE, Signature, Structure
 
 TRIPLE_SIG = Signature((("R", 3),))
 OVERLAY_SIG = Signature((("E", 2), ("R", 3)))
-SAMPLE_EDGE_SIG = Signature((("S", 2),))
-
-# The named examples and the signature of each one's sample.
-PAPER_EXAMPLE_SIGNATURES = {
-    "weak-rep": SAMPLE_EDGE_SIG,
-    "tdc-evens": UNARY_SIGNATURE,
-    "parity-overlay": SAMPLE_EDGE_SIG,
-    "strong-rep": UNARY_SIGNATURE,
-}
-PAPER_EXAMPLE_NAMES = tuple(PAPER_EXAMPLE_SIGNATURES)
 
 
 # --- reference oracles ----------------------------------------------------------
@@ -269,40 +261,71 @@ class LoopViolatorSampler:
 
 # --- the named examples ---------------------------------------------------------
 
+# The fixed references by the names the CLI's --ref accepts; each example
+# with a fixed reference adds its own name below.
+_REFERENCE_ORACLES = {"evens": evens_oracle, "same-class-triple": same_class_triple_oracle,
+                      "odd-target": odd_target_oracle}
+
+# Each named example: its reference (the name of a fixed one, or a builder
+# that draws it from the sampling source) and its sampler over that reference.
+_EXAMPLES = {
+    "weak-rep": ("same-class-triple", lambda ref: MaxSegSampler(weak_rep_rules(), ref)),
+    "tdc-evens": ("odd-target", lambda ref: TdcSampler()),
+    "parity-overlay": (parity_overlay_oracle,
+                       lambda ref: MExchangeableSampler(parity_overlay_rules(), ref)),
+    "strong-rep": ("evens", lambda ref: MExchangeableSampler(two_coin_rules(), ref)),
+}
+PAPER_EXAMPLE_NAMES = tuple(_EXAMPLES)
+_REFERENCE_ORACLES.update((name, _REFERENCE_ORACLES[ref]) for name, (ref, _) in _EXAMPLES.items()
+                          if isinstance(ref, str))
+
+
+def _example(name: str, src: HierarchicalRandomSource | None = None):
+    """The named example's reference and its sampler over it; `src` is needed
+    only by a reference drawn from the sampling source."""
+    try:
+        reference, sampler = _EXAMPLES[name]
+    except KeyError:
+        raise KeyError(f"unknown example {name!r}; choose from {PAPER_EXAMPLE_NAMES}") from None
+    oracle = _REFERENCE_ORACLES[reference]() if isinstance(reference, str) else reference(src)
+    return oracle, sampler(oracle)
+
+
 def paper_example(name: str, n: int, src: HierarchicalRandomSource
                   ) -> tuple[LazyStructure, Structure]:
     """Build a named reference oracle and draw one tied sample of size n."""
-    if name == "weak-rep":
-        oracle = same_class_triple_oracle()
-        return oracle, sample_maxseg_exchangeable(weak_rep_rules(), oracle, n, src)
-    if name == "tdc-evens":
-        return odd_target_oracle(), TdcSampler().sample(src, n)
-    if name == "parity-overlay":
-        oracle = parity_overlay_oracle(src)
-        return oracle, sample_m_exchangeable(parity_overlay_rules(), oracle, n, src)
-    if name == "strong-rep":
-        oracle = evens_oracle()
-        return oracle, sample_m_exchangeable(two_coin_rules(), oracle, n, src)
-    raise KeyError(f"unknown example {name!r}; choose from {PAPER_EXAMPLE_NAMES}")
+    oracle, sampler = _example(name, src)
+    return oracle, sampler.sample(src, n)
+
+
+class _ExampleSampler:
+    """Sampler view of a named example, its reference built per source."""
+
+    def __init__(self, name: str):
+        self.name = name
+        # references are lazy, so building one for seed 0 draws nothing
+        self.signature = _example(name, HierarchicalRandomSource(0))[1].signature
+
+    def sample(self, src: HierarchicalRandomSource, n: int) -> Structure:
+        return paper_example(self.name, n, src)[1]
 
 
 # --- claim verification ---------------------------------------------------------
 
+def _example_tally(name: str, n: int, n_samples: int, meta_seed: int):
+    """The example's fixed reference and how often each sample of size n
+    comes up over `n_samples` seeds of the meta seed's stream."""
+    oracle, sampler = _example(name)
+    return oracle, _tally(sampler, n, n_samples, SeedStream(meta_seed), 0)
+
+
 def verify_weak_rep(n_samples: int = 10000, n: int = 3, meta_seed: int = 0) -> dict:
     """Exactly one of (1,2), (1,3) is sampled, in every sample."""
-    oracle = same_class_triple_oracle()
-    rules = weak_rep_rules()
-    seeds = SeedStream(meta_seed)
-    both = neither = 0
-    for i in range(n_samples):
-        sample = sample_maxseg_exchangeable(
-            rules, oracle, n, HierarchicalRandomSource(seeds[i]))
-        a = sample.has("S", (1, 2))
-        b = sample.has("S", (1, 3))
-        if a and b:
-            both += 1
-        if not a and not b:
-            neither += 1
+    oracle, tally = _example_tally("weak-rep", n, n_samples, meta_seed)
+    links = [(sample.has("S", (1, 2)), sample.has("S", (1, 3)), count)
+             for sample, count in tally.items()]
+    both = sum(count for a, b, count in links if a and b)
+    neither = sum(count for a, b, count in links if not a and not b)
     premise = not oracle.initial_segment(3).has("R", (1, 2, 3))
     passed = premise and both == 0 and neither == 0
     return {
@@ -317,14 +340,9 @@ def verify_weak_rep(n_samples: int = 10000, n: int = 3, meta_seed: int = 0) -> d
 
 def verify_tdc_evens(n_samples: int = 6000, n: int = 6, meta_seed: int = 0) -> dict:
     """Every element's marginal inclusion frequency is 1/3 (within 4 sigma)."""
-    sampler = TdcSampler()
-    seeds = SeedStream(meta_seed)
-    counts = {i: 0 for i in range(1, n + 1)}
-    for k in range(n_samples):
-        sample = sampler.sample(HierarchicalRandomSource(seeds[k]), n)
-        for i in range(1, n + 1):
-            if sample.has("P", (i,)):
-                counts[i] += 1
+    _, tally = _example_tally("tdc-evens", n, n_samples, meta_seed)
+    counts = {i: sum(count for sample, count in tally.items() if sample.has("P", (i,)))
+              for i in range(1, n + 1)}
     target = 1.0 / 3.0
     sigma = (target * (1 - target) / n_samples) ** 0.5
     tolerance = 4 * sigma
@@ -341,6 +359,7 @@ def verify_tdc_evens(n_samples: int = 6000, n: int = 6, meta_seed: int = 0) -> d
 
 def verify_parity_overlay(n_samples: int = 1000, n: int = 6, meta_seed: int = 0) -> dict:
     """|S restricted to a distinct triple| is even iff the triple is in R."""
+    # not through _tally: each seed draws its own reference, checked with its sample
     seeds = SeedStream(meta_seed)
     violations = 0
     for k in range(n_samples):
@@ -363,17 +382,9 @@ def verify_parity_overlay(n_samples: int = 1000, n: int = 6, meta_seed: int = 0)
 
 def verify_strong_rep(n_samples: int = 10000, meta_seed: int = 0) -> dict:
     """Marginal inclusion 0.7 on reference-P elements, 0.3 off (within 4 sigma)."""
-    oracle = evens_oracle()
-    rules = two_coin_rules()
-    seeds = SeedStream(meta_seed)
-    count_even = count_odd = 0
-    for k in range(n_samples):
-        sample = sample_m_exchangeable(
-            rules, oracle, 2, HierarchicalRandomSource(seeds[k]))
-        if sample.has("P", (2,)):
-            count_even += 1
-        if sample.has("P", (1,)):
-            count_odd += 1
+    _, tally = _example_tally("strong-rep", 2, n_samples, meta_seed)
+    count_even = sum(count for sample, count in tally.items() if sample.has("P", (2,)))
+    count_odd = sum(count for sample, count in tally.items() if sample.has("P", (1,)))
     sigma = (0.7 * 0.3 / n_samples) ** 0.5
     tolerance = 4 * sigma
     freq_even = count_even / n_samples
@@ -390,16 +401,7 @@ def verify_strong_rep(n_samples: int = 10000, meta_seed: int = 0) -> dict:
 
 def verify_all(meta_seed: int = 0, fast: bool = False) -> list[dict]:
     """Run every catalog claim; `fast` shrinks sample counts for smoke runs."""
-    if fast:
-        return [
-            verify_weak_rep(n_samples=500, meta_seed=meta_seed),
-            verify_tdc_evens(n_samples=1500, meta_seed=meta_seed),
-            verify_parity_overlay(n_samples=100, meta_seed=meta_seed),
-            verify_strong_rep(n_samples=2000, meta_seed=meta_seed),
-        ]
-    return [
-        verify_weak_rep(meta_seed=meta_seed),
-        verify_tdc_evens(meta_seed=meta_seed),
-        verify_parity_overlay(meta_seed=meta_seed),
-        verify_strong_rep(meta_seed=meta_seed),
-    ]
+    verifiers = ((verify_weak_rep, 500), (verify_tdc_evens, 1500),
+                 (verify_parity_overlay, 100), (verify_strong_rep, 2000))
+    return [verify(n_samples=fast_samples, meta_seed=meta_seed) if fast
+            else verify(meta_seed=meta_seed) for verify, fast_samples in verifiers]

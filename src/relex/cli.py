@@ -19,8 +19,7 @@ from dataclasses import dataclass
 from .amalgamation import (BUILTIN_CLASS_NAMES, CapExceededError, FiniteClass,
                            builtin_class, check_dap, check_jep, check_ndap,
                            from_theory, make_builtin_class)
-from .catalog import (PAPER_EXAMPLE_NAMES, PAPER_EXAMPLE_SIGNATURES, evens_oracle,
-                      odd_target_oracle, paper_example, same_class_triple_oracle,
+from .catalog import (_REFERENCE_ORACLES, PAPER_EXAMPLE_NAMES, _ExampleSampler,
                       verify_all)
 from .embeddings import enumerate_embeddings
 from .randomness import HierarchicalRandomSource
@@ -29,7 +28,7 @@ from .samplers import (AmalgamationFailure, ExchangeableSampler,
                        FramewiseSampler, MaxSegSampler, MExchangeableSampler)
 from .stattests import (empirical_law, test_dissociation, test_equal_law,
                         test_exchangeability, test_relative_exchangeability)
-from .structures import Structure, load_structure, serialize
+from .structures import load_structure, serialize
 from .theory import TheoryParseError, enumerate_models, is_parametric, load_theory
 
 
@@ -70,37 +69,14 @@ def _load_class(spec: str, cap: int) -> FiniteClass:
         "and no such theory file")
 
 
-_ORACLE_BUILDERS = {
-    "evens": evens_oracle,
-    "strong-rep": evens_oracle,
-    "same-class-triple": same_class_triple_oracle,
-    "weak-rep": same_class_triple_oracle,
-    "odd-target": odd_target_oracle,
-    "tdc-evens": odd_target_oracle,
-}
-
-
 def _load_oracle(spec: str):
-    if spec in _ORACLE_BUILDERS:
-        return _ORACLE_BUILDERS[spec]()
+    if spec in _REFERENCE_ORACLES:
+        return _REFERENCE_ORACLES[spec]()
     if os.path.exists(spec):
         return load_structure(spec)
     raise UsageError(
         f"unknown reference {spec!r}: not a named oracle "
-        f"({', '.join(sorted(_ORACLE_BUILDERS))}) and no such structure file")
-
-
-class _ExampleSampler:
-    """Sampler view of a named catalog example (reference built per seed)."""
-
-    def __init__(self, name: str):
-        if name not in PAPER_EXAMPLE_NAMES:
-            raise UsageError(f"unknown example {name!r}; choose from {PAPER_EXAMPLE_NAMES}")
-        self.name = name
-        self.signature = PAPER_EXAMPLE_SIGNATURES[name]
-
-    def sample(self, src: HierarchicalRandomSource, n: int) -> Structure:
-        return paper_example(self.name, n, src)[1]
+        f"({', '.join(sorted(_REFERENCE_ORACLES))}) and no such structure file")
 
 
 def _rule_sampler(kind: str, rules: str, ref: str | None = None):
@@ -122,6 +98,8 @@ def _build_sampler(spec: str, cap: int):
     if len(parts) == {"exchangeable": 2, "m-exch": 3, "maxseg": 3}.get(kind):
         return _rule_sampler(*parts)
     if kind == "ref" and len(parts) == 2:
+        if parts[1] not in PAPER_EXAMPLE_NAMES:
+            raise UsageError(f"unknown example {parts[1]!r}; choose from {PAPER_EXAMPLE_NAMES}")
         return _ExampleSampler(parts[1])
     raise UsageError(
         f"bad sampler spec {spec!r}; expected framewise:<class>, "
@@ -164,8 +142,7 @@ def _emit(payload, as_json: bool, human_lines) -> None:
 
 
 def _cmd_check(args) -> int:
-    config = RunConfig(cap=args.cap)
-    config.validate()
+    RunConfig(cap=args.cap).validate()
     klass = _load_class(args.klass, args.cap)
     if args.kind == "ndap":
         report = check_ndap(klass, args.n)
@@ -199,8 +176,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_age(args) -> int:
-    config = RunConfig(cap=args.cap)
-    config.validate()
+    RunConfig(cap=args.cap).validate()
     klass = _load_class(args.klass, args.cap)
     members = klass.enumerate(args.n)
     payload = {"class": klass.name, "n": args.n, "count": len(members),
@@ -247,6 +223,7 @@ def _cmd_theory(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    RunConfig(cap=args.cap).validate()
     seed = args.seed if args.seed is not None else _default_seed()
     src = HierarchicalRandomSource(seed)
     if args.kind == "framewise":
@@ -293,8 +270,7 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_test(args) -> int:
-    config = RunConfig(cap=args.cap, alpha=args.alpha, sample_count=args.N)
-    config.validate()
+    RunConfig(cap=args.cap, alpha=args.alpha, sample_count=args.N).validate()
     if args.kind == "exch":
         sampler = _build_sampler(args.sampler, args.cap)
         report = test_exchangeability(sampler, args.n, args.N, alpha=args.alpha,

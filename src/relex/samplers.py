@@ -21,6 +21,7 @@ from .embeddings import (Oracle, enumerate_embeddings, ensure_lazy,
 from .randomness import (HierarchicalRandomSource, SeedStream, permutation_rank)
 from .rules import (DecisionContext, DecisionFunction, normalize_rules,
                     rules_signature)
+from .stattests import _tally
 from .structures import Signature, Structure, relabel, restrict
 
 
@@ -251,7 +252,8 @@ class AgeIndexedLaw:
 
 
 def _total_variation(p: Mapping[str, float], q: Mapping[str, float]) -> float:
-    keys = set(p) | set(q)
+    # summed in key order, so the float does not depend on the hash seed
+    keys = sorted(set(p) | set(q))
     return 0.5 * sum(abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in keys)
 
 
@@ -271,21 +273,16 @@ def age_indexed_from_sampler(sampler, oracle: Oracle, klass: FiniteClass,
     lazy = ensure_lazy(oracle)
     law = AgeIndexedLaw(sampler.signature, cap)
     seeds = SeedStream(meta_seed)
-    seed_idx = 0
     members: list[Structure] = []
     for size in range(1, cap + 1):
         members.extend(klass.enumerate(size))
-    for member in members:
+    for j, member in enumerate(members):
         rho = natural_embedding(member, lazy, embed_bound)
-        m_needed = max(rho.image_sequence()) if member.n else 0
         counts: dict[str, list] = {}
-        for _ in range(n_samples):
-            src = HierarchicalRandomSource(seeds[seed_idx])
-            seed_idx += 1
-            sample = sampler.sample(src, m_needed)
+        for sample, count in _tally(sampler, max(rho.image_sequence()), n_samples,
+                                    seeds, j * n_samples).items():
             pulled, _ = relabel(sample, rho)
-            slot = counts.setdefault(pulled.key(), [pulled, 0])
-            slot[1] += 1
+            counts.setdefault(pulled.key(), [pulled, 0])[1] += count
         law.add_table(member, {structure: count / n_samples
                                for structure, count in counts.values()})
 

@@ -16,7 +16,7 @@ forbids diagonal tuples.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 from .structures import Signature, Structure
@@ -37,8 +37,9 @@ class TheoryParseError(ValueError):
 class Atom:
     relation: str
     variables: tuple[str, ...]
-    line: int = 0
-    column: int = 0
+    # where the atom was parsed; not part of its identity
+    line: int = field(default=0, compare=False)
+    column: int = field(default=0, compare=False)
 
     def __str__(self) -> str:
         return f"{self.relation}({','.join(self.variables)})"

@@ -1,15 +1,19 @@
 """The names the benchmark harness in perfbench/ binds in relex.
 
 The traced benchmark run wraps entry points by (module, qualified name) and
-its workloads construct sampler classes by name; a refactor that renames
-one of them breaks the benchmark, not the library, so it is checked here.
+its workloads call relex through module attributes such as
+`catalog.paper_example`; a refactor that renames one of them breaks the
+benchmark, not the library, so each is checked here.
 """
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
+WORKLOADS = PERFBENCH / "workloads.py"
 
 
 def _load_tracer():
@@ -32,11 +36,28 @@ def test_traced_entry_points_resolve():
             assert callable(getattr(owner, qualname, None)), (module_name, qualname)
 
 
-def test_workload_and_observer_names_resolve():
-    from relex import samplers, stattests, structures
+def _workload_bindings() -> set[tuple[str, str]]:
+    """Every `module.name` the workloads read off a relex module they import."""
+    tree = ast.parse(WORKLOADS.read_text(encoding="utf-8"))
+    modules = {alias.asname or alias.name
+               for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module == "relex"
+               for alias in node.names}
+    return {(node.value.id, node.attr)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in modules}
 
-    for name in ("MExchangeableSampler", "MaxSegSampler", "FramewiseSampler"):
-        assert callable(getattr(samplers, name, None)), name
+
+def test_workload_and_observer_names_resolve():
+    from relex import stattests, structures
+
+    bindings = _workload_bindings()
+    assert ("catalog", "paper_example") in bindings
+    assert ("samplers", "MExchangeableSampler") in bindings
+    for module_name, name in sorted(bindings):
+        owner = importlib.import_module(f"relex.{module_name}")
+        assert callable(getattr(owner, name, None)), f"{module_name}.{name}"
     assert callable(structures._canonical_cached.cache_info)
     assert callable(stattests.chi2.sf)
 

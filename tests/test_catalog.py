@@ -5,7 +5,8 @@ import itertools
 import pytest
 
 from relex import HierarchicalRandomSource, SeedStream
-from relex.catalog import (PAPER_EXAMPLE_NAMES, LoopViolatorSampler, TdcSampler,
+from relex.catalog import (_REFERENCE_ORACLES, PAPER_EXAMPLE_NAMES, LoopViolatorSampler,
+                           TdcSampler, _ExampleSampler,
                            evens_oracle, odd_target_oracle, paper_example,
                            parity_overlay_oracle, same_class_triple_oracle,
                            verify_all, verify_parity_overlay, verify_strong_rep,
@@ -64,6 +65,23 @@ def test_paper_example_returns_reference_and_sample():
         assert oracle.initial_segment(3).n == 3
     with pytest.raises(KeyError):
         paper_example("no-such-example", 3, HierarchicalRandomSource(0))
+
+
+def test_example_sampler_view_draws_the_examples_samples():
+    for name in PAPER_EXAMPLE_NAMES:
+        sampler = _ExampleSampler(name)
+        for seed in (0, 3):
+            sample = sampler.sample(HierarchicalRandomSource(seed), 4)
+            assert sample == paper_example(name, 4, HierarchicalRandomSource(seed))[1]
+            assert sample.signature == sampler.signature
+
+
+def test_reference_names_cover_each_fixed_example_reference():
+    assert sorted(_REFERENCE_ORACLES) == ["evens", "odd-target", "same-class-triple",
+                                          "strong-rep", "tdc-evens", "weak-rep"]
+    for name in ("strong-rep", "tdc-evens", "weak-rep"):
+        oracle = paper_example(name, 3, HierarchicalRandomSource(0))[0]
+        assert _REFERENCE_ORACLES[name]().initial_segment(5) == oracle.initial_segment(5)
 
 
 def test_paper_example_is_deterministic_per_seed():

@@ -71,8 +71,12 @@ def test_check_unknown_class_is_usage_error():
 
 
 def test_check_cap_out_of_range():
-    result = run_cli("check", "ndap", "--class", "graphs", "--cap", "9")
-    assert result.returncode == 2
+    for command in (("check", "ndap", "--class", "graphs"),
+                    ("sample", "framewise", "--class", "graphs", "--n", "3")):
+        for cap in ("9", "0"):
+            result = run_cli(*command, "--cap", cap)
+            assert result.returncode == 2, (command, cap)
+            assert "cap must lie in [1, 8]" in result.stderr, (command, cap)
 
 
 def test_check_theory_file_as_class():

@@ -2,21 +2,26 @@
 and the failure-witness contracts."""
 
 import itertools
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import relex
 from relex import (AgeIndexedLaw, AmalgamationFailure, FiniteClass, FramewiseSampler,
-                   HierarchicalRandomSource, LazyStructure, MaxSegSampler, SeedStream,
+                   HierarchicalRandomSource, LazyStructure, MaxSegSampler,
+                   MExchangeableSampler, SeedStream, SequentialSampler,
                    Signature, Structure, ZeroProbabilityConditioning, amalgams,
                    builtin_class, ensure_lazy, restrict, sample_exchangeable,
                    sample_framewise, sample_m_exchangeable,
                    sample_maxseg_exchangeable, sample_sequential,
-                   ExchangeableSampler, age_indexed_from_sampler)
+                   ExchangeableSampler, age_indexed_from_sampler, load_rules)
 from relex.amalgamation import BUILTIN_CLASS_NAMES, from_theory, make_builtin_class
-from relex.catalog import (evens_oracle, random_graph_rules,
+from relex.catalog import (evens_oracle, mixed_two_coin_rules, random_graph_rules,
                            same_class_triple_oracle, tournament_rules,
                            two_coin_rules, weak_rep_rules)
 from relex.theory import load_theory
@@ -458,6 +463,28 @@ def test_sequential_raises_on_impossible_conditioning():
     assert outcomes == {"ok", "raised"}    # both step-1 draws occur across seeds
 
 
+RULES_DIR = Path(__file__).resolve().parent.parent / "rules"
+PROJECTIVE_SAMPLERS = {
+    "random-graph": lambda: ExchangeableSampler(load_rules(RULES_DIR / "random_graph.json")),
+    "tournament": lambda: ExchangeableSampler(load_rules(RULES_DIR / "tournament.json")),
+    "two-coin": lambda: MExchangeableSampler(two_coin_rules(), evens_oracle()),
+    "mixed-two-coin": lambda: MExchangeableSampler(mixed_two_coin_rules(), evens_oracle()),
+    "weak-rep": lambda: MaxSegSampler(weak_rep_rules(), same_class_triple_oracle()),
+    "sequential": lambda: SequentialSampler(_iid_law((0.3, 0.7), cap=6), evens_oracle()),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(PROJECTIVE_SAMPLERS)), st.integers(0, 6), st.data(),
+       st.integers(0, 2 ** 64 - 1))
+def test_rule_and_sequential_samplers_projective_over_random_seeds(name, n, data, seed):
+    m = data.draw(st.integers(0, n), label="m")
+    sampler = PROJECTIVE_SAMPLERS[name]()
+    big = sampler.sample(HierarchicalRandomSource(seed), n)
+    small = sampler.sample(HierarchicalRandomSource(seed), m)
+    assert restrict(big, range(1, m + 1)) == small
+
+
 def test_age_indexed_from_sampler_estimates_an_invariant_law():
     class TwoCoin:
         signature = UNARY
@@ -479,3 +506,25 @@ def test_age_indexed_from_sampler_estimates_an_invariant_law():
     assert abs(table.get(hit, 0.0) - 0.7) < 0.06
     # the sampler is genuinely invariant: discrepancies are sampling noise only
     assert law.max_discrepancy < 0.12, (law.max_discrepancy, law.worst_pair)
+
+
+_AGE_LAW_SCRIPT = """
+from relex import MExchangeableSampler, age_indexed_from_sampler, builtin_class
+from relex.catalog import evens_oracle, two_coin_rules
+sampler = MExchangeableSampler(two_coin_rules(), evens_oracle())
+law = age_indexed_from_sampler(sampler, evens_oracle(), builtin_class("subsets"),
+                               cap=3, n_samples=400, meta_seed=5)
+print(repr(law.max_discrepancy), law.worst_pair)
+"""
+
+
+def test_age_indexed_discrepancy_does_not_depend_on_the_hash_seed():
+    outputs = []
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=str(Path(relex.__file__).resolve().parent.parent))
+        result = subprocess.run([sys.executable, "-c", _AGE_LAW_SCRIPT], env=env,
+                                capture_output=True, text=True, check=True)
+        outputs.append(result.stdout)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].split()[0] == "0.11"

@@ -1,11 +1,18 @@
 """Theory DSL: parsing, error positions, the parametricity test, and model
 enumeration against a naive filter."""
 
+from pathlib import Path
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from helpers import naive_models
-from relex import (Signature, Structure, TheoryParseError, enumerate_models,
-                   is_parametric, parse_theory, satisfies)
+from relex import (Signature, Structure, Theory, TheoryParseError, enumerate_models,
+                   is_parametric, load_theory, parse_theory, satisfies)
+from relex.theory import And, Atom, Implies, Not, Or, Sentence
+
+THEORY_FILES = sorted((Path(__file__).resolve().parent.parent / "theories").glob("*.th"))
 
 GRAPHS_TH = """
 rel E/2;
@@ -42,6 +49,56 @@ def test_implication_is_right_associative():
     # a -> (b -> c): the consequent is itself an implication
     assert type(matrix).__name__ == "Implies"
     assert type(matrix.consequent).__name__ == "Implies"
+
+
+def _printed(theory: Theory) -> str:
+    """The theory as text: its `rel` header lines, then each sentence."""
+    header = [f"rel {name}/{arity};" for name, arity in theory.signature]
+    return "\n".join(header + [str(sentence) for sentence in theory.sentences])
+
+
+def _reparsed(theory: Theory) -> Theory:
+    return parse_theory(_printed(theory), source_name=theory.source_name)
+
+
+def test_atom_positions_are_not_part_of_equality():
+    text = "rel E/2;\nforall x y z . E(x,y) -> E(y,z) -> E(x,z);"
+    th = parse_theory(text)
+    assert _reparsed(th) == th
+    assert th.sentences[0].matrix.antecedent.column == 16
+    assert Atom("E", ("x", "y"), 1, 2) == Atom("E", ("x", "y"), 3, 4)
+    assert hash(Atom("E", ("x", "y"), 1, 2)) == hash(Atom("E", ("x", "y")))
+
+
+@pytest.mark.parametrize("path", THEORY_FILES, ids=lambda p: p.stem)
+def test_corpus_theories_print_and_parse_back(path):
+    th = load_theory(str(path))
+    assert th.sentences
+    assert _reparsed(th) == th
+
+
+_RELATIONS = (("P", 1), ("E", 2), ("R", 3))
+_VARIABLES = ("x", "y", "z")
+
+
+def _formulas():
+    """Formula trees as the parser builds them: And and Or of two or three parts."""
+    atoms = st.sampled_from(_RELATIONS).flatmap(
+        lambda rel: st.tuples(*[st.sampled_from(_VARIABLES)] * rel[1]).map(
+            lambda variables, name=rel[0]: Atom(name, variables)))
+
+    def compound(children):
+        parts = st.lists(children, min_size=2, max_size=3).map(tuple)
+        return st.one_of(children.map(Not), parts.map(And), parts.map(Or),
+                         st.tuples(children, children).map(lambda pair: Implies(*pair)))
+
+    return st.recursive(atoms, compound, max_leaves=8)
+
+
+@given(st.lists(_formulas(), min_size=1, max_size=3))
+def test_printed_formulas_parse_back(matrices):
+    th = Theory(Signature(_RELATIONS), tuple(Sentence(_VARIABLES, m) for m in matrices))
+    assert _reparsed(th) == th
 
 
 def test_precedence_not_and_or():

@@ -3,9 +3,8 @@
 Each entry pairs a concretely constructed reference structure (as a lazy
 restriction oracle) with a sampler whose output is tied to it, plus a
 verification routine for the structural or statistical claim the pair is
-known to satisfy.  The four named examples are written down once, in
-`_EXAMPLES`; `paper_example`, the CLI's `ref:<example>` sampler spec and
-its `--ref` names read that table, and `verify-paper-examples` checks them.
+known to satisfy.  The four named examples are written once, in `_EXAMPLES`,
+which `paper_example`, the CLI and `verify-paper-examples` read.
 """
 
 from __future__ import annotations

@@ -1,11 +1,13 @@
-"""The amalgamation checkers, the samplers, the keyed randomness and the
-chi-square reports against the pinned corpus in tests/golden/.
+"""The amalgamation checkers, the samplers, the keyed randomness, the
+chi-square reports and the command line against the pinned corpus in
+tests/golden/.
 
 tests/golden/make_amalgamation_golden.py wrote amalgamation.json once,
 tests/golden/make_sampler_golden.py wrote samplers.json,
-tests/golden/make_randomness_golden.py wrote randomness.json and
-tests/golden/make_stattests_golden.py wrote stattests.json; every case is
-recomputed here and must match byte for byte after JSON.
+tests/golden/make_randomness_golden.py wrote randomness.json,
+tests/golden/make_stattests_golden.py wrote stattests.json and
+tests/golden/make_cli_golden.py wrote cli.json; every case is recomputed
+here and must match byte for byte after JSON.
 """
 
 import importlib.util
@@ -86,3 +88,21 @@ def test_stattests_golden_covers_every_report():
 @pytest.mark.parametrize("label, run", REPORTS, ids=[label for label, _ in REPORTS])
 def test_report_matches_golden(label, run):
     assert STATTESTS_GENERATOR.compute(run) == STATTESTS_GOLDEN[label]
+
+
+CLI_GENERATOR = _load_generator("make_cli_golden")
+CLI_GOLDEN = json.loads((GOLDEN_DIR / "cli.json").read_text())
+CLI_LINES = CLI_GENERATOR.command_lines()
+
+
+def test_cli_golden_covers_every_command_line():
+    assert sorted(CLI_LINES) == sorted(CLI_GOLDEN)
+    # failures and usage errors are pinned too, not only exit code 0
+    assert {record["exit"] for record in CLI_GOLDEN.values()} == {0, 1, 2}
+    assert "amalgamation-failure" in CLI_GOLDEN[
+        "--json sample framewise --class equivalence --n 3 --seed 0"]["stdout"]
+
+
+@pytest.mark.parametrize("command_line", CLI_LINES)
+def test_cli_matches_golden(command_line):
+    assert CLI_GENERATOR.compute(command_line) == CLI_GOLDEN[command_line]

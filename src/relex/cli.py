@@ -14,11 +14,9 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
-from .amalgamation import (BUILTIN_CLASS_NAMES, CapExceededError, FiniteClass,
-                           builtin_class, check_dap, check_jep, check_ndap,
-                           from_theory, make_builtin_class)
+from .amalgamation import (BUILTIN_CLASS_NAMES, FiniteClass, builtin_class, check_dap,
+                           check_jep, check_ndap, from_theory, make_builtin_class)
 from .catalog import (_REFERENCE_ORACLES, PAPER_EXAMPLE_NAMES, _ExampleSampler,
                       verify_all)
 from .embeddings import enumerate_embeddings
@@ -30,21 +28,6 @@ from .stattests import (empirical_law, test_dissociation, test_equal_law,
                         test_exchangeability, test_relative_exchangeability)
 from .structures import load_structure, serialize
 from .theory import TheoryParseError, enumerate_models, is_parametric, load_theory
-
-
-@dataclass
-class RunConfig:
-    cap: int = 6
-    alpha: float = 0.01
-    sample_count: int = 1000
-
-    def validate(self) -> None:
-        if self.cap > 8 or self.cap < 1:
-            raise ValueError("cap must lie in [1, 8]")
-        if not (0.0 < self.alpha < 1.0):
-            raise ValueError("alpha must lie in (0, 1)")
-        if self.sample_count < 1:
-            raise ValueError("sample count must be >= 1")
 
 
 class UsageError(ValueError):
@@ -130,6 +113,26 @@ def _parse_weights(text: str) -> tuple[float, ...]:
     return tuple(weights)
 
 
+def _in_range(convert, ok, message: str):
+    """An argparse `type=`: `convert` the text, then reject a value failing `ok`."""
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(message)
+        return value
+    parse.__name__ = convert.__name__  # argparse names it in "invalid int value"
+    return parse
+
+
+_cap = _in_range(int, lambda cap: 1 <= cap <= 8, "cap must lie in [1, 8]")
+_alpha = _in_range(float, lambda alpha: 0.0 < alpha < 1.0, "alpha must lie in (0, 1)")
+_sample_count = _in_range(int, lambda count: count >= 1, "sample count must be >= 1")
+
+
+def _slot_lines(family) -> list[str]:
+    return [f"  slot {i}: {serialize(s)}" for i, s in enumerate(family, start=1)]
+
+
 def _emit(payload, as_json: bool, human_lines) -> None:
     if as_json:
         print(json.dumps(payload, indent=2, sort_keys=True, default=str))
@@ -142,7 +145,6 @@ def _emit(payload, as_json: bool, human_lines) -> None:
 
 
 def _cmd_check(args) -> int:
-    RunConfig(cap=args.cap).validate()
     klass = _load_class(args.klass, args.cap)
     if args.kind == "ndap":
         report = check_ndap(klass, args.n)
@@ -151,32 +153,25 @@ def _cmd_check(args) -> int:
         if not report.holds:
             lines.append("witness family (slot i is the structure on the "
                          "base set minus its i-th element):")
-            lines.extend(f"  slot {i}: {serialize(s)}"
-                         for i, s in enumerate(report.witness_family, start=1))
-        _emit(report.to_json(), args.json, lines)
-        return 0 if report.holds else 1
-    if args.kind == "dap":
+            lines.extend(_slot_lines(report.witness_family))
+    elif args.kind == "dap":
         report = check_dap(klass, bound=args.bound)
         lines = [f"DAP (bound {args.bound}) on class {klass.name!r}: "
                  f"{'holds' if report.holds else 'FAILS'}"]
         if report.counterexample is not None:
             lines.append(f"counterexample: {json.dumps(report.counterexample)}")
-        _emit(report.to_json(), args.json, lines)
-        return 0 if report.holds else 1
-    if args.kind == "jep":
+    else:
         report = check_jep(klass, bound=args.bound)
         lines = [f"JEP (bound {args.bound}) on class {klass.name!r}: "
                  f"{'holds' if report.holds else 'FAILS'}"]
         if report.witness_pair is not None:
             s, t = report.witness_pair
             lines.append(f"witness pair: {serialize(s)} / {serialize(t)}")
-        _emit(report.to_json(), args.json, lines)
-        return 0 if report.holds else 1
-    raise UsageError(f"unknown check {args.kind!r}")
+    _emit(report.to_json(), args.json, lines)
+    return 0 if report.holds else 1
 
 
 def _cmd_age(args) -> int:
-    RunConfig(cap=args.cap).validate()
     klass = _load_class(args.klass, args.cap)
     members = klass.enumerate(args.n)
     payload = {"class": klass.name, "n": args.n, "count": len(members),
@@ -208,42 +203,31 @@ def _cmd_theory(args) -> int:
         else:
             lines.append(f"parametric: no — offending atom {offender} "
                          f"at line {offender.line}, column {offender.column}")
-        _emit(payload, args.json, lines)
-        return 0
-    if args.kind == "models":
+    else:
         models = enumerate_models(theory, args.n)
         payload = {"source": theory.source_name, "n": args.n,
                    "count": len(models),
                    "models": [json.loads(serialize(m)) for m in models]}
         lines = [serialize(m) for m in models]
         lines.append(f"# {len(models)} models on [1, {args.n}]")
-        _emit(payload, args.json, lines)
-        return 0
-    raise UsageError(f"unknown theory subcommand {args.kind!r}")
+    _emit(payload, args.json, lines)
+    return 0
 
 
 def _cmd_sample(args) -> int:
-    RunConfig(cap=args.cap).validate()
     seed = args.seed if args.seed is not None else _default_seed()
     src = HierarchicalRandomSource(seed)
     if args.kind == "framewise":
         if not args.klass:
             raise UsageError("sample framewise requires --class")
-        klass = _load_class(args.klass, args.cap)
-        weights = None
-        if args.rep_weights:
-            weights = _parse_weights(args.rep_weights)
-        sampler = FramewiseSampler(klass, rep_weights=weights)
-    elif args.kind == "exchangeable":
-        if not args.rules:
-            raise UsageError("sample exchangeable requires --rules")
-        sampler = _rule_sampler(args.kind, args.rules)
-    elif args.kind in ("m-exch", "maxseg"):
-        if not (args.rules and args.ref):
-            raise UsageError(f"sample {args.kind} requires --rules and --ref")
-        sampler = _rule_sampler(args.kind, args.rules, args.ref)
+        weights = _parse_weights(args.rep_weights) if args.rep_weights else None
+        sampler = FramewiseSampler(_load_class(args.klass, args.cap), rep_weights=weights)
     else:
-        raise UsageError(f"unknown sampler kind {args.kind!r}")
+        needs_ref = args.kind != "exchangeable"
+        if not args.rules or (needs_ref and not args.ref):
+            flags = "--rules and --ref" if needs_ref else "--rules"
+            raise UsageError(f"sample {args.kind} requires {flags}")
+        sampler = _rule_sampler(args.kind, args.rules, args.ref)
     try:
         structure = sampler.sample(src, args.n)
     except AmalgamationFailure as failure:
@@ -252,58 +236,44 @@ def _cmd_sample(args) -> int:
             "subset": list(failure.subset),
             "family": [json.loads(serialize(s)) for s in failure.family],
         }
-        if args.json:
-            print(json.dumps(payload, indent=2, sort_keys=True))
-        else:
-            print(f"amalgamation failure at subset {failure.subset}; "
-                  "family of one-point-deleted restrictions:")
-            for i, member in enumerate(failure.family, start=1):
-                print(f"  slot {i}: {serialize(member)}")
-        return 1
-    if args.json:
-        print(json.dumps({"seed": seed, "n": args.n,
-                          "structure": json.loads(serialize(structure))},
-                         indent=2, sort_keys=True))
+        lines = [f"amalgamation failure at subset {failure.subset}; "
+                 "family of one-point-deleted restrictions:", *_slot_lines(failure.family)]
+        code = 1
     else:
-        print(serialize(structure))
-    return 0
+        payload = {"seed": seed, "n": args.n, "structure": json.loads(serialize(structure))}
+        lines = [serialize(structure)]
+        code = 0
+    _emit(payload, args.json, lines)
+    return code
 
 
 def _cmd_test(args) -> int:
-    RunConfig(cap=args.cap, alpha=args.alpha, sample_count=args.N).validate()
+    if args.kind == "rel-exch" and not args.ref:
+        raise UsageError("test rel-exch requires --ref")
+    if args.kind == "dissoc" and not (args.s and args.t):
+        raise UsageError("test dissoc requires --s and --t")
+    if args.kind == "equal" and not args.b:
+        raise UsageError("test equal requires --b (second sampler spec)")
+    if args.kind == "equal" and not args.subset:
+        raise UsageError("test equal requires --subset")
+    sampler = _build_sampler(args.sampler, args.cap)
     if args.kind == "exch":
-        sampler = _build_sampler(args.sampler, args.cap)
         report = test_exchangeability(sampler, args.n, args.N, alpha=args.alpha,
                                       meta_seed=args.meta_seed)
     elif args.kind == "rel-exch":
-        if not args.ref:
-            raise UsageError("test rel-exch requires --ref")
-        sampler = _build_sampler(args.sampler, args.cap)
-        oracle = _load_oracle(args.ref)
         report = test_relative_exchangeability(
-            sampler, oracle, args.n, args.N, alpha=args.alpha,
+            sampler, _load_oracle(args.ref), args.n, args.N, alpha=args.alpha,
             window=args.window, meta_seed=args.meta_seed)
     elif args.kind == "dissoc":
-        if not (args.s and args.t):
-            raise UsageError("test dissoc requires --s and --t")
-        sampler = _build_sampler(args.sampler, args.cap)
         report = test_dissociation(sampler, _parse_subset(args.s),
                                    _parse_subset(args.t), args.N,
                                    alpha=args.alpha, meta_seed=args.meta_seed)
-    elif args.kind == "equal":
-        if not args.b:
-            raise UsageError("test equal requires --b (second sampler spec)")
-        if not args.subset:
-            raise UsageError("test equal requires --subset")
-        subset = _parse_subset(args.subset)
-        sampler_a = _build_sampler(args.sampler, args.cap)
-        sampler_b = _build_sampler(args.b, args.cap)
-        law_a = empirical_law(sampler_a, subset, args.N, args.meta_seed, offset=0)
-        law_b = empirical_law(sampler_b, subset, args.N, args.meta_seed,
-                              offset=args.N)
-        report = test_equal_law(law_a, law_b, alpha=args.alpha)
     else:
-        raise UsageError(f"unknown test {args.kind!r}")
+        subset = _parse_subset(args.subset)
+        law_a = empirical_law(sampler, subset, args.N, args.meta_seed, offset=0)
+        law_b = empirical_law(_build_sampler(args.b, args.cap), subset, args.N,
+                              args.meta_seed, offset=args.N)
+        report = test_equal_law(law_a, law_b, alpha=args.alpha)
     lines = [f"{report.name}: {report.verdict.upper()} "
              f"(statistic {report.statistic:.4f}, dof {report.dof}, "
              f"p {report.p_value:.6f}, alpha {report.alpha})"]
@@ -357,13 +327,13 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument("--n", type=int, default=3, help="family size for ndap")
     check.add_argument("--bound", type=int, default=2,
                        help="member size bound for dap/jep")
-    check.add_argument("--cap", type=int, default=6)
+    check.add_argument("--cap", type=_cap, default=6)
     check.set_defaults(handler=_cmd_check)
 
     age = sub.add_parser("age", help="enumerate class members of one size")
     age.add_argument("--class", dest="klass", required=True)
     age.add_argument("--n", type=int, required=True)
-    age.add_argument("--cap", type=int, default=6)
+    age.add_argument("--cap", type=_cap, default=6)
     age.set_defaults(handler=_cmd_age)
 
     theory = sub.add_parser("theory", help="parse, classify, enumerate models")
@@ -380,7 +350,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sample.add_argument("--n", type=int, required=True)
     sample.add_argument("--seed", type=int, default=None,
                         help="sampling seed (default: RELEX_SEED env or 0)")
-    sample.add_argument("--cap", type=int, default=6)
+    sample.add_argument("--cap", type=_cap, default=6)
     sample.add_argument("--rep-weights", dest="rep_weights",
                         help="comma-separated class weights for framewise steps "
                              "whose class count matches")
@@ -397,11 +367,11 @@ def _build_parser() -> argparse.ArgumentParser:
     test.add_argument("--s", help="first subset for dissoc, e.g. 1,2")
     test.add_argument("--t", help="second subset for dissoc, e.g. 3,4")
     test.add_argument("--n", type=int, default=3, help="window/probe size")
-    test.add_argument("--N", type=int, default=1000, help="samples per batch")
-    test.add_argument("--alpha", type=float, default=0.01)
+    test.add_argument("--N", type=_sample_count, default=1000, help="samples per batch")
+    test.add_argument("--alpha", type=_alpha, default=0.01)
     test.add_argument("--window", type=int, default=None)
     test.add_argument("--meta-seed", dest="meta_seed", type=int, default=0)
-    test.add_argument("--cap", type=int, default=6)
+    test.add_argument("--cap", type=_cap, default=6)
     test.set_defaults(handler=_cmd_test)
 
     verify = sub.add_parser("verify-paper-examples",
@@ -421,22 +391,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except TheoryParseError as exc:
-        print(f"theory parse error: {exc}", file=sys.stderr)
-        return 2
+        message = f"theory parse error: {exc}"
     except (OSError, json.JSONDecodeError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, CapExceededError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        message = f"input error: {exc}"
+    except ValueError as exc:  # UsageError, CapExceededError and the library's checks
+        message = f"error: {exc}"
+    print(message, file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

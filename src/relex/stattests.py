@@ -338,11 +338,11 @@ def test_relative_exchangeability(sampler, oracle: Oracle, n: int,
                                   probe_cap: int = 60) -> TestReport:
     """Invariance of marginal laws under embeddings of reference restrictions.
 
-    For subset pairs (S, T) inside [1, window] with |S| = |T| <= n and an
-    embedding phi of the reference restricted to S into the reference
-    restricted to T, the law of X restricted to S must equal the
-    phi-pullback of the law of X restricted to T.  Pairs with no embedding
-    are skipped and reported.  Holm's step-down procedure over executed
+    For subset pairs (S, T) inside [1, window] (window > n, default 2n)
+    with |S| = |T| <= n and an embedding phi of the reference restricted to
+    S into the reference restricted to T, the law of X restricted to S must
+    equal the phi-pullback of the law of X restricted to T.  Pairs with no
+    embedding are skipped and reported.  Holm's step-down procedure over executed
     probes.
     """
     if n < 1:
@@ -350,6 +350,9 @@ def test_relative_exchangeability(sampler, oracle: Oracle, n: int,
     if n > 5:
         raise ValueError("n must be <= 5")
     window = window if window is not None else 2 * n
+    if window <= n:
+        raise ValueError(f"window {window} must exceed n = {n}: "
+                         "there is no room for probe pairs")
     lazy = ensure_lazy(oracle)
     subsets = [tuple(c)
                for size in range(1, n + 1)

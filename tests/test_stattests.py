@@ -481,6 +481,10 @@ def test_relative_exchangeability_probe_cap_and_validation():
     with pytest.raises(ValueError):
         st.test_relative_exchangeability(sampler, evens_oracle(), n=6,
                                          n_samples=10)
+    for window in (0, 1, 2):   # no room for probe pairs: an error, not a pass
+        with pytest.raises(ValueError, match=f"window {window} must exceed n = 2"):
+            st.test_relative_exchangeability(sampler, evens_oracle(), n=2,
+                                             n_samples=10, window=window)
 
 
 # --- dissociation -----------------------------------------------------------------

@@ -9,6 +9,7 @@ which `paper_example`, the CLI and `verify-paper-examples` read.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from .amalgamation import builtin_class
@@ -267,12 +268,13 @@ _REFERENCE_ORACLES = {"evens": evens_oracle, "same-class-triple": same_class_tri
 
 # Each named example: its reference (the name of a fixed one, or a builder
 # that draws it from the sampling source) and its sampler over that reference.
+# Decision functions hold no state, so each rule table is built once, here.
 _EXAMPLES = {
-    "weak-rep": ("same-class-triple", lambda ref: MaxSegSampler(weak_rep_rules(), ref)),
+    "weak-rep": ("same-class-triple", functools.partial(MaxSegSampler, weak_rep_rules())),
     "tdc-evens": ("odd-target", lambda ref: TdcSampler()),
     "parity-overlay": (parity_overlay_oracle,
-                       lambda ref: MExchangeableSampler(parity_overlay_rules(), ref)),
-    "strong-rep": ("evens", lambda ref: MExchangeableSampler(two_coin_rules(), ref)),
+                       functools.partial(MExchangeableSampler, parity_overlay_rules())),
+    "strong-rep": ("evens", functools.partial(MExchangeableSampler, two_coin_rules())),
 }
 PAPER_EXAMPLE_NAMES = tuple(_EXAMPLES)
 _REFERENCE_ORACLES.update((name, _REFERENCE_ORACLES[ref]) for name, (ref, _) in _EXAMPLES.items()

@@ -71,12 +71,21 @@ def test_check_unknown_class_is_usage_error():
 
 
 def test_check_cap_out_of_range():
-    for command in (("check", "ndap", "--class", "graphs"),
-                    ("sample", "framewise", "--class", "graphs", "--n", "3")):
-        for cap in ("9", "0"):
-            result = run_cli(*command, "--cap", cap)
-            assert result.returncode == 2, (command, cap)
-            assert "cap must lie in [1, 8]" in result.stderr, (command, cap)
+    """--cap on every subcommand that takes it, and --alpha and --N of test."""
+    test_exch = ("test", "exch", "--sampler", "framewise:graphs")
+    cases = [(command, "--cap", cap, "cap must lie in [1, 8]")
+             for command in (("check", "ndap", "--class", "graphs"),
+                             ("age", "--class", "graphs", "--n", "3"),
+                             ("sample", "framewise", "--class", "graphs", "--n", "3"),
+                             test_exch)
+             for cap in ("9", "0")]
+    cases += [(test_exch, "--alpha", alpha, "alpha must lie in (0, 1)")
+              for alpha in ("0", "1", "1.5", "nan")]
+    cases += [(test_exch, "--N", count, "sample count must be >= 1") for count in ("0", "-1")]
+    for command, flag, value, message in cases:
+        result = run_cli(*command, flag, value)
+        assert result.returncode == 2, (command, flag, value)
+        assert message in result.stderr, (command, flag, value)
 
 
 def test_check_theory_file_as_class():
@@ -301,6 +310,11 @@ def test_test_usage_errors():
     result = run_cli("test", "dissoc", "--sampler", "framewise:graphs",
                      "--s", "1,2", "--t", "2,3", "--N", "50")
     assert result.returncode == 2
+    # a window with no room for probe pairs is an input error, not a pass
+    result = run_cli("test", "rel-exch", "--sampler", "m-exch:rules/two_coin.json:evens",
+                     "--ref", "evens", "--n", "2", "--window", "0")
+    assert result.returncode == 2
+    assert "window 0 must exceed n = 2" in result.stderr
 
 
 # --- verify-paper-examples ----------------------------------------------------------
@@ -393,7 +407,12 @@ def test_readme_cli_output(command, expected):
 # --- argparse-level errors ----------------------------------------------------------
 
 def test_unknown_subcommand_exits_2():
-    assert run_cli("frobnicate").returncode == 2
+    for command in (("frobnicate",), ("check", "bogus", "--class", "graphs"),
+                    ("theory", "bogus", "theories/graphs.th"), ("sample", "bogus", "--n", "3"),
+                    ("test", "bogus", "--sampler", "framewise:graphs")):
+        result = run_cli(*command)
+        assert result.returncode == 2, command
+        assert "invalid choice" in result.stderr, command
 
 
 def test_missing_required_flag_exits_2():

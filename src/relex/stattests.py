@@ -342,8 +342,8 @@ def test_relative_exchangeability(sampler, oracle: Oracle, n: int,
     with |S| = |T| <= n and an embedding phi of the reference restricted to
     S into the reference restricted to T, the law of X restricted to S must
     equal the phi-pullback of the law of X restricted to T.  Pairs with no
-    embedding are skipped and reported.  Holm's step-down procedure over executed
-    probes.
+    embedding are skipped and reported.  Holm's step-down procedure over
+    executed probes.
     """
     if n < 1:
         raise ValueError("n must be >= 1")

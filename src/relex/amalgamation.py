@@ -20,7 +20,10 @@ exhaustive.
 One completion search, `_completions`, serves n-DAP, DAP, `amalgams` and
 frame-wise steps: the members that hold a partial structure outside a set
 of free tuples, found by trying every assignment of the free tuples, or by
-scanning the class enumeration above _MAX_FREE_TUPLES free tuples.
+scanning the class enumeration above _MAX_FREE_TUPLES free tuples.  Its
+partial structure has one format, a set of (name, tuple) pairs: the union
+of the located slot members, keyed in the amalgam table by the pairs' bit
+mask.  Only `_partial` turns pairs into relation sets, once per search.
 
 All checkers are exact searches; worst cases are exponential and guarded
 by the cap.  All classes here are closed under isomorphism and
@@ -48,6 +51,7 @@ class CapExceededError(ValueError):
 
 _MAX_FREE_TUPLES = 20
 _MAX_MEMBERS = 1 << 18
+_DEFAULT_CAP = 6  # largest enumerated size unless a class is built with its own cap
 
 
 class FiniteClass:
@@ -65,7 +69,7 @@ class FiniteClass:
     def __init__(self, name: str, signature: Signature,
                  predicate: Callable[[Structure], bool],
                  enumerator: Callable[[int], Iterable[Structure]],
-                 cap: int = 6, locality: Optional[int] = None):
+                 cap: int = _DEFAULT_CAP, locality: Optional[int] = None):
         if locality is not None and locality < 0:
             raise ValueError("locality must be >= 0")
         self.name = name
@@ -78,7 +82,6 @@ class FiniteClass:
         # (k, mask) -> AmalgamClasses for k <= max arity; see _amalgam_classes
         self._amalgam_cache: dict = {}
         self._slot_bits: dict[int, dict] = {}
-        self._singles: Optional[tuple] = None
 
     @property
     def forced_above(self) -> Optional[int]:
@@ -249,13 +252,13 @@ _BINARY_CLASSES = {
 }
 
 
-def k_hypergraphs(k: int, cap: int = 6) -> FiniteClass:
+def k_hypergraphs(k: int, cap: int = _DEFAULT_CAP) -> FiniteClass:
     """Symmetric anti-reflexive k-ary hypergraphs (locality k: one bad tuple)."""
     sig, enum, ok = _k_hypergraph_pieces(k)
     return FiniteClass(f"hypergraphs{k}", sig, ok, enum, cap=cap, locality=k)
 
 
-def make_builtin_class(name: str, cap: int = 6) -> FiniteClass:
+def make_builtin_class(name: str, cap: int = _DEFAULT_CAP) -> FiniteClass:
     """Fresh instance of a builtin class with a custom enumeration cap."""
     if name in _BINARY_CLASSES:
         ok, enum, locality = _BINARY_CLASSES[name]
@@ -295,7 +298,7 @@ def builtin_class(name: str) -> FiniteClass:
     return make_builtin_class(name)
 
 
-def from_theory(theory: Theory, name: str | None = None, cap: int = 6) -> FiniteClass:
+def from_theory(theory: Theory, name: str | None = None, cap: int = _DEFAULT_CAP) -> FiniteClass:
     """The class of finite models of a universal theory.
 
     Its locality is the largest variable count of any sentence: a structure
@@ -313,38 +316,44 @@ def from_theory(theory: Theory, name: str | None = None, cap: int = 6) -> Finite
 
 # --- located families --------------------------------------------------------
 
-def _located_tuples(member: Structure, elems: list[int]) -> dict[str, frozenset]:
-    """Tuples of a structure on [1, len(elems)] transported onto elems."""
-    return {name: frozenset(tuple(elems[c - 1] for c in tup) for tup in member.tuples(name))
-            for name in member.signature.names()}
+def _located_tuples(member: Structure, elems: list[int]) -> frozenset:
+    """The (name, tuple) pairs of a structure on [1, len(elems)], moved onto elems."""
+    return frozenset((name, tuple(elems[c - 1] for c in tup))
+                     for name in member.signature.names() for tup in member.tuples(name))
 
 
 def _slot_elements(n: int, i: int) -> list[int]:
     return [x for x in range(1, n + 1) if x != i]
 
 
-def _overlap(located: dict, point: int, names) -> tuple[frozenset, ...]:
-    """The located tuples that avoid `point`, one frozenset per relation name.
+def _overlap(located: frozenset, point: int) -> frozenset:
+    """The located pairs whose tuple avoids `point`.
 
     Slots i and j overlap on [n] minus {i, j}: the part of slot i's member
     there is `_overlap(loc_i, j)`.
     """
-    return tuple(frozenset(t for t in located[name] if point not in t)
-                 for name in names)
+    return frozenset(pair for pair in located if point not in pair[1])
 
 
-def _compatible(loc_a: dict, i_a: int, loc_b: dict, i_b: int, names) -> bool:
+def _compatible(loc_a: frozenset, i_a: int, loc_b: frozenset, i_b: int) -> bool:
     """Located structures on [n] minus i_a and [n] minus i_b agree on the overlap."""
-    return _overlap(loc_a, i_b, names) == _overlap(loc_b, i_a, names)
+    return _overlap(loc_a, i_b) == _overlap(loc_b, i_a)
 
 
-def _completions(klass: FiniteClass, m: int, partial: dict[str, set],
-                 free: list[tuple[str, tuple[int, ...]]], first_only: bool = False
-                 ) -> list[Structure]:
-    """The members on [1, m] that hold exactly `partial` outside the `free` tuples.
+def _partial(names, pairs) -> dict[str, set]:
+    """The (name, tuple) pairs as relation sets: name -> set of tuples."""
+    partial: dict[str, set] = {name: set() for name in names}
+    for name, tup in pairs:
+        partial[name].add(tup)
+    return partial
 
-    Each (name, tuple) pair in `free` may go either way; every other tuple
-    is in the member exactly when it is in `partial`.  Up to
+
+def _completions(klass: FiniteClass, m: int, fixed, free: list[tuple[str, tuple[int, ...]]],
+                 first_only: bool = False) -> list[Structure]:
+    """The members on [1, m] that hold exactly the `fixed` pairs outside `free`.
+
+    Each (name, tuple) pair in `free` may go either way; every other pair
+    is in the member exactly when it is in `fixed`.  Up to
     _MAX_FREE_TUPLES free tuples, enumerate their assignments and keep the
     members; above that, scan the class enumeration.  Members come in
     serialization order, except that `first_only` returns the first member
@@ -352,16 +361,16 @@ def _completions(klass: FiniteClass, m: int, partial: dict[str, set],
     """
     names = klass.signature.names()
     if len(free) > _MAX_FREE_TUPLES:
-        free_set = set(free)
-        fixed = {name: set(partial.get(name, ())) for name in names}
+        free_set, fixed_set = set(free), set(fixed)
         matching = (member for member in klass.enumerate(m)
-                    if all({t for t in member.tuples(name) if (name, t) not in free_set}
-                           == fixed[name] for name in names))
+                    if {(name, t) for name in names for t in member.tuples(name)}
+                    - free_set == fixed_set)
         return list(itertools.islice(matching, 1 if first_only else None))
 
+    partial = _partial(names, fixed)
     found = []
     for bits in itertools.product((0, 1), repeat=len(free)):
-        relations = {name: set(partial.get(name, ())) for name in names}
+        relations = {name: set(tups) for name, tups in partial.items()}
         for (name, tup), bit in zip(free, bits):
             if bit:
                 relations[name].add(tup)
@@ -373,10 +382,9 @@ def _completions(klass: FiniteClass, m: int, partial: dict[str, set],
     return sorted(found, key=lambda s: s.key())
 
 
-def _complete_partial(klass: FiniteClass, n: int,
-                      partial: dict[str, set], first_only: bool = False
-                      ) -> list[Structure]:
-    """All members on [1, n] whose non-surjective tuples are exactly `partial`.
+def _complete_partial(klass: FiniteClass, n: int, fixed,
+                      first_only: bool = False) -> list[Structure]:
+    """All members on [1, n] whose non-surjective pairs are exactly `fixed`.
 
     Only tuples whose range is all of [1, n] are free; a relation of arity
     below n has none.
@@ -384,20 +392,14 @@ def _complete_partial(klass: FiniteClass, n: int,
     free = [(name, tup) for name, arity in klass.signature if arity >= n
             for tup in itertools.product(range(1, n + 1), repeat=arity)
             if len(set(tup)) == n]
-    return _completions(klass, n, partial, free, first_only)
-
-
-def _union_located(located: list[dict], names) -> dict[str, set]:
-    """The partial structure on [1, n] that a family of located members fixes."""
-    return {name: set().union(*(loc[name] for loc in located)) for name in names}
+    return _completions(klass, n, fixed, free, first_only)
 
 
 @dataclass
 class AmalgamClasses:
-    """Amalgams of one family, grouped by isomorphism class."""
+    """Amalgams of one family by isomorphism class; orbit[0] represents each."""
     all_amalgams: list[Structure]
-    representatives: list[Structure]
-    orbits: list[list[Structure]]  # aligned with representatives
+    orbits: list[list[Structure]]
     # per orbit member, its (name, tuple) pairs whose range is all of [1, n]
     # (empty above max arity, where no tuple reaches that range)
     new_tuples: list[list[tuple[tuple[str, tuple[int, ...]], ...]]]
@@ -415,18 +417,6 @@ def _slot_bits(klass: FiniteClass, k: int) -> dict[tuple[str, tuple[int, ...]], 
     return bits
 
 
-def _singles(klass: FiniteClass) -> tuple[tuple[tuple[str, tuple[int, ...]], ...], ...]:
-    """Per size-1 member, in enumeration order, its (name, tuple) pairs;
-    computed once per class."""
-    singles = klass._singles
-    if singles is None:
-        names = klass.signature.names()
-        singles = klass._singles = tuple(
-            tuple((name, tup) for name in names for tup in member.tuples(name))
-            for member in klass.enumerate(1))
-    return singles
-
-
 def _mask(klass: FiniteClass, k: int, pairs) -> int:
     """The OR of the (name, tuple) pairs' bits in `_slot_bits(klass, k)`."""
     bit_of = _slot_bits(klass, k)
@@ -440,15 +430,7 @@ def _mask(klass: FiniteClass, k: int, pairs) -> int:
     return mask
 
 
-def _partial(names, pairs) -> dict[str, set]:
-    """The (name, tuple) pairs as a partial structure: name -> set of tuples."""
-    partial: dict[str, set] = {name: set() for name in names}
-    for name, tup in pairs:
-        partial[name].add(tup)
-    return partial
-
-
-def _step_classes(klass: FiniteClass, k: int, pairs) -> AmalgamClasses:
+def _step_classes(klass: FiniteClass, k: int, pairs=()) -> AmalgamClasses:
     """The amalgam classes of the partial on [1, k] that the (name, tuple)
     pairs fix: up to max arity one cache lookup under (k, mask); a miss, or
     a larger k, goes through `_amalgam_classes`."""
@@ -456,24 +438,23 @@ def _step_classes(klass: FiniteClass, k: int, pairs) -> AmalgamClasses:
         cached = klass._amalgam_cache.get((k, _mask(klass, k, pairs)))
         if cached is not None:
             return cached
-    return _amalgam_classes(klass, k, _partial(klass.signature.names(), pairs))
+    return _amalgam_classes(klass, k, pairs)
 
 
-def _amalgam_classes(klass: FiniteClass, n: int, partial: dict[str, set]) -> AmalgamClasses:
+def _amalgam_classes(klass: FiniteClass, n: int, fixed) -> AmalgamClasses:
     # Up to max arity the cache key is (n, mask), the mask the OR of the
-    # partial's bits in _slot_bits(klass, n), so there are finitely many
+    # fixed pairs' bits in _slot_bits(klass, n), so there are finitely many
     # keys, and each entry also lists every orbit member's new tuples for
     # `_step_classes`' callers.  Above max arity no tuple is free, the single
     # candidate is cheap to rebuild, and caching those partials would grow
     # without bound on long sampling runs.
     cacheable = klass.signature.max_arity() >= n
     if cacheable:
-        cache_key = (n, _mask(klass, n, ((name, tup) for name, tups in partial.items()
-                                         for tup in tups)))
+        cache_key = (n, _mask(klass, n, fixed))
         cached = klass._amalgam_cache.get(cache_key)
         if cached is not None:
             return cached
-    amalgams_list = _complete_partial(klass, n, partial)
+    amalgams_list = _complete_partial(klass, n, fixed)
     if len(amalgams_list) <= 1:
         orbits = [[s] for s in amalgams_list]
     else:
@@ -488,11 +469,7 @@ def _amalgam_classes(klass: FiniteClass, n: int, partial: dict[str, set]) -> Ama
                              if len(set(tup)) == n) for member in orbit] for orbit in orbits]
     else:  # no tuple of arity below n has range [1, n]
         new_tuples = [[()] * len(orbit) for orbit in orbits]
-    result = AmalgamClasses(
-        all_amalgams=amalgams_list,
-        representatives=[orbit[0] for orbit in orbits],
-        orbits=orbits,
-        new_tuples=new_tuples)
+    result = AmalgamClasses(amalgams_list, orbits, new_tuples)
     if cacheable:
         klass._amalgam_cache[cache_key] = result
     return result
@@ -508,7 +485,6 @@ def amalgams(family: list[Structure], klass: FiniteClass
     are deterministically ordered.
     """
     n = len(family)
-    names = klass.signature.names()
     for i, member in enumerate(family, start=1):
         if member.signature != klass.signature or member.n != n - 1:
             raise ValueError(f"family slot {i} must be a structure on [1, {n - 1}]")
@@ -516,10 +492,10 @@ def amalgams(family: list[Structure], klass: FiniteClass
                for i, member in enumerate(family, start=1)]
     for (i_a, loc_a), (i_b, loc_b) in itertools.combinations(
             enumerate(located, start=1), 2):
-        if not _compatible(loc_a, i_a, loc_b, i_b, names):
+        if not _compatible(loc_a, i_a, loc_b, i_b):
             raise ValueError(f"family is not pairwise compatible at slots {i_a}, {i_b}")
-    classes = _amalgam_classes(klass, n, _union_located(located, names))
-    return classes.all_amalgams, classes.representatives
+    classes = _amalgam_classes(klass, n, frozenset().union(*located))
+    return classes.all_amalgams, [orbit[0] for orbit in classes.orbits]
 
 
 # --- reports -----------------------------------------------------------------
@@ -599,16 +575,15 @@ def check_ndap(klass: FiniteClass, n: int) -> NdapReport:
     forced_above = klass.forced_above
     if forced_above is not None and n > forced_above:
         return NdapReport(n=n, holds=True, method="locality")
-    names = klass.signature.names()
     members = klass.enumerate(n - 1)
-    # located[k-1][m]: member m's tuples on [1, n] minus {k};
+    # located[k-1][m]: member m's pairs on [1, n] minus {k};
     # overlaps[k-1][m][j-1]: for j != k, the id of the part of them that
     # avoids point j.  Members share few distinct overlaps, so ids keep the
     # index small.
     located = [[_located_tuples(member, _slot_elements(n, k)) for member in members]
                for k in range(1, n + 1)]
-    overlap_ids: dict[tuple[frozenset, ...], int] = {}
-    overlaps = [[[overlap_ids.setdefault(_overlap(loc, j, names), len(overlap_ids))
+    overlap_ids: dict[frozenset, int] = {}
+    overlaps = [[[overlap_ids.setdefault(_overlap(loc, j), len(overlap_ids))
                   if j != k else None for j in range(1, n + 1)] for loc in slot]
                 for k, slot in enumerate(located, start=1)]
     # buckets[k-1]: overlap with slots 1..k-1 -> indices of slot k's members.
@@ -618,8 +593,8 @@ def check_ndap(klass: FiniteClass, n: int) -> NdapReport:
             buckets[k].setdefault(tuple(over[:k]), []).append(m)
 
     for family in _compatible_families(buckets, overlaps, []):
-        partial = _union_located([located[k][m] for k, m in enumerate(family)], names)
-        if not _complete_partial(klass, n, partial, first_only=True):
+        fixed = frozenset().union(*(located[k][m] for k, m in enumerate(family)))
+        if not _complete_partial(klass, n, fixed, first_only=True):
             return NdapReport(n=n, holds=False,
                               witness_family=[members[m] for m in family])
     return NdapReport(n=n, holds=True)
@@ -693,13 +668,12 @@ def _dap_instance_holds(klass: FiniteClass, s: Structure, t: Structure,
             fresh += 1
             tau[y] = fresh
     t_part, tp_part = list(range(1, t.n + 1)), [tau[y] for y in range(1, tp.n + 1)]
-    partial = _union_located([_located_tuples(t, t_part), _located_tuples(tp, tp_part)],
-                             klass.signature.names())
+    fixed = _located_tuples(t, t_part) | _located_tuples(tp, tp_part)
     parts = (set(t_part), set(tp_part))
     free = [(name, tup) for name, arity in klass.signature
             for tup in itertools.product(range(1, m + 1), repeat=arity)
             if not any(part.issuperset(tup) for part in parts)]
-    return bool(_completions(klass, m, partial, free, first_only=True))
+    return bool(_completions(klass, m, fixed, free, first_only=True))
 
 
 def _dap_diagrams(members: list[Structure]):

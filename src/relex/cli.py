@@ -15,8 +15,9 @@ import math
 import os
 import sys
 
-from .amalgamation import (BUILTIN_CLASS_NAMES, FiniteClass, builtin_class, check_dap,
-                           check_jep, check_ndap, from_theory, make_builtin_class)
+from .amalgamation import (_DEFAULT_CAP, BUILTIN_CLASS_NAMES, FiniteClass, builtin_class,
+                           check_dap, check_jep, check_ndap, from_theory,
+                           make_builtin_class)
 from .catalog import (_REFERENCE_ORACLES, PAPER_EXAMPLE_NAMES, _ExampleSampler,
                       verify_all)
 from .embeddings import enumerate_embeddings
@@ -44,7 +45,7 @@ def _default_seed() -> int:
 
 def _load_class(spec: str, cap: int) -> FiniteClass:
     if spec in BUILTIN_CLASS_NAMES:
-        return builtin_class(spec) if cap == 6 else make_builtin_class(spec, cap=cap)
+        return builtin_class(spec) if cap == _DEFAULT_CAP else make_builtin_class(spec, cap=cap)
     if os.path.exists(spec):
         return from_theory(load_theory(spec), cap=cap)
     raise UsageError(
@@ -127,6 +128,31 @@ def _in_range(convert, ok, message: str):
 _cap = _in_range(int, lambda cap: 1 <= cap <= 8, "cap must lie in [1, 8]")
 _alpha = _in_range(float, lambda alpha: 0.0 < alpha < 1.0, "alpha must lie in (0, 1)")
 _sample_count = _in_range(int, lambda count: count >= 1, "sample count must be >= 1")
+
+
+# Per (subcommand, kind), by argparse dest, the kind-specific options it
+# requires and ("?") those it may take; any other one given is rejected.
+_KIND_FLAGS = {"klass": "--class", "rules": "--rules", "ref": "--ref",
+               "rep_weights": "--rep-weights", "b": "--b", "subset": "--subset",
+               "s": "--s", "t": "--t", "window": "--window"}
+_KIND_OPTIONS = {
+    ("sample", "framewise"): ("klass", "rep_weights?"), ("sample", "exchangeable"): ("rules",),
+    ("sample", "m-exch"): ("rules", "ref"), ("sample", "maxseg"): ("rules", "ref"),
+    ("test", "exch"): (), ("test", "rel-exch"): ("ref", "window?"),
+    ("test", "dissoc"): ("s", "t"), ("test", "equal"): ("b", "subset")}
+
+
+def _check_kind_options(args) -> None:
+    options = _KIND_OPTIONS[(args.command, args.kind)]
+    required = [dest for dest in options if not dest.endswith("?")]
+    reads = {dest.rstrip("?") for dest in options}
+    unread = [flag for dest, flag in _KIND_FLAGS.items()
+              if dest not in reads and getattr(args, dest, None) is not None]
+    if unread:
+        raise UsageError(f"{args.command} {args.kind} does not read {', '.join(unread)}")
+    if not all(getattr(args, dest) for dest in required):  # missing or empty
+        raise UsageError(f"{args.command} {args.kind} requires "
+                         f"{' and '.join(_KIND_FLAGS[dest] for dest in required)}")
 
 
 def _slot_lines(family) -> list[str]:
@@ -215,18 +241,13 @@ def _cmd_theory(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    _check_kind_options(args)
     seed = args.seed if args.seed is not None else _default_seed()
     src = HierarchicalRandomSource(seed)
     if args.kind == "framewise":
-        if not args.klass:
-            raise UsageError("sample framewise requires --class")
         weights = _parse_weights(args.rep_weights) if args.rep_weights else None
         sampler = FramewiseSampler(_load_class(args.klass, args.cap), rep_weights=weights)
     else:
-        needs_ref = args.kind != "exchangeable"
-        if not args.rules or (needs_ref and not args.ref):
-            flags = "--rules and --ref" if needs_ref else "--rules"
-            raise UsageError(f"sample {args.kind} requires {flags}")
         sampler = _rule_sampler(args.kind, args.rules, args.ref)
     try:
         structure = sampler.sample(src, args.n)
@@ -248,14 +269,7 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_test(args) -> int:
-    if args.kind == "rel-exch" and not args.ref:
-        raise UsageError("test rel-exch requires --ref")
-    if args.kind == "dissoc" and not (args.s and args.t):
-        raise UsageError("test dissoc requires --s and --t")
-    if args.kind == "equal" and not args.b:
-        raise UsageError("test equal requires --b (second sampler spec)")
-    if args.kind == "equal" and not args.subset:
-        raise UsageError("test equal requires --subset")
+    _check_kind_options(args)
     sampler = _build_sampler(args.sampler, args.cap)
     if args.kind == "exch":
         report = test_exchangeability(sampler, args.n, args.N, alpha=args.alpha,
@@ -327,13 +341,13 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument("--n", type=int, default=3, help="family size for ndap")
     check.add_argument("--bound", type=int, default=2,
                        help="member size bound for dap/jep")
-    check.add_argument("--cap", type=_cap, default=6)
+    check.add_argument("--cap", type=_cap, default=_DEFAULT_CAP)
     check.set_defaults(handler=_cmd_check)
 
     age = sub.add_parser("age", help="enumerate class members of one size")
     age.add_argument("--class", dest="klass", required=True)
     age.add_argument("--n", type=int, required=True)
-    age.add_argument("--cap", type=_cap, default=6)
+    age.add_argument("--cap", type=_cap, default=_DEFAULT_CAP)
     age.set_defaults(handler=_cmd_age)
 
     theory = sub.add_parser("theory", help="parse, classify, enumerate models")
@@ -350,7 +364,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sample.add_argument("--n", type=int, required=True)
     sample.add_argument("--seed", type=int, default=None,
                         help="sampling seed (default: RELEX_SEED env or 0)")
-    sample.add_argument("--cap", type=_cap, default=6)
+    sample.add_argument("--cap", type=_cap, default=_DEFAULT_CAP)
     sample.add_argument("--rep-weights", dest="rep_weights",
                         help="comma-separated class weights for framewise steps "
                              "whose class count matches")
@@ -371,7 +385,7 @@ def _build_parser() -> argparse.ArgumentParser:
     test.add_argument("--alpha", type=_alpha, default=0.01)
     test.add_argument("--window", type=int, default=None)
     test.add_argument("--meta-seed", dest="meta_seed", type=int, default=0)
-    test.add_argument("--cap", type=_cap, default=6)
+    test.add_argument("--cap", type=_cap, default=_DEFAULT_CAP)
     test.set_defaults(handler=_cmd_test)
 
     verify = sub.add_parser("verify-paper-examples",

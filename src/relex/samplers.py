@@ -15,7 +15,7 @@ import itertools
 import math
 from typing import Mapping, Optional, Sequence
 
-from .amalgamation import FiniteClass, _partial, _singles, _step_classes
+from .amalgamation import FiniteClass, _partial, _step_classes
 from .embeddings import (Oracle, enumerate_embeddings, ensure_lazy,
                          natural_embedding)
 from .randomness import (HierarchicalRandomSource, SeedStream, permutation_rank)
@@ -136,9 +136,9 @@ def sample_framewise(klass: FiniteClass, n: int, src: HierarchicalRandomSource,
     class's amalgam cache under (|s|, mask), the bits of those tuples among
     the non-surjective tuples on [1, |s|]; the entry also lists each orbit
     member's tuples with range all of [1, |s|].  A miss, or a larger step,
-    which nothing caches, builds the partial for `_amalgam_classes`.  The
-    size-1 members' pairs are computed once per class (`_singles`), and no
-    subset is scanned for decided tuples while none has been decided.
+    which nothing caches, goes to `_amalgam_classes`.  Singletons read the
+    k = 1 table once per sample, and no subset is scanned for decided
+    tuples while none has been decided.
 
     Only subsets of size at most max(arity, locality) are visited, or every
     subset when the class's locality is unknown: above that size the step
@@ -164,7 +164,8 @@ def sample_framewise(klass: FiniteClass, n: int, src: HierarchicalRandomSource,
     if n == 0:
         return Structure._trusted(signature, 0, {})
 
-    singles = _singles(klass)
+    # each size-1 member is a class of its own: singles[index][0] its pairs
+    singles = _step_classes(klass, 1).new_tuples
     if not singles:
         raise ValueError(f"class {klass.name!r} has no members of size 1")
     max_arity = signature.max_arity()
@@ -173,8 +174,8 @@ def sample_framewise(klass: FiniteClass, n: int, src: HierarchicalRandomSource,
     decided: dict[tuple, tuple] = {}
     for i in range(1, n + 1):
         index = 0 if len(singles) == 1 else _class_index(src.xi((i,)), len(singles), None)
-        if singles[index]:
-            decided[(i,)] = singles[index]
+        if singles[index][0]:
+            decided[(i,)] = singles[index][0]
 
     forced_above = klass.forced_above
     top = n if forced_above is None else min(n, forced_above)
@@ -189,18 +190,18 @@ def sample_framewise(klass: FiniteClass, n: int, src: HierarchicalRandomSource,
                       for support, pos in zip(itertools.combinations(s, size), sub_positions)
                       for name, tup in decided.get(support, ())] if decided else []
             classes = _step_classes(klass, k, inside)
-            reps = classes.representatives
-            if not reps:
+            orbits = classes.orbits
+            if not orbits:
                 local = Structure._trusted(signature, k, _partial(names, inside))
                 family = [restrict(local, [j for j in range(1, k + 1) if j != i])
                           for i in range(1, k + 1)]
                 raise AmalgamationFailure(s, family, klass.name)
-            if len(reps) == 1 and len(classes.orbits[0]) == 1:
+            if len(orbits) == 1 and len(orbits[0]) == 1:
                 index, rank = 0, 0
             else:
-                index = _class_index(src.xi(s), len(reps), rep_weights)
+                index = _class_index(src.xi(s), len(orbits), rep_weights)
                 order = src.ordering(s)
-                orbit_size = len(classes.orbits[index])
+                orbit_size = len(orbits[index])
                 rank = (permutation_rank([s.index(x) + 1 for x in order]) % orbit_size
                         if orbit_size > 1 else 0)
             new = classes.new_tuples[index][rank]

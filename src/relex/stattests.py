@@ -21,7 +21,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 from .embeddings import Oracle, ensure_lazy, enumerate_embeddings
 from .randomness import HierarchicalRandomSource, SeedStream
-from .structures import Injection, Structure, relabel, restrict
+from .structures import Injection, Structure, canonical_form, relabel, restrict
 
 _MIN_EXPECTED = 5.0
 
@@ -357,14 +357,20 @@ def test_relative_exchangeability(sampler, oracle: Oracle, n: int,
     subsets = [tuple(c)
                for size in range(1, n + 1)
                for c in itertools.combinations(range(1, window + 1), size)]
+    # |S| = |T| makes an embedding an isomorphism, so a pair has one exactly when
+    # the canonical forms agree; only those pairs are enumerated, up to probe_cap
+    restricted = {s_set: lazy.restrict_to(s_set) for s_set in subsets}
+    forms = {s_set: canonical_form(r).key() for s_set, r in restricted.items()}
     probes, skipped = [], 0
     for s_set in subsets:
         for t_set in subsets:
             if len(t_set) != len(s_set) or t_set == s_set:
                 continue
-            embeddings = enumerate_embeddings(lazy.restrict_to(s_set), lazy.restrict_to(t_set))
-            skipped += not embeddings
-            probes += [(s_set, t_set, phi) for phi in embeddings]
+            if forms[s_set] != forms[t_set]:
+                skipped += 1
+            elif len(probes) < probe_cap:
+                probes += [(s_set, t_set, phi) for phi in
+                           enumerate_embeddings(restricted[s_set], restricted[t_set])]
     seeds, offsets = SeedStream(meta_seed), itertools.count(0, n_samples)
     laws_s: dict[tuple[int, ...], EmpiricalLaw] = {}
 

@@ -137,13 +137,13 @@ def test_amalgam_classes_rejects_a_partial_outside_the_slots():
     # a surjective or out-of-range tuple has no bit in the cache key, so it
     # must raise rather than be looked up under another partial's key
     klass = make_builtin_class("graphs")
-    for bad in ({"E": {(1, 2)}}, {"E": {(2, 1)}}, {"E": {(1, 3)}}, {"E": {(1,)}}):
+    for bad in ([("E", (1, 2))], [("E", (2, 1))], [("E", (1, 3))], [("E", (1,))]):
         with pytest.raises(ValueError, match="non-surjective tuple on"):
             _amalgam_classes(klass, 2, bad)
     assert klass._amalgam_cache == {}
     hypergraphs = make_builtin_class("hypergraphs3")
     with pytest.raises(ValueError, match="non-surjective tuple on"):
-        _amalgam_classes(hypergraphs, 3, {"R": {(3, 1, 2)}})
+        _amalgam_classes(hypergraphs, 3, [("R", (3, 1, 2))])
     assert hypergraphs._amalgam_cache == {}
 
 
@@ -229,6 +229,31 @@ def test_ndap_matches_brute_force_product(factory, n):
     assert _serialized(report.witness_family) == _serialized(expected)
 
 
+@pytest.mark.parametrize("factory, n", [case for case in _oracle_cases()
+                                         if case.values[1] <= 3])
+def test_amalgams_match_brute_force(factory, n):
+    # every compatible family: its amalgams are the members whose slot
+    # restrictions are the family, and its representatives the key-minimal
+    # member of each isomorphism class, both in key order
+    klass = factory()
+    slots = [_slot_elements(n, i) for i in range(1, n + 1)]
+    restrictions = {m: tuple(restrict(m, slot) for slot in slots) for m in klass.enumerate(n)}
+
+    def on(member, i, j):  # member of slot i restricted to [n] minus {i, j}
+        return restrict(member, [x - (x > i) for x in range(1, n + 1) if x not in (i, j)])
+
+    for family in itertools.product(klass.enumerate(n - 1), repeat=n):
+        if any(on(family[i - 1], i, j) != on(family[j - 1], j, i)
+               for i, j in itertools.combinations(range(1, n + 1), 2)):
+            continue
+        expected = [m for m, parts in restrictions.items() if parts == family]
+        reps = []
+        for m in expected:
+            if not any(embedding_exists(rep, m) for rep in reps):
+                reps.append(m)
+        assert amalgams(list(family), klass) == (expected, reps)
+
+
 def test_oracle_cases_include_failing_classes():
     ids = {case.id for case in _oracle_cases()}
     assert {"equivalence-3", "parity3-4", "graphs-4", "digraphs_loopfree.th-3"} <= ids
@@ -238,7 +263,6 @@ def test_compatible_agrees_with_restrictions():
     # slots i and j agree exactly when their restrictions to [n] minus {i, j} do
     n = 4
     members = builtin_class("digraphs").enumerate(n - 1)
-    names = members[0].signature.names()
     for i, j in itertools.combinations(range(1, n + 1), 2):
         shared = [x for x in range(1, n + 1) if x not in (i, j)]
         for a, b in itertools.product(members[:16], members[-16:]):
@@ -246,7 +270,7 @@ def test_compatible_agrees_with_restrictions():
             loc_b = _located_tuples(b, _slot_elements(n, j))
             on_a = restrict(a, [x - (x > i) for x in shared])
             on_b = restrict(b, [x - (x > j) for x in shared])
-            assert _compatible(loc_a, i, loc_b, j, names) == (on_a == on_b)
+            assert _compatible(loc_a, i, loc_b, j) == (on_a == on_b)
 
 
 def test_ndap_validates_input():

@@ -81,7 +81,7 @@ def test_amalgam_cache_is_read_through_get():
             return value
 
     klass._amalgam_cache = cache = CountingCache()
-    partial = {"E": set()}  # two points, the pair 1-2 free: a cacheable partial
+    partial = []  # two points, the pair 1-2 free: a cacheable partial
     first = _amalgam_classes(klass, 2, partial)
     second = _amalgam_classes(klass, 2, partial)
     assert (cache.lookups, cache.hits) == (2, 1)

@@ -234,6 +234,11 @@ def test_sample_usage_errors():
     assert run_cli("sample", "framewise", "--n", "3").returncode == 2
     assert run_cli("sample", "m-exch", "--rules", "rules/two_coin.json",
                    "--n", "3").returncode == 2
+    # an option the kind does not read is rejected, naming option and kind
+    result = run_cli("sample", "framewise", "--class", "graphs", "--n", "3",
+                     "--rules", "rules/two_coin.json", "--ref", "nosuch")
+    assert result.returncode == 2
+    assert "sample framewise does not read --rules, --ref" in result.stderr
     # restriction-context rules are rejected by the exchangeable sampler
     result = run_cli("sample", "exchangeable", "--rules", "rules/parity_xor.json",
                      "--n", "3")
@@ -307,6 +312,10 @@ def test_test_usage_errors():
                    "--n", "2").returncode == 2
     assert run_cli("test", "exch", "--sampler", "bogus:spec").returncode == 2
     assert run_cli("test", "exch", "--sampler", "ref:nosuch").returncode == 2
+    result = run_cli("test", "exch", "--sampler", "framewise:graphs", "--ref", "nosuch",
+                     "--window", "1", "--s", "x")
+    assert result.returncode == 2
+    assert "test exch does not read --ref, --s, --window" in result.stderr
     result = run_cli("test", "dissoc", "--sampler", "framewise:graphs",
                      "--s", "1,2", "--t", "2,3", "--N", "50")
     assert result.returncode == 2

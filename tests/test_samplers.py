@@ -198,6 +198,13 @@ def test_framewise_rep_weights_ignored_when_count_differs():
     weighted = sample_framewise(GRAPHS, 3, HierarchicalRandomSource(12),
                                 rep_weights=(1.0, 1.0, 1.0))
     assert plain == weighted
+    # two weights match the two size-1 subsets, but the singleton step is
+    # never weighted
+    subsets = builtin_class("subsets")
+    for seed in range(10):
+        assert (sample_framewise(subsets, 6, HierarchicalRandomSource(seed),
+                                 rep_weights=(1.0, 9.0))
+                == sample_framewise(subsets, 6, HierarchicalRandomSource(seed)))
 
 
 def test_framewise_rejects_bad_weights_and_sizes():

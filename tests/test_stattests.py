@@ -1,5 +1,6 @@
 """Chi-square harness: empirical laws, equality/exchangeability/dissociation tests."""
 
+import itertools
 import json
 import math
 import os
@@ -15,12 +16,15 @@ import relex
 from relex import stattests as st
 from relex.amalgamation import builtin_class
 from relex.catalog import (
+    _REFERENCE_ORACLES,
     LoopViolatorSampler,
     complete_graph_rules,
     evens_oracle,
     mixed_two_coin_rules,
+    parity_overlay_oracle,
     two_coin_rules,
 )
+from relex.embeddings import embedding_exists, ensure_lazy, enumerate_embeddings
 from relex.randomness import HierarchicalRandomSource, SeedStream
 from relex.samplers import ExchangeableSampler, FramewiseSampler, MExchangeableSampler
 from relex.structures import Signature, Structure, relabel, restrict
@@ -446,6 +450,31 @@ def test_relative_exchangeability_two_coin_over_evens_passes():
     assert report.details["correction"] == "holm"
     first = report.details["results"][0]
     assert set(first) == {"s", "t", "phi", "p_value", "statistic", "dof", "passed"}
+
+
+@pytest.mark.parametrize("reference", ["evens", "same-class-triple", "odd-target",
+                                       "parity-overlay"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_relative_exchangeability_probes_match_every_pair(reference, n):
+    # brute force over every same-size pair in the window: a pair without an
+    # embedding is skipped, the others' embeddings form the probe list
+    oracle = (parity_overlay_oracle(HierarchicalRandomSource(5)) if reference == "parity-overlay"
+              else _REFERENCE_ORACLES[reference]())
+    lazy = ensure_lazy(oracle)
+    subsets = [c for size in range(1, n + 1)
+               for c in itertools.combinations(range(1, 2 * n + 1), size)]
+    skipped, probes = 0, []
+    for s_set, t_set in itertools.product(subsets, repeat=2):
+        if len(s_set) == len(t_set) and s_set != t_set:
+            source, target = lazy.restrict_to(s_set), lazy.restrict_to(t_set)
+            skipped += not embedding_exists(source, target)
+            probes += [{"s": list(s_set), "t": list(t_set), "phi": phi.items()}
+                       for phi in enumerate_embeddings(source, target)]
+    sampler = FramewiseSampler(builtin_class("trivial"))
+    report = st.test_relative_exchangeability(sampler, oracle, n=n, n_samples=2)
+    assert report.details["skipped_pairs"] == skipped
+    assert [{key: r[key] for key in ("s", "t", "phi")}
+            for r in report.details.get("results", [])] == probes[:60]
 
 
 def test_relative_exchangeability_biased_sampler_fails():

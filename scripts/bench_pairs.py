@@ -7,7 +7,7 @@ Usage:
 
 Both directories are relex checkouts, best made with `git clone` so that
 run.py records their git shas.  `--workload W:S:P` runs P pairs on seeds
-S, S+1, ..., S+P-1.  Pair i runs
+S, S+1, ..., S+P-1, and P must be at least 2.  Pair i runs
 
     python3 perfbench/run.py --workload W --seed S+i --seconds T --trace 0
 
@@ -37,6 +37,8 @@ SIDES = ("parent", "change")
 
 def _workload(text: str) -> tuple[str, int, int]:
     name, first_seed, pairs = text.split(":")
+    if int(pairs) < 2:  # the summary's quartiles need two runs a side
+        raise argparse.ArgumentTypeError(f"{text!r}: at least 2 pairs are needed, got {pairs}")
     return name, int(first_seed), int(pairs)
 
 

@@ -10,9 +10,8 @@ from .embeddings import (NoEmbeddingError, iter_embeddings, enumerate_embeddings
                          LazyStructure, ensure_lazy, natural_embedding)
 from .theory import (Theory, Sentence, Atom, TheoryParseError, parse_theory,
                      load_theory, is_parametric, satisfies, enumerate_models)
-from .randomness import (HierarchicalRandomSource, ArityExceededError,
-                         InducedOrdering, induced_ordering, permutation_rank,
-                         SeedStream)
+from .randomness import (HierarchicalRandomSource, InducedOrdering,
+                         induced_ordering, permutation_rank, SeedStream)
 from .amalgamation import (FiniteClass, CapExceededError, builtin_class,
                            make_builtin_class, BUILTIN_CLASS_NAMES, k_hypergraphs,
                            from_theory, amalgams, check_ndap,
@@ -42,8 +41,8 @@ __all__ = [
     "embedding_exists", "automorphisms", "LazyStructure", "natural_embedding",
     "Theory", "Sentence", "Atom", "TheoryParseError", "parse_theory",
     "load_theory", "is_parametric", "satisfies", "enumerate_models",
-    "HierarchicalRandomSource", "ArityExceededError", "InducedOrdering",
-    "induced_ordering", "permutation_rank", "SeedStream",
+    "HierarchicalRandomSource", "InducedOrdering", "induced_ordering",
+    "permutation_rank", "SeedStream",
     "FiniteClass", "CapExceededError", "builtin_class", "make_builtin_class",
     "BUILTIN_CLASS_NAMES", "k_hypergraphs", "from_theory",
     "amalgams", "check_ndap", "check_dap", "check_jep",

@@ -22,8 +22,9 @@ frame-wise steps: the members that hold a partial structure outside a set
 of free tuples, found by trying every assignment of the free tuples, or by
 scanning the class enumeration above _MAX_FREE_TUPLES free tuples.  Its
 partial structure has one format, a set of (name, tuple) pairs: the union
-of the located slot members, keyed in the amalgam table by the pairs' bit
-mask.  Only `_partial` turns pairs into relation sets, once per search.
+of the located slot members, and, as a frozenset, its own key in the
+amalgam table.  Only `_partial` turns pairs into relation sets, once per
+search.
 
 All checkers are exact searches; worst cases are exponential and guarded
 by the cap.  All classes here are closed under isomorphism and
@@ -79,9 +80,9 @@ class FiniteClass:
         self.cap = cap
         self.locality = locality
         self._enum_cache: dict[int, tuple[Structure, ...]] = {}
-        # (k, mask) -> AmalgamClasses for k <= max arity; see _amalgam_classes
+        # (k, frozenset of (name, tuple) pairs) -> AmalgamClasses for
+        # k <= max arity; see _amalgam_classes
         self._amalgam_cache: dict = {}
-        self._slot_bits: dict[int, dict] = {}
 
     @property
     def forced_above(self) -> Optional[int]:
@@ -405,52 +406,27 @@ class AmalgamClasses:
     new_tuples: list[list[tuple[tuple[str, tuple[int, ...]], ...]]]
 
 
-def _slot_bits(klass: FiniteClass, k: int) -> dict[tuple[str, tuple[int, ...]], int]:
-    """Bit 1 << j for the j-th non-surjective (name, tuple) on [1, k], the
-    tuples listed in signature order; computed once per class and k."""
-    bits = klass._slot_bits.get(k)
-    if bits is None:
-        slots = ((name, tup) for name, arity in klass.signature
-                 for tup in itertools.product(range(1, k + 1), repeat=arity)
-                 if len(set(tup)) < k)
-        bits = klass._slot_bits[k] = {slot: 1 << j for j, slot in enumerate(slots)}
-    return bits
-
-
-def _mask(klass: FiniteClass, k: int, pairs) -> int:
-    """The OR of the (name, tuple) pairs' bits in `_slot_bits(klass, k)`."""
-    bit_of = _slot_bits(klass, k)
-    mask = 0
-    for slot in pairs:
-        bit = bit_of.get(slot)
-        if bit is None:
-            raise ValueError(f"partial tuple {slot[1]} of {slot[0]!r} is not a "
-                             f"non-surjective tuple on [1, {k}]")
-        mask |= bit
-    return mask
-
-
 def _step_classes(klass: FiniteClass, k: int, pairs=()) -> AmalgamClasses:
     """The amalgam classes of the partial on [1, k] that the (name, tuple)
-    pairs fix: up to max arity one cache lookup under (k, mask); a miss, or
-    a larger k, goes through `_amalgam_classes`."""
-    if k <= klass.signature.max_arity():
-        cached = klass._amalgam_cache.get((k, _mask(klass, k, pairs)))
-        if cached is not None:
-            return cached
-    return _amalgam_classes(klass, k, pairs)
+    pairs fix: one cache lookup under (k, frozenset(pairs)); a miss goes
+    through `_amalgam_classes`."""
+    return klass._amalgam_cache.get((k, frozenset(pairs))) or _amalgam_classes(klass, k, pairs)
 
 
 def _amalgam_classes(klass: FiniteClass, n: int, fixed) -> AmalgamClasses:
-    # Up to max arity the cache key is (n, mask), the mask the OR of the
-    # fixed pairs' bits in _slot_bits(klass, n), so there are finitely many
-    # keys, and each entry also lists every orbit member's new tuples for
-    # `_step_classes`' callers.  Above max arity no tuple is free, the single
-    # candidate is cheap to rebuild, and caching those partials would grow
-    # without bound on long sampling runs.
+    # The key (n, frozenset(fixed)) names the partial once every fixed pair
+    # is a non-surjective tuple on [1, n].  Entries are stored only up to max
+    # arity, where the keys are finitely many; above it no tuple is free, the
+    # single candidate is cheap to rebuild, and caching those partials would
+    # grow without bound on long sampling runs.
+    arities, points = dict(klass.signature), set(range(1, n + 1))
+    for name, tup in fixed:
+        if arities.get(name) != len(tup) or not set(tup) < points:
+            raise ValueError(f"partial tuple {tup} of {name!r} is not a "
+                             f"non-surjective tuple on [1, {n}]")
     cacheable = klass.signature.max_arity() >= n
     if cacheable:
-        cache_key = (n, _mask(klass, n, fixed))
+        cache_key = (n, frozenset(fixed))
         cached = klass._amalgam_cache.get(cache_key)
         if cached is not None:
             return cached
@@ -463,12 +439,9 @@ def _amalgam_classes(klass: FiniteClass, n: int, fixed) -> AmalgamClasses:
             groups.setdefault(canonical_form(s).key(), []).append(s)
         orbits = [sorted(group, key=lambda s: s.key()) for group in groups.values()]
         orbits.sort(key=lambda orbit: orbit[0].key())
-    if cacheable:
-        names = klass.signature.names()
-        new_tuples = [[tuple((name, tup) for name in names for tup in member.tuples(name)
-                             if len(set(tup)) == n) for member in orbit] for orbit in orbits]
-    else:  # no tuple of arity below n has range [1, n]
-        new_tuples = [[()] * len(orbit) for orbit in orbits]
+    names = klass.signature.names()
+    new_tuples = [[tuple((name, tup) for name in names for tup in member.tuples(name)
+                         if len(set(tup)) == n) for member in orbit] for orbit in orbits]
     result = AmalgamClasses(amalgams_list, orbits, new_tuples)
     if cacheable:
         klass._amalgam_cache[cache_key] = result

@@ -32,7 +32,7 @@ def evens_oracle() -> LazyStructure:
     """Unary P holding exactly the even numbers."""
     def builder(m: int) -> Structure:
         return Structure(UNARY_SIGNATURE, m, {"P": [(i,) for i in range(2, m + 1, 2)]})
-    return LazyStructure(UNARY_SIGNATURE, builder, name="evens")
+    return LazyStructure(UNARY_SIGNATURE, builder)
 
 
 def _block_of(i: int, x: int) -> int:
@@ -55,7 +55,7 @@ def same_class_triple_oracle() -> LazyStructure:
                   for k in range(1, m + 1)
                   if _block_of(i, j) == _block_of(i, k)]
         return Structure(TRIPLE_SIG, m, {"R": tuples})
-    return LazyStructure(TRIPLE_SIG, builder, name="same-class-triple")
+    return LazyStructure(TRIPLE_SIG, builder)
 
 
 def odd_target_oracle() -> LazyStructure:
@@ -63,7 +63,7 @@ def odd_target_oracle() -> LazyStructure:
     def builder(m: int) -> Structure:
         tuples = [(i, j) for i in range(1, m + 1) for j in range(1, m + 1, 2) if j != i]
         return Structure(GRAPH_SIGNATURE, m, {"E": tuples})
-    return LazyStructure(GRAPH_SIGNATURE, builder, name="odd-target")
+    return LazyStructure(GRAPH_SIGNATURE, builder)
 
 
 def parity_overlay_oracle(src: HierarchicalRandomSource) -> LazyStructure:
@@ -86,7 +86,7 @@ def parity_overlay_oracle(src: HierarchicalRandomSource) -> LazyStructure:
             if count % 2 == 1:
                 triples.extend(itertools.permutations((x, y, z)))
         return Structure(OVERLAY_SIG, m, {"E": edges, "R": triples})
-    return LazyStructure(OVERLAY_SIG, builder, name="parity-overlay")
+    return LazyStructure(OVERLAY_SIG, builder)
 
 
 # --- rule sets ------------------------------------------------------------------

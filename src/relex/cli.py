@@ -43,7 +43,8 @@ def _default_seed() -> int:
         raise UsageError(f"RELEX_SEED must be an integer, got {raw!r}") from None
 
 
-def _load_class(spec: str, cap: int) -> FiniteClass:
+def _load_class(spec: str, cap: int | None) -> FiniteClass:
+    cap = _DEFAULT_CAP if cap is None else cap
     if spec in BUILTIN_CLASS_NAMES:
         return builtin_class(spec) if cap == _DEFAULT_CAP else make_builtin_class(spec, cap=cap)
     if os.path.exists(spec):
@@ -128,17 +129,27 @@ def _in_range(convert, ok, message: str):
 _cap = _in_range(int, lambda cap: 1 <= cap <= 8, "cap must lie in [1, 8]")
 _alpha = _in_range(float, lambda alpha: 0.0 < alpha < 1.0, "alpha must lie in (0, 1)")
 _sample_count = _in_range(int, lambda count: count >= 1, "sample count must be >= 1")
+_CAP_HELP = f"largest enumerated size of a loaded class (default {_DEFAULT_CAP})"
 
 
 # Per (subcommand, kind), by argparse dest, the kind-specific options it
 # requires and ("?") those it may take; any other one given is rejected.
+# --cap is read wherever a class is loaded: by --class, or by a framewise:
+# sampler spec of test.  An option with a default in _KIND_DEFAULTS gets it
+# only where it is read.
 _KIND_FLAGS = {"klass": "--class", "rules": "--rules", "ref": "--ref",
                "rep_weights": "--rep-weights", "b": "--b", "subset": "--subset",
-               "s": "--s", "t": "--t", "window": "--window"}
+               "s": "--s", "t": "--t", "window": "--window", "n": "--n",
+               "bound": "--bound", "cap": "--cap"}
+_KIND_DEFAULTS = {"n": 3, "bound": 2}
 _KIND_OPTIONS = {
-    ("sample", "framewise"): ("klass", "rep_weights?"), ("sample", "exchangeable"): ("rules",),
-    ("sample", "m-exch"): ("rules", "ref"), ("sample", "maxseg"): ("rules", "ref"),
-    ("test", "exch"): (), ("test", "rel-exch"): ("ref", "window?"),
+    ("check", "ndap"): ("klass", "n?", "cap?"), ("check", "dap"): ("klass", "bound?", "cap?"),
+    ("check", "jep"): ("klass", "bound?", "cap?"),
+    ("theory", "check"): (), ("theory", "models"): ("n?",),
+    ("sample", "framewise"): ("klass", "n?", "rep_weights?", "cap?"),
+    ("sample", "exchangeable"): ("rules", "n?"),
+    ("sample", "m-exch"): ("rules", "ref", "n?"), ("sample", "maxseg"): ("rules", "ref", "n?"),
+    ("test", "exch"): ("n?",), ("test", "rel-exch"): ("ref", "n?", "window?"),
     ("test", "dissoc"): ("s", "t"), ("test", "equal"): ("b", "subset")}
 
 
@@ -146,6 +157,9 @@ def _check_kind_options(args) -> None:
     options = _KIND_OPTIONS[(args.command, args.kind)]
     required = [dest for dest in options if not dest.endswith("?")]
     reads = {dest.rstrip("?") for dest in options}
+    if any(spec.startswith("framewise:") for spec in (getattr(args, "sampler", None),
+                                                     getattr(args, "b", None)) if spec):
+        reads.add("cap")
     unread = [flag for dest, flag in _KIND_FLAGS.items()
               if dest not in reads and getattr(args, dest, None) is not None]
     if unread:
@@ -153,6 +167,9 @@ def _check_kind_options(args) -> None:
     if not all(getattr(args, dest) for dest in required):  # missing or empty
         raise UsageError(f"{args.command} {args.kind} requires "
                          f"{' and '.join(_KIND_FLAGS[dest] for dest in required)}")
+    for dest in reads & _KIND_DEFAULTS.keys():
+        if getattr(args, dest) is None:
+            setattr(args, dest, _KIND_DEFAULTS[dest])
 
 
 def _slot_lines(family) -> list[str]:
@@ -171,6 +188,7 @@ def _emit(payload, as_json: bool, human_lines) -> None:
 
 
 def _cmd_check(args) -> int:
+    _check_kind_options(args)
     klass = _load_class(args.klass, args.cap)
     if args.kind == "ndap":
         report = check_ndap(klass, args.n)
@@ -209,6 +227,7 @@ def _cmd_age(args) -> int:
 
 
 def _cmd_theory(args) -> int:
+    _check_kind_options(args)
     theory = load_theory(args.file)
     if args.kind == "check":
         parametric, offender = is_parametric(theory)
@@ -338,22 +357,22 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument("kind", choices=("ndap", "dap", "jep"))
     check.add_argument("--class", dest="klass", required=True,
                        help="builtin class name or theory file")
-    check.add_argument("--n", type=int, default=3, help="family size for ndap")
-    check.add_argument("--bound", type=int, default=2,
-                       help="member size bound for dap/jep")
-    check.add_argument("--cap", type=_cap, default=_DEFAULT_CAP)
+    check.add_argument("--n", type=int, help="family size for ndap (default 3)")
+    check.add_argument("--bound", type=int,
+                       help="member size bound for dap/jep (default 2)")
+    check.add_argument("--cap", type=_cap, help=_CAP_HELP)
     check.set_defaults(handler=_cmd_check)
 
     age = sub.add_parser("age", help="enumerate class members of one size")
     age.add_argument("--class", dest="klass", required=True)
     age.add_argument("--n", type=int, required=True)
-    age.add_argument("--cap", type=_cap, default=_DEFAULT_CAP)
+    age.add_argument("--cap", type=_cap, help=_CAP_HELP)
     age.set_defaults(handler=_cmd_age)
 
     theory = sub.add_parser("theory", help="parse, classify, enumerate models")
     theory.add_argument("kind", choices=("check", "models"))
     theory.add_argument("file")
-    theory.add_argument("--n", type=int, default=3)
+    theory.add_argument("--n", type=int, help="model size for models (default 3)")
     theory.set_defaults(handler=_cmd_theory)
 
     sample = sub.add_parser("sample", help="draw one structure")
@@ -364,7 +383,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sample.add_argument("--n", type=int, required=True)
     sample.add_argument("--seed", type=int, default=None,
                         help="sampling seed (default: RELEX_SEED env or 0)")
-    sample.add_argument("--cap", type=_cap, default=_DEFAULT_CAP)
+    sample.add_argument("--cap", type=_cap, help=_CAP_HELP)
     sample.add_argument("--rep-weights", dest="rep_weights",
                         help="comma-separated class weights for framewise steps "
                              "whose class count matches")
@@ -380,12 +399,12 @@ def _build_parser() -> argparse.ArgumentParser:
     test.add_argument("--ref", help="reference oracle (test rel-exch)")
     test.add_argument("--s", help="first subset for dissoc, e.g. 1,2")
     test.add_argument("--t", help="second subset for dissoc, e.g. 3,4")
-    test.add_argument("--n", type=int, default=3, help="window/probe size")
+    test.add_argument("--n", type=int, help="probe size for exch and rel-exch (default 3)")
     test.add_argument("--N", type=_sample_count, default=1000, help="samples per batch")
     test.add_argument("--alpha", type=_alpha, default=0.01)
     test.add_argument("--window", type=int, default=None)
     test.add_argument("--meta-seed", dest="meta_seed", type=int, default=0)
-    test.add_argument("--cap", type=_cap, default=_DEFAULT_CAP)
+    test.add_argument("--cap", type=_cap, help=_CAP_HELP)
     test.set_defaults(handler=_cmd_test)
 
     verify = sub.add_parser("verify-paper-examples",

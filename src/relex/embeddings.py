@@ -94,10 +94,8 @@ class LazyStructure:
     repeated queries return one instance until a larger segment replaces it.
     """
 
-    def __init__(self, signature: Signature, builder: Callable[[int], Structure],
-                 name: str | None = None):
+    def __init__(self, signature: Signature, builder: Callable[[int], Structure]):
         self.signature = signature
-        self.name = name
         self._builder = builder
         self._segment: Optional[Structure] = None
 
@@ -137,7 +135,7 @@ def ensure_lazy(oracle: Oracle) -> LazyStructure:
             if m > oracle.n:
                 raise ValueError(f"finite reference exhausted at size {oracle.n}")
             return restrict(oracle, range(1, m + 1))
-        return LazyStructure(oracle.signature, builder, name="finite")
+        return LazyStructure(oracle.signature, builder)
     raise TypeError("reference oracle must be a Structure or LazyStructure")
 
 

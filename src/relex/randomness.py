@@ -46,10 +46,6 @@ _MASK64 = (1 << 64) - 1
 _MEMO_MAX_LEN = 8
 
 
-class ArityExceededError(ValueError):
-    """Queried subset is larger than the declared max arity."""
-
-
 def _integer(value, what: str) -> int:
     """`value` through `operator.index`, so 2.7 or "5" raise instead of truncating."""
     try:
@@ -74,9 +70,8 @@ def _label(ints: tuple[int, ...]) -> tuple[tuple[int, ...], bytes]:
 class HierarchicalRandomSource:
     """Deterministic per-seed family of per-subset uniforms and orders."""
 
-    def __init__(self, seed: int, max_arity: int | None = None):
+    def __init__(self, seed: int):
         self.seed = _integer(seed, "seed") & _MASK64
-        self.max_arity = max_arity
         # keyed once; every block hashes a copy
         self._hasher = hashlib.blake2b(key=self.seed.to_bytes(8, "big"), digest_size=32)
 
@@ -87,11 +82,7 @@ class HierarchicalRandomSource:
         except TypeError:
             bad = next(x for x in subset if not hasattr(type(x), "__index__"))
             raise ValueError(f"subset element {bad!r} is not an integer") from None
-        items, text = (_label if len(ints) <= _MEMO_MAX_LEN else _label.__wrapped__)(ints)
-        if self.max_arity is not None and len(items) > max(self.max_arity, 0):
-            raise ArityExceededError(
-                f"subset size {len(items)} exceeds max arity {self.max_arity}")
-        return items, text
+        return (_label if len(ints) <= _MEMO_MAX_LEN else _label.__wrapped__)(ints)
 
     def xi(self, subset: Iterable[int] = ()) -> float:
         """Uniform [0,1) value attached to the subset; 53 random bits.

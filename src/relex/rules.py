@@ -118,20 +118,25 @@ class DecisionContext:
 
     # -- reference-structure channels ------------------------------------------
 
-    def _reference(self) -> Structure:
+    def _reference(self, channel: str, modes: tuple[str, ...]) -> Structure:
+        """The reference, for a channel that only the context `modes` may read."""
+        if self.context_mode not in modes:
+            raise ValueError(f"{channel} is unavailable in context mode {self.context_mode!r}")
         if self.reference is None:
             raise ValueError("no reference structure available in this context")
         return self.reference
 
     def restriction(self) -> Structure:
         """Reference structure restricted to the tuple's range, on [1, k]
-        (memoized on the reference by `restrict`)."""
-        return restrict(self._reference(), self.subset())
+        (memoized on the reference by `restrict`); not in mode `none`."""
+        return restrict(self._reference("restriction", ("restriction", "segment")),
+                        self.subset())
 
     def segment(self) -> Structure:
-        """Reference structure's initial segment on [1, max entry]; `restrict`
-        memoizes it on the reference, so it is built once per reference."""
-        return restrict(self._reference(), range(1, max(self.tuple) + 1))
+        """Reference structure's initial segment on [1, max entry], in mode
+        `segment` only; `restrict` memoizes it on the reference."""
+        return restrict(self._reference("segment", ("segment",)),
+                        range(1, max(self.tuple) + 1))
 
     def context_key(self) -> str:
         """Canonical key of the reference restricted to the tuple's range,
@@ -142,9 +147,7 @@ class DecisionContext:
         and the restriction keeps keys small and isomorphism-invariant.
         """
         if self._context_key is None:
-            if self.context_mode not in ("restriction", "segment"):
-                raise ValueError(
-                    f"context_key is unavailable in context mode {self.context_mode!r}")
+            self._reference("context_key", ("restriction", "segment"))
             index = {c: k for k, c in enumerate(self.subset(), start=1)}
             mapped = tuple(index[c] for c in self.tuple)
             self._context_key = context_key(self.restriction(), mapped)

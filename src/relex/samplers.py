@@ -132,13 +132,12 @@ def sample_framewise(klass: FiniteClass, n: int, src: HierarchicalRandomSource,
     size], which is uniform because the orbit size divides |s|!.
 
     Each step hands the decided tuples inside s, relabelled onto [1, |s|],
-    to `_step_classes`: up to the max arity that is one lookup in the
-    class's amalgam cache under (|s|, mask), the bits of those tuples among
-    the non-surjective tuples on [1, |s|]; the entry also lists each orbit
-    member's tuples with range all of [1, |s|].  A miss, or a larger step,
-    which nothing caches, goes to `_amalgam_classes`.  Singletons read the
-    k = 1 table once per sample, and no subset is scanned for decided
-    tuples while none has been decided.
+    to `_step_classes`: one lookup in the class's amalgam cache under
+    (|s|, the frozenset of those (name, tuple) pairs); the entry also lists
+    each orbit member's tuples with range all of [1, |s|].  A miss, or a
+    step above the max arity, which nothing caches, goes to
+    `_amalgam_classes`.  Singletons read the k = 1 table once per sample,
+    and no subset is scanned for decided tuples while none has been decided.
 
     Only subsets of size at most max(arity, locality) are visited, or every
     subset when the class's locality is unknown: above that size the step
@@ -217,6 +216,10 @@ def sample_framewise(klass: FiniteClass, n: int, src: HierarchicalRandomSource,
 
 # --- age-indexed laws and sequential growth ------------------------------------
 
+_EMBED_BOUND = 32  # reference points searched for an age member's greedy embedding
+_MIN_MASS = 1e-6  # sequential growth raises below this conditioning mass
+
+
 class AgeIndexedLaw:
     """Per age member, a probability table over structures on its size.
 
@@ -259,17 +262,17 @@ def _total_variation(p: Mapping[str, float], q: Mapping[str, float]) -> float:
 
 
 def age_indexed_from_sampler(sampler, oracle: Oracle, klass: FiniteClass,
-                             cap: int, n_samples: int, meta_seed: int = 0,
-                             embed_bound: int = 32) -> AgeIndexedLaw:
+                             cap: int, n_samples: int, meta_seed: int = 0) -> AgeIndexedLaw:
     """Estimate per-age-member output laws through greedy natural embeddings.
 
     For each member S of the class's age up to `cap`, finds the greedy
-    embedding of S into the reference, draws `n_samples` structures (fresh
-    seeds from a meta-seeded stream), pulls each back along the embedding,
-    and tallies.  Afterwards computes, over every embedding between age
-    members, the total-variation distance between the smaller member's
-    table and the pullback of the larger's; the worst value is reported as
-    `max_discrepancy` (statistically zero for genuinely invariant samplers).
+    embedding of S into the reference's first _EMBED_BOUND points, draws
+    `n_samples` structures (fresh seeds from a meta-seeded stream), pulls
+    each back along the embedding, and tallies.  Afterwards computes, over
+    every embedding between age members, the total-variation distance
+    between the smaller member's table and the pullback of the larger's;
+    the worst value is reported as `max_discrepancy` (statistically zero
+    for genuinely invariant samplers).
     """
     lazy = ensure_lazy(oracle)
     law = AgeIndexedLaw(sampler.signature, cap)
@@ -278,7 +281,7 @@ def age_indexed_from_sampler(sampler, oracle: Oracle, klass: FiniteClass,
     for size in range(1, cap + 1):
         members.extend(klass.enumerate(size))
     for j, member in enumerate(members):
-        rho = natural_embedding(member, lazy, embed_bound)
+        rho = natural_embedding(member, lazy, _EMBED_BOUND)
         counts: dict[str, list] = {}
         for sample, count in _tally(sampler, max(rho.image_sequence()), n_samples,
                                     seeds, j * n_samples).items():
@@ -309,15 +312,14 @@ def age_indexed_from_sampler(sampler, oracle: Oracle, klass: FiniteClass,
 
 
 def sample_sequential(law: AgeIndexedLaw, oracle: Oracle, n: int,
-                      src: HierarchicalRandomSource,
-                      epsilon: float = 1e-6) -> Structure:
+                      src: HierarchicalRandomSource) -> Structure:
     """Grow X|_[1], ..., X|_[n] by exact conditional sampling from the tables.
 
     At step m the table attached to the reference's segment on [1, m] is
     conditioned on agreeing with the already-built X|_[1, m-1]; the
     conditional outcome is picked by xi_{[1, m]}.  Raises
     ZeroProbabilityConditioning when the conditioning event's mass falls
-    below `epsilon`.
+    below _MIN_MASS.
     """
     lazy = ensure_lazy(oracle)
     current = Structure(law.signature, 0)
@@ -328,7 +330,7 @@ def sample_sequential(law: AgeIndexedLaw, oracle: Oracle, n: int,
         candidates = [(outcome, prob) for outcome, prob in table
                       if restrict(outcome, range(1, m)).key() == prefix_key]
         mass = sum(prob for _, prob in candidates)
-        if mass < epsilon:
+        if mass < _MIN_MASS:
             raise ZeroProbabilityConditioning(m)
         u = src.xi(tuple(range(1, m + 1))) * mass
         cum = 0.0
@@ -389,11 +391,10 @@ class FramewiseSampler:
 
 
 class SequentialSampler:
-    def __init__(self, law: AgeIndexedLaw, oracle: Oracle, epsilon: float = 1e-6):
+    def __init__(self, law: AgeIndexedLaw, oracle: Oracle):
         self.law = law
         self.oracle = oracle
-        self.epsilon = epsilon
         self.signature = law.signature
 
     def sample(self, src: HierarchicalRandomSource, n: int) -> Structure:
-        return sample_sequential(self.law, self.oracle, n, src, epsilon=self.epsilon)
+        return sample_sequential(self.law, self.oracle, n, src)

@@ -14,7 +14,7 @@ from relex import (CapExceededError, FiniteClass, Signature, Structure,
                    parse_theory, restrict, serialize)
 from relex.amalgamation import (BUILTIN_CLASS_NAMES, _amalgam_classes, _compatible,
                                 _dap_diagrams, _dap_instance_holds, _located_tuples,
-                                _slot_elements)
+                                _slot_elements, _step_classes)
 
 GRAPHS = builtin_class("graphs")
 EQUIV = builtin_class("equivalence")
@@ -131,6 +131,18 @@ def test_amalgams_rejects_incompatible_and_misshapen_families():
         amalgams([marked, unmarked, unmarked], SUBSETS)
     with pytest.raises(ValueError, match="slot"):
         amalgams([Structure(GRAPHS.signature, 3), _graph(2, []), _graph(2, [])], GRAPHS)
+
+
+def test_amalgam_cache_key_ignores_order_and_repeats():
+    # the partial is its own key: a set of pairs, however it is listed
+    klass = make_builtin_class("equivalence")
+    loops = [("E", (1, 1)), ("E", (2, 2))]
+    first = _step_classes(klass, 2, loops)
+    for pairs in (loops[::-1], loops + loops[:1]):
+        assert _step_classes(klass, 2, pairs) is first
+        assert _amalgam_classes(klass, 2, pairs) is first
+    assert list(klass._amalgam_cache) == [(2, frozenset(loops))]
+    assert [len(orbit) for orbit in first.orbits] == [1, 1]
 
 
 def test_amalgam_classes_rejects_a_partial_outside_the_slots():

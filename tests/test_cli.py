@@ -70,6 +70,19 @@ def test_check_unknown_class_is_usage_error():
     assert "unknown class" in result.stderr
 
 
+def test_check_and_theory_reject_options_the_kind_does_not_read():
+    for command, message in (
+            (("check", "jep", "--class", "graphs", "--n", "9", "--bound", "1"),
+             "check jep does not read --n"),
+            (("check", "ndap", "--class", "graphs", "--n", "3", "--bound", "7"),
+             "check ndap does not read --bound"),
+            (("theory", "check", "theories/graphs.th", "--n", "5"),
+             "theory check does not read --n")):
+        result = run_cli(*command)
+        assert result.returncode == 2, command
+        assert message in result.stderr, command
+
+
 def test_check_cap_out_of_range():
     """--cap on every subcommand that takes it, and --alpha and --N of test."""
     test_exch = ("test", "exch", "--sampler", "framewise:graphs")
@@ -239,6 +252,11 @@ def test_sample_usage_errors():
                      "--rules", "rules/two_coin.json", "--ref", "nosuch")
     assert result.returncode == 2
     assert "sample framewise does not read --rules, --ref" in result.stderr
+    # --cap is read only where a class is loaded
+    result = run_cli("sample", "exchangeable", "--rules", "rules/random_graph.json",
+                     "--n", "3", "--cap", "4")
+    assert result.returncode == 2
+    assert "sample exchangeable does not read --cap" in result.stderr
     # restriction-context rules are rejected by the exchangeable sampler
     result = run_cli("sample", "exchangeable", "--rules", "rules/parity_xor.json",
                      "--n", "3")
@@ -316,6 +334,14 @@ def test_test_usage_errors():
                      "--window", "1", "--s", "x")
     assert result.returncode == 2
     assert "test exch does not read --ref, --s, --window" in result.stderr
+    for args, message in (
+            (("exch", "--sampler", "exchangeable:rules/complete.json", "--n", "2",
+              "--N", "20", "--cap", "2"), "test exch does not read --cap"),
+            (("dissoc", "--sampler", "framewise:graphs", "--s", "1,2", "--t", "3,4",
+              "--n", "9", "--N", "50"), "test dissoc does not read --n")):
+        result = run_cli("test", *args)
+        assert result.returncode == 2, args
+        assert message in result.stderr, args
     result = run_cli("test", "dissoc", "--sampler", "framewise:graphs",
                      "--s", "1,2", "--t", "2,3", "--N", "50")
     assert result.returncode == 2

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relex import (ArityExceededError, HierarchicalRandomSource, InducedOrdering,
-                   SeedStream, induced_ordering, permutation_rank)
+from relex import (HierarchicalRandomSource, InducedOrdering, SeedStream,
+                   induced_ordering, permutation_rank)
 from relex.randomness import _MEMO_MAX_LEN, _label
 
 from helpers import naive_keyed_draws
@@ -93,16 +93,6 @@ def test_integral_seed_stand_ins_are_accepted():
     assert SeedStream(False)[True] == SeedStream(0)[1]
 
 
-def test_max_arity_enforced_but_empty_subset_exempt():
-    src = HierarchicalRandomSource(0, max_arity=2)
-    src.xi((1, 2))
-    src.xi(())                                        # always allowed
-    with pytest.raises(ArityExceededError):
-        src.xi((1, 2, 3))
-    with pytest.raises(ArityExceededError):
-        src.ordering((1, 2, 3))
-
-
 # --- ordering ----------------------------------------------------------------------
 
 def test_ordering_is_a_permutation_and_deterministic():
@@ -164,10 +154,6 @@ def test_memoised_subset_keeps_every_check():
         for _ in range(2):                            # a rejection is not memoised
             with pytest.raises(ValueError, match="positive integers"):
                 draw((0, 1))
-    with pytest.raises(ArityExceededError, match="subset size 2 exceeds max arity 1"):
-        HierarchicalRandomSource(11, max_arity=1).xi((1, 2))
-    with pytest.raises(ArityExceededError):
-        HierarchicalRandomSource(11, max_arity=1).ordering((2, 1))
 
 
 def test_memoised_subset_draws_the_same_for_every_spelling():

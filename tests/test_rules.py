@@ -9,7 +9,8 @@ import pytest
 
 from helpers import naive_context_key, random_structure
 from relex import (DecisionContext, FunctionDecisionFunction,
-                   HierarchicalRandomSource, Signature, Structure, TableEntry,
+                   HierarchicalRandomSource, MExchangeableSampler, Signature,
+                   Structure, TableEntry,
                    TableDecisionFunction, canonical_form, context_key,
                    load_rules, normalize_rules, rules_from_json,
                    rules_signature, tuple_pattern)
@@ -125,6 +126,29 @@ def test_context_validates_mode_and_positions():
         ctx.elements((3,))
     with pytest.raises(ValueError):
         ctx.restriction()   # no provider in mode none
+
+
+def test_reference_channels_keep_to_the_rules_context_mode():
+    # a restriction-mode rule reading the segment would see Q(3) and not
+    # Q(1), two odd points of the evens reference, in every seed
+    peek = FunctionDecisionFunction("Q", 1, lambda ctx: ctx.segment().has("P", (2,)),
+                                    context_mode="restriction")
+    for seed in range(20):
+        with pytest.raises(ValueError, match="segment is unavailable in context mode "
+                                             "'restriction'"):
+            MExchangeableSampler({"Q": peek}, evens_oracle()).sample(
+                HierarchicalRandomSource(seed), 3)
+    # a none-mode rule may not read the reference that another rule brought in
+    blind = FunctionDecisionFunction("A", 1, lambda ctx: ctx.restriction().has("P", (1,)))
+    keyed = FunctionDecisionFunction("B", 1, lambda ctx: ctx.context_key() is not None,
+                                     context_mode="restriction")
+    with pytest.raises(ValueError, match="restriction is unavailable in context mode 'none'"):
+        MExchangeableSampler({"A": blind, "B": keyed}, evens_oracle()).sample(
+            HierarchicalRandomSource(0), 3)
+    # the segment channel serves segment mode, which may also read the restriction
+    ref = evens_oracle().initial_segment(4)
+    ctx = _ctx((3,), mode="segment", reference=ref)
+    assert ctx.segment().n == 3 and ctx.restriction().n == 1
 
 
 # --- table decision functions --------------------------------------------------------------

@@ -225,8 +225,8 @@ def test_framewise_rejects_non_finite_weights(bad):
 class _CountingSource(HierarchicalRandomSource):
     """Records the subset of every xi and ordering draw."""
 
-    def __init__(self, seed, max_arity=None):
-        super().__init__(seed, max_arity)
+    def __init__(self, seed):
+        super().__init__(seed)
         self.draws = {"xi": [], "ordering": []}
 
     def xi(self, subset=()):
@@ -272,10 +272,12 @@ def test_framewise_draws_the_ordering_of_a_two_element_orbit():
 
 
 def test_framewise_never_queries_above_the_visited_sizes():
-    # a source capped at arity 2 used to raise at the first triple
-    capped = HierarchicalRandomSource(8, max_arity=2)
-    assert (sample_framewise(GRAPHS, 6, capped)
-            == sample_framewise(GRAPHS, 6, HierarchicalRandomSource(8)))
+    # graphs visit subsets of at most max(arity, locality) = 2 elements
+    src = _CountingSource(8)
+    sample = sample_framewise(GRAPHS, 6, src)
+    assert sample == sample_framewise(GRAPHS, 6, HierarchicalRandomSource(8))
+    drawn = src.draws["xi"] + src.draws["ordering"]
+    assert drawn and max(len(subset) for subset in drawn) == 2
 
 
 def test_framewise_unknown_locality_visits_every_subset():
@@ -365,7 +367,7 @@ def _counting_evens():
     def builder(m):
         calls.append(m)
         return Structure(UNARY, m, {"P": [(i,) for i in range(2, m + 1, 2)]})
-    return LazyStructure(UNARY, builder, name="counting-evens"), calls
+    return LazyStructure(UNARY, builder), calls
 
 
 @pytest.mark.parametrize("sample", [sample_m_exchangeable, sample_maxseg_exchangeable])

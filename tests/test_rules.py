@@ -133,11 +133,8 @@ def test_reference_channels_keep_to_the_rules_context_mode():
     # Q(1), two odd points of the evens reference, in every seed
     peek = FunctionDecisionFunction("Q", 1, lambda ctx: ctx.segment().has("P", (2,)),
                                     context_mode="restriction")
-    for seed in range(20):
-        with pytest.raises(ValueError, match="segment is unavailable in context mode "
-                                             "'restriction'"):
-            MExchangeableSampler({"Q": peek}, evens_oracle()).sample(
-                HierarchicalRandomSource(seed), 3)
+    with pytest.raises(ValueError, match="segment is unavailable in context mode 'restriction'"):
+        MExchangeableSampler({"Q": peek}, evens_oracle()).sample(HierarchicalRandomSource(0), 3)
     # a none-mode rule may not read the reference that another rule brought in
     blind = FunctionDecisionFunction("A", 1, lambda ctx: ctx.restriction().has("P", (1,)))
     keyed = FunctionDecisionFunction("B", 1, lambda ctx: ctx.context_key() is not None,

@@ -19,7 +19,11 @@ is read from those files.
 For every end-to-end metric of BENCHMARK.json the summary gives each side's
 runs, median, quartiles and IQR (inclusive quartiles), and the number of
 pairs the change won (ties count for neither side), together with the seeds
-and the git sha and source hash each checkout's runs recorded.
+and the git sha and source hash each checkout's runs recorded.  Each
+workload also gives each side's gauge readings in the same form: the median
+`gauge_s` of every run, the time of the fixed pure-Python loop that run.py
+scales latencies by, so that summaries made at different times can be
+compared for the machine's speed.
 """
 
 from __future__ import annotations
@@ -66,6 +70,48 @@ def _checkout_facts(results: list[dict]) -> dict:
     return {"git_sha": git_sha, "src_sha256": src_sha256}
 
 
+def summarize(benchmark: dict, checkouts: dict[str, Path],
+              workloads: list[tuple[str, int, int]]) -> dict:
+    """The summary of the run files that `workloads` (NAME, FIRST_SEED, PAIRS)
+    left in each side's checkout; `benchmark` is BENCHMARK.json's content."""
+    results = {side: [] for side in SIDES}
+    summaries = {}
+    for name, first_seed, pairs in workloads:
+        seeds = list(range(first_seed, first_seed + pairs))
+        runs = {side: [json.loads(_result_path(checkouts[side], name, seed).read_text())
+                       for seed in seeds] for side in SIDES}
+        for side in SIDES:
+            results[side] += runs[side]
+        metrics = {}
+        for spec in benchmark["end_to_end"]:
+            metric = spec["name"]
+            values = {side: [r["metrics"][metric]["value"] for r in runs[side]]
+                      for side in SIDES}
+            sign = 1 if spec["better"] == "higher" else -1
+            wins = sum(sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"]))
+            metrics[metric] = {"unit": spec["unit"], "better": spec["better"],
+                               "bound": spec["bound"],
+                               **{side: _side_summary(values[side]) for side in SIDES},
+                               "change_wins": wins, "pairs": pairs}
+        summaries[name] = {"seeds": seeds, "metrics": metrics,
+                           "gauge_s": {side: _side_summary([r["gauge_s"]["median"]
+                                                            for r in runs[side]])
+                                       for side in SIDES},
+                           "run_digests_equal": all(
+                               p["run_digest"] == c["run_digest"]
+                               for p, c in zip(runs["parent"], runs["change"]))}
+
+    return {
+        "command": "python3 perfbench/run.py --workload W --seed S "
+                   f"--seconds {benchmark['run_seconds']:g} --trace 0",
+        "order": "pair i runs the parent first when i is even, the change first when odd",
+        **{side: _checkout_facts(results[side]) for side in SIDES},
+        "machine": {key: results["parent"][0]["context"].get(key)
+                    for key in ("python", "nproc", "cpus_allowed")},
+        "workloads": summaries,
+    }
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", type=Path, required=True)
@@ -83,45 +129,16 @@ def main() -> int:
             for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
                 _run(checkouts[side], name, first_seed + i, seconds)
 
-    results = {side: [] for side in SIDES}
-    workloads = {}
-    for name, first_seed, pairs in args.workload:
-        seeds = list(range(first_seed, first_seed + pairs))
-        runs = {side: [json.loads(_result_path(checkouts[side], name, seed).read_text())
-                       for seed in seeds] for side in SIDES}
-        for side in SIDES:
-            results[side] += runs[side]
-        metrics = {}
-        for spec in benchmark["end_to_end"]:
-            metric = spec["name"]
-            values = {side: [r["metrics"][metric]["value"] for r in runs[side]]
-                      for side in SIDES}
-            sign = 1 if spec["better"] == "higher" else -1
-            wins = sum(sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"]))
-            metrics[metric] = {"unit": spec["unit"], "better": spec["better"],
-                               "bound": spec["bound"],
-                               **{side: _side_summary(values[side]) for side in SIDES},
-                               "change_wins": wins, "pairs": pairs}
-        workloads[name] = {"seeds": seeds, "metrics": metrics,
-                           "run_digests_equal": all(
-                               p["run_digest"] == c["run_digest"]
-                               for p, c in zip(runs["parent"], runs["change"]))}
-
-    summary = {
-        "command": "python3 perfbench/run.py --workload W --seed S "
-                   f"--seconds {seconds:g} --trace 0",
-        "order": "pair i runs the parent first when i is even, the change first when odd",
-        **{side: _checkout_facts(results[side]) for side in SIDES},
-        "machine": {key: results["parent"][0]["context"].get(key)
-                    for key in ("python", "nproc", "cpus_allowed")},
-        "workloads": workloads,
-    }
+    summary = summarize(benchmark, checkouts, args.workload)
     args.out.write_text(json.dumps(summary, indent=1) + "\n")
-    for name, entry in workloads.items():
+    for name, entry in summary["workloads"].items():
         for metric, m in entry["metrics"].items():
             print(f"{name:16} {metric:12} {m['parent']['median']:.6g} "
                   f"(IQR {m['parent']['iqr']:.3g}) -> {m['change']['median']:.6g} "
                   f"(IQR {m['change']['iqr']:.3g}), change won {m['change_wins']}/{m['pairs']}")
+        gauge = entry["gauge_s"]
+        print(f"{name:16} {'gauge_s':12} {gauge['parent']['median']:.6g} -> "
+              f"{gauge['change']['median']:.6g}")
     return 0
 
 

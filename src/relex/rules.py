@@ -71,9 +71,9 @@ class DecisionContext:
         self.partition = tuple(partition)
         self.context_mode = context_mode
         self.reference = reference
+        self._pattern: Optional[tuple[int, ...]] = None
         self._xi_cache: dict[tuple[int, ...], float] = {}
         self._rank_cache: dict[tuple[int, ...], tuple[int, ...]] = {}
-        self._context_key: Optional[str] = None
 
     # -- coordinate selection -------------------------------------------------
 
@@ -95,7 +95,9 @@ class DecisionContext:
     # -- randomness channels --------------------------------------------------
 
     def pattern(self) -> tuple[int, ...]:
-        return tuple_pattern(self.tuple)
+        if self._pattern is None:
+            self._pattern = tuple_pattern(self.tuple)
+        return self._pattern
 
     def xi(self, positions: Optional[Sequence[int]] = None) -> float:
         key = self.subset(positions)
@@ -145,13 +147,22 @@ class DecisionContext:
         Both `restriction` and `segment` mode key this view: the segment
         [1, max entry] restricted to the tuple's range is the same structure,
         and the restriction keeps keys small and isomorphism-invariant.
+
+        The key depends on the reference and the tuple alone, so it is
+        memoized on the reference by tuple, beside `restrict`'s memo and for
+        as long as the reference lives: every later sample over the same
+        reference reads it back.
         """
-        if self._context_key is None:
-            self._reference("context_key", ("restriction", "segment"))
-            index = {c: k for k, c in enumerate(self.subset(), start=1)}
+        reference = self._reference("context_key", ("restriction", "segment"))
+        memo = reference._context_keys
+        if memo is None:
+            memo = reference._context_keys = {}
+        key = memo.get(self.tuple)
+        if key is None:
+            index = {c: k for k, c in enumerate(self._subset, start=1)}
             mapped = tuple(index[c] for c in self.tuple)
-            self._context_key = context_key(self.restriction(), mapped)
-        return self._context_key
+            key = memo[self.tuple] = context_key(self.restriction(), mapped)
+        return key
 
 
 class DecisionFunction:

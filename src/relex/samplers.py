@@ -19,8 +19,7 @@ from .amalgamation import FiniteClass, _partial, _step_classes
 from .embeddings import (Oracle, enumerate_embeddings, ensure_lazy,
                          natural_embedding)
 from .randomness import (HierarchicalRandomSource, SeedStream, permutation_rank)
-from .rules import (DecisionContext, DecisionFunction, normalize_rules,
-                    rules_signature)
+from .rules import DecisionContext, normalize_rules, rules_signature
 from .stattests import _tally
 from .structures import Signature, Structure, relabel, restrict
 
@@ -58,47 +57,61 @@ _ALLOWED_CONTEXTS = {
 }
 
 
-def _sample_by_rules(rules: Mapping[str, DecisionFunction], n: int,
-                     src: HierarchicalRandomSource, kind: str,
+class _RuleSet:
+    """A rule set normalized and checked against one sampling kind, with its
+    signature: the part of a rule-driven sample that no seed or size changes,
+    prepared once per sampler instead of once per sample."""
+
+    __slots__ = ("kind", "rules", "signature", "steps", "reads_reference")
+
+    def __init__(self, rules, kind: str):
+        rules = normalize_rules(rules)
+        allowed = _ALLOWED_CONTEXTS[kind]
+        for df in rules.values():
+            if df.context_mode not in allowed:
+                raise ValueError(
+                    f"{kind} sampling cannot serve context mode {df.context_mode!r} "
+                    f"(rule for {df.relation!r}); it serves context mode "
+                    + ", ".join(map(repr, allowed)))
+        self.kind = kind
+        self.rules = rules
+        self.signature = rules_signature(rules)
+        # (name, rule) in signature order
+        self.steps = tuple((name, rules[name]) for name in self.signature.names())
+        self.reads_reference = any(df.context_mode != "none" for df in rules.values())
+
+
+def _sample_by_rules(rules, n: int, src: HierarchicalRandomSource, kind: str,
                      oracle: Optional[Oracle]) -> Structure:
-    allowed = _ALLOWED_CONTEXTS[kind]
-    for df in rules.values():
-        if df.context_mode not in allowed:
-            raise ValueError(
-                f"{kind} sampling cannot serve context mode {df.context_mode!r} "
-                f"(rule for {df.relation!r})")
-    reference = None
-    if any(df.context_mode != "none" for df in rules.values()):
-        reference = ensure_lazy(oracle).initial_segment(n)
-    signature = rules_signature(rules)
+    """Decide every tuple on [1, n] by its relation's rule; `rules` is anything
+    `normalize_rules` accepts, or a `_RuleSet` prepared for `kind`."""
+    if not (isinstance(rules, _RuleSet) and rules.kind == kind):
+        rules = _RuleSet(rules, kind)
+    reference = ensure_lazy(oracle).initial_segment(n) if rules.reads_reference else None
     relations = {}
-    for name in signature.names():
-        df = rules[name]
-        chosen = []
-        for tup in itertools.product(range(1, n + 1), repeat=df.arity):
-            ctx = DecisionContext(src, name, tup, partition=df.partition,
-                                  context_mode=df.context_mode, reference=reference)
-            if df.decide(ctx):
-                chosen.append(tup)
-        relations[name] = chosen
-    return Structure._trusted(signature, n, relations)
+    for name, df in rules.steps:
+        partition, mode = df.partition, df.context_mode
+        relations[name] = [
+            tup for tup in itertools.product(range(1, n + 1), repeat=df.arity)
+            if df.decide(DecisionContext(src, name, tup, partition, mode, reference))]
+    return Structure._trusted(rules.signature, n, relations)
 
 
 def sample_exchangeable(rules, n: int, src: HierarchicalRandomSource) -> Structure:
     """Tuple membership decided by context-free rules on subset-keyed randomness."""
-    return _sample_by_rules(normalize_rules(rules), n, src, "exchangeable", None)
+    return _sample_by_rules(rules, n, src, "exchangeable", None)
 
 
 def sample_m_exchangeable(rules, oracle: Oracle, n: int,
                           src: HierarchicalRandomSource) -> Structure:
     """Rules may additionally read the reference restricted to the tuple's range."""
-    return _sample_by_rules(normalize_rules(rules), n, src, "m-exchangeable", oracle)
+    return _sample_by_rules(rules, n, src, "m-exchangeable", oracle)
 
 
 def sample_maxseg_exchangeable(rules, oracle: Oracle, n: int,
                                src: HierarchicalRandomSource) -> Structure:
     """Rules may read the reference's initial segment up to the largest entry."""
-    return _sample_by_rules(normalize_rules(rules), n, src, "maxseg", oracle)
+    return _sample_by_rules(rules, n, src, "maxseg", oracle)
 
 
 # --- frame-wise uniform construction -------------------------------------------
@@ -137,7 +150,8 @@ def sample_framewise(klass: FiniteClass, n: int, src: HierarchicalRandomSource,
     each orbit member's tuples with range all of [1, |s|].  A miss, or a
     step above the max arity, which nothing caches, goes to
     `_amalgam_classes`.  Singletons read the k = 1 table once per sample,
-    and no subset is scanned for decided tuples while none has been decided.
+    and each step scans s only for supports of the sizes that hold decided
+    tuples (on graphs, none of size 1).
 
     Only subsets of size at most max(arity, locality) are visited, or every
     subset when the class's locality is unknown: above that size the step
@@ -167,7 +181,6 @@ def sample_framewise(klass: FiniteClass, n: int, src: HierarchicalRandomSource,
     singles = _step_classes(klass, 1).new_tuples
     if not singles:
         raise ValueError(f"class {klass.name!r} has no members of size 1")
-    max_arity = signature.max_arity()
     # sorted support -> its decided (name, tuple) pairs, the tuples with
     # exactly that range, labelled on [1, |support|]; only nonempty entries
     decided: dict[tuple, tuple] = {}
@@ -175,19 +188,22 @@ def sample_framewise(klass: FiniteClass, n: int, src: HierarchicalRandomSource,
         index = 0 if len(singles) == 1 else _class_index(src.xi((i,)), len(singles), None)
         if singles[index][0]:
             decided[(i,)] = singles[index][0]
+    # the support sizes that `decided` holds
+    sizes = {1} if decided else set()
 
     forced_above = klass.forced_above
     top = n if forced_above is None else min(n, forced_above)
     for k in range(2, top + 1):
-        # by size, the positions in s of each proper subset that can be a support
-        positions = [list(itertools.combinations(range(1, k + 1), size))
-                     for size in range(1, min(max_arity, k - 1) + 1)]
+        # for each support size held (all below k), the positions in s of
+        # its subsets of that size
+        positions = [(size, list(itertools.combinations(range(1, k + 1), size)))
+                     for size in sorted(sizes)]
         for s in itertools.combinations(range(1, n + 1), k):
             # the decided tuples inside s, relabelled onto [1, k]
             inside = [(name, tuple([pos[c - 1] for c in tup]))
-                      for size, sub_positions in enumerate(positions, start=1)
+                      for size, sub_positions in positions
                       for support, pos in zip(itertools.combinations(s, size), sub_positions)
-                      for name, tup in decided.get(support, ())] if decided else []
+                      for name, tup in decided.get(support, ())]
             classes = _step_classes(klass, k, inside)
             orbits = classes.orbits
             if not orbits:
@@ -206,6 +222,7 @@ def sample_framewise(klass: FiniteClass, n: int, src: HierarchicalRandomSource,
             new = classes.new_tuples[index][rank]
             if new:
                 decided[s] = new
+                sizes.add(k)
 
     relations: dict[str, list] = {name: [] for name in names}
     for support, pairs in decided.items():
@@ -350,34 +367,34 @@ class ExchangeableSampler:
     """Context-free rule sampler with a stable (sample, signature) interface."""
 
     def __init__(self, rules):
-        self.rules = normalize_rules(rules)
-        for df in self.rules.values():
-            if df.context_mode != "none":
-                raise ValueError("exchangeable rules must use context mode 'none'")
-        self.signature = rules_signature(self.rules)
+        self._rules = _RuleSet(rules, "exchangeable")
+        self.rules = self._rules.rules
+        self.signature = self._rules.signature
 
     def sample(self, src: HierarchicalRandomSource, n: int) -> Structure:
-        return sample_exchangeable(self.rules, n, src)
+        return sample_exchangeable(self._rules, n, src)
 
 
 class MExchangeableSampler:
     def __init__(self, rules, oracle: Oracle):
-        self.rules = normalize_rules(rules)
+        self._rules = _RuleSet(rules, "m-exchangeable")
+        self.rules = self._rules.rules
         self.oracle = oracle
-        self.signature = rules_signature(self.rules)
+        self.signature = self._rules.signature
 
     def sample(self, src: HierarchicalRandomSource, n: int) -> Structure:
-        return sample_m_exchangeable(self.rules, self.oracle, n, src)
+        return sample_m_exchangeable(self._rules, self.oracle, n, src)
 
 
 class MaxSegSampler:
     def __init__(self, rules, oracle: Oracle):
-        self.rules = normalize_rules(rules)
+        self._rules = _RuleSet(rules, "maxseg")
+        self.rules = self._rules.rules
         self.oracle = oracle
-        self.signature = rules_signature(self.rules)
+        self.signature = self._rules.signature
 
     def sample(self, src: HierarchicalRandomSource, n: int) -> Structure:
-        return sample_maxseg_exchangeable(self.rules, self.oracle, n, src)
+        return sample_maxseg_exchangeable(self._rules, self.oracle, n, src)
 
 
 class FramewiseSampler:

@@ -1,0 +1,86 @@
+"""The summary that scripts/bench_pairs.py writes, checked on synthetic run files."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
+
+BENCHMARK = {
+    "run_seconds": 22,
+    "end_to_end": [
+        {"name": "ops_per_s", "unit": "ops/s", "better": "higher", "bound": 0.25},
+        {"name": "op_p50_s", "unit": "s", "better": "lower", "bound": 0.25},
+    ],
+}
+
+
+def _load_script():
+    spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _write_run(checkout: Path, workload: str, seed: int, ops_per_s: float,
+               op_p50_s: float, gauge_median_s: float, digest: str,
+               git_sha: str = "abc") -> None:
+    run = {
+        "context": {"git_sha": git_sha, "src_sha256": f"src-{checkout.name}",
+                    "python": "3.x", "nproc": 2, "cpus_allowed": "0-1"},
+        "metrics": {"ops_per_s": {"value": ops_per_s}, "op_p50_s": {"value": op_p50_s}},
+        "gauge_s": {"readings": 9, "median": gauge_median_s},
+        "run_digest": digest,
+    }
+    path = checkout / ".perfbench" / f"{workload}-seed{seed}-trace0.json"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(run))
+
+
+def _checkouts(tmp_path):
+    return {"parent": tmp_path / "parent", "change": tmp_path / "change"}
+
+
+def test_summary_counts_wins_and_reads_gauge_medians(tmp_path):
+    checkouts = _checkouts(tmp_path)
+    parent = [(10.0, 0.020, 0.0070), (11.0, 0.030, 0.0080), (12.0, 0.010, 0.0090)]
+    change = [(15.0, 0.010, 0.0075), (9.0, 0.030, 0.0085), (13.0, 0.020, 0.0095)]
+    for seed, (p, c) in enumerate(zip(parent, change), start=40):
+        _write_run(checkouts["parent"], "rules-reference", seed, *p, digest=f"d{seed}")
+        _write_run(checkouts["change"], "rules-reference", seed, *c, digest=f"d{seed}")
+    summary = _load_script().summarize(BENCHMARK, checkouts, [("rules-reference", 40, 3)])
+
+    entry = summary["workloads"]["rules-reference"]
+    assert entry["seeds"] == [40, 41, 42]
+    assert entry["run_digests_equal"] is True
+    ops = entry["metrics"]["ops_per_s"]
+    assert ops["parent"]["runs"] == [10.0, 11.0, 12.0]
+    assert ops["parent"]["median"] == 11.0 and ops["change"]["median"] == 13.0
+    assert ops["change_wins"] == 2 and ops["pairs"] == 3   # 15 > 10, 13 > 12
+    # lower is better; the tie in the second pair counts for neither side
+    assert entry["metrics"]["op_p50_s"]["change_wins"] == 1
+    gauge = entry["gauge_s"]
+    assert gauge["parent"]["runs"] == [0.0070, 0.0080, 0.0090]
+    assert gauge["parent"]["median"] == 0.0080
+    assert gauge["change"]["median"] == 0.0085
+    assert summary["parent"] == {"git_sha": "abc", "src_sha256": "src-parent"}
+    assert summary["change"] == {"git_sha": "abc", "src_sha256": "src-change"}
+    assert summary["command"].endswith("--seconds 22 --trace 0")
+
+
+def test_summary_flags_digest_mismatches_and_mixed_sources(tmp_path):
+    checkouts = _checkouts(tmp_path)
+    for seed in (1, 2):
+        _write_run(checkouts["parent"], "exch-small", seed, 10.0, 0.1, 0.0075, "same")
+        _write_run(checkouts["change"], "exch-small", seed, 10.0, 0.1, 0.0075,
+                   "same" if seed == 1 else "other")
+    script = _load_script()
+    summary = script.summarize(BENCHMARK, checkouts, [("exch-small", 1, 2)])
+    assert summary["workloads"]["exch-small"]["run_digests_equal"] is False
+
+    _write_run(checkouts["change"], "exch-small", 2, 10.0, 0.1, 0.0075, "same",
+               git_sha="def")
+    with pytest.raises(SystemExit, match="different sources"):
+        script.summarize(BENCHMARK, checkouts, [("exch-small", 1, 2)])

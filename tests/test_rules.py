@@ -12,9 +12,10 @@ from relex import (DecisionContext, FunctionDecisionFunction,
                    HierarchicalRandomSource, MExchangeableSampler, Signature,
                    Structure, TableEntry,
                    TableDecisionFunction, canonical_form, context_key,
-                   load_rules, normalize_rules, rules_from_json,
-                   rules_signature, tuple_pattern)
-from relex.catalog import evens_oracle, parity_overlay_oracle
+                   ensure_lazy, load_rules, normalize_rules, restrict,
+                   rules_from_json, rules_signature, tuple_pattern)
+from relex.catalog import (evens_oracle, odd_target_oracle, parity_overlay_oracle,
+                           same_class_triple_oracle)
 
 RULES_DIR = Path(__file__).resolve().parent.parent / "rules"
 GRAPH = Signature((("E", 2),))
@@ -113,6 +114,44 @@ def test_context_restriction_and_key_modes():
     ctx_none = _ctx((4, 9), mode="none")
     with pytest.raises(ValueError):
         ctx_none.context_key()
+
+
+MEMO_ORACLES = {
+    "evens": evens_oracle,
+    "same-class-triple": same_class_triple_oracle,
+    "odd-target": odd_target_oracle,
+    **{f"parity-overlay-{seed}": (lambda seed=seed: parity_overlay_oracle(
+        HierarchicalRandomSource(seed))) for seed in (0, 1, 2)},
+    "finite": lambda: ensure_lazy(Structure(GRAPH, 5, {"E": [(1, 2), (2, 1), (2, 5), (4, 4)]})),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MEMO_ORACLES))
+def test_memoized_context_keys_match_fresh_keys(name):
+    oracle = MEMO_ORACLES[name]()
+    for n in range(1, 6):
+        reference = oracle.initial_segment(n)
+        for _ in range(2):   # the second pass reads every key from the memo
+            for arity in (1, 2, 3):
+                for tup in itertools.product(range(1, n + 1), repeat=arity):
+                    subset = sorted(set(tup))
+                    fresh = context_key(restrict(reference, subset),
+                                        tuple(subset.index(c) + 1 for c in tup))
+                    for mode in ("restriction", "segment"):
+                        ctx = _ctx(tup, mode=mode, reference=reference)
+                        assert ctx.context_key() == fresh, (n, tup, mode)
+
+
+@pytest.mark.parametrize("first", [0, 1])
+def test_context_key_memos_stay_with_their_reference(first):
+    # the same tuple over two references that differ on it
+    references = (Structure(GRAPH, 3, {"E": [(1, 3), (3, 1)]}), Structure(GRAPH, 3))
+    expected = [context_key(restrict(ref, (1, 3)), (1, 2)) for ref in references]
+    assert expected[0] != expected[1]
+    for _ in range(2):
+        for i in (first, 1 - first):
+            ctx = _ctx((1, 3), mode="restriction", reference=references[i])
+            assert ctx.context_key() == expected[i]
 
 
 def test_context_validates_mode_and_positions():

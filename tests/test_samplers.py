@@ -13,17 +13,20 @@ from hypothesis import strategies as st
 
 import relex
 from relex import (AgeIndexedLaw, AmalgamationFailure, FiniteClass, FramewiseSampler,
-                   HierarchicalRandomSource, LazyStructure, MaxSegSampler,
+                   FunctionDecisionFunction, HierarchicalRandomSource, LazyStructure,
+                   MaxSegSampler,
                    MExchangeableSampler, SeedStream, SequentialSampler,
                    Signature, Structure, ZeroProbabilityConditioning, amalgams,
                    builtin_class, ensure_lazy, restrict, sample_exchangeable,
                    sample_framewise, sample_m_exchangeable,
                    sample_maxseg_exchangeable, sample_sequential,
-                   ExchangeableSampler, age_indexed_from_sampler, load_rules)
+                   ExchangeableSampler, age_indexed_from_sampler, context_key,
+                   load_rules)
 from relex.amalgamation import BUILTIN_CLASS_NAMES, from_theory, make_builtin_class
-from relex.catalog import (evens_oracle, mixed_two_coin_rules, random_graph_rules,
-                           same_class_triple_oracle, tournament_rules,
-                           two_coin_rules, weak_rep_rules)
+from relex.catalog import (evens_oracle, mixed_two_coin_rules, odd_target_oracle,
+                           parity_overlay_oracle, parity_overlay_rules,
+                           random_graph_rules, same_class_triple_oracle,
+                           tournament_rules, two_coin_rules, weak_rep_rules)
 from relex.theory import load_theory
 
 GRAPHS = builtin_class("graphs")
@@ -378,6 +381,41 @@ def test_rule_samplers_read_one_reference_view(sample):
         drawn = sample(two_coin_rules(), lazy, 40, HierarchicalRandomSource(seed))
         assert calls == [40]
         assert drawn == sample(two_coin_rules(), finite, 40, HierarchicalRandomSource(seed))
+
+
+def _keyed_arc_rules():
+    """S(i, j) iff "the reference holds only the arc i -> j on {i, j}" differs
+    from "xi_{i,j} < 1/2": a function rule that reads the context key."""
+    arc = context_key(Structure(Signature((("E", 2),)), 2, {"E": [(1, 2)]}), (1, 2))
+    rule = FunctionDecisionFunction(
+        "S", 2, lambda ctx: (ctx.context_key() == arc) != (ctx.xi() < 0.5),
+        context_mode="restriction")
+    return {"S": rule}
+
+
+# each builds a new sampler over a new reference oracle
+MEMO_SAMPLERS = {
+    "two-coin": lambda: MExchangeableSampler(two_coin_rules(), evens_oracle()),
+    "mixed-two-coin": lambda: MExchangeableSampler(mixed_two_coin_rules(), evens_oracle()),
+    "weak-rep": lambda: MaxSegSampler(weak_rep_rules(), same_class_triple_oracle()),
+    "parity-overlay": lambda: MExchangeableSampler(
+        parity_overlay_rules(), parity_overlay_oracle(HierarchicalRandomSource(5))),
+    "keyed-function": lambda: MExchangeableSampler(_keyed_arc_rules(), odd_target_oracle()),
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(MEMO_SAMPLERS)),
+       st.lists(st.tuples(st.integers(0, 2 ** 64 - 1), st.integers(0, 6)),
+                min_size=2, max_size=8))
+def test_rule_samplers_draw_over_a_warm_memo_as_over_a_fresh_one(name, draws):
+    # one sampler draws in the given order, so its reference's context-key
+    # memos fill as it goes, and its oracle regrows whenever a size exceeds
+    # every earlier one; each sample must equal a fresh sampler's
+    warm = MEMO_SAMPLERS[name]()
+    for seed, n in draws:
+        fresh = MEMO_SAMPLERS[name]().sample(HierarchicalRandomSource(seed), n)
+        assert warm.sample(HierarchicalRandomSource(seed), n) == fresh, (seed, n)
 
 
 # --- age-indexed laws ----------------------------------------------------------------------

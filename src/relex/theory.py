@@ -1,23 +1,34 @@
 """Universal theory DSL: parser, parametricity check, model enumeration.
 
-Theory files are UTF-8 text.  Each relation symbol is declared in a header
-line `rel R/2;`, followed by universally quantified sentences:
+Theory files are UTF-8 text: `rel R/2;` header lines declare the relation
+symbols, and universally quantified sentences follow:
 
     rel E/2;
     forall x . !E(x,x);
     forall x y . E(x,y) -> E(y,x);
 
-Formula connectives by loosening precedence: ! (tightest), &, |, -> (lowest,
-right-associative).  Atoms are R(x,...,x).  Quantification ranges over all
-assignments of the variables, repeats included, so `!E(x,x)` genuinely
-forbids diagonal tuples.
+Words are runs of Unicode letters, digits and underscores: all digits make
+an arity, `rel` and `forall` are keywords, any other word is a relation or
+variable name; `#` starts a comment.  Connectives by loosening precedence:
+! (tightest), &, |, -> (lowest, right-associative).  Quantifiers range over
+all assignments, repeats included, so `!E(x,x)` forbids diagonal tuples.
+
+`satisfies` and `enumerate_models` share one grounding per theory and size
+n, kept on the `Theory` for as long as it lives: the ground tuples on [1, n]
+in support order (largest entry, then sorted entry set, then name and
+tuple), and each sentence compiled once into a test of the tuple bits, its
+instances filed, as the positions of their atoms' tuples, under the position
+of their last tuple.  Support order decides all tuples on a set of points
+before any tuple naming a larger point.
 """
 
 from __future__ import annotations
 
 import itertools
+import re
+from collections import namedtuple
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from .structures import Signature, Structure
 
@@ -99,71 +110,41 @@ class Theory:
     signature: Signature
     sentences: tuple[Sentence, ...]
     source_name: str = "<theory>"
+    # n -> `_grounding(self, n)`; not part of the theory's identity
+    _groundings: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+
+    def __getstate__(self) -> dict:
+        # the memo's compiled tests are closures, which do not pickle
+        return {**self.__dict__, "_groundings": {}}
 
 
 # --- lexer ------------------------------------------------------------------
 
-_PUNCT = {";": "SEMI", ".": "DOT", ",": "COMMA", "(": "LPAREN", ")": "RPAREN",
-          "!": "BANG", "&": "AMP", "|": "PIPE", "/": "SLASH"}
+# one alternative per token class; `error` catches any other character
+_TOKEN = re.compile(r"(?P<skip>[ \t\r]+|#.*)|(?P<newline>\n)"
+                    r"|(?P<token>->|[;.,()!&|/]|\w+)|(?P<error>.)")
+_KINDS = {";": "SEMI", ".": "DOT", ",": "COMMA", "(": "LPAREN", ")": "RPAREN",
+          "!": "BANG", "&": "AMP", "|": "PIPE", "/": "SLASH", "->": "ARROW",
+          "forall": "FORALL", "rel": "REL"}
 
 
-@dataclass
-class _Token:
-    kind: str
-    text: str
-    line: int
-    column: int
+_Token = namedtuple("_Token", "kind text line column")
 
 
 def _tokenize(text: str) -> list[_Token]:
     tokens = []
-    line, col = 1, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < len(text) and text[i] != "\n":
-                i += 1
-            continue
-        if text.startswith("->", i):
-            tokens.append(_Token("ARROW", "->", line, col))
-            i += 2
-            col += 2
-            continue
-        if ch in _PUNCT:
-            tokens.append(_Token(_PUNCT[ch], ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            kind = "FORALL" if word == "forall" else "REL" if word == "rel" else "IDENT"
-            tokens.append(_Token(kind, word, line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(_Token("NUMBER", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        raise TheoryParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(_Token("EOF", "", line, col))
+    line, line_start = 1, 0
+    for match in _TOKEN.finditer(text):
+        kind, word = match.lastgroup, match.group()
+        column = match.start() - line_start + 1
+        if kind == "newline":
+            line, line_start = line + 1, match.end()
+        elif kind == "error":
+            raise TheoryParseError(f"unexpected character {word!r}", line, column)
+        elif kind == "token":
+            tokens.append(_Token(_KINDS.get(word, "NUMBER" if word.isdecimal() else "IDENT"),
+                                 word, line, column))
+    tokens.append(_Token("EOF", "", line, len(text) - line_start + 1))
     return tokens
 
 
@@ -191,19 +172,17 @@ class _Parser:
         return self.next()
 
     def parse_theory(self) -> Theory:
-        declarations: list[tuple[str, int]] = []
+        signature = Signature(())
         while self.peek().kind == "REL":
-            self.next()
+            rel = self.next()
             name = self.expect("IDENT", "relation name")
             self.expect("SLASH", "'/'")
             arity = self.expect("NUMBER", "arity")
             self.expect("SEMI", "';'")
-            declarations.append((name.text, int(arity.text)))
-        try:
-            signature = Signature(declarations)
-        except ValueError as exc:
-            tok = self.tokens[0]
-            raise TheoryParseError(str(exc), tok.line, tok.column) from exc
+            try:
+                signature = Signature(signature.symbols + ((name.text, int(arity.text)),))
+            except ValueError as exc:
+                raise TheoryParseError(str(exc), rel.line, rel.column) from exc
         sentences = []
         while self.peek().kind != "EOF":
             sentences.append(self.parse_sentence(signature))
@@ -214,11 +193,10 @@ class _Parser:
         variables = []
         while self.peek().kind == "IDENT":
             variables.append(self.next().text)
+        tok = self.peek()
         if not variables:
-            tok = self.peek()
             raise TheoryParseError("expected at least one variable", tok.line, tok.column)
         if len(set(variables)) != len(variables):
-            tok = self.peek()
             raise TheoryParseError("duplicate quantified variable", tok.line, tok.column)
         self.expect("DOT", "'.'")
         matrix = self.parse_formula(signature, set(variables))
@@ -227,11 +205,10 @@ class _Parser:
 
     def parse_formula(self, signature: Signature, scope: set[str]) -> Formula:
         left = self.parse_disj(signature, scope)
-        if self.peek().kind == "ARROW":
-            self.next()
-            right = self.parse_formula(signature, scope)
-            return Implies(left, right)
-        return left
+        if self.peek().kind != "ARROW":
+            return left
+        self.next()
+        return Implies(left, self.parse_formula(signature, scope))
 
     def parse_disj(self, signature: Signature, scope: set[str]) -> Formula:
         parts = [self.parse_conj(signature, scope)]
@@ -257,13 +234,9 @@ class _Parser:
             inner = self.parse_formula(signature, scope)
             self.expect("RPAREN", "')'")
             return inner
-        if tok.kind == "IDENT":
-            return self.parse_atom(signature, scope)
-        raise TheoryParseError(f"expected atom, found {tok.text or 'end of input'!r}",
-                               tok.line, tok.column)
+        return self.parse_atom(self.expect("IDENT", "atom"), signature, scope)
 
-    def parse_atom(self, signature: Signature, scope: set[str]) -> Atom:
-        name = self.expect("IDENT", "relation name")
+    def parse_atom(self, name: _Token, signature: Signature, scope: set[str]) -> Atom:
         if name.text not in signature:
             raise TheoryParseError(f"undeclared relation {name.text!r}",
                                    name.line, name.column)
@@ -321,99 +294,86 @@ def is_parametric(theory: Theory) -> tuple[bool, Optional[Atom]]:
     return True, None
 
 
-# --- evaluation and model enumeration ---------------------------------------
+# --- grounding, model checking and model enumeration ------------------------
 
-def _eval(formula: Formula, assignment: dict[str, int],
-          lookup: dict[tuple[str, tuple[int, ...]], bool]) -> bool:
+def _compile(formula: Formula, slot: dict[Atom, int]) -> Callable[..., bool]:
+    """The formula as a test of the tuple bits at one instance: atom `a` reads
+    `bits[at[slot[a]]]`, `at` holding the positions of the instance's atoms' tuples."""
     if isinstance(formula, Atom):
-        ground = tuple(assignment[v] for v in formula.variables)
-        return lookup[(formula.relation, ground)]
+        k = slot[formula]
+        return lambda bits, at: bits[at[k]]
     if isinstance(formula, Not):
-        return not _eval(formula.operand, assignment, lookup)
-    if isinstance(formula, And):
-        return all(_eval(p, assignment, lookup) for p in formula.parts)
-    if isinstance(formula, Or):
-        return any(_eval(p, assignment, lookup) for p in formula.parts)
+        operand = _compile(formula.operand, slot)
+        return lambda bits, at: not operand(bits, at)
     if isinstance(formula, Implies):
-        return (not _eval(formula.antecedent, assignment, lookup)) or \
-            _eval(formula.consequent, assignment, lookup)
-    raise TypeError(f"unknown formula node {formula!r}")
+        antecedent = _compile(formula.antecedent, slot)
+        consequent = _compile(formula.consequent, slot)
+        return lambda bits, at: not antecedent(bits, at) or consequent(bits, at)
+    parts = [_compile(part, slot) for part in formula.parts]
+    if isinstance(formula, And):
+        return lambda bits, at: all(part(bits, at) for part in parts)
+    return lambda bits, at: any(part(bits, at) for part in parts)
+
+
+def _grounding(theory: Theory, n: int) -> tuple[list[tuple[str, tuple[int, ...]]], list]:
+    """The ground tuples on [1, n] in support order, and each sentence instance
+    as (test, positions) under its last tuple's position; built once per n."""
+    if n not in theory._groundings:
+        universe = range(1, n + 1)
+        tuples = sorted(((name, tup) for name, arity in theory.signature
+                         for tup in itertools.product(universe, repeat=arity)),
+                        key=lambda item: (max(item[1]), sorted(set(item[1])), item))
+        index = {item: position for position, item in enumerate(tuples)}
+        instances: list[list] = [[] for _ in tuples]
+        for sentence in theory.sentences:
+            atoms = list(dict.fromkeys(_atoms(sentence.matrix)))
+            test = _compile(sentence.matrix, {atom: k for k, atom in enumerate(atoms)})
+            for values in itertools.product(universe, repeat=len(sentence.variables)):
+                value = dict(zip(sentence.variables, values))
+                at = tuple(index[atom.relation, tuple(value[v] for v in atom.variables)]
+                           for atom in atoms)
+                instances[max(at)].append((test, at))
+        theory._groundings[n] = (tuples, instances)
+    return theory._groundings[n]
 
 
 def satisfies(theory: Theory, structure: Structure) -> bool:
     """Model check: every sentence true under every variable assignment."""
     if structure.signature != theory.signature:
         return False
-    n = structure.n
-    lookup = {}
-    for name, arity in theory.signature:
-        members = structure.relation_sets()[name]
-        for tup in itertools.product(range(1, n + 1), repeat=arity):
-            lookup[(name, tup)] = tup in members
-    for sentence in theory.sentences:
-        for values in itertools.product(range(1, n + 1), repeat=len(sentence.variables)):
-            assignment = dict(zip(sentence.variables, values))
-            if not _eval(sentence.matrix, assignment, lookup):
-                return False
-    return True
-
-
-@dataclass
-class _GroundInstance:
-    """One sentence instantiated at one assignment, for early pruning."""
-    formula: Formula
-    assignment: dict[str, int]
-    last_tuple_index: int
+    tuples, instances = _grounding(theory, structure.n)
+    members = structure.relation_sets()
+    bits = [tup in members[name] for name, tup in tuples]
+    return all(test(bits, at) for filed in instances for test, at in filed)
 
 
 def enumerate_models(theory: Theory, n: int) -> list[Structure]:
-    """All structures on [1, n] satisfying the theory.
+    """All structures on [1, n] satisfying the theory, sorted by key.
 
-    Backtracking over tuple membership in a fixed order; each ground
-    sentence instance is evaluated as soon as its last tuple is decided,
-    which prunes violated branches early.  Output sorted by serialization.
+    Backtracks over the ground tuples in support order with an explicit
+    stack; each sentence instance is tested as soon as its last tuple is
+    decided, which prunes violated branches early.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    all_tuples: list[tuple[str, tuple[int, ...]]] = []
-    for name, arity in theory.signature:
-        for tup in itertools.product(range(1, n + 1), repeat=arity):
-            all_tuples.append((name, tup))
-    index_of = {key: i for i, key in enumerate(all_tuples)}
-
-    instances_by_last: dict[int, list[_GroundInstance]] = {}
-    for sentence in theory.sentences:
-        for values in itertools.product(range(1, n + 1), repeat=len(sentence.variables)):
-            assignment = dict(zip(sentence.variables, values))
-            involved = [index_of[(a.relation, tuple(assignment[v] for v in a.variables))]
-                        for a in _atoms(sentence.matrix)]
-            if not involved:
-                continue
-            inst = _GroundInstance(sentence.matrix, assignment, max(involved))
-            instances_by_last.setdefault(inst.last_tuple_index, []).append(inst)
-
-    lookup: dict[tuple[str, tuple[int, ...]], bool] = {}
-    models: list[Structure] = []
-
-    def assign(i: int) -> None:
-        if i == len(all_tuples):
-            relations: dict[str, list[tuple[int, ...]]] = {name: [] for name, _ in theory.signature}
-            for (name, tup) in all_tuples:
-                if lookup[(name, tup)]:
-                    relations[name].append(tup)
-            models.append(Structure(theory.signature, n, relations))
-            return
-        key = all_tuples[i]
-        for bit in (False, True):
-            lookup[key] = bit
-            ok = True
-            for inst in instances_by_last.get(i, ()):
-                if not _eval(inst.formula, inst.assignment, lookup):
-                    ok = False
-                    break
-            if ok:
-                assign(i + 1)
-        del lookup[key]
-
-    assign(0)
-    return sorted(models, key=lambda s: s.key())
+    tuples, instances = _grounding(theory, n)
+    if not tuples:
+        return [Structure._trusted(theory.signature, n, {})]
+    bits = [False] * len(tuples)
+    models = []
+    # (position, bit) choices still to try; a test at a position reads only
+    # bits at or before it, so later bits need no reset on backtracking
+    stack = [(0, True), (0, False)]
+    while stack:
+        position, bit = stack.pop()
+        bits[position] = bit
+        if all(test(bits, at) for test, at in instances[position]):
+            if position + 1 < len(tuples):
+                stack += ((position + 1, True), (position + 1, False))
+            else:
+                relations: dict[str, list[tuple[int, ...]]] = {}
+                for (name, tup), member in zip(tuples, bits):
+                    if member:
+                        relations.setdefault(name, []).append(tup)
+                models.append(Structure._trusted(theory.signature, n, relations))
+    return sorted(models, key=Structure.key)

@@ -15,6 +15,7 @@ import random
 
 from relex import (Injection, Signature, Structure, enumerate_embeddings, restrict,
                    serialize)
+from relex.theory import And, Atom, Implies, Not, Or
 
 
 def naive_embeddings(s: Structure, t: Structure) -> list[tuple[int, ...]]:
@@ -74,11 +75,35 @@ def naive_restrict(structure: Structure, images) -> Structure:
     return Structure(structure.signature, k, relations)
 
 
+def _holds(formula, assignment: dict, structure: Structure) -> bool:
+    """A quantifier-free formula under one assignment of its variables."""
+    if isinstance(formula, Atom):
+        return structure.has(formula.relation, tuple(assignment[v] for v in formula.variables))
+    if isinstance(formula, Not):
+        return not _holds(formula.operand, assignment, structure)
+    if isinstance(formula, And):
+        return all(_holds(p, assignment, structure) for p in formula.parts)
+    if isinstance(formula, Or):
+        return any(_holds(p, assignment, structure) for p in formula.parts)
+    if isinstance(formula, Implies):
+        return (not _holds(formula.antecedent, assignment, structure)
+                or _holds(formula.consequent, assignment, structure))
+    raise TypeError(f"unknown formula node {formula!r}")
+
+
+def naive_satisfies(theory, structure: Structure) -> bool:
+    """Model check by walking each sentence's formula tree at every assignment."""
+    if structure.signature != theory.signature:
+        return False
+    return all(_holds(sentence.matrix, dict(zip(sentence.variables, values)), structure)
+               for sentence in theory.sentences
+               for values in itertools.product(structure.universe(),
+                                               repeat=len(sentence.variables)))
+
+
 def naive_models(theory, n: int) -> list[Structure]:
     """All models of a universal theory on [1, n] by filtering every structure."""
-    from relex import satisfies
-
-    models = [s for s in all_structures(theory.signature, n) if satisfies(theory, s)]
+    models = [s for s in all_structures(theory.signature, n) if naive_satisfies(theory, s)]
     return sorted(models, key=lambda s: s.key())
 
 

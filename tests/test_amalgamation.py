@@ -5,7 +5,7 @@ import itertools
 from pathlib import Path
 
 import pytest
-from helpers import naive_dap_instance, naive_ndap_witness
+from helpers import all_structures, naive_dap_instance, naive_ndap_witness
 
 from relex import (CapExceededError, FiniteClass, Signature, Structure,
                    amalgamation, amalgams, builtin_class, check_dap, check_jep,
@@ -83,13 +83,24 @@ def test_k_hypergraphs_matches_builtin_at_3():
     assert len(pairs.enumerate(3)) == 8
 
 
-def test_from_theory_matches_builtin_graphs():
-    theory = parse_theory("rel E/2;\nforall x y . E(x,y) -> E(y,x);\nforall x . !E(x,x);")
-    klass = from_theory(theory, name="graphs-from-theory", cap=4)
-    for n in range(5):
-        assert klass.enumerate(n) == GRAPHS.enumerate(n)
-    assert klass.contains(Structure(GRAPHS.signature, 2, {"E": [(1, 2), (2, 1)]}))
-    assert not klass.contains(Structure(GRAPHS.signature, 2, {"E": [(1, 2)]}))
+# theory file -> (the builtin class it axiomatizes, largest size compared)
+_THEORY_BUILTINS = {"graphs.th": ("graphs", 5), "digraphs_loopfree.th": ("digraphs", 4),
+                    "equivalence.th": ("equivalence", 6), "hypergraphs3.th": ("hypergraphs3", 5)}
+
+
+@pytest.mark.parametrize("file", sorted(_THEORY_BUILTINS))
+def test_from_theory_matches_builtin(file):
+    builtin, largest = _THEORY_BUILTINS[file]
+    theory = load_theory(str(Path(__file__).resolve().parent.parent / "theories" / file))
+    klass, reference = from_theory(theory), builtin_class(builtin)
+    for n in range(largest + 1):
+        members = klass.enumerate(n)
+        assert members == reference.enumerate(n), n
+        assert all(klass.contains(s) and reference.contains(s) for s in members)
+    # non-members too: every structure on at most two points
+    for n in range(3):
+        for s in all_structures(theory.signature, n):
+            assert klass.contains(s) == reference.contains(s), s
 
 
 # --- amalgams of one family -------------------------------------------------------

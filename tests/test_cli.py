@@ -116,6 +116,15 @@ def test_age_counts_graphs():
     assert len(payload["members"]) == 8
 
 
+def test_age_of_a_theory_with_a_deep_search(tmp_path):
+    # 6^4 = 1,296 ground tuples at the default cap, one search level each
+    path = tmp_path / "r4.th"
+    path.write_text("rel R/4; forall x y z w . !R(x,y,z,w);\n", encoding="utf-8")
+    result = run_cli("--json", "age", "--class", str(path), "--n", "6")
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout)["count"] == 1
+
+
 # --- theory -----------------------------------------------------------------------
 
 def test_theory_check_parametric():

@@ -1,13 +1,15 @@
 """Theory DSL: parsing, error positions, the parametricity test, and model
 enumeration against a naive filter."""
 
+import itertools
+import pickle
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import naive_models
+from helpers import naive_models, naive_satisfies
 from relex import (Signature, Structure, Theory, TheoryParseError, enumerate_models,
                    is_parametric, load_theory, parse_theory, satisfies)
 from relex.theory import And, Atom, Implies, Not, Or, Sentence
@@ -120,6 +122,9 @@ def test_precedence_not_and_or():
     ("rel E/2;\nforall . E(x,x);", 2, "variable"),
     ("rel E/2;\nforall x . @;", 2, "unexpected character"),
     ("rel E/2;\nE(x,x);", 2, "forall"),
+    ("rel E/2;\nrel E/3;", 2, "duplicate"),
+    ("rel E/2;\nrel R/0;", 2, "arity"),
+    ("rel R/\u00b2;", 1, "arity"),
 ])
 def test_parse_errors_carry_position(text, line, fragment):
     with pytest.raises(TheoryParseError) as exc_info:
@@ -192,6 +197,45 @@ def test_known_model_counts():
     equiv = parse_theory(EQUIV_TH)
     # Bell numbers: partitions of an n-set
     assert [len(enumerate_models(equiv, n)) for n in range(5)] == [1, 1, 2, 5, 15]
+
+
+def _structures(n: int):
+    """Structures on [1, n] over the `_RELATIONS` signature, one drawn bit per tuple."""
+    space = [(name, tup) for name, arity in _RELATIONS
+             for tup in itertools.product(range(1, n + 1), repeat=arity)]
+
+    def build(bits):
+        relations = {name: [] for name, _ in _RELATIONS}
+        for (name, tup), bit in zip(space, bits):
+            if bit:
+                relations[name].append(tup)
+        return Structure(Signature(_RELATIONS), n, relations)
+
+    return st.lists(st.booleans(), min_size=len(space), max_size=len(space)).map(build)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.lists(_formulas(), min_size=1, max_size=3),
+       st.integers(0, 3).flatmap(_structures))
+def test_satisfies_and_enumeration_match_the_tree_walking_reference(matrices, structure):
+    th = Theory(Signature(_RELATIONS), tuple(Sentence(_VARIABLES, m) for m in matrices))
+    assert satisfies(th, structure) == naive_satisfies(th, structure)
+    for n in (0, 1):
+        assert enumerate_models(th, n) == naive_models(th, n)
+
+
+def test_deep_search_does_not_recurse():
+    # 6^4 = 1,296 ground tuples, one search level each
+    th = parse_theory("rel R/4; forall x y z w . !R(x,y,z,w);")
+    assert enumerate_models(th, 6) == [Structure(th.signature, 6)]
+
+
+def test_a_theory_pickles_after_use():
+    th = parse_theory(EQUIV_TH)
+    assert len(enumerate_models(th, 3)) == 5
+    copy = pickle.loads(pickle.dumps(th))
+    assert copy == th
+    assert len(enumerate_models(copy, 3)) == 5
 
 
 def test_enumerate_models_rejects_negative_n():

@@ -26,6 +26,14 @@ of the located slot members, and, as a frozenset, its own key in the
 amalgam table.  Only `_partial` turns pairs into relation sets, once per
 search.
 
+JEP and DAP ask one question of two members: does their layout over a
+shared part complete in the class (`_dap_instance_holds`)?  One overlap
+search, `_overlaps`, lists the shared parts; JEP needs some of them to
+complete and DAP's direct route every one.  No host is enumerated.
+
+The builtin classes are one table, `_BUILTINS`.  parity3's members are
+built from graphs rather than filtered from all 3-hypergraphs.
+
 All checkers are exact searches; worst cases are exponential and guarded
 by the cap.  All classes here are closed under isomorphism and
 substructure, which the DAP layout argument relies on.
@@ -33,16 +41,16 @@ substructure, which the DAP layout argument relies on.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Iterable, Optional
 
-from .embeddings import embedding_exists, enumerate_embeddings
+from .embeddings import iter_embeddings
 from .structures import (EMPTY_SIGNATURE, GRAPH_SIGNATURE, UNARY_SIGNATURE,
                          Injection, Signature, Structure, canonical_form,
-                         serialize)
+                         restrict, serialize)
 from .theory import Theory, enumerate_models, satisfies
 
 
@@ -119,20 +127,27 @@ def _guard_count(count: int, name: str) -> None:
             f"enumerating {count} members of {name!r} is over budget")
 
 
-def _enumerate_graphs(n: int):
-    pairs = list(itertools.combinations(range(1, n + 1), 2))
-    _guard_count(1 << len(pairs), "graphs")
-    for bits in itertools.product((0, 1), repeat=len(pairs)):
-        edges = []
-        for (a, b), bit in zip(pairs, bits):
-            if bit:
-                edges.extend([(a, b), (b, a)])
-        yield Structure(GRAPH_SIGNATURE, n, {"E": edges})
+_TRIPLES = Signature((("R", 3),))
 
 
-def _graph_ok(s: Structure) -> bool:
-    rel = s.relation_sets()["E"]
-    return all(a != b and (b, a) in rel for a, b in rel)
+def _uniform_ok(s: Structure) -> bool:
+    """The signature's one relation is a k-uniform hypergraph: every tuple has
+    k distinct entries and holds in every order."""
+    (name, k), = s.signature
+    rel = s.relation_sets()[name]
+    return all(len(set(tup)) == k and all(perm in rel for perm in itertools.permutations(tup))
+               for tup in rel)
+
+
+def _enumerate_uniform(label: str, signature: Signature, n: int):
+    """Every k-uniform hypergraph on [1, n] over the signature's one relation."""
+    (name, k), = signature
+    supports = list(itertools.combinations(range(1, n + 1), k))
+    _guard_count(1 << len(supports), label)
+    for bits in itertools.product((0, 1), repeat=len(supports)):
+        yield Structure._trusted(signature, n, {name: [
+            perm for support, bit in zip(supports, bits) if bit
+            for perm in itertools.permutations(support)]})
 
 
 def _enumerate_digraphs(n: int):
@@ -206,94 +221,76 @@ def _equivalence_ok(s: Structure) -> bool:
     return True
 
 
-def _k_hypergraph_pieces(k: int):
-    sig = Signature((("R", k),))
-
-    def enumerate_members(n: int):
-        supports = list(itertools.combinations(range(1, n + 1), k))
-        _guard_count(1 << len(supports), f"hypergraphs{k}")
-        for bits in itertools.product((0, 1), repeat=len(supports)):
-            tuples = []
-            for support, bit in zip(supports, bits):
-                if bit:
-                    tuples.extend(itertools.permutations(support))
-            yield Structure(sig, n, {"R": tuples})
-
-    def ok(s: Structure) -> bool:
-        rel = s.relation_sets()["R"]
-        for tup in rel:
-            if len(set(tup)) != k:
-                return False
-            for perm in itertools.permutations(tup):
-                if perm not in rel:
-                    return False
-        return True
-
-    return sig, enumerate_members, ok
+def _odd_triples(n: int, edges) -> list[tuple[int, int, int]]:
+    """The triples of distinct points of [1, n], in every order, that span an
+    odd number of the pairs (x, y), x < y, in `edges`."""
+    return [perm for triple in itertools.combinations(range(1, n + 1), 3)
+            if sum(pair in edges for pair in itertools.combinations(triple, 2)) % 2
+            for perm in itertools.permutations(triple)]
 
 
-def _parity_ok_extra(s: Structure) -> bool:
-    """Every 4 distinct points span an even number of triples."""
+def _parity3_ok(s: Structure) -> bool:
+    """A 3-uniform hypergraph in which every 4 points span an even number of triples."""
     rel = s.relation_sets()["R"]
-    for four in itertools.combinations(range(1, s.n + 1), 4):
-        count = sum(1 for triple in itertools.combinations(four, 3) if triple in rel)
-        if count % 2 != 0:
-            return False
-    return True
+    return _uniform_ok(s) and all(
+        sum(triple in rel for triple in itertools.combinations(four, 3)) % 2 == 0
+        for four in itertools.combinations(range(1, s.n + 1), 4))
 
 
-# name: (predicate, enumerator, locality).  Minimal non-members: a loop
-# (digraphs); a loop or a one-way pair (graphs, tournaments); three points
-# breaking transitivity (equivalence).
-_BINARY_CLASSES = {
-    "graphs": (_graph_ok, _enumerate_graphs, 2),
-    "digraphs": (_digraph_ok, _enumerate_digraphs, 1),
-    "tournaments": (_tournament_ok, _enumerate_tournaments, 2),
-    "equivalence": (_equivalence_ok, _enumerate_equivalences, 3),
+def _enumerate_parity3(n: int):
+    """The odd triples of each graph on [1, n] with point 1 isolated: every
+    member once, since {1, a, b} is a triple exactly when {a, b} is an edge,
+    and the parity of {1, a, b, c} then fixes each triple {a, b, c}."""
+    pairs = list(itertools.combinations(range(2, n + 1), 2))
+    _guard_count(1 << len(pairs), "parity3")
+    for bits in itertools.product((0, 1), repeat=len(pairs)):
+        edges = {pair for pair, bit in zip(pairs, bits) if bit}
+        yield Structure._trusted(_TRIPLES, n, {"R": _odd_triples(n, edges)})
+
+
+def _enumerate_subsets(n: int):
+    for bits in itertools.product((0, 1), repeat=n):
+        yield Structure(UNARY_SIGNATURE, n,
+                        {"P": [(i,) for i, b in enumerate(bits, start=1) if b]})
+
+
+# name: (signature, predicate, enumerator, locality).  The locality is the
+# size of the largest minimal non-member: a loop (digraphs); a loop or a
+# one-way pair (graphs, tournaments); three points breaking transitivity
+# (equivalence); a bad triple (hypergraphs3), or four points spanning an
+# odd number of triples (parity3); there is none for subsets and trivial.
+_BUILTINS = {
+    "graphs": (GRAPH_SIGNATURE, _uniform_ok,
+               functools.partial(_enumerate_uniform, "graphs", GRAPH_SIGNATURE), 2),
+    "digraphs": (GRAPH_SIGNATURE, _digraph_ok, _enumerate_digraphs, 1),
+    "tournaments": (GRAPH_SIGNATURE, _tournament_ok, _enumerate_tournaments, 2),
+    "equivalence": (GRAPH_SIGNATURE, _equivalence_ok, _enumerate_equivalences, 3),
+    "hypergraphs3": (_TRIPLES, _uniform_ok,
+                     functools.partial(_enumerate_uniform, "hypergraphs3", _TRIPLES), 3),
+    "parity3": (_TRIPLES, _parity3_ok, _enumerate_parity3, 4),
+    "subsets": (UNARY_SIGNATURE, lambda s: True, _enumerate_subsets, 0),
+    "trivial": (EMPTY_SIGNATURE, lambda s: True, lambda n: [Structure(EMPTY_SIGNATURE, n)], 0),
 }
+
+BUILTIN_CLASS_NAMES = tuple(_BUILTINS)
 
 
 def k_hypergraphs(k: int, cap: int = _DEFAULT_CAP) -> FiniteClass:
     """Symmetric anti-reflexive k-ary hypergraphs (locality k: one bad tuple)."""
-    sig, enum, ok = _k_hypergraph_pieces(k)
-    return FiniteClass(f"hypergraphs{k}", sig, ok, enum, cap=cap, locality=k)
+    sig, label = Signature((("R", k),)), f"hypergraphs{k}"
+    return FiniteClass(label, sig, _uniform_ok,
+                       functools.partial(_enumerate_uniform, label, sig), cap=cap, locality=k)
 
 
 def make_builtin_class(name: str, cap: int = _DEFAULT_CAP) -> FiniteClass:
     """Fresh instance of a builtin class with a custom enumeration cap."""
-    if name in _BINARY_CLASSES:
-        ok, enum, locality = _BINARY_CLASSES[name]
-        return FiniteClass(name, GRAPH_SIGNATURE, ok, enum, cap=cap, locality=locality)
-    if name == "hypergraphs3":
-        return k_hypergraphs(3, cap=cap)
-    if name == "parity3":
-        # a minimal non-member is a bad triple or four points spanning an
-        # odd number of triples
-        sig, enum, ok = _k_hypergraph_pieces(3)
-        return FiniteClass(
-            name, sig,
-            lambda s: ok(s) and _parity_ok_extra(s),
-            lambda n: (s for s in enum(n) if _parity_ok_extra(s)),
-            cap=cap, locality=4)
-    if name == "subsets":
-        def enum_subsets(n: int):
-            for bits in itertools.product((0, 1), repeat=n):
-                yield Structure(UNARY_SIGNATURE, n,
-                                {"P": [(i,) for i, b in enumerate(bits, start=1) if b]})
-        return FiniteClass(name, UNARY_SIGNATURE, lambda s: True, enum_subsets,
-                           cap=cap, locality=0)
-    if name == "trivial":
-        return FiniteClass(name, EMPTY_SIGNATURE, lambda s: True,
-                           lambda n: [Structure(EMPTY_SIGNATURE, n)], cap=cap,
-                           locality=0)
-    raise KeyError(f"unknown builtin class {name!r}")
+    if name not in _BUILTINS:
+        raise KeyError(f"unknown builtin class {name!r}")
+    signature, predicate, enumerator, locality = _BUILTINS[name]
+    return FiniteClass(name, signature, predicate, enumerator, cap=cap, locality=locality)
 
 
-BUILTIN_CLASS_NAMES = ("graphs", "digraphs", "tournaments", "equivalence",
-                       "hypergraphs3", "parity3", "subsets", "trivial")
-
-
-@lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None)
 def builtin_class(name: str) -> FiniteClass:
     """Shared instance of a builtin class (memoized enumerations)."""
     return make_builtin_class(name)
@@ -592,30 +589,7 @@ def _compatible_families(buckets: list[dict], overlaps: list, chosen: list[int])
         chosen.pop()
 
 
-# --- JEP ---------------------------------------------------------------------
-
-def check_jep(klass: FiniteClass, bound: int) -> JepReport:
-    """Joint embedding property over members of size <= bound.
-
-    For each pair, searches for a joint host of size <= 2 * bound
-    (disjoint union size), smallest first.  Requires 2 * bound <= cap.
-    """
-    if bound < 1:
-        raise ValueError("bound must be >= 1")
-    if 2 * bound > klass.cap:
-        raise CapExceededError(
-            f"joint host search needs sizes up to {2 * bound}, over cap {klass.cap}")
-    members = [m for size in range(1, bound + 1) for m in klass.enumerate(size)]
-    for s, t in itertools.combinations_with_replacement(members, 2):
-        hosts = (host for size in range(max(s.n, t.n), 2 * bound + 1)
-                 for host in klass.enumerate(size))
-        if not any(embedding_exists(s, host) and embedding_exists(t, host)
-                   for host in hosts):
-            return JepReport(bound=bound, holds=False, witness_pair=(s, t))
-    return JepReport(bound=bound, holds=True)
-
-
-# --- DAP ---------------------------------------------------------------------
+# --- JEP and DAP ----------------------------------------------------------------
 
 def _dap_instance_holds(klass: FiniteClass, s: Structure, t: Structure,
                         tp: Structure, phi: Injection, phip: Injection) -> bool:
@@ -649,36 +623,63 @@ def _dap_instance_holds(klass: FiniteClass, s: Structure, t: Structure,
     return bool(_completions(klass, m, fixed, free, first_only=True))
 
 
-def _dap_diagrams(members: list[Structure]):
-    """Every overlap diagram (s, t, t', phi, phi') over `members`, in order:
-    s, then t, then t', then phi, then phi'."""
-    for s, t in itertools.product(members, repeat=2):
-        phis = enumerate_embeddings(s, t)
-        if not phis:
-            continue
-        for tp in members:
-            for phi, phip in itertools.product(phis, enumerate_embeddings(s, tp)):
+def _overlaps(t: Structure, tp: Structure):
+    """Every overlap diagram (s, t, tp, phi, phi') of two members, largest
+    shared part first.
+
+    s is t restricted to a part of its universe, phi the inclusion of that
+    part, and phi' each embedding of s into tp in lexicographic image
+    order.  Every diagram over t and tp is one of these up to relabelling s,
+    which changes neither the layout nor its verdict.
+    """
+    for size in range(min(t.n, tp.n), -1, -1):
+        for part in itertools.combinations(range(1, t.n + 1), size):
+            s = restrict(t, part)
+            phi = Injection.from_sequence(part)
+            for phip in iter_embeddings(s, tp):
                 yield s, t, tp, phi, phip
+
+
+def check_jep(klass: FiniteClass, bound: int) -> JepReport:
+    """Joint embedding property over members of size <= bound.
+
+    A pair has a joint host exactly when the layout of the two over some
+    shared part completes in the class (`_dap_instance_holds`): a host
+    restricted to the two images is such a layout, of size <= 2 * bound.
+    No host is enumerated.  Requires 2 * bound <= cap.
+    """
+    if bound < 1:
+        raise ValueError("bound must be >= 1")
+    if 2 * bound > klass.cap:
+        raise CapExceededError(
+            f"joint host search needs sizes up to {2 * bound}, over cap {klass.cap}")
+    members = [m for size in range(1, bound + 1) for m in klass.enumerate(size)]
+    for s, t in itertools.combinations_with_replacement(members, 2):
+        if not any(_dap_instance_holds(klass, *diagram) for diagram in _overlaps(s, t)):
+            return JepReport(bound=bound, holds=False, witness_pair=(s, t))
+    return JepReport(bound=bound, holds=True)
 
 
 def check_dap(klass: FiniteClass, bound: int = 2) -> DapReport:
     """DAP via two independent routes that must agree.
 
     Route one is check_ndap at n = 2.  Route two checks the direct overlap
-    formulation on every triple (S, T, T') of members of size <= bound with
-    embeddings phi: S -> T and phi': S -> T', hosting at size
-    |T| + |T'| - |S|.  For substructure-closed classes that arise as the age
-    of a single countable structure the two formulations are equivalent, and
-    disagreement raises RuntimeError: it means the class is outside that
-    scope (typically it lacks joint embedding), so neither verdict alone
-    deserves the name DAP.
+    formulation: every overlap diagram (`_overlaps`) of every pair T, T' of
+    members of size <= bound, S a part of T with phi its inclusion and phi'
+    an embedding S -> T', must complete at size |T| + |T'| - |S|.  For
+    substructure-closed classes that arise as the age of a single countable
+    structure the two formulations are equivalent, and disagreement raises
+    RuntimeError: it means the class is outside that scope (typically it
+    lacks joint embedding), so neither verdict alone deserves the name DAP.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
     ndap2 = check_ndap(klass, 2)
 
     members = [m for size in range(0, bound + 1) for m in klass.enumerate(size)]
-    failed = next((diagram for diagram in _dap_diagrams(members)
+    diagrams = (diagram for t, tp in itertools.combinations_with_replacement(members, 2)
+                for diagram in _overlaps(t, tp))
+    failed = next((diagram for diagram in diagrams
                    if not _dap_instance_holds(klass, *diagram)), None)
     if (failed is None) != ndap2.holds:
         raise RuntimeError(

@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import itertools
 
-from .amalgamation import builtin_class
+from .amalgamation import _odd_triples, builtin_class
 from .embeddings import LazyStructure
 from .randomness import HierarchicalRandomSource, SeedStream
 from .rules import (FunctionDecisionFunction, TableDecisionFunction,
@@ -79,13 +79,7 @@ def parity_overlay_oracle(src: HierarchicalRandomSource) -> LazyStructure:
     def builder(m: int) -> Structure:
         graph = sample_framewise(graphs, m, src)
         edges = graph.tuples("E")
-        edge_set = set(edges)
-        triples = []
-        for x, y, z in itertools.combinations(range(1, m + 1), 3):
-            count = sum(1 for pair in ((x, y), (x, z), (y, z)) if pair in edge_set)
-            if count % 2 == 1:
-                triples.extend(itertools.permutations((x, y, z)))
-        return Structure(OVERLAY_SIG, m, {"E": edges, "R": triples})
+        return Structure(OVERLAY_SIG, m, {"E": edges, "R": _odd_triples(m, set(edges))})
     return LazyStructure(OVERLAY_SIG, builder)
 
 

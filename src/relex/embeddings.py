@@ -25,37 +25,35 @@ def _partial_ok(s: Structure, t: Structure, images: list[int]) -> bool:
     i = len(images)
     placed = range(1, i + 1)
     for name, arity in s.signature:
-        ssets = s.relation_sets()[name]
-        tsets = t.relation_sets()[name]
         for tup in itertools.product(placed, repeat=arity):
-            if i not in tup:
-                continue
-            image = tuple(images[c - 1] for c in tup)
-            if (tup in ssets) != (image in tsets):
+            if i in tup and s.has(name, tup) != t.has(name, tuple(images[c - 1] for c in tup)):
                 return False
     return True
 
 
 def iter_embeddings(s: Structure, t: Structure) -> Iterator[Injection]:
-    """Yield embeddings of s into t in lexicographic image order."""
+    """Yield embeddings of s into t in lexicographic image order.
+
+    Depth first over a list of images and the next candidate image, not
+    through a closure that calls itself (a reference cycle).
+    """
     if s.signature != t.signature or s.n > t.n:
         return
     images: list[int] = []
-
-    def extend() -> Iterator[Injection]:
-        i = len(images) + 1
-        if i > s.n:
+    candidate = 1
+    while True:
+        if len(images) == s.n:
             yield Injection.from_sequence(images)
-            return
-        for m in range(1, t.n + 1):
-            if m in images:
-                continue
-            images.append(m)
-            if _partial_ok(s, t, images):
-                yield from extend()
-            images.pop()
-
-    yield from extend()
+            candidate = t.n + 1
+        if candidate > t.n:
+            if not images:
+                return
+            candidate = images.pop() + 1
+        elif candidate in images:
+            candidate += 1
+        else:
+            images.append(candidate)
+            candidate = 1 if _partial_ok(s, t, images) else images.pop() + 1
 
 
 def enumerate_embeddings(s: Structure, t: Structure) -> list[Injection]:

@@ -72,8 +72,9 @@ class DecisionContext:
         self.context_mode = context_mode
         self.reference = reference
         self._pattern: Optional[tuple[int, ...]] = None
-        self._xi_cache: dict[tuple[int, ...], float] = {}
-        self._rank_cache: dict[tuple[int, ...], tuple[int, ...]] = {}
+        # positions asked (None for the whole tuple) -> draw, ranks
+        self._xi_cache: dict[Optional[tuple[int, ...]], float] = {}
+        self._rank_cache: dict[Optional[tuple[int, ...]], tuple[int, ...]] = {}
 
     # -- coordinate selection -------------------------------------------------
 
@@ -100,10 +101,12 @@ class DecisionContext:
         return self._pattern
 
     def xi(self, positions: Optional[Sequence[int]] = None) -> float:
-        key = self.subset(positions)
-        if key not in self._xi_cache:
-            self._xi_cache[key] = self.source.xi(key)
-        return self._xi_cache[key]
+        """The keyed draw of the selected entries' set, memoized by positions."""
+        key = positions if positions is None else tuple(positions)
+        value = self._xi_cache.get(key)
+        if value is None:
+            value = self._xi_cache[key] = self.source.xi(self.subset(positions))
+        return value
 
     def interval(self, positions: Optional[Sequence[int]] = None) -> int:
         """Index of the partition cell containing xi(positions)."""
@@ -111,10 +114,9 @@ class DecisionContext:
 
     def ordering_ranks(self, positions: Optional[Sequence[int]] = None) -> tuple[int, ...]:
         """Ranks of the selected entries under the keyed ordering of their set."""
-        key = tuple(positions) if positions is not None else tuple(range(1, len(self.tuple) + 1))
+        key = positions if positions is None else tuple(positions)
         if key not in self._rank_cache:
-            subset = self.subset(positions)
-            order = self.source.ordering(subset)
+            order = self.source.ordering(self.subset(positions))
             self._rank_cache[key] = induced_ordering(self.elements(positions), order).ranks
         return self._rank_cache[key]
 

@@ -13,8 +13,8 @@ import itertools
 import json
 import random
 
-from relex import (Injection, Signature, Structure, enumerate_embeddings, restrict,
-                   serialize)
+from relex import (Injection, Signature, Structure, embedding_exists,
+                   enumerate_embeddings, restrict, serialize)
 from relex.theory import And, Atom, Implies, Not, Or
 
 
@@ -194,6 +194,22 @@ def naive_dap_instance(klass, s, t, tp, phi, phip) -> bool:
                         and f.image() | g.image() == frozenset(range(1, m + 1))):
                     return True
     return False
+
+
+def naive_jep(klass, bound: int):
+    """(holds, witness pair) of joint embedding over members of size <= bound.
+
+    Every pair of members, in enumeration order, needs a host: a member of
+    size max(|s|, |t|) to 2 * bound into which both embed.  The first pair
+    with none is the witness.
+    """
+    members = [m for size in range(1, bound + 1) for m in klass.enumerate(size)]
+    for s, t in itertools.combinations_with_replacement(members, 2):
+        hosts = (host for size in range(max(s.n, t.n), 2 * bound + 1)
+                 for host in klass.enumerate(size))
+        if not any(embedding_exists(s, host) and embedding_exists(t, host) for host in hosts):
+            return False, (s, t)
+    return True, None
 
 
 def naive_keyed_draws(seed: int, subset) -> tuple[float, tuple[int, ...]]:

@@ -5,7 +5,8 @@ import itertools
 from pathlib import Path
 
 import pytest
-from helpers import all_structures, naive_dap_instance, naive_ndap_witness
+from helpers import (all_structures, naive_dap_instance, naive_embeddings, naive_jep,
+                     naive_ndap_witness)
 
 from relex import (CapExceededError, FiniteClass, Signature, Structure,
                    amalgamation, amalgams, builtin_class, check_dap, check_jep,
@@ -13,7 +14,7 @@ from relex import (CapExceededError, FiniteClass, Signature, Structure,
                    k_hypergraphs, load_theory, make_builtin_class,
                    parse_theory, restrict, serialize)
 from relex.amalgamation import (BUILTIN_CLASS_NAMES, _amalgam_classes, _compatible,
-                                _dap_diagrams, _dap_instance_holds, _located_tuples,
+                                _dap_instance_holds, _located_tuples, _overlaps,
                                 _slot_elements, _step_classes)
 
 GRAPHS = builtin_class("graphs")
@@ -81,6 +82,15 @@ def test_k_hypergraphs_matches_builtin_at_3():
     pairs = k_hypergraphs(2)
     # symmetric irreflexive binary relation: same count as graphs
     assert len(pairs.enumerate(3)) == 8
+
+
+def test_parity3_members_are_built_not_filtered():
+    parity3, triples = make_builtin_class("parity3"), make_builtin_class("hypergraphs3")
+    for n in range(6):
+        assert parity3.enumerate(n) == tuple(
+            s for s in triples.enumerate(n) if parity3.contains(s)), n
+    # one member per graph on [2, 6]: 2^C(5, 2), of 2^C(6, 3) 3-hypergraphs
+    assert len(parity3.enumerate(6)) == 1024
 
 
 # theory file -> (the builtin class it axiomatizes, largest size compared)
@@ -435,6 +445,47 @@ def test_jep_fails_without_joint_hosts():
                    for host in _complete_or_empty_class().enumerate(size))
 
 
+def _tiny_class():
+    """Substructure-closed class with no members of size 2: both DAP routes fail."""
+    sig = GRAPHS.signature
+    return FiniteClass(
+        "size-at-most-one", sig,
+        lambda s: s.signature == sig and s.n <= 1 and not s.tuples("E"),
+        lambda n: [Structure(sig, n)] if n <= 1 else [], cap=6)
+
+
+_JEP_FACTORIES = ([factory for _, factory in _CLASS_FACTORIES]
+                  + [_tiny_class, _complete_or_empty_class])
+_JEP_IDS = [label for label, _ in _CLASS_FACTORIES] + ["size-at-most-one", "complete-or-empty"]
+
+
+@pytest.mark.parametrize("bound", [1, 2])
+@pytest.mark.parametrize("factory", _JEP_FACTORIES, ids=_JEP_IDS)
+def test_jep_matches_host_enumeration(factory, bound):
+    holds, pair = naive_jep(factory(), bound)
+    report = check_jep(factory(), bound)
+    assert report.holds == holds
+    assert _serialized(report.witness_pair) == _serialized(pair)
+
+
+def test_jep_holds_for_digraphs_at_three():
+    # the joint hosts reach 6 points, where digraphs have 2^30 members
+    assert check_jep(make_builtin_class("digraphs"), 3).holds
+
+
+def test_overlaps_run_from_the_largest_shared_part():
+    edge, path = _graph(2, [(1, 2)]), _graph(3, [(1, 2), (2, 3)])
+    diagrams = list(_overlaps(edge, path))
+    assert [s.n for s, *_ in diagrams] == [2] * 4 + [1] * 6 + [0]
+    for s, t, tp, phi, phip in diagrams:
+        assert (t, tp) == (edge, path)
+        assert s == restrict(edge, phi.image_sequence())
+    by_part = itertools.groupby(diagrams, key=lambda d: d[3].image_sequence())
+    for part, group in by_part:
+        images = [phip.image_sequence() for *_, phip in group]
+        assert images == naive_embeddings(restrict(edge, part), path)
+
+
 # --- DAP ------------------------------------------------------------------------------
 
 def test_dap_holds_for_graphs_and_agrees_with_2dap():
@@ -448,15 +499,6 @@ def test_dap_holds_for_equivalences_despite_3dap_failure():
     # binary disjoint amalgamation goes through; only the 3-slot version fails
     assert check_dap(EQUIV, bound=2).holds
     assert not check_ndap(EQUIV, 3).holds
-
-
-def _tiny_class():
-    """Substructure-closed class with no members of size 2: both DAP routes fail."""
-    sig = GRAPHS.signature
-    return FiniteClass(
-        "size-at-most-one", sig,
-        lambda s: s.signature == sig and s.n <= 1 and not s.tuples("E"),
-        lambda n: [Structure(sig, n)] if n <= 1 else [], cap=6)
 
 
 def test_dap_counterexample_when_both_routes_fail():
@@ -478,10 +520,12 @@ def test_dap_raises_outside_equivalence_scope():
 
 
 def _dap_verdicts(klass, bound=2):
-    """(library, brute force) verdict of every overlap diagram check_dap tries."""
+    """(library, brute force) verdict of every overlap diagram of every
+    ordered pair of members of size <= bound."""
     members = [m for size in range(bound + 1) for m in klass.enumerate(size)]
     return [(_dap_instance_holds(klass, *diagram), naive_dap_instance(klass, *diagram))
-            for diagram in _dap_diagrams(members)]
+            for t, tp in itertools.product(members, repeat=2)
+            for diagram in _overlaps(t, tp)]
 
 
 @pytest.mark.parametrize("factory", [factory for _, factory in _CLASS_FACTORIES]

@@ -116,6 +116,13 @@ def test_age_counts_graphs():
     assert len(payload["members"]) == 8
 
 
+def test_age_of_parity3_at_six():
+    # built from the 2^10 graphs on [2, 6], not filtered from 2^20 hypergraphs
+    result = run_cli("--json", "age", "--class", "parity3", "--n", "6")
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout)["count"] == 1024
+
+
 def test_age_of_a_theory_with_a_deep_search(tmp_path):
     # 6^4 = 1,296 ground tuples at the default cap, one search level each
     path = tmp_path / "r4.th"

@@ -1,6 +1,7 @@
 """Embedding enumeration against a naive all-injections oracle, plus the
 lazy restriction oracle and the greedy least-image embedding."""
 
+import gc
 import random
 
 import pytest
@@ -57,6 +58,24 @@ def test_known_counts():
     assert len(enumerate_embeddings(edge, p3)) == 4
     assert not embedding_exists(k3, p3)
     assert embedding_exists(p3, _graph(4, [(1, 2), (2, 3), (3, 4)]))
+
+
+def test_enumeration_leaves_no_reference_cycles():
+    s, t = _graph(2, [(1, 2)]), _graph(4, [(1, 2), (2, 3), (3, 4)])
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(100):
+            enumerate_embeddings(s, t)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_empty_structure_embeds_once():
+    empty = Structure(GRAPH, 0)
+    assert [phi.items() for phi in enumerate_embeddings(empty, _graph(3, []))] == [[]]
+    assert enumerate_embeddings(_graph(1, []), empty) == []
 
 
 def test_signature_mismatch_yields_nothing():

@@ -91,6 +91,8 @@ class FiniteClass:
         # (k, frozenset of (name, tuple) pairs) -> AmalgamClasses for
         # k <= max arity; see _amalgam_classes
         self._amalgam_cache: dict = {}
+        # n -> the frame-wise steps at size n; see samplers._step_plan
+        self._step_plans: dict = {}
 
     @property
     def forced_above(self) -> Optional[int]:
@@ -181,21 +183,30 @@ def _tournament_ok(s: Structure) -> bool:
 
 
 def _set_partitions(n: int):
+    """Set partitions of [1, n], blocks by least element, depth first: each
+    point goes into every open block, then a new one.  An explicit stack,
+    not a closure that calls itself (a reference cycle)."""
     blocks: list[list[int]] = []
-
-    def rec(i: int):
-        if i > n:
+    placed: list[int] = []  # the block of each point placed so far
+    block = 0  # the block to try for the next point
+    while True:
+        point = len(placed) + 1
+        if point <= n and block <= len(blocks):
+            if block == len(blocks):
+                blocks.append([])
+            blocks[block].append(point)
+            placed.append(block)
+            block = 0
+            continue
+        if point > n:
             yield [tuple(b) for b in blocks]
+        if not placed:
             return
-        for b in blocks:
-            b.append(i)
-            yield from rec(i + 1)
-            b.pop()
-        blocks.append([i])
-        yield from rec(i + 1)
-        blocks.pop()
-
-    yield from rec(1)
+        block = placed.pop()
+        blocks[block].pop()
+        if not blocks[block]:
+            blocks.pop()
+        block += 1
 
 
 def _enumerate_equivalences(n: int):

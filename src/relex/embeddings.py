@@ -88,14 +88,16 @@ class LazyStructure:
     Wraps a builder n -> structure on [1, n].  Memoizes the largest segment
     queried and serves smaller segments by restriction, verifying along the
     way that the builder is consistent (each new segment must extend the
-    previous one).  Restrictions are memoized on that largest segment, so
-    repeated queries return one instance until a larger segment replaces it.
+    previous one).  Restrictions are memoized on that largest segment, and
+    initial segments by size beside it, so repeated queries return one
+    instance until a larger segment replaces it.
     """
 
     def __init__(self, signature: Signature, builder: Callable[[int], Structure]):
         self.signature = signature
         self._builder = builder
         self._segment: Optional[Structure] = None
+        self._initial: dict[int, Structure] = {}
 
     def _grown(self, n: int) -> Structure:
         """The memoized segment, built out to at least [1, n]."""
@@ -109,11 +111,13 @@ class LazyStructure:
                 old = restrict(fresh, range(1, self._segment.n + 1))
                 if old != self._segment:
                     raise ValueError("oracle builder is inconsistent across segment sizes")
-            self._segment = fresh
+            self._segment, self._initial = fresh, {}
         return self._segment
 
     def initial_segment(self, n: int) -> Structure:
-        return restrict(self._grown(n), range(1, n + 1))
+        if n not in self._initial:
+            self._initial[n] = restrict(self._grown(n), range(1, n + 1))
+        return self._initial[n]
 
     def restrict_to(self, subset) -> Structure:
         elems = sorted(set(subset))
@@ -150,19 +154,11 @@ def natural_embedding(s: Structure, oracle: LazyStructure, bound: int) -> Inject
         raise NoEmbeddingError(f"bound {bound} below structure size {s.n}")
     images: list[int] = []
     for i in range(1, s.n + 1):
-        found = None
         for m in range(1, bound + 1):
-            if m in images:
-                continue
-            segment = oracle.initial_segment(max(images + [m]))
-            images.append(m)
-            if _partial_ok(s, segment, images):
-                found = m
-                images.pop()
+            if m not in images and _partial_ok(
+                    s, oracle.initial_segment(max(images + [m])), images + [m]):
+                images.append(m)
                 break
-            images.pop()
-        if found is None:
-            raise NoEmbeddingError(
-                f"no embedding of point {i} within bound {bound}")
-        images.append(found)
+        else:
+            raise NoEmbeddingError(f"no embedding of point {i} within bound {bound}")
     return Injection.from_sequence(images)

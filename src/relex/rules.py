@@ -59,7 +59,15 @@ def tuple_pattern(tup: Sequence[int]) -> tuple[int, ...]:
 
 
 class DecisionContext:
-    """Lazy view of everything a decision function may read for one tuple."""
+    """Lazy view of everything a decision function may read for one tuple.
+
+    Made per tuple and sample: its sorted subset, pattern, context key and
+    memos of draws by positions are built on first use, for one decision.
+    Context keys are also kept on the reference (`context_key`).
+    """
+
+    __slots__ = ("source", "relation", "tuple", "partition", "context_mode", "reference",
+                 "_subset", "_pattern", "_key", "_xi_cache", "_rank_cache")
 
     def __init__(self, source: HierarchicalRandomSource, relation: str,
                  tup: tuple[int, ...], partition: tuple[float, ...] = (),
@@ -67,14 +75,11 @@ class DecisionContext:
         self.source = source
         self.relation = relation
         self.tuple = tuple(tup)
-        self._subset = tuple(sorted(set(self.tuple)))
         self.partition = tuple(partition)
         self.context_mode = context_mode
         self.reference = reference
-        self._pattern: Optional[tuple[int, ...]] = None
-        # positions asked (None for the whole tuple) -> draw, ranks
-        self._xi_cache: dict[Optional[tuple[int, ...]], float] = {}
-        self._rank_cache: dict[Optional[tuple[int, ...]], tuple[int, ...]] = {}
+        # built on first use; the memos map positions (None: all) to draws, ranks
+        self._subset = self._pattern = self._key = self._xi_cache = self._rank_cache = None
 
     # -- coordinate selection -------------------------------------------------
 
@@ -89,9 +94,11 @@ class DecisionContext:
 
     def subset(self, positions: Optional[Sequence[int]] = None) -> tuple[int, ...]:
         """Sorted distinct entries at the positions (the tuple's range by default)."""
-        if positions is None:
-            return self._subset
-        return tuple(sorted(set(self.elements(positions))))
+        if positions is not None:
+            return tuple(sorted(set(self.elements(positions))))
+        if self._subset is None:
+            self._subset = tuple(sorted(set(self.tuple)))
+        return self._subset
 
     # -- randomness channels --------------------------------------------------
 
@@ -102,11 +109,8 @@ class DecisionContext:
 
     def xi(self, positions: Optional[Sequence[int]] = None) -> float:
         """The keyed draw of the selected entries' set, memoized by positions."""
-        key = positions if positions is None else tuple(positions)
-        value = self._xi_cache.get(key)
-        if value is None:
-            value = self._xi_cache[key] = self.source.xi(self.subset(positions))
-        return value
+        self.elements(positions)  # raises on a position out of range
+        return self._xi(positions if positions is None else tuple(positions))
 
     def interval(self, positions: Optional[Sequence[int]] = None) -> int:
         """Index of the partition cell containing xi(positions)."""
@@ -114,11 +118,38 @@ class DecisionContext:
 
     def ordering_ranks(self, positions: Optional[Sequence[int]] = None) -> tuple[int, ...]:
         """Ranks of the selected entries under the keyed ordering of their set."""
-        key = positions if positions is None else tuple(positions)
-        if key not in self._rank_cache:
-            order = self.source.ordering(self.subset(positions))
-            self._rank_cache[key] = induced_ordering(self.elements(positions), order).ranks
-        return self._rank_cache[key]
+        self.elements(positions)  # raises on a position out of range
+        return self._ranks(positions if positions is None else tuple(positions))
+
+    # `_xi` and `_ranks` take positions as a table holds them, checked (from
+    # 1 to its arity) when it was built; the source sorts the entries
+    def _entries(self, positions: Optional[tuple[int, ...]]):
+        if positions is None:
+            return self.tuple
+        try:
+            return [self.tuple[p - 1] for p in positions]
+        except IndexError:  # a tuple shorter than the table's arity
+            return self.elements(positions)  # raises
+
+    def _xi(self, positions: Optional[tuple[int, ...]]) -> float:
+        memo = self._xi_cache
+        if memo is None:
+            memo = self._xi_cache = {}
+        value = memo.get(positions)
+        if value is None:
+            value = memo[positions] = self.source.xi(self._entries(positions))
+        return value
+
+    def _ranks(self, positions: Optional[tuple[int, ...]]) -> tuple[int, ...]:
+        memo = self._rank_cache
+        if memo is None:
+            memo = self._rank_cache = {}
+        ranks = memo.get(positions)
+        if ranks is None:
+            entries = self._entries(positions)
+            ranks = memo[positions] = induced_ordering(
+                entries, self.source.ordering(entries)).ranks
+        return ranks
 
     # -- reference-structure channels ------------------------------------------
 
@@ -153,18 +184,20 @@ class DecisionContext:
         The key depends on the reference and the tuple alone, so it is
         memoized on the reference by tuple, beside `restrict`'s memo and for
         as long as the reference lives: every later sample over the same
-        reference reads it back.
+        reference reads it back.  The context keeps it for its table's
+        other entries.
         """
-        reference = self._reference("context_key", ("restriction", "segment"))
-        memo = reference._context_keys
-        if memo is None:
-            memo = reference._context_keys = {}
-        key = memo.get(self.tuple)
-        if key is None:
-            index = {c: k for k, c in enumerate(self._subset, start=1)}
-            mapped = tuple(index[c] for c in self.tuple)
-            key = memo[self.tuple] = context_key(self.restriction(), mapped)
-        return key
+        if self._key is None:
+            reference = self._reference("context_key", ("restriction", "segment"))
+            memo = reference._context_keys
+            if memo is None:
+                memo = reference._context_keys = {}
+            if self.tuple not in memo:
+                index = {c: k for k, c in enumerate(self.subset(), start=1)}
+                mapped = tuple(index[c] for c in self.tuple)
+                memo[self.tuple] = context_key(self.restriction(), mapped)
+            self._key = memo[self.tuple]
+        return self._key
 
 
 class DecisionFunction:
@@ -225,14 +258,12 @@ class TableEntry:
             return False
         if self.context_key is not None and ctx.context_key() != self.context_key:
             return False
-        if self.thresholds is not None:
-            for positions, allowed in self.thresholds:
-                if ctx.interval(positions) not in allowed:
-                    return False
-        if self.orderings is not None:
-            for positions, ranks in self.orderings:
-                if ctx.ordering_ranks(positions) != ranks:
-                    return False
+        for positions, allowed in self.thresholds or ():
+            if bisect_right(ctx.partition, ctx._xi(positions)) not in allowed:
+                return False
+        for positions, ranks in self.orderings or ():
+            if ctx._ranks(positions) != ranks:
+                return False
         return True
 
     def to_json(self) -> dict:
@@ -272,15 +303,13 @@ class TableDecisionFunction(DecisionFunction):
                     f"pattern {entry.pattern} is not in dense first-occurrence form")
         if entry.context_key is not None and self.context_mode == "none":
             raise ValueError("context_key conditions need a context mode")
-        if entry.thresholds is not None:
-            for positions, allowed in entry.thresholds:
-                _normalize_positions(list(positions), self.arity)
-                for idx in allowed:
-                    if not (0 <= idx < self.num_intervals):
-                        raise ValueError(f"interval index {idx} out of range")
-        if entry.orderings is not None:
-            for positions, _ranks in entry.orderings:
-                _normalize_positions(list(positions), self.arity)
+        for positions, allowed in entry.thresholds or ():
+            _normalize_positions(list(positions), self.arity)
+            for idx in allowed:
+                if not (0 <= idx < self.num_intervals):
+                    raise ValueError(f"interval index {idx} out of range")
+        for positions, _ranks in entry.orderings or ():
+            _normalize_positions(list(positions), self.arity)
 
     def decide(self, ctx: DecisionContext) -> bool:
         for entry in self.entries:

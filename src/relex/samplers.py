@@ -131,6 +131,33 @@ def _class_index(u: float, count: int, rep_weights: Optional[tuple]) -> int:
     return count - 1
 
 
+_MAX_PLANNED_STEPS = 1 << 14  # steps kept in one class's plans, about 20 MB
+
+
+def _step_plan(klass: FiniteClass, n: int) -> list:
+    """The steps of a frame-wise sample of size n in visiting order: subset
+    s, its size k, the supports inside s that can hold a tuple (by size, at
+    most the max arity) with their positions in s, and a memo from a member's
+    tuples on [1, k] to the same in global labels.  A class keeps plans of
+    _MAX_PLANNED_STEPS steps in all at most, dropping others to fit one."""
+    plans = klass._step_plans
+    steps = plans.get(n)
+    if steps is None:
+        top = n if klass.forced_above is None else min(n, klass.forced_above)
+        steps = []
+        for k in range(2, top + 1):
+            groups = [(size, list(itertools.combinations(range(1, k + 1), size)))
+                      for size in range(1, min(k - 1, klass.signature.max_arity()) + 1)]
+            for s in itertools.combinations(range(1, n + 1), k):
+                steps.append((s, k, [(size, [(tuple([s[p - 1] for p in pos]), pos)
+                                             for pos in group]) for size, group in groups], {}))
+        if len(steps) <= _MAX_PLANNED_STEPS:
+            if sum(map(len, plans.values())) + len(steps) > _MAX_PLANNED_STEPS:
+                plans.clear()
+            plans[n] = steps
+    return steps
+
+
 def sample_framewise(klass: FiniteClass, n: int, src: HierarchicalRandomSource,
                      rep_weights: Optional[Sequence[float]] = None) -> Structure:
     """Grow a structure subset by subset, uniformly over amalgam classes.
@@ -144,14 +171,10 @@ def sample_framewise(klass: FiniteClass, n: int, src: HierarchicalRandomSource,
     concrete member within the class is orbit[rank(ordering of s) mod orbit
     size], which is uniform because the orbit size divides |s|!.
 
-    Each step hands the decided tuples inside s, relabelled onto [1, |s|],
-    to `_step_classes`: one lookup in the class's amalgam cache under
-    (|s|, the frozenset of those (name, tuple) pairs); the entry also lists
-    each orbit member's tuples with range all of [1, |s|].  A miss, or a
-    step above the max arity, which nothing caches, goes to
-    `_amalgam_classes`.  Singletons read the k = 1 table once per sample,
-    and each step scans s only for supports of the sizes that hold decided
-    tuples (on graphs, none of size 1).
+    What no seed changes is planned once per size and kept on the class
+    (`_step_plan`).  A sample reads the k = 1 table and each k's empty-partial
+    table once; other steps look up their decided tuples, relabelled onto
+    [1, |s|], with `_step_classes`, scanning only the sizes that hold tuples.
 
     Only subsets of size at most max(arity, locality) are visited, or every
     subset when the class's locality is unknown: above that size the step
@@ -177,57 +200,57 @@ def sample_framewise(klass: FiniteClass, n: int, src: HierarchicalRandomSource,
     if n == 0:
         return Structure._trusted(signature, 0, {})
 
+    xi, ordering = src.xi, src.ordering
     # each size-1 member is a class of its own: singles[index][0] its pairs
     singles = _step_classes(klass, 1).new_tuples
     if not singles:
         raise ValueError(f"class {klass.name!r} has no members of size 1")
+    relations: dict[str, list] = {name: [] for name in names}
     # sorted support -> its decided (name, tuple) pairs, the tuples with
     # exactly that range, labelled on [1, |support|]; only nonempty entries
     decided: dict[tuple, tuple] = {}
     for i in range(1, n + 1):
-        index = 0 if len(singles) == 1 else _class_index(src.xi((i,)), len(singles), None)
+        index = 0 if len(singles) == 1 else _class_index(xi((i,)), len(singles), None)
         if singles[index][0]:
             decided[(i,)] = singles[index][0]
+            for name, tup in singles[index][0]:
+                relations[name].append((i,) * len(tup))
     # the support sizes that `decided` holds
     sizes = {1} if decided else set()
 
-    forced_above = klass.forced_above
-    top = n if forced_above is None else min(n, forced_above)
-    for k in range(2, top + 1):
-        # for each support size held (all below k), the positions in s of
-        # its subsets of that size
-        positions = [(size, list(itertools.combinations(range(1, k + 1), size)))
-                     for size in sorted(sizes)]
-        for s in itertools.combinations(range(1, n + 1), k):
-            # the decided tuples inside s, relabelled onto [1, k]
-            inside = [(name, tuple([pos[c - 1] for c in tup]))
-                      for size, sub_positions in positions
-                      for support, pos in zip(itertools.combinations(s, size), sub_positions)
-                      for name, tup in decided.get(support, ())]
-            classes = _step_classes(klass, k, inside)
-            orbits = classes.orbits
-            if not orbits:
-                local = Structure._trusted(signature, k, _partial(names, inside))
-                family = [restrict(local, [j for j in range(1, k + 1) if j != i])
-                          for i in range(1, k + 1)]
-                raise AmalgamationFailure(s, family, klass.name)
-            if len(orbits) == 1 and len(orbits[0]) == 1:
-                index, rank = 0, 0
-            else:
-                index = _class_index(src.xi(s), len(orbits), rep_weights)
-                order = src.ordering(s)
-                orbit_size = len(orbits[index])
-                rank = (permutation_rank([s.index(x) + 1 for x in order]) % orbit_size
-                        if orbit_size > 1 else 0)
-            new = classes.new_tuples[index][rank]
-            if new:
-                decided[s] = new
-                sizes.add(k)
-
-    relations: dict[str, list] = {name: [] for name in names}
-    for support, pairs in decided.items():
-        for name, tup in pairs:
-            relations[name].append(tuple([support[c - 1] for c in tup]))
+    empty: dict[int, object] = {}  # k -> the amalgam classes of the empty partial
+    for s, k, groups, memo in _step_plan(klass, n):
+        # the decided tuples inside s, relabelled onto [1, k]
+        inside = [(name, tuple([pos[c - 1] for c in tup]))
+                  for size, group in groups if size in sizes
+                  for support, pos in group
+                  for name, tup in decided.get(support, ())]
+        classes = (_step_classes(klass, k, inside) if inside
+                   else empty.get(k) or empty.setdefault(k, _step_classes(klass, k)))
+        orbits = classes.orbits
+        if not orbits:
+            local = Structure._trusted(signature, k, _partial(names, inside))
+            family = [restrict(local, [j for j in range(1, k + 1) if j != i])
+                      for i in range(1, k + 1)]
+            raise AmalgamationFailure(s, family, klass.name)
+        if len(orbits) == 1 and len(orbits[0]) == 1:
+            index, rank = 0, 0
+        else:
+            index = _class_index(xi(s), len(orbits), rep_weights)
+            order = ordering(s)
+            orbit_size = len(orbits[index])
+            rank = (permutation_rank([s.index(x) + 1 for x in order]) % orbit_size
+                    if orbit_size > 1 else 0)
+        new = classes.new_tuples[index][rank]
+        if new:
+            decided[s] = new
+            sizes.add(k)
+            placed = memo.get(new)
+            if placed is None:
+                placed = memo[new] = tuple((name, tuple([s[c - 1] for c in tup]))
+                                           for name, tup in new)
+            for name, tup in placed:
+                relations[name].append(tup)
     return Structure._trusted(signature, n, relations)
 
 

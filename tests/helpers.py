@@ -12,9 +12,13 @@ import hashlib
 import itertools
 import json
 import random
+from bisect import bisect_right
 
-from relex import (Injection, Signature, Structure, embedding_exists,
-                   enumerate_embeddings, restrict, serialize)
+from relex import (AmalgamationFailure, Injection, Signature, Structure,
+                   embedding_exists, enumerate_embeddings, induced_ordering,
+                   permutation_rank, restrict, serialize)
+from relex.amalgamation import _partial, _step_classes
+from relex.samplers import _class_index
 from relex.theory import And, Atom, Implies, Not, Or
 
 
@@ -245,3 +249,98 @@ def naive_keyed_draws(seed: int, subset) -> tuple[float, tuple[int, ...]]:
                 break
         items[i], items[j] = items[j], items[i]
     return xi, tuple(items)
+
+
+def naive_decide(df, ctx) -> bool:
+    """A table rule's decision, its entries matched as before tables read
+    their checked positions directly: every draw checks and sorts its
+    positions through the public `elements` and `subset`, and goes to the
+    context's source; draws are memoized by positions within the decision,
+    as the context memoizes them."""
+    draws: dict = {}
+
+    def draw(kind, positions):
+        if (kind, positions) not in draws:
+            subset = ctx.subset(positions)
+            draws[kind, positions] = (
+                bisect_right(ctx.partition, ctx.source.xi(subset)) if kind == "xi"
+                else induced_ordering(ctx.elements(positions), ctx.source.ordering(subset)).ranks)
+        return draws[kind, positions]
+
+    def matches(entry) -> bool:
+        if entry.pattern is not None and ctx.pattern() != entry.pattern:
+            return False
+        if entry.context_key is not None and ctx.context_key() != entry.context_key:
+            return False
+        if entry.thresholds is not None:
+            for positions, allowed in entry.thresholds:
+                if draw("xi", positions) not in allowed:
+                    return False
+        if entry.orderings is not None:
+            for positions, ranks in entry.orderings:
+                if draw("ordering", positions) != ranks:
+                    return False
+        return True
+
+    return next((entry.bit for entry in df.entries if matches(entry)), df.default)
+
+
+def naive_sample_framewise(klass, n: int, src, rep_weights=None) -> Structure:
+    """The frame-wise sampler with every step laid out afresh per sample.
+
+    Each step enumerates its subsets and the supports inside them, looks
+    the partial up through `_step_classes`, and relabels the chosen
+    member's tuples when the sample is assembled; the draws are the ones
+    the library's sampler makes, in the same order.
+    """
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    if rep_weights is not None:
+        rep_weights = tuple(float(w) for w in rep_weights)
+    signature = klass.signature
+    names = signature.names()
+    if n == 0:
+        return Structure(signature, 0)
+    singles = _step_classes(klass, 1).new_tuples
+    if not singles:
+        raise ValueError(f"class {klass.name!r} has no members of size 1")
+    decided: dict[tuple, tuple] = {}
+    for i in range(1, n + 1):
+        index = 0 if len(singles) == 1 else _class_index(src.xi((i,)), len(singles), None)
+        if singles[index][0]:
+            decided[(i,)] = singles[index][0]
+    sizes = {1} if decided else set()
+    forced_above = klass.forced_above
+    top = n if forced_above is None else min(n, forced_above)
+    for k in range(2, top + 1):
+        positions = [(size, list(itertools.combinations(range(1, k + 1), size)))
+                     for size in sorted(sizes)]
+        for s in itertools.combinations(range(1, n + 1), k):
+            inside = [(name, tuple([pos[c - 1] for c in tup]))
+                      for size, sub_positions in positions
+                      for support, pos in zip(itertools.combinations(s, size), sub_positions)
+                      for name, tup in decided.get(support, ())]
+            classes = _step_classes(klass, k, inside)
+            orbits = classes.orbits
+            if not orbits:
+                local = Structure(signature, k, _partial(names, inside))
+                family = [restrict(local, [j for j in range(1, k + 1) if j != i])
+                          for i in range(1, k + 1)]
+                raise AmalgamationFailure(s, family, klass.name)
+            if len(orbits) == 1 and len(orbits[0]) == 1:
+                index, rank = 0, 0
+            else:
+                index = _class_index(src.xi(s), len(orbits), rep_weights)
+                order = src.ordering(s)
+                orbit_size = len(orbits[index])
+                rank = (permutation_rank([s.index(x) + 1 for x in order]) % orbit_size
+                        if orbit_size > 1 else 0)
+            new = classes.new_tuples[index][rank]
+            if new:
+                decided[s] = new
+                sizes.add(k)
+    relations: dict[str, list] = {name: [] for name in names}
+    for support, pairs in decided.items():
+        for name, tup in pairs:
+            relations[name].append(tuple([support[c - 1] for c in tup]))
+    return Structure(signature, n, relations)

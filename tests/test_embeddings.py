@@ -10,6 +10,7 @@ from helpers import injection_images, naive_embeddings, random_graph, random_str
 from relex import (Injection, LazyStructure, NoEmbeddingError, Signature,
                    Structure, automorphisms, embedding_exists,
                    enumerate_embeddings, natural_embedding, restrict)
+from relex.amalgamation import make_builtin_class
 
 GRAPH = Signature((("E", 2),))
 
@@ -72,6 +73,18 @@ def test_enumeration_leaves_no_reference_cycles():
         gc.enable()
 
 
+def test_equivalence_enumeration_leaves_no_reference_cycles():
+    # the set partitions behind it come from a loop, not a self-calling closure
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(100):
+            make_builtin_class("equivalence").enumerate(4)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_empty_structure_embeds_once():
     empty = Structure(GRAPH, 0)
     assert [phi.items() for phi in enumerate_embeddings(empty, _graph(3, []))] == [[]]
@@ -106,6 +119,27 @@ def test_lazy_structure_hands_out_one_instance_per_segment():
     assert lazy.initial_segment(6) is lazy.initial_segment(6)
     assert lazy.initial_segment(4) is lazy.initial_segment(4)
     assert lazy.restrict_to({2, 5}) is lazy.restrict_to([5, 2])
+
+
+def test_lazy_structure_serves_no_initial_segment_of_a_replaced_segment():
+    built = []
+
+    def builder(m):
+        built.append(_graph(m, [(i, i + 1) for i in range(1, m)]))
+        return built[-1]
+
+    lazy = LazyStructure(GRAPH, builder)
+    lazy.initial_segment(4)
+    old = [lazy.initial_segment(n) for n in range(5)]
+    assert len(built) == 1
+    lazy.restrict_to({7})   # grows the segment to [1, 7]
+    for n in range(5):
+        view = lazy.initial_segment(n)
+        assert view is restrict(built[-1], range(1, n + 1))
+        assert view == old[n] and view is not old[n]
+    lazy.initial_segment(9)
+    assert lazy.initial_segment(6) is restrict(built[-1], range(1, 7))
+    assert len(built) == 3
 
 
 def test_lazy_structure_rejects_inconsistent_builder():

@@ -6,8 +6,10 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import naive_context_key, random_structure
+from helpers import naive_context_key, naive_decide, random_structure
 from relex import (DecisionContext, FunctionDecisionFunction,
                    HierarchicalRandomSource, MExchangeableSampler, Signature,
                    Structure, TableEntry,
@@ -16,6 +18,7 @@ from relex import (DecisionContext, FunctionDecisionFunction,
                    rules_from_json, rules_signature, tuple_pattern)
 from relex.catalog import (evens_oracle, odd_target_oracle, parity_overlay_oracle,
                            same_class_triple_oracle)
+from relex.rules import CONTEXT_MODES
 
 RULES_DIR = Path(__file__).resolve().parent.parent / "rules"
 GRAPH = Signature((("E", 2),))
@@ -278,6 +281,95 @@ def test_function_decision_function():
                                   context_mode="none", partition=())
     assert df.decide(_ctx((1, 2), partition=())) is True
     assert df.decide(_ctx((2, 1), partition=())) is False
+
+
+class _LoggingSource(HierarchicalRandomSource):
+    """Records every draw, call for call: its kind and the set drawn on,
+    sorted (the source reads a subset with repeats as its set)."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.log = []
+
+    def xi(self, subset=()):
+        self.log.append(("xi", tuple(sorted(set(subset)))))
+        return super().xi(subset)
+
+    def ordering(self, subset):
+        self.log.append(("ordering", tuple(sorted(set(subset)))))
+        return super().ordering(subset)
+
+
+# a finite reference with an edge, a path, a loop and an isolated point
+TABLE_REFERENCE = Structure(GRAPH, 5, {"E": [(1, 2), (2, 1), (2, 3), (3, 2), (4, 4)]})
+
+
+def _reference_keys(arity):
+    keys = set()
+    for tup in itertools.product(range(1, TABLE_REFERENCE.n + 1), repeat=arity):
+        subset = sorted(set(tup))
+        keys.add(context_key(restrict(TABLE_REFERENCE, subset),
+                             tuple(subset.index(c) + 1 for c in tup)))
+    return sorted(keys)
+
+
+@st.composite
+def _tables(draw):
+    arity = draw(st.integers(1, 3), label="arity")
+    partition = draw(st.sampled_from([(), (0.5,), (0.25, 0.75), (0.1, 0.4, 0.9)]))
+    positions = st.lists(st.integers(1, arity), max_size=arity).map(tuple)
+    keyed = draw(st.booleans(), label="keyed")
+
+    def entry(_):
+        conditions = {}
+        if draw(st.booleans()):
+            conditions["pattern"] = tuple_pattern(draw(st.lists(
+                st.integers(1, 3), min_size=arity, max_size=arity)))
+        if keyed and draw(st.booleans()):
+            conditions["context_key"] = draw(st.sampled_from(_reference_keys(arity)))
+        if draw(st.booleans()):
+            conditions["thresholds"] = tuple(draw(st.lists(st.tuples(
+                positions, st.frozensets(st.integers(0, len(partition)))), max_size=2)))
+        if draw(st.booleans()):
+            conditions["orderings"] = tuple(
+                (pos, tuple(draw(st.lists(st.integers(0, max(len(pos) - 1, 0)),
+                                          min_size=len(pos), max_size=len(pos)))))
+                for pos in draw(st.lists(positions, max_size=2)))
+        return TableEntry(bit=draw(st.booleans()), **conditions)
+
+    entries = [entry(i) for i in range(draw(st.integers(0, 4), label="entries"))]
+    mode = draw(st.sampled_from(("restriction", "segment") if keyed else CONTEXT_MODES))
+    return TableDecisionFunction("E", arity, entries, default=draw(st.booleans()),
+                                 context_mode=mode, partition=partition)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tables(), st.data(), st.integers(0, 2 ** 64 - 1))
+def test_table_decisions_match_the_checked_channels(df, data, seed):
+    # the table reads its checked positions without re-checking them: the
+    # same bit and the same draws as through the public channels
+    tup = tuple(data.draw(st.lists(st.integers(1, TABLE_REFERENCE.n), min_size=df.arity,
+                                   max_size=df.arity), label="tuple"))
+    sources = [_LoggingSource(seed) for _ in range(2)]
+    ctxs = [DecisionContext(src, "E", tup, df.partition, df.context_mode, TABLE_REFERENCE)
+            for src in sources]
+    assert df.decide(ctxs[0]) == naive_decide(df, ctxs[1])
+    assert sources[0].log == sources[1].log
+    # the public channels still check what they are asked
+    bad = data.draw(st.integers(-2, 0) | st.integers(df.arity + 1, df.arity + 3), label="bad")
+    for channel in (ctxs[0].xi, ctxs[0].interval, ctxs[0].ordering_ranks):
+        with pytest.raises(ValueError, match="out of range"):
+            channel((1, bad))
+
+
+def test_table_positions_beyond_a_short_tuple_raise():
+    # a context whose tuple is shorter than the table's arity
+    for condition in ({"thresholds": (((2,), frozenset({0})),)},
+                      {"orderings": (((1, 2), (0, 1)),)}):
+        df = TableDecisionFunction("E", 2, entries=(TableEntry(bit=True, **condition),),
+                                   partition=(0.5,))
+        with pytest.raises(ValueError, match="out of range"):
+            df.decide(_ctx((1,)))
 
 
 # --- normalization --------------------------------------------------------------------------

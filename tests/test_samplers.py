@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import relex
+from helpers import naive_sample_framewise
 from relex import (AgeIndexedLaw, AmalgamationFailure, FiniteClass, FramewiseSampler,
                    FunctionDecisionFunction, HierarchicalRandomSource, LazyStructure,
                    MaxSegSampler,
@@ -226,18 +227,22 @@ def test_framewise_rejects_non_finite_weights(bad):
 
 
 class _CountingSource(HierarchicalRandomSource):
-    """Records the subset of every xi and ordering draw."""
+    """Records the subset of every xi and ordering draw, per kind and, in
+    `log`, call for call."""
 
     def __init__(self, seed):
         super().__init__(seed)
         self.draws = {"xi": [], "ordering": []}
+        self.log = []
 
     def xi(self, subset=()):
         self.draws["xi"].append(tuple(sorted(subset)))
+        self.log.append(("xi", self.draws["xi"][-1]))
         return super().xi(subset)
 
     def ordering(self, subset):
         self.draws["ordering"].append(tuple(sorted(subset)))
+        self.log.append(("ordering", self.draws["ordering"][-1]))
         return super().ordering(subset)
 
 
@@ -322,6 +327,45 @@ def test_framewise_step_tables_agree_with_unknown_locality(label, make):
     for seed in range(10):
         for n in range(6):
             assert _framewise_outcome(bare, n, seed) == _framewise_outcome(klass, n, seed)
+
+
+def _logged_outcome(sample, klass, n, seed, rep_weights):
+    src = _CountingSource(seed)
+    try:
+        outcome = sample(klass, n, src, rep_weights=rep_weights)
+    except AmalgamationFailure as failure:
+        outcome = (failure.subset, failure.family)
+    except ValueError as error:  # a class with no members of size 1
+        outcome = str(error)
+    return outcome, src.log
+
+
+@pytest.mark.parametrize("locality", ["declared", "unknown"])
+@pytest.mark.parametrize("label, make", FRAMEWISE_CLASSES,
+                         ids=[label for label, _ in FRAMEWISE_CLASSES])
+def test_framewise_matches_the_sampler_without_a_step_plan(label, make, locality):
+    # same structure or failure (subset and family), same draws in the same order
+    klass = make()
+    if locality == "unknown":
+        klass = FiniteClass(label, klass.signature, klass.contains, klass.enumerate,
+                            cap=klass.cap)
+    for rep_weights in (None, (1.0, 3.0)):
+        for n in range(8):
+            for seed in range(30):
+                expected = _logged_outcome(naive_sample_framewise, klass, n, seed, rep_weights)
+                assert _logged_outcome(sample_framewise, klass, n, seed,
+                                       rep_weights) == expected, (n, seed, rep_weights)
+
+
+def test_framewise_plans_keep_to_their_bound(monkeypatch):
+    # graphs visit C(n, 2) pairs: 10 steps at n = 5, 6 at n = 4, 15 at n = 6
+    monkeypatch.setattr(relex.samplers, "_MAX_PLANNED_STEPS", 10)
+    klass = make_builtin_class("graphs")
+    for n, kept in ((5, [5]), (4, [4]), (6, [4]), (3, [4, 3])):
+        for seed in range(5):
+            expected = _logged_outcome(naive_sample_framewise, klass, n, seed, None)
+            assert _logged_outcome(sample_framewise, klass, n, seed, None) == expected
+        assert sorted(klass._step_plans) == sorted(kept), n
 
 
 FRAMEWISE_BUILTINS = [name for name in BUILTIN_CLASS_NAMES if builtin_class(name).enumerate(1)]

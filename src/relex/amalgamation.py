@@ -182,31 +182,16 @@ def _tournament_ok(s: Structure) -> bool:
     return True
 
 
-def _set_partitions(n: int):
+def _set_partitions(n: int, i: int = 1, blocks: tuple = ()):
     """Set partitions of [1, n], blocks by least element, depth first: each
-    point goes into every open block, then a new one.  An explicit stack,
-    not a closure that calls itself (a reference cycle)."""
-    blocks: list[list[int]] = []
-    placed: list[int] = []  # the block of each point placed so far
-    block = 0  # the block to try for the next point
-    while True:
-        point = len(placed) + 1
-        if point <= n and block <= len(blocks):
-            if block == len(blocks):
-                blocks.append([])
-            blocks[block].append(point)
-            placed.append(block)
-            block = 0
-            continue
-        if point > n:
-            yield [tuple(b) for b in blocks]
-        if not placed:
-            return
-        block = placed.pop()
-        blocks[block].pop()
-        if not blocks[block]:
-            blocks.pop()
-        block += 1
+    point goes into every open block, then a new one.  A module-level
+    generator: a closure that calls itself would be a reference cycle."""
+    if i > n:
+        yield list(blocks)
+        return
+    for j, block in enumerate(blocks):
+        yield from _set_partitions(n, i + 1, blocks[:j] + (block + (i,),) + blocks[j + 1:])
+    yield from _set_partitions(n, i + 1, blocks + ((i,),))
 
 
 def _enumerate_equivalences(n: int):

@@ -88,16 +88,14 @@ class LazyStructure:
     Wraps a builder n -> structure on [1, n].  Memoizes the largest segment
     queried and serves smaller segments by restriction, verifying along the
     way that the builder is consistent (each new segment must extend the
-    previous one).  Restrictions are memoized on that largest segment, and
-    initial segments by size beside it, so repeated queries return one
-    instance until a larger segment replaces it.
+    previous one).  Restrictions are memoized on that largest segment, so
+    repeated queries return one instance until a larger segment replaces it.
     """
 
     def __init__(self, signature: Signature, builder: Callable[[int], Structure]):
         self.signature = signature
         self._builder = builder
         self._segment: Optional[Structure] = None
-        self._initial: dict[int, Structure] = {}
 
     def _grown(self, n: int) -> Structure:
         """The memoized segment, built out to at least [1, n]."""
@@ -111,13 +109,11 @@ class LazyStructure:
                 old = restrict(fresh, range(1, self._segment.n + 1))
                 if old != self._segment:
                     raise ValueError("oracle builder is inconsistent across segment sizes")
-            self._segment, self._initial = fresh, {}
+            self._segment = fresh
         return self._segment
 
     def initial_segment(self, n: int) -> Structure:
-        if n not in self._initial:
-            self._initial[n] = restrict(self._grown(n), range(1, n + 1))
-        return self._initial[n]
+        return restrict(self._grown(n), range(1, n + 1))
 
     def restrict_to(self, subset) -> Structure:
         elems = sorted(set(subset))

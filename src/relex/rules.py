@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .randomness import HierarchicalRandomSource, induced_ordering
@@ -288,12 +288,11 @@ class TableDecisionFunction(DecisionFunction):
                  default: bool = False, context_mode: str = "none",
                  partition: Sequence[float] = ()):
         super().__init__(relation, arity, context_mode, partition)
-        for entry in entries:
-            self._validate_entry(entry)
-        self.entries = tuple(entries)
+        self.entries = tuple(self._checked(entry) for entry in entries)
         self.default = bool(default)
 
-    def _validate_entry(self, entry: TableEntry) -> None:
+    def _checked(self, entry: TableEntry) -> TableEntry:
+        """The entry, checked, with its positions as the tuples `matches` reads."""
         if entry.pattern is not None:
             if len(entry.pattern) != self.arity:
                 raise ValueError("pattern length must equal the arity")
@@ -303,13 +302,16 @@ class TableDecisionFunction(DecisionFunction):
                     f"pattern {entry.pattern} is not in dense first-occurrence form")
         if entry.context_key is not None and self.context_mode == "none":
             raise ValueError("context_key conditions need a context mode")
-        for positions, allowed in entry.thresholds or ():
-            _normalize_positions(list(positions), self.arity)
+        for _positions, allowed in entry.thresholds or ():
             for idx in allowed:
                 if not (0 <= idx < self.num_intervals):
                     raise ValueError(f"interval index {idx} out of range")
-        for positions, _ranks in entry.orderings or ():
-            _normalize_positions(list(positions), self.arity)
+        def normalized(conditions):
+            return conditions and tuple((_normalize_positions(list(positions), self.arity), value)
+                                        for positions, value in conditions)
+        return replace(entry, pattern=entry.pattern and tuple(entry.pattern),
+                       thresholds=normalized(entry.thresholds),
+                       orderings=normalized(entry.orderings))
 
     def decide(self, ctx: DecisionContext) -> bool:
         for entry in self.entries:

@@ -131,31 +131,34 @@ def _class_index(u: float, count: int, rep_weights: Optional[tuple]) -> int:
     return count - 1
 
 
-_MAX_PLANNED_STEPS = 1 << 14  # steps kept in one class's plans, about 20 MB
+_MAX_PLANNED_STEPS = 1 << 10  # steps one class keeps planned, about 1 MB
 
 
-def _step_plan(klass: FiniteClass, n: int) -> list:
+def _step_plan(klass: FiniteClass, n: int):
     """The steps of a frame-wise sample of size n in visiting order: subset
-    s, its size k, the supports inside s that can hold a tuple (by size, at
-    most the max arity) with their positions in s, and a memo from a member's
-    tuples on [1, k] to the same in global labels.  A class keeps plans of
-    _MAX_PLANNED_STEPS steps in all at most, dropping others to fit one."""
+    s, its size k, for each support size that can hold a tuple (below k, at
+    most the max arity) the positions in s of its subsets of that size,
+    shared by all s of one size, and a memo from a member's tuples on
+    [1, k] to the same in global labels.  A class keeps them as a list, up
+    to _MAX_PLANNED_STEPS steps for all sizes, dropping the others to fit a
+    new size; past that, itertools chains them afresh for every sample."""
     plans = klass._step_plans
-    steps = plans.get(n)
-    if steps is None:
-        top = n if klass.forced_above is None else min(n, klass.forced_above)
-        steps = []
-        for k in range(2, top + 1):
-            groups = [(size, list(itertools.combinations(range(1, k + 1), size)))
-                      for size in range(1, min(k - 1, klass.signature.max_arity()) + 1)]
-            for s in itertools.combinations(range(1, n + 1), k):
-                steps.append((s, k, [(size, [(tuple([s[p - 1] for p in pos]), pos)
-                                             for pos in group]) for size, group in groups], {}))
-        if len(steps) <= _MAX_PLANNED_STEPS:
-            if sum(map(len, plans.values())) + len(steps) > _MAX_PLANNED_STEPS:
-                plans.clear()
-            plans[n] = steps
-    return steps
+    if n in plans:
+        return plans[n]
+    top = n if klass.forced_above is None else min(n, klass.forced_above)
+    steps = itertools.chain.from_iterable(
+        zip(itertools.combinations(range(1, n + 1), k), itertools.repeat(k),
+            itertools.repeat([(size, list(itertools.combinations(range(1, k + 1), size)))
+                              for size in range(1, min(k - 1, klass.signature.max_arity()) + 1)]),
+            iter(dict, None))
+        for k in range(2, top + 1))
+    count = sum(math.comb(n, k) for k in range(2, top + 1))
+    if count > _MAX_PLANNED_STEPS:
+        return steps
+    if sum(map(len, plans.values())) + count > _MAX_PLANNED_STEPS:
+        plans.clear()
+    plans[n] = list(steps)
+    return plans[n]
 
 
 def sample_framewise(klass: FiniteClass, n: int, src: HierarchicalRandomSource,
@@ -171,10 +174,12 @@ def sample_framewise(klass: FiniteClass, n: int, src: HierarchicalRandomSource,
     concrete member within the class is orbit[rank(ordering of s) mod orbit
     size], which is uniform because the orbit size divides |s|!.
 
-    What no seed changes is planned once per size and kept on the class
-    (`_step_plan`).  A sample reads the k = 1 table and each k's empty-partial
-    table once; other steps look up their decided tuples, relabelled onto
-    [1, |s|], with `_step_classes`, scanning only the sizes that hold tuples.
+    The steps, what no seed changes, are planned once per size and kept on
+    the class for as long as it lives, up to `_MAX_PLANNED_STEPS` steps in
+    all; a larger size generates them as it goes (`_step_plan`).  A sample
+    reads the k = 1 table and each k's empty-partial table once; other steps
+    look up their decided tuples, relabelled onto [1, |s|], with
+    `_step_classes`, scanning only the sizes that hold tuples.
 
     Only subsets of size at most max(arity, locality) are visited, or every
     subset when the class's locality is unknown: above that size the step
@@ -223,7 +228,7 @@ def sample_framewise(klass: FiniteClass, n: int, src: HierarchicalRandomSource,
         # the decided tuples inside s, relabelled onto [1, k]
         inside = [(name, tuple([pos[c - 1] for c in tup]))
                   for size, group in groups if size in sizes
-                  for support, pos in group
+                  for support, pos in zip(itertools.combinations(s, size), group)
                   for name, tup in decided.get(support, ())]
         classes = (_step_classes(klass, k, inside) if inside
                    else empty.get(k) or empty.setdefault(k, _step_classes(klass, k)))
@@ -247,8 +252,7 @@ def sample_framewise(klass: FiniteClass, n: int, src: HierarchicalRandomSource,
             sizes.add(k)
             placed = memo.get(new)
             if placed is None:
-                placed = memo[new] = tuple((name, tuple([s[c - 1] for c in tup]))
-                                           for name, tup in new)
+                placed = memo[new] = [(name, tuple([s[c - 1] for c in tup])) for name, tup in new]
             for name, tup in placed:
                 relations[name].append(tup)
     return Structure._trusted(signature, n, relations)

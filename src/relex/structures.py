@@ -272,8 +272,10 @@ def restrict(structure: Structure, subset: Iterable[int]) -> Structure:
 
     Memoized on the structure by sorted subset: a repeated restriction
     returns the stored instance, kept for as long as the structure lives.
+    A range of step 1 is its own sorted subset, read without a sort.
     """
-    elems = tuple(sorted(set(int(x) for x in subset)))
+    elems = (tuple(subset) if isinstance(subset, range) and subset.step == 1
+             else tuple(sorted(set(int(x) for x in subset))))
     memo = structure._restrictions
     if memo is None:
         memo = structure._restrictions = {}

@@ -317,14 +317,16 @@ def _reference_keys(arity):
 def _tables(draw):
     arity = draw(st.integers(1, 3), label="arity")
     partition = draw(st.sampled_from([(), (0.5,), (0.25, 0.75), (0.1, 0.4, 0.9)]))
-    positions = st.lists(st.integers(1, arity), max_size=arity).map(tuple)
+    # positions as a caller may pass them: tuples or lists
+    positions = st.lists(st.integers(1, arity), max_size=arity).flatmap(
+        lambda pos: st.sampled_from((tuple(pos), pos)))
     keyed = draw(st.booleans(), label="keyed")
 
     def entry(_):
         conditions = {}
         if draw(st.booleans()):
-            conditions["pattern"] = tuple_pattern(draw(st.lists(
-                st.integers(1, 3), min_size=arity, max_size=arity)))
+            conditions["pattern"] = draw(st.sampled_from((tuple, list)))(tuple_pattern(draw(
+                st.lists(st.integers(1, 3), min_size=arity, max_size=arity))))
         if keyed and draw(st.booleans()):
             conditions["context_key"] = draw(st.sampled_from(_reference_keys(arity)))
         if draw(st.booleans()):
@@ -353,6 +355,10 @@ def test_table_decisions_match_the_checked_channels(df, data, seed):
     sources = [_LoggingSource(seed) for _ in range(2)]
     ctxs = [DecisionContext(src, "E", tup, df.partition, df.context_mode, TABLE_REFERENCE)
             for src in sources]
+    # the table keeps what it checked: patterns and positions as tuples
+    for entry in df.entries:
+        conditions = (entry.thresholds or ()) + (entry.orderings or ())
+        assert all(type(tup) is tuple for tup in [entry.pattern or ()] + [p for p, _ in conditions])
     assert df.decide(ctxs[0]) == naive_decide(df, ctxs[1])
     assert sources[0].log == sources[1].log
     # the public channels still check what they are asked

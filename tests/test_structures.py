@@ -186,6 +186,17 @@ def test_restrict_names_the_element_outside_the_universe():
         restrict(s, [0, 3])
 
 
+def test_restrict_reads_a_range_as_its_sorted_subset():
+    s = Structure(GRAPH, 5, {"E": [(1, 2), (3, 5), (4, 2)]})
+    for subset, same in ((range(2, 5), [4, 2, 3]), (range(1, 6, 2), {5, 1, 3}),
+                         (range(5, 0, -2), [1, 3, 5]), (range(3, 3), ())):
+        assert restrict(s, subset) is restrict(s, same)
+        assert restrict(s, subset) == naive_restrict(s, sorted(same))
+    for bad, x in ((range(0, 3), 0), (range(4, 7), 6)):
+        with pytest.raises(ValueError, match=rf"subset element {x} lies outside"):
+            restrict(s, bad)
+
+
 def test_restrict_and_relabel_match_naive_pull_back():
     rng = random.Random(8)
     for trial in range(60):

@@ -23,7 +23,10 @@ and the git sha and source hash each checkout's runs recorded.  Each
 workload also gives each side's gauge readings in the same form: the median
 `gauge_s` of every run, the time of the fixed pure-Python loop that run.py
 scales latencies by, so that summaries made at different times can be
-compared for the machine's speed.
+compared for the machine's speed.  `op_kind_p50_s` gives, for each op kind
+that passed in every run, each side's median per run of that kind's
+latencies (`latency_s` of its ok ops) in the same form, so the summary
+shows which op moved.
 """
 
 from __future__ import annotations
@@ -62,6 +65,22 @@ def _side_summary(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1, "runs": values}
 
 
+def _kind_medians(run: dict) -> dict[str, float]:
+    """The median latency of each op kind's ok ops in one run."""
+    latencies: dict[str, list] = {}
+    for record in run["records"]:
+        if record["status"] == "ok":
+            latencies.setdefault(record["kind"], []).append(record["latency_s"])
+    return {kind: statistics.median(values) for kind, values in latencies.items()}
+
+
+def _op_kind_summary(runs: dict[str, list[dict]]) -> dict:
+    medians = {side: [_kind_medians(r) for r in runs[side]] for side in SIDES}
+    kinds = set.intersection(*(set(m) for side in SIDES for m in medians[side]))
+    return {kind: {side: _side_summary([m[kind] for m in medians[side]]) for side in SIDES}
+            for kind in sorted(kinds)}
+
+
 def _checkout_facts(results: list[dict]) -> dict:
     facts = {(r["context"].get("git_sha"), r["context"]["src_sha256"]) for r in results}
     if len(facts) != 1:
@@ -97,6 +116,7 @@ def summarize(benchmark: dict, checkouts: dict[str, Path],
                            "gauge_s": {side: _side_summary([r["gauge_s"]["median"]
                                                             for r in runs[side]])
                                        for side in SIDES},
+                           "op_kind_p50_s": _op_kind_summary(runs),
                            "run_digests_equal": all(
                                p["run_digest"] == c["run_digest"]
                                for p, c in zip(runs["parent"], runs["change"]))}
@@ -139,6 +159,9 @@ def main() -> int:
         gauge = entry["gauge_s"]
         print(f"{name:16} {'gauge_s':12} {gauge['parent']['median']:.6g} -> "
               f"{gauge['change']['median']:.6g}")
+        for kind, sides in entry["op_kind_p50_s"].items():
+            print(f"{name:16} p50 of {kind}: {sides['parent']['median']:.6g} s -> "
+                  f"{sides['change']['median']:.6g} s")
     return 0
 
 

@@ -311,7 +311,7 @@ def _example_tally(name: str, n: int, n_samples: int, meta_seed: int):
     """The example's fixed reference and how often each sample of size n
     comes up over `n_samples` seeds of the meta seed's stream."""
     oracle, sampler = _example(name)
-    return oracle, _tally(sampler, n, n_samples, SeedStream(meta_seed), 0)
+    return oracle, _tally(sampler, tuple(range(1, n + 1)), n_samples, SeedStream(meta_seed), 0)
 
 
 def verify_weak_rep(n_samples: int = 10000, n: int = 3, meta_seed: int = 0) -> dict:

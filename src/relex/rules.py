@@ -25,6 +25,7 @@ from __future__ import annotations
 import json
 from bisect import bisect_right
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .randomness import HierarchicalRandomSource, induced_ordering
@@ -45,6 +46,18 @@ def context_key(structure: Structure, tup: tuple[int, ...]) -> str:
     rels = tuple(structure.tuples(name) for name in structure.signature.names())
     best, mapped = _canonical_cached(structure.signature, structure.n, rels, tuple(tup))
     return f"{best.key()}|[{', '.join(map(str, mapped))}]"
+
+
+@lru_cache(maxsize=1024)
+def context_key_signature(key: str) -> Signature:
+    """The signature a `context_key` string was made over, read from its
+    serialized structure; raises ValueError on a string that no
+    `context_key` call makes."""
+    try:
+        doc = json.loads(key.rpartition("|")[0])
+        return Signature((entry["name"], entry["arity"]) for entry in doc["signature"])
+    except (ValueError, TypeError, KeyError) as exc:
+        raise ValueError(f"{key!r} is not a context key: {exc}") from None
 
 
 def tuple_pattern(tup: Sequence[int]) -> tuple[int, ...]:

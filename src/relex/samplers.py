@@ -7,6 +7,17 @@ growth.  All samplers are pure functions of (inputs, seed) and exactly
 projective: sampling n points and restricting to [1, m] is bitwise the same
 as sampling m points with the same seed, because every choice is keyed by
 the subset it concerns.
+
+How local a sample is differs by kind.  A rule-driven sample decides each
+tuple from the draws on subsets of its range and the reference there (on
+[1, max entry] in segment mode), so its restriction to a set of points
+reads only the draws on subsets of those points (`sample_on`), and the
+statistical tests draw only the points they probe.  A frame-wise step at
+s reads what the steps below s built, and raises `AmalgamationFailure` at
+any subset with no amalgam: its restriction to S needs the whole of
+[1, max S], since drawing S alone would skip a failure outside S and
+return a result where the sample has none.  Sequential growth conditions step m on all of
+[1, m - 1]; the bespoke samplers of `catalog` draw whole samples.
 """
 
 from __future__ import annotations
@@ -19,9 +30,10 @@ from .amalgamation import FiniteClass, _partial, _step_classes
 from .embeddings import (Oracle, enumerate_embeddings, ensure_lazy,
                          natural_embedding)
 from .randomness import (HierarchicalRandomSource, SeedStream, permutation_rank)
-from .rules import DecisionContext, normalize_rules, rules_signature
+from .rules import (DecisionContext, context_key_signature, normalize_rules,
+                    rules_signature)
 from .stattests import _tally
-from .structures import Signature, Structure, relabel, restrict
+from .structures import Injection, Signature, Structure, relabel, restrict
 
 
 class AmalgamationFailure(RuntimeError):
@@ -58,13 +70,14 @@ _ALLOWED_CONTEXTS = {
 
 
 class _RuleSet:
-    """A rule set normalized and checked against one sampling kind, with its
-    signature: the part of a rule-driven sample that no seed or size changes,
-    prepared once per sampler instead of once per sample."""
+    """A rule set normalized and checked against one sampling kind and its
+    reference, with its signature: the part of a rule-driven sample that no
+    seed or size changes, prepared once per sampler instead of once per
+    sample."""
 
     __slots__ = ("kind", "rules", "signature", "steps", "reads_reference")
 
-    def __init__(self, rules, kind: str):
+    def __init__(self, rules, kind: str, oracle: Optional[Oracle] = None):
         rules = normalize_rules(rules)
         allowed = _ALLOWED_CONTEXTS[kind]
         for df in rules.values():
@@ -73,6 +86,8 @@ class _RuleSet:
                     f"{kind} sampling cannot serve context mode {df.context_mode!r} "
                     f"(rule for {df.relation!r}); it serves context mode "
                     + ", ".join(map(repr, allowed)))
+        if oracle is not None:
+            _check_reference(rules, ensure_lazy(oracle).signature)
         self.kind = kind
         self.rules = rules
         self.signature = rules_signature(rules)
@@ -81,37 +96,72 @@ class _RuleSet:
         self.reads_reference = any(df.context_mode != "none" for df in rules.values())
 
 
-def _sample_by_rules(rules, n: int, src: HierarchicalRandomSource, kind: str,
+def _check_reference(rules, reference: Signature) -> None:
+    """Raise unless every table entry's context key names the reference's
+    signature: a key over another signature never matches, so its entry
+    could never fire."""
+    for df in rules.values():
+        for entry in getattr(df, "entries", ()):
+            if entry.context_key is None:
+                continue
+            keyed = context_key_signature(entry.context_key)
+            if keyed != reference:
+                raise ValueError(
+                    f"rule for {df.relation!r} has a context key over {keyed!r}, "
+                    f"but the reference has {reference!r}; the entry could never match")
+
+
+def _segment(n: int) -> range:
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    return range(1, n + 1)
+
+
+def _sample_by_rules(rules, points: Sequence[int], src: HierarchicalRandomSource, kind: str,
                      oracle: Optional[Oracle]) -> Structure:
-    """Decide every tuple on [1, n] by its relation's rule; `rules` is anything
-    `normalize_rules` accepts, or a `_RuleSet` prepared for `kind`."""
+    """Decide every tuple over the sorted, distinct, positive `points` by its
+    relation's rule, and return the accepted tuples on [1, |points|];
+    `rules` is anything `normalize_rules` accepts, or a `_RuleSet` prepared
+    for `kind`.
+
+    Each decision gets the tuple in its own (global) labels and the
+    reference on [1, max(points)], exactly as in a sample on [1, max(points)],
+    and reads only the draws on subsets of the tuple's range and the
+    reference there (or on its segment): so the result is that sample's
+    restriction to `points`, byte for byte.  A sample on [1, n] is the case
+    points = range(1, n + 1), which relabels nothing."""
     if not (isinstance(rules, _RuleSet) and rules.kind == kind):
-        rules = _RuleSet(rules, kind)
-    reference = ensure_lazy(oracle).initial_segment(n) if rules.reads_reference else None
+        rules = _RuleSet(rules, kind, oracle)
+    top = points[-1] if points else 0
+    reference = ensure_lazy(oracle).initial_segment(top) if rules.reads_reference else None
     relations = {}
     for name, df in rules.steps:
         partition, mode = df.partition, df.context_mode
         relations[name] = [
-            tup for tup in itertools.product(range(1, n + 1), repeat=df.arity)
+            tup for tup in itertools.product(points, repeat=df.arity)
             if df.decide(DecisionContext(src, name, tup, partition, mode, reference))]
-    return Structure._trusted(rules.signature, n, relations)
+    if top != len(points):  # not [1, n]: relabel the accepted tuples only
+        index = {x: i for i, x in enumerate(points, start=1)}
+        relations = {name: [tuple([index[x] for x in tup]) for tup in tups]
+                     for name, tups in relations.items()}
+    return Structure._trusted(rules.signature, len(points), relations)
 
 
 def sample_exchangeable(rules, n: int, src: HierarchicalRandomSource) -> Structure:
     """Tuple membership decided by context-free rules on subset-keyed randomness."""
-    return _sample_by_rules(rules, n, src, "exchangeable", None)
+    return _sample_by_rules(rules, _segment(n), src, "exchangeable", None)
 
 
 def sample_m_exchangeable(rules, oracle: Oracle, n: int,
                           src: HierarchicalRandomSource) -> Structure:
     """Rules may additionally read the reference restricted to the tuple's range."""
-    return _sample_by_rules(rules, n, src, "m-exchangeable", oracle)
+    return _sample_by_rules(rules, _segment(n), src, "m-exchangeable", oracle)
 
 
 def sample_maxseg_exchangeable(rules, oracle: Oracle, n: int,
                                src: HierarchicalRandomSource) -> Structure:
     """Rules may read the reference's initial segment up to the largest entry."""
-    return _sample_by_rules(rules, n, src, "maxseg", oracle)
+    return _sample_by_rules(rules, _segment(n), src, "maxseg", oracle)
 
 
 # --- frame-wise uniform construction -------------------------------------------
@@ -141,19 +191,21 @@ def _step_plan(klass: FiniteClass, n: int):
     shared by all s of one size, and a memo from a member's tuples on
     [1, k] to the same in global labels.  A class keeps them as a list, up
     to _MAX_PLANNED_STEPS steps for all sizes, dropping the others to fit a
-    new size; past that, itertools chains them afresh for every sample."""
+    new size; past that, itertools chains them afresh for every sample, with
+    None for the memo: a step that is not kept never meets a second sample."""
     plans = klass._step_plans
     if n in plans:
         return plans[n]
     top = n if klass.forced_above is None else min(n, klass.forced_above)
+    count = sum(math.comb(n, k) for k in range(2, top + 1))
+    kept = count <= _MAX_PLANNED_STEPS
     steps = itertools.chain.from_iterable(
         zip(itertools.combinations(range(1, n + 1), k), itertools.repeat(k),
             itertools.repeat([(size, list(itertools.combinations(range(1, k + 1), size)))
                               for size in range(1, min(k - 1, klass.signature.max_arity()) + 1)]),
-            iter(dict, None))
+            iter(dict, None) if kept else itertools.repeat(None))
         for k in range(2, top + 1))
-    count = sum(math.comb(n, k) for k in range(2, top + 1))
-    if count > _MAX_PLANNED_STEPS:
+    if not kept:
         return steps
     if sum(map(len, plans.values())) + count > _MAX_PLANNED_STEPS:
         plans.clear()
@@ -250,9 +302,11 @@ def sample_framewise(klass: FiniteClass, n: int, src: HierarchicalRandomSource,
         if new:
             decided[s] = new
             sizes.add(k)
-            placed = memo.get(new)
+            placed = memo.get(new) if memo is not None else None
             if placed is None:
-                placed = memo[new] = [(name, tuple([s[c - 1] for c in tup])) for name, tup in new]
+                placed = [(name, tuple([s[c - 1] for c in tup])) for name, tup in new]
+                if memo is not None:
+                    memo[new] = placed
             for name, tup in placed:
                 relations[name].append(tup)
     return Structure._trusted(signature, n, relations)
@@ -311,12 +365,12 @@ def age_indexed_from_sampler(sampler, oracle: Oracle, klass: FiniteClass,
 
     For each member S of the class's age up to `cap`, finds the greedy
     embedding of S into the reference's first _EMBED_BOUND points, draws
-    `n_samples` structures (fresh seeds from a meta-seeded stream), pulls
-    each back along the embedding, and tallies.  Afterwards computes, over
-    every embedding between age members, the total-variation distance
-    between the smaller member's table and the pullback of the larger's;
-    the worst value is reported as `max_discrepancy` (statistically zero
-    for genuinely invariant samplers).
+    `n_samples` structures (fresh seeds from a meta-seeded stream) on its
+    image (`stattests._tally`), pulls each back along the embedding, and
+    tallies.  Afterwards computes, over every embedding between age
+    members, the total-variation distance between the smaller member's
+    table and the pullback of the larger's; the worst value is reported as
+    `max_discrepancy` (statistically zero for genuinely invariant samplers).
     """
     lazy = ensure_lazy(oracle)
     law = AgeIndexedLaw(sampler.signature, cap)
@@ -325,11 +379,14 @@ def age_indexed_from_sampler(sampler, oracle: Oracle, klass: FiniteClass,
     for size in range(1, cap + 1):
         members.extend(klass.enumerate(size))
     for j, member in enumerate(members):
-        rho = natural_embedding(member, lazy, _EMBED_BOUND)
+        images = natural_embedding(member, lazy, _EMBED_BOUND).image_sequence()
+        points = tuple(sorted(images))
+        # i -> the place of rho(i) among the sorted images, when rho does not increase
+        order = (None if images == points
+                 else Injection.from_sequence([points.index(x) + 1 for x in images]))
         counts: dict[str, list] = {}
-        for sample, count in _tally(sampler, max(rho.image_sequence()), n_samples,
-                                    seeds, j * n_samples).items():
-            pulled, _ = relabel(sample, rho)
+        for sample, count in _tally(sampler, points, n_samples, seeds, j * n_samples).items():
+            pulled = sample if order is None else relabel(sample, order)[0]
             counts.setdefault(pulled.key(), [pulled, 0])[1] += count
         law.add_table(member, {structure: count / n_samples
                                for structure, count in counts.values()})
@@ -390,35 +447,53 @@ def sample_sequential(law: AgeIndexedLaw, oracle: Oracle, n: int,
 
 # --- sampler objects (uniform interface for the test harness) -------------------
 
-class ExchangeableSampler:
+class _RuleSampler:
+    """A rule set prepared for one kind over its reference (None for the
+    exchangeable kind), with the local draw that every rule-driven sample
+    has (see the module docstring)."""
+
+    def __init__(self, rules, kind: str, oracle: Optional[Oracle]):
+        self._rules = _RuleSet(rules, kind, oracle)
+        self.rules = self._rules.rules
+        self.oracle = oracle
+        self.signature = self._rules.signature
+
+    def sample_on(self, src: HierarchicalRandomSource, points) -> Structure:
+        """The sample's restriction to `points`, on [1, |points|]: equal, byte
+        for byte, to `restrict(self.sample(src, max(points)), points)`, but
+        deciding only the tuples over `points`."""
+        points = tuple(sorted(set(map(int, points))))
+        if points and points[0] < 1:
+            raise ValueError(f"points must be positive, got {points[0]}")
+        return _sample_by_rules(self._rules, points, src, self._rules.kind, self.oracle)
+
+
+class ExchangeableSampler(_RuleSampler):
     """Context-free rule sampler with a stable (sample, signature) interface."""
 
     def __init__(self, rules):
-        self._rules = _RuleSet(rules, "exchangeable")
-        self.rules = self._rules.rules
-        self.signature = self._rules.signature
+        super().__init__(rules, "exchangeable", None)
 
     def sample(self, src: HierarchicalRandomSource, n: int) -> Structure:
         return sample_exchangeable(self._rules, n, src)
 
 
-class MExchangeableSampler:
+class MExchangeableSampler(_RuleSampler):
+    """Rules that may read the reference restricted to each tuple's range."""
+
     def __init__(self, rules, oracle: Oracle):
-        self._rules = _RuleSet(rules, "m-exchangeable")
-        self.rules = self._rules.rules
-        self.oracle = oracle
-        self.signature = self._rules.signature
+        super().__init__(rules, "m-exchangeable", oracle)
 
     def sample(self, src: HierarchicalRandomSource, n: int) -> Structure:
         return sample_m_exchangeable(self._rules, self.oracle, n, src)
 
 
-class MaxSegSampler:
+class MaxSegSampler(_RuleSampler):
+    """Rules that may also read the reference's segment up to each tuple's
+    largest entry."""
+
     def __init__(self, rules, oracle: Oracle):
-        self._rules = _RuleSet(rules, "maxseg")
-        self.rules = self._rules.rules
-        self.oracle = oracle
-        self.signature = self._rules.signature
+        super().__init__(rules, "maxseg", oracle)
 
     def sample(self, src: HierarchicalRandomSource, n: int) -> Structure:
         return sample_maxseg_exchangeable(self._rules, self.oracle, n, src)

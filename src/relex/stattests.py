@@ -153,27 +153,48 @@ def empirical_law(sampler, subset: Sequence[int], n_samples: int,
 def _law(sampler, subset: tuple[int, ...], n_samples: int, seeds, offset: int,
          along: Optional[Injection] = None) -> EmpiricalLaw:
     """Each distinct restriction of the samples to the sorted `subset`, pulled
-    back along `along` when given, recorded with its count."""
-    restrictions: dict[Structure, int] = {}
-    for sample, count in _tally(sampler, max(subset), n_samples, seeds, offset).items():
-        restricted = restrict(sample, subset)
-        restrictions[restricted] = restrictions.get(restricted, 0) + count
+    back along `along` when given, recorded with its count.  A rule
+    sampler's restriction depends only on the draws on subsets of `subset`,
+    so `_tally` draws it there alone; a frame-wise one is drawn on
+    [1, max(subset)] and restricted, because a failure to amalgamate
+    outside `subset` must still raise."""
     law = EmpiricalLaw(subset, n_samples)
-    for restricted, count in restrictions.items():
+    for restricted, count in _tally(sampler, subset, n_samples, seeds, offset).items():
         law.record(restricted if along is None else relabel(restricted, along)[0], count)
     return law
 
 
-def _tally(sampler, n: int, n_samples: int, seeds, offset: int) -> dict[Structure, int]:
-    """How often each distinct sample on [1, n] comes up, in first-seen order.
+def _tally(sampler, points: tuple[int, ...], n_samples: int, seeds,
+           offset: int) -> dict[Structure, int]:
+    """How often each distinct restriction of a sample to the sorted, nonempty
+    `points`, on [1, |points|], comes up, in first-seen order.
+
+    The rule samplers (`samplers._RuleSampler`) decide each tuple from the
+    draws on subsets of its range and the reference there, so their
+    `sample_on` draws the restriction on `points` alone, deciding no tuple
+    outside them.  Every other sampler, and every initial segment, takes a
+    sample on [1, max(points)] and restricts each distinct one.  A
+    frame-wise sample's step at s reads what was built below s, and raises
+    `AmalgamationFailure` at any subset with no amalgam, inside `points` or
+    not: drawing `points` alone would turn that raise into a result.  The
+    sequential and bespoke samplers have no local form either.
 
     Samples compare literally, so a law recorded from the tally equals one
     recorded sample by sample."""
+    n = points[-1]
+    local = getattr(sampler, "sample_on", None) if n != len(points) else None
     counts: dict[Structure, int] = {}
     for i in range(n_samples):
-        sample = sampler.sample(HierarchicalRandomSource(seeds[offset + i]), n)
+        src = HierarchicalRandomSource(seeds[offset + i])
+        sample = local(src, points) if local is not None else sampler.sample(src, n)
         counts[sample] = counts.get(sample, 0) + 1
-    return counts
+    if local is not None:
+        return counts
+    restrictions: dict[Structure, int] = {}
+    for sample, count in counts.items():
+        restricted = restrict(sample, points)
+        restrictions[restricted] = restrictions.get(restricted, 0) + count
+    return restrictions
 
 
 # --- chi-square tests -----------------------------------------------------------
@@ -344,6 +365,12 @@ def test_relative_exchangeability(sampler, oracle: Oracle, n: int,
     equal the phi-pullback of the law of X restricted to T.  Pairs with no
     embedding are skipped and reported.  Holm's step-down procedure over
     executed probes.
+
+    Each law reads X on S (or T) only.  A rule sampler draws it there alone
+    (`_tally`): a tuple's decision reads the draws and the reference on its
+    own range, or its segment.  A frame-wise sampler is drawn on
+    [1, max S] and restricted, so a subset with no amalgam still raises
+    `AmalgamationFailure` when it lies outside S.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -408,9 +435,12 @@ def test_dissociation(sampler, s_set: Sequence[int], t_set: Sequence[int],
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     seeds = SeedStream(meta_seed)
+    points = tuple(sorted(s_set + t_set))
+    index = {x: i for i, x in enumerate(points, start=1)}
+    s_local, t_local = [index[x] for x in s_set], [index[x] for x in t_set]
     table: dict[tuple[str, str], int] = {}
-    for sample, count in _tally(sampler, max(s_set + t_set), n_samples, seeds, 0).items():
-        key = (restrict(sample, s_set).key(), restrict(sample, t_set).key())
+    for sample, count in _tally(sampler, points, n_samples, seeds, 0).items():
+        key = (restrict(sample, s_local).key(), restrict(sample, t_local).key())
         table[key] = table.get(key, 0) + count
 
     rows = sorted({k[0] for k in table})

@@ -14,11 +14,12 @@ import json
 import random
 from bisect import bisect_right
 
-from relex import (AmalgamationFailure, Injection, Signature, Structure,
-                   embedding_exists, enumerate_embeddings, induced_ordering,
-                   permutation_rank, restrict, serialize)
+from relex import (AmalgamationFailure, HierarchicalRandomSource, Injection, Signature,
+                   Structure, embedding_exists, enumerate_embeddings, induced_ordering,
+                   permutation_rank, relabel, restrict, serialize)
 from relex.amalgamation import _partial, _step_classes
 from relex.samplers import _class_index
+from relex.stattests import EmpiricalLaw
 from relex.theory import And, Atom, Implies, Not, Or
 
 
@@ -344,3 +345,28 @@ def naive_sample_framewise(klass, n: int, src, rep_weights=None) -> Structure:
         for name, tup in pairs:
             relations[name].append(tuple([support[c - 1] for c in tup]))
     return Structure(signature, n, relations)
+
+
+def naive_law(sampler, subset, n_samples: int, seeds, offset: int = 0, along=None):
+    """The empirical law of the samples restricted to the sorted `subset`, one
+    sample at a time: each sample is drawn on [1, max(subset)], restricted,
+    pulled back along `along` when given, and recorded with count 1."""
+    subset = tuple(sorted(set(subset)))
+    law = EmpiricalLaw(subset, n_samples)
+    for i in range(n_samples):
+        sample = sampler.sample(HierarchicalRandomSource(seeds[offset + i]), subset[-1])
+        restricted = restrict(sample, subset)
+        law.record(restricted if along is None else relabel(restricted, along)[0])
+    return law
+
+
+class CountingSampler:
+    """Wraps a sampler and counts the samples drawn through it; it has only
+    `sample` and `signature`, as a sampler from outside the library may."""
+
+    def __init__(self, base):
+        self.base, self.signature, self.calls = base, base.signature, 0
+
+    def sample(self, src, n):
+        self.calls += 1
+        return self.base.sample(src, n)

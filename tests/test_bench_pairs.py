@@ -26,8 +26,10 @@ def _load_script():
 
 def _write_run(checkout: Path, workload: str, seed: int, ops_per_s: float,
                op_p50_s: float, gauge_median_s: float, digest: str,
-               git_sha: str = "abc") -> None:
+               git_sha: str = "abc", records=()) -> None:
     run = {
+        "records": [{"kind": kind, "latency_s": latency, "status": status}
+                    for kind, latency, status in records],
         "context": {"git_sha": git_sha, "src_sha256": f"src-{checkout.name}",
                     "python": "3.x", "nproc": 2, "cpus_allowed": "0-1"},
         "metrics": {"ops_per_s": {"value": ops_per_s}, "op_p50_s": {"value": op_p50_s}},
@@ -84,3 +86,27 @@ def test_summary_flags_digest_mismatches_and_mixed_sources(tmp_path):
                git_sha="def")
     with pytest.raises(SystemExit, match="different sources"):
         script.summarize(BENCHMARK, checkouts, [("exch-small", 1, 2)])
+
+
+def test_summary_gives_each_op_kinds_median_latency_per_side(tmp_path):
+    checkouts = _checkouts(tmp_path)
+    # (kind, latency_s, status) per run; "rare" is missing from one parent run
+    # and a failed op's latency is not counted
+    parent = [[("fast", 0.010, "ok"), ("fast", 0.030, "ok"), ("slow", 0.080, "ok"),
+               ("rare", 0.5, "ok")],
+              [("fast", 0.012, "ok"), ("slow", 0.090, "ok"), ("slow", 9.0, "timeout")]]
+    change = [[("fast", 0.011, "ok"), ("slow", 0.050, "ok"), ("rare", 0.4, "ok")],
+              [("fast", 0.013, "ok"), ("slow", 0.060, "ok"), ("rare", 0.4, "ok")]]
+    for seed, (p, c) in enumerate(zip(parent, change), start=7):
+        _write_run(checkouts["parent"], "rules-reference", seed, 10.0, 0.02, 0.008,
+                   digest="d", records=p)
+        _write_run(checkouts["change"], "rules-reference", seed, 12.0, 0.02, 0.008,
+                   digest="d", records=c)
+    summary = _load_script().summarize(BENCHMARK, checkouts, [("rules-reference", 7, 2)])
+
+    kinds = summary["workloads"]["rules-reference"]["op_kind_p50_s"]
+    assert sorted(kinds) == ["fast", "slow"]
+    assert kinds["fast"]["parent"]["runs"] == [0.020, 0.012]   # median of 0.010, 0.030
+    assert kinds["slow"]["parent"]["runs"] == [0.080, 0.090]
+    assert kinds["slow"]["change"]["runs"] == [0.050, 0.060]
+    assert kinds["slow"]["change"]["median"] == pytest.approx(0.055)

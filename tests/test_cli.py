@@ -339,6 +339,17 @@ def test_test_relative_exchangeability_cli():
     assert "PASS" in result.stdout
 
 
+def test_rule_tables_keyed_over_another_reference_exit_2():
+    # rules/two_coin.json keys P/1 references; odd-target is a graph
+    sample = run_cli("sample", "m-exch", "--rules", "rules/two_coin.json",
+                     "--ref", "odd-target", "--n", "3")
+    test = run_cli("test", "rel-exch", "--sampler", "maxseg:rules/two_coin.json:odd-target",
+                   "--ref", "odd-target", "--n", "2", "--N", "10")
+    for result in (sample, test):
+        assert result.returncode == 2
+        assert "'P'" in result.stderr and "Signature(E/2)" in result.stderr
+
+
 def test_test_usage_errors():
     assert run_cli("test", "equal", "--sampler", "framewise:graphs",
                    "--subset", "1,2").returncode == 2

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import relex
-from helpers import naive_sample_framewise
+from helpers import CountingSampler, naive_sample_framewise
 from relex import (AgeIndexedLaw, AmalgamationFailure, FiniteClass, FramewiseSampler,
                    FunctionDecisionFunction, HierarchicalRandomSource, LazyStructure,
                    MaxSegSampler,
@@ -22,7 +22,7 @@ from relex import (AgeIndexedLaw, AmalgamationFailure, FiniteClass, FramewiseSam
                    sample_framewise, sample_m_exchangeable,
                    sample_maxseg_exchangeable, sample_sequential,
                    ExchangeableSampler, age_indexed_from_sampler, context_key,
-                   load_rules)
+                   load_rules, natural_embedding, relabel)
 from relex.amalgamation import BUILTIN_CLASS_NAMES, from_theory, make_builtin_class
 from relex.catalog import (evens_oracle, mixed_two_coin_rules, odd_target_oracle,
                            parity_overlay_oracle, parity_overlay_rules,
@@ -366,6 +366,9 @@ def test_framewise_plans_keep_to_their_bound(monkeypatch):
             expected = _logged_outcome(naive_sample_framewise, klass, n, seed, None)
             assert _logged_outcome(sample_framewise, klass, n, seed, None) == expected
         assert sorted(klass._step_plans) == sorted(kept), n
+    # kept steps carry a memo; steps chained afresh past the bound carry none
+    assert all(isinstance(memo, dict) for *_, memo in relex.samplers._step_plan(klass, 4))
+    assert all(memo is None for *_, memo in relex.samplers._step_plan(klass, 6))
 
 
 FRAMEWISE_BUILTINS = [name for name in BUILTIN_CLASS_NAMES if builtin_class(name).enumerate(1)]
@@ -576,6 +579,89 @@ def test_rule_and_sequential_samplers_projective_over_random_seeds(name, n, data
     assert restrict(big, range(1, m + 1)) == small
 
 
+def _reference_reading_rules():
+    """S(i, j) reads the reference's segment and the whole reference view it
+    is handed: a function rule that no table can express."""
+    def rule(ctx):
+        i, j = ctx.tuple
+        linked = ctx.segment().has("R", (i, j, 1)) != (ctx.xi() < 0.5)
+        return linked != (ctx.reference.n % 2 == 0 and i < j)
+    return {"S": FunctionDecisionFunction("S", 2, rule, context_mode="segment")}
+
+
+# every rule kind: context-free tables (threshold, ordering), restriction
+# tables (plain and mixed by xi_empty), segment function rules
+LOCAL_SAMPLERS = {
+    "random-graph": lambda: ExchangeableSampler(load_rules(RULES_DIR / "random_graph.json")),
+    "tournament": lambda: ExchangeableSampler(load_rules(RULES_DIR / "tournament.json")),
+    "two-coin": lambda: MExchangeableSampler(two_coin_rules(), evens_oracle()),
+    "mixed-two-coin": lambda: MExchangeableSampler(mixed_two_coin_rules(), evens_oracle()),
+    "weak-rep": lambda: MaxSegSampler(weak_rep_rules(), same_class_triple_oracle()),
+    "reference-reading": lambda: MaxSegSampler(_reference_reading_rules(),
+                                               same_class_triple_oracle()),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(LOCAL_SAMPLERS)), st.integers(0, 2 ** 64 - 1),
+       st.sets(st.integers(1, 8), min_size=1))
+def test_sample_on_is_the_restriction_of_a_sample(name, seed, points):
+    sampler = LOCAL_SAMPLERS[name]()
+    points = sorted(points)
+    local = sampler.sample_on(HierarchicalRandomSource(seed), points)
+    whole = sampler.sample(HierarchicalRandomSource(seed), points[-1])
+    expected = restrict(whole, points)
+    assert local == expected
+    assert local.key() == expected.key() and repr(local) == repr(expected)
+
+
+def test_sample_on_decides_only_the_tuples_over_its_points():
+    decided = []
+
+    def rule(ctx):
+        decided.append(ctx.tuple)
+        return ctx.xi() < 0.5
+
+    sampler = ExchangeableSampler({"E": FunctionDecisionFunction("E", 2, rule)})
+    local = sampler.sample_on(HierarchicalRandomSource(3), (7, 2, 5, 2))
+    assert sorted(decided) == sorted(itertools.product((2, 5, 7), repeat=2))
+    assert local.n == 3
+    decided.clear()
+    assert local == restrict(sampler.sample(HierarchicalRandomSource(3), 7), (2, 5, 7))
+    assert len(decided) == 49
+    assert sampler.sample_on(HierarchicalRandomSource(3), ()) == Structure(local.signature, 0)
+    with pytest.raises(ValueError, match="positive"):
+        sampler.sample_on(HierarchicalRandomSource(3), (0, 2))
+
+
+def test_rule_samplers_reject_a_negative_size():
+    src = HierarchicalRandomSource(0)
+    for sampler in (LOCAL_SAMPLERS["tournament"](), LOCAL_SAMPLERS["two-coin"]()):
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            sampler.sample(src, -1)
+
+
+def test_rule_samplers_reject_a_table_keyed_over_another_signature():
+    # two-coin keys name P/1; odd-target's reference is a graph E/2, so no
+    # entry could ever match and every sample would be empty
+    for make in (MExchangeableSampler, MaxSegSampler):
+        with pytest.raises(ValueError, match=r"'P'.*Signature\(P/1\).*Signature\(E/2\)"):
+            make(two_coin_rules(), odd_target_oracle())
+    with pytest.raises(ValueError, match="context key"):
+        sample_m_exchangeable(two_coin_rules(), odd_target_oracle(), 3,
+                              HierarchicalRandomSource(0))
+    # a finite reference is checked the same way; function rules carry no key
+    with pytest.raises(ValueError, match="context key"):
+        MExchangeableSampler(two_coin_rules(), Structure(Signature((("E", 2),)), 3))
+    MExchangeableSampler(two_coin_rules(), Structure(UNARY, 3))
+    MExchangeableSampler(_keyed_arc_rules(), odd_target_oracle())
+    bad = {"P": relex.TableDecisionFunction(
+        "P", 1, [relex.TableEntry(bit=True, context_key="not a key")],
+        context_mode="restriction")}
+    with pytest.raises(ValueError, match="not a context key"):
+        MExchangeableSampler(bad, evens_oracle())
+
+
 def test_age_indexed_from_sampler_estimates_an_invariant_law():
     class TwoCoin:
         signature = UNARY
@@ -597,6 +683,41 @@ def test_age_indexed_from_sampler_estimates_an_invariant_law():
     assert abs(table.get(hit, 0.0) - 0.7) < 0.06
     # the sampler is genuinely invariant: discrepancies are sampling noise only
     assert law.max_discrepancy < 0.12, (law.max_discrepancy, law.worst_pair)
+
+
+def _naive_age_tables(sampler, oracle, klass, cap, n_samples, meta_seed):
+    """Each member's table, sample by sample: a sample on [1, max image of its
+    greedy embedding rho], pulled back along rho; and whether some rho
+    does not increase."""
+    seeds, lazy = SeedStream(meta_seed), ensure_lazy(oracle)
+    members = [m for size in range(1, cap + 1) for m in klass.enumerate(size)]
+    tables, unordered = {}, False
+    for j, member in enumerate(members):
+        rho = natural_embedding(member, lazy, 32)
+        images = rho.image_sequence()
+        unordered |= list(images) != sorted(images)
+        counts = {}
+        for i in range(n_samples):
+            sample = sampler.sample(HierarchicalRandomSource(seeds[j * n_samples + i]),
+                                    max(images))
+            key = relabel(sample, rho)[0].key()
+            counts[key] = counts.get(key, 0) + 1
+        tables[member.key()] = sorted((key, count / n_samples) for key, count in counts.items())
+    return tables, unordered
+
+
+def test_age_indexed_laws_from_local_draws_match_sample_then_pull_back():
+    subsets = builtin_class("subsets")
+    sampler = MExchangeableSampler(two_coin_rules(0.3, 0.7), evens_oracle())
+    expected, unordered = _naive_age_tables(sampler, evens_oracle(), subsets, 3, 150, 2)
+    assert unordered  # e.g. P on 1 of 2 points embeds as 1 -> 2, 2 -> 1
+    laws = [age_indexed_from_sampler(s, evens_oracle(), subsets, cap=3, n_samples=150,
+                                     meta_seed=2) for s in (sampler, CountingSampler(sampler))]
+    for law in laws:
+        assert {key: sorted((s.key(), p) for s, p in table)
+                for key, table in law.tables.items()} == expected
+    assert laws[0].max_discrepancy == laws[1].max_discrepancy
+    assert laws[0].worst_pair == laws[1].worst_pair
 
 
 _AGE_LAW_SCRIPT = """

@@ -13,6 +13,7 @@ from types import SimpleNamespace
 import pytest
 
 import relex
+from helpers import CountingSampler, naive_law
 from relex import stattests as st
 from relex.amalgamation import builtin_class
 from relex.catalog import (
@@ -22,11 +23,15 @@ from relex.catalog import (
     evens_oracle,
     mixed_two_coin_rules,
     parity_overlay_oracle,
+    same_class_triple_oracle,
+    tournament_rules,
     two_coin_rules,
+    weak_rep_rules,
 )
 from relex.embeddings import embedding_exists, ensure_lazy, enumerate_embeddings
 from relex.randomness import HierarchicalRandomSource, SeedStream
-from relex.samplers import ExchangeableSampler, FramewiseSampler, MExchangeableSampler
+from relex.samplers import (AmalgamationFailure, ExchangeableSampler, FramewiseSampler,
+                            MaxSegSampler, MExchangeableSampler)
 from relex.structures import Signature, Structure, relabel, restrict
 
 UNARY = Signature((("P", 1),))
@@ -144,18 +149,11 @@ def test_empirical_law_validation():
 
 # --- one tally per distinct sample --------------------------------------------------
 
-def _per_sample_law(sampler, subset, n_samples, seeds):
-    """The law recorded one sample at a time, as the documentation defines it."""
-    law = st.EmpiricalLaw(tuple(subset), n_samples)
-    for i in range(n_samples):
-        sample = sampler.sample(HierarchicalRandomSource(seeds[i]), max(subset))
-        law.record(restrict(sample, subset))
-    return law
-
-
-def _per_sample_tally(sampler, n, n_samples, seeds, offset):
-    """Stand-in for `stattests._tally` that hands back every sample with count 1."""
-    pairs = [(sampler.sample(HierarchicalRandomSource(seeds[offset + i]), n), 1)
+def _per_sample_tally(sampler, points, n_samples, seeds, offset):
+    """Stand-in for `stattests._tally` that draws every sample on
+    [1, max(points)], restricts it to `points`, and hands it back with count 1."""
+    pairs = [(restrict(sampler.sample(HierarchicalRandomSource(seeds[offset + i]), points[-1]),
+                       points), 1)
              for i in range(n_samples)]
     return SimpleNamespace(items=lambda: pairs)
 
@@ -180,7 +178,7 @@ TALLY_LAWS = [("framewise-graphs", _graphs_sampler, (1, 2, 3)),
 def test_empirical_law_matches_a_per_sample_loop(label, make, subset):
     sampler, seeds = make(), SeedStream(17)
     law = st.empirical_law(sampler, subset, 300, seeds)
-    reference = _per_sample_law(sampler, subset, 300, seeds)
+    reference = naive_law(sampler, subset, 300, seeds)
     assert _law_record(law) == _law_record(reference)
     if label == "two-coin-2-4":
         assert len(law.counts) < len({sampler.sample(HierarchicalRandomSource(seeds[i]), 4)
@@ -200,6 +198,8 @@ def test_exchangeability_matches_a_per_sample_loop(monkeypatch, label, make):
 def test_dissociation_and_relative_exchangeability_match_a_per_sample_loop(monkeypatch):
     def run():
         return (st.test_dissociation(_two_coin_sampler(), (1, 2), (3, 4), 300,
+                                     meta_seed=6).to_json(),
+                st.test_dissociation(_two_coin_sampler(), (2, 6), (3, 5), 300,
                                      meta_seed=6).to_json(),
                 st.test_relative_exchangeability(_two_coin_sampler(), evens_oracle(), n=2,
                                                  n_samples=100, meta_seed=6,
@@ -227,6 +227,66 @@ def test_law_pulls_back_each_distinct_restriction_once(monkeypatch):
     distinct_samples = {sampler.sample(HierarchicalRandomSource(seeds[i]), 4)
                         for i in range(300)}
     assert len(calls) < len(distinct_samples)
+
+
+# --- local draws: the rule samplers' laws drawn on the probed points alone -----------
+
+LOCAL_SAMPLERS = {
+    "two-coin": (_two_coin_sampler, evens_oracle),
+    "mixed-two-coin": (lambda: MExchangeableSampler(mixed_two_coin_rules(), evens_oracle()),
+                       evens_oracle),
+    "weak-rep": (lambda: MaxSegSampler(weak_rep_rules(), same_class_triple_oracle()),
+                 same_class_triple_oracle),
+    "tournament": (lambda: ExchangeableSampler(tournament_rules()), evens_oracle),
+}
+
+
+def _entry_point_reports(sampler, oracle):
+    """All four entry points, on subsets that are not initial segments."""
+    seeds = SeedStream(8)
+    return (_law_record(st.empirical_law(sampler, (2, 5), 120, seeds)),
+            st.test_exchangeability(sampler, n=3, n_samples=60, meta_seed=8).to_json(),
+            st.test_relative_exchangeability(sampler, oracle, n=2, n_samples=60,
+                                             meta_seed=8, probe_cap=5).to_json(),
+            st.test_dissociation(sampler, (2, 5), (3, 7), 120, meta_seed=8).to_json())
+
+
+@pytest.mark.parametrize("name", sorted(LOCAL_SAMPLERS))
+def test_entry_points_with_local_draws_match_the_naive_path(monkeypatch, name):
+    make, oracle = LOCAL_SAMPLERS[name]
+    local = _entry_point_reports(make(), oracle())
+    foreign = _entry_point_reports(CountingSampler(make()), oracle())
+    monkeypatch.setattr(st, "_tally", _per_sample_tally)
+    assert local == foreign == _entry_point_reports(make(), oracle())
+
+
+def test_laws_draw_locally_off_initial_segments_only():
+    calls = {"sample": 0, "sample_on": 0}
+
+    class Counting(MExchangeableSampler):
+        def sample(self, src, n):
+            calls["sample"] += 1
+            return super().sample(src, n)
+
+        def sample_on(self, src, points):
+            calls["sample_on"] += 1
+            return super().sample_on(src, points)
+
+    sampler = Counting(two_coin_rules(), evens_oracle())
+    st.empirical_law(sampler, (2, 4), 30, 1)
+    assert calls == {"sample": 0, "sample_on": 30}
+    st.empirical_law(sampler, (1, 2), 30, 1)
+    assert calls == {"sample": 30, "sample_on": 30}
+
+
+def test_framewise_failure_outside_the_probed_points_still_raises():
+    # equivalence lacks 3-DAP; with n = 1 every probed set is one point, and a
+    # sample on [1, 3] fails at {1, 2, 3}, which no probe reads
+    sampler = FramewiseSampler(builtin_class("equivalence"))
+    with pytest.raises(AmalgamationFailure) as failure:
+        st.test_relative_exchangeability(sampler, evens_oracle(), n=1, n_samples=50,
+                                         window=3, meta_seed=0)
+    assert len(failure.value.subset) == 3
 
 
 def test_record_with_a_count_equals_repeated_records():
@@ -366,17 +426,6 @@ def test_exchangeability_explicit_permutations():
     assert report.details["probes"] == 1
     assert report.details["per_alpha"] == pytest.approx(0.01)
     assert report.passed
-
-
-class CountingSampler:
-    """Wraps a sampler and counts the samples drawn through it."""
-
-    def __init__(self, base):
-        self.base, self.signature, self.calls = base, base.signature, 0
-
-    def sample(self, src, n):
-        self.calls += 1
-        return self.base.sample(src, n)
 
 
 def test_exchangeability_degenerate_cases():

@@ -54,17 +54,22 @@ def _integer(value, what: str) -> int:
         raise ValueError(f"{what} {value!r} is not an integer") from None
 
 
-# full of 8-element subsets, the memo holds at most about 0.7 MB; the most
-# any benchmark workload draws on is 315 distinct subsets (rules-reference)
-@functools.lru_cache(maxsize=1024)
-def _label(ints: tuple[int, ...]) -> tuple[tuple[int, ...], bytes]:
-    """The sorted distinct elements of a subset of exact ints, and their
-    comma-separated decimal text.  Keyed by `operator.index` results only:
-    (1.0, 2.0) hashes and compares equal to (1, 2)."""
-    items = tuple(sorted(set(ints)))
+class _Subset(tuple):
+    """A checked subset's sorted distinct elements, with their text as `text`."""
+
+
+def _labelled(ints: Iterable[int]) -> _Subset:
+    """A subset of exact ints, checked, with its comma-separated decimal text."""
+    items = _Subset(sorted(set(ints)))
     if items and items[0] < 1:
         raise ValueError("subset elements must be positive integers")
-    return items, ",".join(map(str, items)).encode("ascii")
+    items.text = ",".join(map(str, items)).encode("ascii")
+    return items
+
+
+# at most about 1 MB; keyed by `operator.index` results only, so (1.0, 2.0)
+# hashes and compares equal to (1, 2)
+_label = functools.lru_cache(maxsize=1024)(_labelled)
 
 
 class HierarchicalRandomSource:
@@ -75,14 +80,17 @@ class HierarchicalRandomSource:
         # keyed once; every block hashes a copy
         self._hasher = hashlib.blake2b(key=self.seed.to_bytes(8, "big"), digest_size=32)
 
-    def _check(self, subset: Iterable[int]) -> tuple[tuple[int, ...], bytes]:
+    @staticmethod
+    def _check(subset: Iterable[int]) -> _Subset:
+        if type(subset) is _Subset:
+            return subset
         subset = tuple(subset)
         try:
             ints = tuple(map(operator.index, subset))
         except TypeError:
             bad = next(x for x in subset if not hasattr(type(x), "__index__"))
             raise ValueError(f"subset element {bad!r} is not an integer") from None
-        return (_label if len(ints) <= _MEMO_MAX_LEN else _label.__wrapped__)(ints)
+        return (_label if len(ints) <= _MEMO_MAX_LEN else _labelled)(ints)
 
     def xi(self, subset: Iterable[int] = ()) -> float:
         """Uniform [0,1) value attached to the subset; 53 random bits.
@@ -91,7 +99,7 @@ class HierarchicalRandomSource:
         variable shared by the whole sample.
         """
         hasher = self._hasher.copy()
-        hasher.update(b"xi|" + self._check(subset)[1] + b"#0")
+        hasher.update(b"xi|" + self._check(subset).text + b"#0")
         return (int.from_bytes(hasher.digest()[:7], "big") >> 3) / (1 << 53)
 
     def ordering(self, subset: Iterable[int]) -> tuple[int, ...]:
@@ -100,11 +108,11 @@ class HierarchicalRandomSource:
         Returned as the subset's elements listed smallest-first in the
         drawn order; all |s|! orders are equally likely across seeds.
         """
-        items, text = self._check(subset)
+        items = self._check(subset)
         if len(items) < 2:
-            return items
+            return tuple(items)
+        label = b"ord|" + items.text + b"#"
         items = list(items)
-        label = b"ord|" + text + b"#"
         block = self._hasher.copy()
         block.update(label + b"0")
         buffer, used, counter, stem = block.digest(), 0, 1, None

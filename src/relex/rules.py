@@ -22,6 +22,7 @@ callable on the context.
 
 from __future__ import annotations
 
+import itertools
 import json
 from bisect import bisect_right
 from dataclasses import dataclass, replace
@@ -76,11 +77,12 @@ class DecisionContext:
 
     Made per tuple and sample: its sorted subset, pattern, context key and
     memos of draws by positions are built on first use, for one decision.
-    Context keys are also kept on the reference (`context_key`).
+    Context keys are also kept by content, for every reference.
     """
 
     __slots__ = ("source", "relation", "tuple", "partition", "context_mode", "reference",
                  "_subset", "_pattern", "_key", "_xi_cache", "_rank_cache")
+    _keys: dict[tuple, str] = {}  # every reference's context keys, by content
 
     def __init__(self, source: HierarchicalRandomSource, relation: str,
                  tup: tuple[int, ...], partition: tuple[float, ...] = (),
@@ -122,8 +124,8 @@ class DecisionContext:
 
     def xi(self, positions: Optional[Sequence[int]] = None) -> float:
         """The keyed draw of the selected entries' set, memoized by positions."""
-        self.elements(positions)  # raises on a position out of range
-        return self._xi(positions if positions is None else tuple(positions))
+        positions = positions if positions is None else tuple(positions)
+        return self._xi(positions, self.elements(positions))
 
     def interval(self, positions: Optional[Sequence[int]] = None) -> int:
         """Index of the partition cell containing xi(positions)."""
@@ -131,37 +133,29 @@ class DecisionContext:
 
     def ordering_ranks(self, positions: Optional[Sequence[int]] = None) -> tuple[int, ...]:
         """Ranks of the selected entries under the keyed ordering of their set."""
-        self.elements(positions)  # raises on a position out of range
-        return self._ranks(positions if positions is None else tuple(positions))
+        positions = positions if positions is None else tuple(positions)
+        entries = self.elements(positions)
+        return self._ranks(positions, entries, entries)
 
-    # `_xi` and `_ranks` take positions as a table holds them, checked (from
-    # 1 to its arity) when it was built; the source sorts the entries
-    def _entries(self, positions: Optional[tuple[int, ...]]):
-        if positions is None:
-            return self.tuple
-        try:
-            return [self.tuple[p - 1] for p in positions]
-        except IndexError:  # a tuple shorter than the table's arity
-            return self.elements(positions)  # raises
-
-    def _xi(self, positions: Optional[tuple[int, ...]]) -> float:
+    # draws memoized by positions, given the entries there and their set
+    def _xi(self, positions: Optional[tuple[int, ...]], subset) -> float:
         memo = self._xi_cache
         if memo is None:
             memo = self._xi_cache = {}
         value = memo.get(positions)
         if value is None:
-            value = memo[positions] = self.source.xi(self._entries(positions))
+            value = memo[positions] = self.source.xi(subset)
         return value
 
-    def _ranks(self, positions: Optional[tuple[int, ...]]) -> tuple[int, ...]:
+    def _ranks(self, positions: Optional[tuple[int, ...]], subset,
+               entries: tuple[int, ...]) -> tuple[int, ...]:
         memo = self._rank_cache
         if memo is None:
             memo = self._rank_cache = {}
         ranks = memo.get(positions)
         if ranks is None:
-            entries = self._entries(positions)
             ranks = memo[positions] = induced_ordering(
-                entries, self.source.ordering(entries)).ranks
+                entries, self.source.ordering(subset)).ranks
         return ranks
 
     # -- reference-structure channels ------------------------------------------
@@ -194,22 +188,25 @@ class DecisionContext:
         [1, max entry] restricted to the tuple's range is the same structure,
         and the restriction keeps keys small and isomorphism-invariant.
 
-        The key depends on the reference and the tuple alone, so it is
-        memoized on the reference by tuple, beside `restrict`'s memo and for
-        as long as the reference lives: every later sample over the same
-        reference reads it back.  The context keeps it for its table's
-        other entries.
+        It is memoized by content for every reference, the mapped tuple and
+        whether each relation holds at each tuple over the range: a fresh
+        reference reads back the keys of earlier ones, and only a miss calls
+        `context_key`.  The context keeps it for its table's other entries.
         """
         if self._key is None:
             reference = self._reference("context_key", ("restriction", "segment"))
-            memo = reference._context_keys
-            if memo is None:
-                memo = reference._context_keys = {}
-            if self.tuple not in memo:
-                index = {c: k for k, c in enumerate(self.subset(), start=1)}
-                mapped = tuple(index[c] for c in self.tuple)
-                memo[self.tuple] = context_key(self.restriction(), mapped)
-            self._key = memo[self.tuple]
+            elems = self.subset()
+            if elems and (elems[0] < 1 or elems[-1] > reference.n):
+                raise ValueError(f"tuple {self.tuple} leaves the universe [1, {reference.n}]")
+            holds = [reference.has(name, image) for name, arity in reference.signature
+                     for image in itertools.product(elems, repeat=arity)]
+            content = (reference.signature, tuple([elems.index(c) + 1 for c in self.tuple]),
+                       *holds)
+            if content not in self._keys:
+                if len(self._keys) >= 1 << 12:
+                    self._keys.clear()
+                self._keys[content] = context_key(self.restriction(), content[1])
+            self._key = self._keys[content]
         return self._key
 
 
@@ -266,19 +263,6 @@ class TableEntry:
     thresholds: Optional[tuple[tuple[tuple[int, ...], frozenset], ...]] = None
     orderings: Optional[tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]] = None
 
-    def matches(self, ctx: DecisionContext) -> bool:
-        if self.pattern is not None and ctx.pattern() != self.pattern:
-            return False
-        if self.context_key is not None and ctx.context_key() != self.context_key:
-            return False
-        for positions, allowed in self.thresholds or ():
-            if bisect_right(ctx.partition, ctx._xi(positions)) not in allowed:
-                return False
-        for positions, ranks in self.orderings or ():
-            if ctx._ranks(positions) != ranks:
-                return False
-        return True
-
     def to_json(self) -> dict:
         out: dict = {"bit": int(self.bit)}
         if self.pattern is not None:
@@ -326,11 +310,28 @@ class TableDecisionFunction(DecisionFunction):
                        thresholds=normalized(entry.thresholds),
                        orderings=normalized(entry.orderings))
 
-    def decide(self, ctx: DecisionContext) -> bool:
+    def resolve(self, ctx: DecisionContext) -> tuple:
+        """The entries whose pattern and context key hold, cut after the first
+        with no draw condition, as (bit, thresholds, orderings), positions
+        bound to the labelled set and entries there.  Draws nothing."""
+        resolved, check = [], HierarchicalRandomSource._check
         for entry in self.entries:
-            if entry.matches(ctx):
-                return entry.bit
-        return self.default
+            if entry.pattern is not None and ctx.pattern() != entry.pattern:
+                continue
+            if entry.context_key is not None and ctx.context_key() != entry.context_key:
+                continue
+            resolved.append((entry.bit, tuple([
+                (positions, check(ctx.elements(positions)), allowed)
+                for positions, allowed in entry.thresholds or ()]), tuple([
+                (positions, check(entries), entries, ranks)
+                for positions, ranks in entry.orderings or ()
+                for entries in [ctx.elements(positions)]])))
+            if not (resolved[-1][1] or resolved[-1][2]):
+                break
+        return tuple(resolved)
+
+    def decide(self, ctx: DecisionContext) -> bool:
+        return _first_bit(self.resolve(ctx), self.default, ctx.partition, ctx)
 
     def to_json(self) -> dict:
         return {
@@ -340,6 +341,16 @@ class TableDecisionFunction(DecisionFunction):
             "default": int(self.default),
             "entries": [entry.to_json() for entry in self.entries],
         }
+
+
+def _first_bit(resolved: tuple, default: bool, partition: tuple, ctx: DecisionContext) -> bool:
+    """The bit of the first resolved entry whose thresholds and orderings hold
+    under the context's draws, else `default`: the one table-entry evaluator."""
+    for bit, thresholds, orderings in resolved:
+        if all(bisect_right(partition, ctx._xi(p, s)) in allowed for p, s, allowed in thresholds) \
+                and (not orderings or all(ctx._ranks(p, s, e) == r for p, s, e, r in orderings)):
+            return bit
+    return default
 
 
 class FunctionDecisionFunction(DecisionFunction):

@@ -12,12 +12,15 @@ How local a sample is differs by kind.  A rule-driven sample decides each
 tuple from the draws on subsets of its range and the reference there (on
 [1, max entry] in segment mode), so its restriction to a set of points
 reads only the draws on subsets of those points (`sample_on`), and the
-statistical tests draw only the points they probe.  A frame-wise step at
-s reads what the steps below s built, and raises `AmalgamationFailure` at
-any subset with no amalgam: its restriction to S needs the whole of
-[1, max S], since drawing S alone would skip a failure outside S and
-return a result where the sample has none.  Sequential growth conditions step m on all of
-[1, m - 1]; the bespoke samplers of `catalog` draw whole samples.
+statistical tests draw only the points they probe.  What no seed changes
+there, the tuples, the reference and the table entries each tuple's
+pattern and context key allow, is planned once per point set (`_Plan`);
+a seed only draws.  A frame-wise step at s reads what the steps below s
+built, and raises `AmalgamationFailure` at any subset with no amalgam: its
+restriction to S needs the whole of [1, max S], since drawing S alone
+would skip a failure outside S and return a result where the sample has
+none.  Sequential growth conditions step m on all of [1, m - 1]; the
+bespoke samplers of `catalog` draw whole samples.
 """
 
 from __future__ import annotations
@@ -29,9 +32,9 @@ from typing import Mapping, Optional, Sequence
 from .amalgamation import FiniteClass, _partial, _step_classes
 from .embeddings import (Oracle, enumerate_embeddings, ensure_lazy,
                          natural_embedding)
-from .randomness import (HierarchicalRandomSource, SeedStream, permutation_rank)
-from .rules import (DecisionContext, context_key_signature, normalize_rules,
-                    rules_signature)
+from .randomness import HierarchicalRandomSource, SeedStream, _labelled, permutation_rank
+from .rules import (DecisionContext, TableDecisionFunction, _first_bit, context_key_signature,
+                    normalize_rules, rules_signature)
 from .stattests import _tally
 from .structures import Injection, Signature, Structure, relabel, restrict
 
@@ -67,15 +70,16 @@ _ALLOWED_CONTEXTS = {
     "m-exchangeable": ("none", "restriction"),
     "maxseg": ("none", "restriction", "segment"),
 }
+_PLAN_BOUND = 1 << 12  # tuples one rule set keeps planned, in all
 
 
 class _RuleSet:
     """A rule set normalized and checked against one sampling kind and its
-    reference, with its signature: the part of a rule-driven sample that no
-    seed or size changes, prepared once per sampler instead of once per
-    sample."""
+    reference, with its signature and its plans by point set: the part of a
+    rule-driven sample that no seed changes, prepared once per sampler
+    instead of once per sample."""
 
-    __slots__ = ("kind", "rules", "signature", "steps", "reads_reference")
+    __slots__ = ("kind", "rules", "oracle", "signature", "steps", "reads_reference", "_plans")
 
     def __init__(self, rules, kind: str, oracle: Optional[Oracle] = None):
         rules = normalize_rules(rules)
@@ -90,10 +94,21 @@ class _RuleSet:
             _check_reference(rules, ensure_lazy(oracle).signature)
         self.kind = kind
         self.rules = rules
+        self.oracle = oracle
         self.signature = rules_signature(rules)
         # (name, rule) in signature order
         self.steps = tuple((name, rules[name]) for name in self.signature.names())
         self.reads_reference = any(df.context_mode != "none" for df in rules.values())
+        self._plans: dict[tuple[int, ...], _Plan] = {}
+
+    def plan(self, points: tuple[int, ...]) -> "_Plan":
+        """The plan on the sorted, distinct, positive `points`, kept if it fits."""
+        plan = self._plans.get(points) or _Plan(self, points)
+        if points not in self._plans and len(plan.steps) <= _PLAN_BOUND:
+            if sum(len(p.steps) for p in self._plans.values()) + len(plan.steps) > _PLAN_BOUND:
+                self._plans.clear()
+            self._plans[points] = plan
+        return plan
 
 
 def _check_reference(rules, reference: Signature) -> None:
@@ -117,34 +132,47 @@ def _segment(n: int) -> range:
     return range(1, n + 1)
 
 
+class _Plan:
+    """A rule-driven draw on sorted points less its draws: per tuple over them
+    (relation, tuple on [1, |points|], rule, context arguments, resolved
+    entries or None for a function rule).  Each context has the tuple in
+    global labels and the reference on [1, max(points)], as in a sample on
+    [1, max(points)], so a draw is that sample's restriction, byte for byte."""
+
+    __slots__ = ("signature", "size", "steps")
+
+    def __init__(self, rules: _RuleSet, points: tuple[int, ...]):
+        reference = (ensure_lazy(rules.oracle).initial_segment(points[-1] if points else 0)
+                     if rules.reads_reference else None)
+        index = {x: i for i, x in enumerate(points, start=1)}
+        self.signature, self.size, self.steps = rules.signature, len(points), []
+        for name, df in rules.steps:
+            for tup in itertools.product(points, repeat=df.arity):
+                args = (name, tup, df.partition, df.context_mode, reference)
+                self.steps.append((name, tuple([index[x] for x in tup]), df, args,
+                                   df.resolve(DecisionContext(None, *args))
+                                   if isinstance(df, TableDecisionFunction) else None))
+
+    def bits(self, src: HierarchicalRandomSource) -> tuple[bool, ...]:
+        return tuple([_first_bit(resolved, df.default, df.partition, DecisionContext(src, *args))
+                      if resolved is not None else df.decide(DecisionContext(src, *args))
+                      for _, _, df, args, resolved in self.steps])
+
+    def structure(self, bits: tuple[bool, ...]) -> Structure:
+        relations = {name: [] for name in self.signature.names()}
+        for name, local, *_ in itertools.compress(self.steps, bits):
+            relations[name].append(local)
+        return Structure._trusted(self.signature, self.size, relations)
+
+
 def _sample_by_rules(rules, points: Sequence[int], src: HierarchicalRandomSource, kind: str,
                      oracle: Optional[Oracle]) -> Structure:
-    """Decide every tuple over the sorted, distinct, positive `points` by its
-    relation's rule, and return the accepted tuples on [1, |points|];
-    `rules` is anything `normalize_rules` accepts, or a `_RuleSet` prepared
-    for `kind`.
-
-    Each decision gets the tuple in its own (global) labels and the
-    reference on [1, max(points)], exactly as in a sample on [1, max(points)],
-    and reads only the draws on subsets of the tuple's range and the
-    reference there (or on its segment): so the result is that sample's
-    restriction to `points`, byte for byte.  A sample on [1, n] is the case
-    points = range(1, n + 1), which relabels nothing."""
-    if not (isinstance(rules, _RuleSet) and rules.kind == kind):
+    """The plan on the sorted, distinct, positive `points` applied to one source;
+    `rules` is what `normalize_rules` accepts, or a `_RuleSet` for kind and oracle."""
+    if not (isinstance(rules, _RuleSet) and rules.kind == kind and rules.oracle is oracle):
         rules = _RuleSet(rules, kind, oracle)
-    top = points[-1] if points else 0
-    reference = ensure_lazy(oracle).initial_segment(top) if rules.reads_reference else None
-    relations = {}
-    for name, df in rules.steps:
-        partition, mode = df.partition, df.context_mode
-        relations[name] = [
-            tup for tup in itertools.product(points, repeat=df.arity)
-            if df.decide(DecisionContext(src, name, tup, partition, mode, reference))]
-    if top != len(points):  # not [1, n]: relabel the accepted tuples only
-        index = {x: i for i, x in enumerate(points, start=1)}
-        relations = {name: [tuple([index[x] for x in tup]) for tup in tups]
-                     for name, tups in relations.items()}
-    return Structure._trusted(rules.signature, len(points), relations)
+    plan = rules.plan(tuple(points))
+    return plan.structure(plan.bits(src))
 
 
 def sample_exchangeable(rules, n: int, src: HierarchicalRandomSource) -> Structure:
@@ -200,7 +228,7 @@ def _step_plan(klass: FiniteClass, n: int):
     count = sum(math.comb(n, k) for k in range(2, top + 1))
     kept = count <= _MAX_PLANNED_STEPS
     steps = itertools.chain.from_iterable(
-        zip(itertools.combinations(range(1, n + 1), k), itertools.repeat(k),
+        zip(map(_labelled, itertools.combinations(range(1, n + 1), k)), itertools.repeat(k),
             itertools.repeat([(size, list(itertools.combinations(range(1, k + 1), size)))
                               for size in range(1, min(k - 1, klass.signature.max_arity()) + 1)]),
             iter(dict, None) if kept else itertools.repeat(None))
@@ -457,15 +485,14 @@ class _RuleSampler:
         self.rules = self._rules.rules
         self.oracle = oracle
         self.signature = self._rules.signature
+        self._plan = self._rules.plan  # read by `stattests._tally`
 
     def sample_on(self, src: HierarchicalRandomSource, points) -> Structure:
-        """The sample's restriction to `points`, on [1, |points|]: equal, byte
-        for byte, to `restrict(self.sample(src, max(points)), points)`, but
-        deciding only the tuples over `points`."""
-        points = tuple(sorted(set(map(int, points))))
-        if points and points[0] < 1:
-            raise ValueError(f"points must be positive, got {points[0]}")
-        return _sample_by_rules(self._rules, points, src, self._rules.kind, self.oracle)
+        """The sample's restriction to `points` (positive integers), on
+        [1, |points|]: `restrict(self.sample(src, max(points)), points)`
+        byte for byte, but deciding only the tuples over `points`."""
+        plan = self._plan(tuple(HierarchicalRandomSource._check(points)))
+        return plan.structure(plan.bits(src))
 
 
 class ExchangeableSampler(_RuleSampler):

@@ -144,7 +144,7 @@ def empirical_law(sampler, subset: Sequence[int], n_samples: int,
         seeds = SeedStream(operator.index(seeds))
     except TypeError:  # a SeedStream or a sequence of seeds
         pass
-    subset = tuple(sorted(set(subset)))
+    subset = tuple(HierarchicalRandomSource._check(subset))  # 1.5, "2" or 0 raise
     if not subset:
         raise ValueError("subset must be nonempty")
     return _law(sampler, subset, n_samples, seeds, offset)
@@ -169,11 +169,12 @@ def _tally(sampler, points: tuple[int, ...], n_samples: int, seeds,
     """How often each distinct restriction of a sample to the sorted, nonempty
     `points`, on [1, |points|], comes up, in first-seen order.
 
-    The rule samplers (`samplers._RuleSampler`) decide each tuple from the
-    draws on subsets of its range and the reference there, so their
-    `sample_on` draws the restriction on `points` alone, deciding no tuple
-    outside them.  Every other sampler, and every initial segment, takes a
-    sample on [1, max(points)] and restricts each distinct one.  A
+    A rule sampler's restriction is a function of the draws on subsets of
+    `points` alone, so its plan on `points` (`_plan`) resolves every tuple
+    over them and the table entries its pattern and context key allow, once
+    for all seeds; each seed only draws, giving a tuple of bits, and one
+    structure is built per distinct bit tuple.  Every other sampler takes
+    a sample on [1, max(points)] and restricts each distinct one.  A
     frame-wise sample's step at s reads what was built below s, and raises
     `AmalgamationFailure` at any subset with no amalgam, inside `points` or
     not: drawing `points` alone would turn that raise into a result.  The
@@ -181,20 +182,17 @@ def _tally(sampler, points: tuple[int, ...], n_samples: int, seeds,
 
     Samples compare literally, so a law recorded from the tally equals one
     recorded sample by sample."""
-    n = points[-1]
-    local = getattr(sampler, "sample_on", None) if n != len(points) else None
-    counts: dict[Structure, int] = {}
+    plan = sampler._plan(points) if hasattr(sampler, "_plan") else None
+    counts: dict = {}
     for i in range(n_samples):
         src = HierarchicalRandomSource(seeds[offset + i])
-        sample = local(src, points) if local is not None else sampler.sample(src, n)
-        counts[sample] = counts.get(sample, 0) + 1
-    if local is not None:
-        return counts
-    restrictions: dict[Structure, int] = {}
-    for sample, count in counts.items():
-        restricted = restrict(sample, points)
-        restrictions[restricted] = restrictions.get(restricted, 0) + count
-    return restrictions
+        outcome = plan.bits(src) if plan is not None else sampler.sample(src, points[-1])
+        counts[outcome] = counts.get(outcome, 0) + 1
+    tally: dict[Structure, int] = {}
+    for outcome, count in counts.items():
+        structure = plan.structure(outcome) if plan is not None else restrict(outcome, points)
+        tally[structure] = tally.get(structure, 0) + count
+    return tally
 
 
 # --- chi-square tests -----------------------------------------------------------
@@ -426,8 +424,7 @@ def test_dissociation(sampler, s_set: Sequence[int], t_set: Sequence[int],
     groups of the other axis, until every expected count reaches 5.  A
     single remaining row or column is degenerate independence and passes.
     """
-    s_set = tuple(sorted(set(s_set)))
-    t_set = tuple(sorted(set(t_set)))
+    s_set, t_set = (tuple(HierarchicalRandomSource._check(s)) for s in (s_set, t_set))
     if not s_set or not t_set:
         raise ValueError("subsets must be nonempty")
     if set(s_set) & set(t_set):

@@ -91,7 +91,7 @@ class Structure:
     """
 
     __slots__ = ("_signature", "_n", "_relations", "_members", "_key", "_hash",
-                 "_restrictions", "_context_keys")
+                 "_restrictions")
 
     def __init__(self, signature: Signature, n: int,
                  relations: dict[str, Iterable[tuple[int, ...]]] | None = None):
@@ -130,9 +130,6 @@ class Structure:
         self._key: Optional[str] = None
         self._hash: Optional[int] = None
         self._restrictions: Optional[dict[tuple[int, ...], Structure]] = None
-        # tuple -> `rules.context_key` of the restriction to its range, filled
-        # by `DecisionContext.context_key` and kept as long as `_restrictions`
-        self._context_keys: Optional[dict[tuple[int, ...], str]] = None
 
     @property
     def signature(self) -> Signature:

@@ -2,7 +2,7 @@
 
 Run from the checkout root:
 
-    PYTHONPATH=src python tests/golden/make_cli_golden.py [--force]
+    PYTHONPATH=src python tests/golden/make_cli_golden.py [--force | --add]
 
 Every command line below is run in-process through `relex.cli.main`, with
 the checkout root as the working directory (the paths in the command lines
@@ -21,12 +21,16 @@ pinned.  The command lines cover:
 - usage errors that exit 2 with nothing on stdout: an unknown class, a
   missing `--rules`, and `--cap`, `--alpha` and `--N` out of range.
 
-`verify-paper-examples` is left out; tests/test_cli.py runs it.
+`verify-paper-examples --fast` is pinned in its `--json` form only, at
+meta seeds 0 and 3: its reports read the tallies of every rule-driven and
+frame-wise paper example, so a change to how samples are drawn or counted
+shows here.  tests/test_cli.py runs the slow form.
 
 tests/test_golden.py recomputes every record and compares it with the file.
 The file is generated once; regenerating it changes what the test pins, so
 give the reason in CHANGES.md whenever you do.  The script refuses to
-overwrite an existing file unless given --force.
+overwrite an existing file unless given --force; --add computes only the
+command lines the file lacks and keeps every existing record as it is.
 """
 
 from __future__ import annotations
@@ -78,10 +82,18 @@ COMMANDS = (
     "test exch --sampler framewise:graphs --N 0",
 )
 
+# pinned in the `--json` form only
+JSON_COMMANDS = (
+    "verify-paper-examples --fast --meta-seed 0",
+    "verify-paper-examples --fast --meta-seed 3",
+)
+
 
 def command_lines() -> list[str]:
-    """Every command as written and in its `--json` form."""
-    return [line for command in COMMANDS for line in (command, "--json " + command)]
+    """Every command as written and in its `--json` form, then the
+    `--json` form of each of JSON_COMMANDS."""
+    return ([line for command in COMMANDS for line in (command, "--json " + command)]
+            + ["--json " + command for command in JSON_COMMANDS])
 
 
 def compute(command_line: str) -> dict:
@@ -101,9 +113,11 @@ def compute(command_line: str) -> dict:
 
 
 def main() -> None:
-    if GOLDEN.exists() and "--force" not in sys.argv[1:]:
-        sys.exit(f"{GOLDEN} exists; pass --force to overwrite it")
-    golden = {line: compute(line) for line in command_lines()}
+    flags = sys.argv[1:]
+    if GOLDEN.exists() and not {"--force", "--add"} & set(flags):
+        sys.exit(f"{GOLDEN} exists; pass --force to overwrite it or --add to extend it")
+    golden = json.loads(GOLDEN.read_text()) if "--add" in flags else {}
+    golden.update({line: compute(line) for line in command_lines() if line not in golden})
     GOLDEN.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(golden)} command lines to {GOLDEN}")
 

@@ -18,6 +18,7 @@ from relex import (AmalgamationFailure, HierarchicalRandomSource, Injection, Sig
                    Structure, embedding_exists, enumerate_embeddings, induced_ordering,
                    permutation_rank, relabel, restrict, serialize)
 from relex.amalgamation import _partial, _step_classes
+from relex.rules import DecisionContext
 from relex.samplers import _class_index
 from relex.stattests import EmpiricalLaw
 from relex.theory import And, Atom, Implies, Not, Or
@@ -345,6 +346,88 @@ def naive_sample_framewise(klass, n: int, src, rep_weights=None) -> Structure:
         for name, tup in pairs:
             relations[name].append(tuple([support[c - 1] for c in tup]))
     return Structure(signature, n, relations)
+
+
+class NaiveRuleSampler:
+    """A rule-driven sampler that reads its rules entry by entry, sample by
+    sample, with none of the library's plans, resolved entries or memos.
+
+    Each tuple over the points is decided in global labels against the
+    reference on [1, max(points)].  A table rule's entries are tried in
+    order: the pattern is recomputed, the context key is the brute-force
+    key (`naive_context_key`) of the reference restricted to the tuple's
+    range, and each threshold and ordering draws on the source as it is
+    read, so an entry that fails stops drawing.  The first entry that holds
+    gives the bit, else the default.  A function rule is called on a fresh
+    context.  `rules` maps relation names to rules; `oracle` is a finite
+    structure or None.
+    """
+
+    def __init__(self, rules, oracle=None):
+        self.rules, self.oracle = dict(rules), oracle
+        self.signature = Signature(sorted((name, df.arity) for name, df in self.rules.items()))
+
+    def sample(self, src, n: int) -> Structure:
+        return self.sample_on(src, range(1, n + 1))
+
+    def sample_on(self, src, points) -> Structure:
+        points = sorted(set(points))
+        top = points[-1] if points else 0
+        reference = (None if self.oracle is None
+                     else self.oracle.initial_segment(top) if hasattr(self.oracle, "initial_segment")
+                     else naive_restrict(self.oracle, range(1, top + 1)))
+        relations = {name: [tuple(points.index(c) + 1 for c in tup)
+                            for tup in itertools.product(points, repeat=df.arity)
+                            if _naive_rule_bit(df, src, tup, reference)]
+                     for name, df in self.rules.items()}
+        return Structure(self.signature, len(points), relations)
+
+
+def _naive_rule_bit(df, src, tup, reference) -> bool:
+    if not hasattr(df, "entries"):  # a function rule
+        return df.decide(DecisionContext(src, df.relation, tup, df.partition,
+                                         df.context_mode, reference))
+
+    def at(positions):
+        return [tup[p - 1] for p in positions]
+
+    def holds(entry) -> bool:
+        if entry.pattern is not None and \
+                [list(dict.fromkeys(tup)).index(c) for c in tup] != list(entry.pattern):
+            return False
+        if entry.context_key is not None:
+            support = sorted(set(tup))
+            local = tuple(support.index(c) + 1 for c in tup)
+            if naive_context_key(naive_restrict(reference, support), local) != entry.context_key:
+                return False
+        for positions, allowed in entry.thresholds or ():
+            if bisect_right(df.partition, src.xi(at(positions))) not in allowed:
+                return False
+        for positions, ranks in entry.orderings or ():
+            rank = {x: r for r, x in enumerate(src.ordering(at(positions)))}
+            if tuple(rank[x] for x in at(positions)) != tuple(ranks):
+                return False
+        return True
+
+    return next((entry.bit for entry in df.entries if holds(entry)), df.default)
+
+
+class RecordingSource(HierarchicalRandomSource):
+    """A source that records the set of every subset it draws on, by kind."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.drawn = set()
+
+    def xi(self, subset=()):
+        subset = tuple(subset)
+        self.drawn.add(("xi", tuple(sorted(set(subset)))))
+        return super().xi(subset)
+
+    def ordering(self, subset):
+        subset = tuple(subset)
+        self.drawn.add(("ordering", tuple(sorted(set(subset)))))
+        return super().ordering(subset)
 
 
 def naive_law(sampler, subset, n_samples: int, seeds, offset: int = 0, along=None):

@@ -634,6 +634,15 @@ def test_sample_on_decides_only_the_tuples_over_its_points():
         sampler.sample_on(HierarchicalRandomSource(3), (0, 2))
 
 
+def test_sample_on_reads_its_points_as_integers():
+    sampler = LOCAL_SAMPLERS["two-coin"]()
+    src = HierarchicalRandomSource(2)
+    for points, culprit in (([1.9, 3.2], "1.9"), (["2", 3], "'2'"), ([2, 3.0], "3.0")):
+        with pytest.raises(ValueError, match=f"element {culprit} is not an integer"):
+            sampler.sample_on(src, points)
+    assert sampler.sample_on(src, [3, 1]) == restrict(sampler.sample(src, 3), (1, 3))
+
+
 def test_rule_samplers_reject_a_negative_size():
     src = HierarchicalRandomSource(0)
     for sampler in (LOCAL_SAMPLERS["tournament"](), LOCAL_SAMPLERS["two-coin"]()):

@@ -260,7 +260,7 @@ def test_entry_points_with_local_draws_match_the_naive_path(monkeypatch, name):
     assert local == foreign == _entry_point_reports(make(), oracle())
 
 
-def test_laws_draw_locally_off_initial_segments_only():
+def test_laws_draw_every_point_set_through_one_plan():
     calls = {"sample": 0, "sample_on": 0}
 
     class Counting(MExchangeableSampler):
@@ -273,10 +273,24 @@ def test_laws_draw_locally_off_initial_segments_only():
             return super().sample_on(src, points)
 
     sampler = Counting(two_coin_rules(), evens_oracle())
-    st.empirical_law(sampler, (2, 4), 30, 1)
-    assert calls == {"sample": 0, "sample_on": 30}
-    st.empirical_law(sampler, (1, 2), 30, 1)
-    assert calls == {"sample": 30, "sample_on": 30}
+    for points in ((2, 4), (1, 2)):   # off an initial segment and on one
+        law = st.empirical_law(sampler, points, 30, 1)
+        assert _law_record(law) == _law_record(naive_law(_two_coin_sampler(), points, 30,
+                                                         SeedStream(1)))
+    # no sample is drawn seed by seed: each point set has one plan
+    assert calls == {"sample": 0, "sample_on": 0}
+    assert set(sampler._rules._plans) == {(2, 4), (1, 2)}
+
+
+def test_laws_read_their_points_as_integers():
+    sampler = _two_coin_sampler()
+    for points, culprit in (([1.5, 3], "1.5"), (["2", 3], "'2'")):
+        with pytest.raises(ValueError, match=f"element {culprit} is not an integer"):
+            st.empirical_law(sampler, points, 10, 0)
+        with pytest.raises(ValueError, match=f"element {culprit} is not an integer"):
+            st.test_dissociation(sampler, points, (5,), 10)
+    with pytest.raises(ValueError, match="positive"):
+        st.empirical_law(sampler, (0, 2), 10, 0)
 
 
 def test_framewise_failure_outside_the_probed_points_still_raises():

@@ -133,9 +133,8 @@ class DecisionContext:
 
     def ordering_ranks(self, positions: Optional[Sequence[int]] = None) -> tuple[int, ...]:
         """Ranks of the selected entries under the keyed ordering of their set."""
-        positions = positions if positions is None else tuple(positions)
         entries = self.elements(positions)
-        return self._ranks(positions, entries, entries)
+        return self._ranks(positions if positions is None else tuple(positions), entries, entries)
 
     # draws memoized by positions, given the entries there and their set
     def _xi(self, positions: Optional[tuple[int, ...]], subset) -> float:
@@ -311,9 +310,8 @@ class TableDecisionFunction(DecisionFunction):
                        orderings=normalized(entry.orderings))
 
     def resolve(self, ctx: DecisionContext) -> tuple:
-        """The entries whose pattern and context key hold, cut after the first
-        with no draw condition, as (bit, thresholds, orderings), positions
-        bound to the labelled set and entries there.  Draws nothing."""
+        """Without drawing, the entries whose pattern and context key hold, cut after
+        the first with no draw condition, with positions bound to the set there."""
         resolved, check = [], HierarchicalRandomSource._check
         for entry in self.entries:
             if entry.pattern is not None and ctx.pattern() != entry.pattern:

@@ -12,15 +12,14 @@ How local a sample is differs by kind.  A rule-driven sample decides each
 tuple from the draws on subsets of its range and the reference there (on
 [1, max entry] in segment mode), so its restriction to a set of points
 reads only the draws on subsets of those points (`sample_on`), and the
-statistical tests draw only the points they probe.  What no seed changes
-there, the tuples, the reference and the table entries each tuple's
-pattern and context key allow, is planned once per point set (`_Plan`);
-a seed only draws.  A frame-wise step at s reads what the steps below s
-built, and raises `AmalgamationFailure` at any subset with no amalgam: its
-restriction to S needs the whole of [1, max S], since drawing S alone
-would skip a failure outside S and return a result where the sample has
-none.  Sequential growth conditions step m on all of [1, m - 1]; the
-bespoke samplers of `catalog` draw whole samples.
+statistical tests draw only the points they probe; all that no seed
+changes there is planned once (`_Plan`).  A frame-wise step at s reads
+what the steps below s built, and raises `AmalgamationFailure` at any
+subset with no amalgam: its restriction to S needs the whole of
+[1, max S], since drawing S alone would skip a failure outside S and
+return a result where the sample has none.  Sequential growth conditions
+step m on all of [1, m - 1]; the bespoke samplers of `catalog` draw whole
+samples.
 """
 
 from __future__ import annotations
@@ -70,7 +69,7 @@ _ALLOWED_CONTEXTS = {
     "m-exchangeable": ("none", "restriction"),
     "maxseg": ("none", "restriction", "segment"),
 }
-_PLAN_BOUND = 1 << 12  # tuples one rule set keeps planned, in all
+_MAX_PLANNED_STEPS = 1 << 10  # steps one class or rule set keeps planned, about 1 MB
 
 
 class _RuleSet:
@@ -102,13 +101,12 @@ class _RuleSet:
         self._plans: dict[tuple[int, ...], _Plan] = {}
 
     def plan(self, points: tuple[int, ...]) -> "_Plan":
-        """The plan on the sorted, distinct, positive `points`, kept if it fits."""
-        plan = self._plans.get(points) or _Plan(self, points)
-        if points not in self._plans and len(plan.steps) <= _PLAN_BOUND:
-            if sum(len(p.steps) for p in self._plans.values()) + len(plan.steps) > _PLAN_BOUND:
+        """The plan on the sorted, distinct, positive `points`, kept with the others."""
+        if points not in self._plans:
+            if sum(len(plan.steps) for plan in self._plans.values()) >= _MAX_PLANNED_STEPS:
                 self._plans.clear()
-            self._plans[points] = plan
-        return plan
+            self._plans[points] = _Plan(self, points)
+        return self._plans[points]
 
 
 def _check_reference(rules, reference: Signature) -> None:
@@ -132,26 +130,29 @@ def _segment(n: int) -> range:
     return range(1, n + 1)
 
 
+def _steps(rules: _RuleSet, points: tuple[int, ...]):
+    """Each tuple over the sorted, distinct, positive `points` as (relation, tuple
+    on [1, |points|], rule, context arguments as in a sample on [1, max(points)])."""
+    reference = (ensure_lazy(rules.oracle).initial_segment(points[-1] if points else 0)
+                 if rules.reads_reference else None)
+    index = {x: i for i, x in enumerate(points, start=1)}
+    for name, df in rules.steps:
+        for tup in itertools.product(points, repeat=df.arity):
+            yield name, tuple([index[x] for x in tup]), df, (
+                name, tup, df.partition, df.context_mode, reference)
+
+
 class _Plan:
-    """A rule-driven draw on sorted points less its draws: per tuple over them
-    (relation, tuple on [1, |points|], rule, context arguments, resolved
-    entries or None for a function rule).  Each context has the tuple in
-    global labels and the reference on [1, max(points)], as in a sample on
-    [1, max(points)], so a draw is that sample's restriction, byte for byte."""
+    """The steps on sorted points (`_steps`), each with a table rule's resolved
+    entries or None: a source gives their bits, and the bits the sample."""
 
     __slots__ = ("signature", "size", "steps")
 
     def __init__(self, rules: _RuleSet, points: tuple[int, ...]):
-        reference = (ensure_lazy(rules.oracle).initial_segment(points[-1] if points else 0)
-                     if rules.reads_reference else None)
-        index = {x: i for i, x in enumerate(points, start=1)}
-        self.signature, self.size, self.steps = rules.signature, len(points), []
-        for name, df in rules.steps:
-            for tup in itertools.product(points, repeat=df.arity):
-                args = (name, tup, df.partition, df.context_mode, reference)
-                self.steps.append((name, tuple([index[x] for x in tup]), df, args,
-                                   df.resolve(DecisionContext(None, *args))
-                                   if isinstance(df, TableDecisionFunction) else None))
+        self.signature, self.size = rules.signature, len(points)
+        self.steps = [(name, local, df, args, df.resolve(DecisionContext(None, *args))
+                       if isinstance(df, TableDecisionFunction) else None)
+                      for name, local, df, args in _steps(rules, points)]
 
     def bits(self, src: HierarchicalRandomSource) -> tuple[bool, ...]:
         return tuple([_first_bit(resolved, df.default, df.partition, DecisionContext(src, *args))
@@ -167,12 +168,19 @@ class _Plan:
 
 def _sample_by_rules(rules, points: Sequence[int], src: HierarchicalRandomSource, kind: str,
                      oracle: Optional[Oracle]) -> Structure:
-    """The plan on the sorted, distinct, positive `points` applied to one source;
-    `rules` is what `normalize_rules` accepts, or a `_RuleSet` for kind and oracle."""
+    """The plan on sorted `points` applied to one source, or, past _MAX_PLANNED_STEPS
+    tuples, each tuple decided as it comes; `rules` may be a `_RuleSet` for kind."""
     if not (isinstance(rules, _RuleSet) and rules.kind == kind and rules.oracle is oracle):
         rules = _RuleSet(rules, kind, oracle)
-    plan = rules.plan(tuple(points))
-    return plan.structure(plan.bits(src))
+    points = tuple(points)
+    if sum(len(points) ** df.arity for _, df in rules.steps) <= _MAX_PLANNED_STEPS:
+        plan = rules.plan(points)
+        return plan.structure(plan.bits(src))
+    relations = {name: [] for name in rules.signature.names()}
+    for name, local, df, args in _steps(rules, points):
+        if df.decide(DecisionContext(src, *args)):
+            relations[name].append(local)
+    return Structure._trusted(rules.signature, len(points), relations)
 
 
 def sample_exchangeable(rules, n: int, src: HierarchicalRandomSource) -> Structure:
@@ -207,9 +215,6 @@ def _class_index(u: float, count: int, rep_weights: Optional[tuple]) -> int:
         if u < cum / total:
             return j
     return count - 1
-
-
-_MAX_PLANNED_STEPS = 1 << 10  # steps one class keeps planned, about 1 MB
 
 
 def _step_plan(klass: FiniteClass, n: int):
@@ -491,8 +496,8 @@ class _RuleSampler:
         """The sample's restriction to `points` (positive integers), on
         [1, |points|]: `restrict(self.sample(src, max(points)), points)`
         byte for byte, but deciding only the tuples over `points`."""
-        plan = self._plan(tuple(HierarchicalRandomSource._check(points)))
-        return plan.structure(plan.bits(src))
+        return _sample_by_rules(self._rules, HierarchicalRandomSource._check(points), src,
+                                self._rules.kind, self.oracle)
 
 
 class ExchangeableSampler(_RuleSampler):

@@ -16,6 +16,7 @@ import itertools
 import json
 import math
 import operator
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence, Union
 
@@ -170,28 +171,24 @@ def _tally(sampler, points: tuple[int, ...], n_samples: int, seeds,
     `points`, on [1, |points|], comes up, in first-seen order.
 
     A rule sampler's restriction is a function of the draws on subsets of
-    `points` alone, so its plan on `points` (`_plan`) resolves every tuple
-    over them and the table entries its pattern and context key allow, once
-    for all seeds; each seed only draws, giving a tuple of bits, and one
-    structure is built per distinct bit tuple.  Every other sampler takes
-    a sample on [1, max(points)] and restricts each distinct one.  A
-    frame-wise sample's step at s reads what was built below s, and raises
-    `AmalgamationFailure` at any subset with no amalgam, inside `points` or
-    not: drawing `points` alone would turn that raise into a result.  The
-    sequential and bespoke samplers have no local form either.
+    `points` alone, so its plan on `points` (`_plan`) resolves the tuples over
+    them and the table entries their patterns and context keys allow once;
+    each seed only draws a tuple of bits, and each distinct one is built once.
+    Other samplers have no local form: they are sampled on [1, max(points)]
+    and restricted.  A frame-wise step at s reads what was built below s,
+    and raises `AmalgamationFailure` at any subset with no amalgam, inside
+    `points` or not: drawing `points` alone would turn that into a result.
 
     Samples compare literally, so a law recorded from the tally equals one
     recorded sample by sample."""
     plan = sampler._plan(points) if hasattr(sampler, "_plan") else None
-    counts: dict = {}
+    counts: Counter = Counter()
     for i in range(n_samples):
         src = HierarchicalRandomSource(seeds[offset + i])
-        outcome = plan.bits(src) if plan is not None else sampler.sample(src, points[-1])
-        counts[outcome] = counts.get(outcome, 0) + 1
-    tally: dict[Structure, int] = {}
+        counts[plan.bits(src) if plan is not None else sampler.sample(src, points[-1])] += 1
+    tally: Counter = Counter()
     for outcome, count in counts.items():
-        structure = plan.structure(outcome) if plan is not None else restrict(outcome, points)
-        tally[structure] = tally.get(structure, 0) + count
+        tally[plan.structure(outcome) if plan is not None else restrict(outcome, points)] += count
     return tally
 
 

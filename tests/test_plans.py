@@ -23,6 +23,8 @@ from relex.stattests import _tally
 from relex.structures import Signature, Structure
 
 GRAPH = Signature((("E", 2),))
+# the evens on [1, 6], finite
+REFERENCE_P = Structure(Signature((("P", 1),)), 6, {"P": [(2,), (4,), (6,)]})
 # a finite reference with an edge, a path, a loop and an isolated point
 REFERENCE = Structure(GRAPH, 5, {"E": [(1, 2), (2, 1), (2, 3), (3, 2), (4, 4)]})
 KINDS = {"exchangeable": ("none",), "m-exchangeable": ("none", "restriction"),
@@ -196,6 +198,22 @@ def test_labelled_subsets_are_taken_as_they_are():
     assert type(src.ordering(_labelled((3,)))) is tuple
     with pytest.raises(ValueError, match="positive"):
         _labelled((0, 2))
+
+
+@pytest.mark.parametrize("bound", [samplers._MAX_PLANNED_STEPS, 2])
+def test_draws_past_the_plan_bound_hold_no_plan(monkeypatch, bound):
+    monkeypatch.setattr(samplers, "_MAX_PLANNED_STEPS", bound)
+    cases = [(MExchangeableSampler(two_coin_rules(), REFERENCE_P), NaiveRuleSampler(
+                 two_coin_rules(), REFERENCE_P)),
+             (MaxSegSampler(weak_rep_rules(), same_class_triple_oracle()),
+              NaiveRuleSampler(weak_rep_rules(), same_class_triple_oracle()))]
+    for sampler, naive in cases:
+        for seed in range(4):
+            assert sampler.sample(HierarchicalRandomSource(seed), 5) == \
+                naive.sample(HierarchicalRandomSource(seed), 5)
+            assert sampler.sample_on(HierarchicalRandomSource(seed), (2, 4, 5)) == \
+                naive.sample_on(HierarchicalRandomSource(seed), (2, 4, 5))
+        assert bool(sampler._rules._plans) == (bound > 25)
 
 
 @pytest.mark.parametrize("bound", [samplers._MAX_PLANNED_STEPS, 3])

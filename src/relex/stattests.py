@@ -7,7 +7,9 @@ reduced to chi-square tests with rare-cell merging and Holm's step-down
 correction across probes.  Every report is reproducible from its meta
 seed.  Three pieces are shared: `_law` builds every empirical law,
 `_probe_family` runs every family of equal-law probes, and `_chi2_report`
-ends every chi-square test with its p-value and verdict.
+ends every chi-square test with its p-value and verdict.  A law's samples
+on one point set share all but their draws, so a rule sampler's law is
+tallied from one plan of those points, each seed only drawing (`_tally`).
 """
 
 from __future__ import annotations
@@ -154,11 +156,8 @@ def empirical_law(sampler, subset: Sequence[int], n_samples: int,
 def _law(sampler, subset: tuple[int, ...], n_samples: int, seeds, offset: int,
          along: Optional[Injection] = None) -> EmpiricalLaw:
     """Each distinct restriction of the samples to the sorted `subset`, pulled
-    back along `along` when given, recorded with its count.  A rule
-    sampler's restriction depends only on the draws on subsets of `subset`,
-    so `_tally` draws it there alone; a frame-wise one is drawn on
-    [1, max(subset)] and restricted, because a failure to amalgamate
-    outside `subset` must still raise."""
+    back along `along` when given, recorded with its count (`_tally`: a rule
+    sampler draws `subset` alone, a frame-wise one all of [1, max(subset)])."""
     law = EmpiricalLaw(subset, n_samples)
     for restricted, count in _tally(sampler, subset, n_samples, seeds, offset).items():
         law.record(restricted if along is None else relabel(restricted, along)[0], count)

@@ -12,12 +12,12 @@ from hypothesis import strategies as st
 from helpers import (NaiveRuleSampler, RecordingSource, naive_context_key, naive_law,
                      naive_restrict)
 from relex import rules as rules_module
+from relex import samplers
 from relex.amalgamation import builtin_class
 from relex.catalog import evens_oracle, same_class_triple_oracle, two_coin_rules, weak_rep_rules
 from relex.randomness import HierarchicalRandomSource, SeedStream, _labelled, _Subset
 from relex.rules import (DecisionContext, FunctionDecisionFunction, TableDecisionFunction,
                          TableEntry)
-from relex import samplers
 from relex.samplers import ExchangeableSampler, MaxSegSampler, MExchangeableSampler
 from relex.stattests import _tally
 from relex.structures import Signature, Structure

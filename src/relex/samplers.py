@@ -135,10 +135,10 @@ def _steps(rules: _RuleSet, points: tuple[int, ...]):
     on [1, |points|], rule, context arguments as in a sample on [1, max(points)])."""
     reference = (ensure_lazy(rules.oracle).initial_segment(points[-1] if points else 0)
                  if rules.reads_reference else None)
-    index = {x: i for i, x in enumerate(points, start=1)}
+    index = {x: i for i, x in enumerate(points, 1)} if points[-1:] != (len(points),) else None
     for name, df in rules.steps:
         for tup in itertools.product(points, repeat=df.arity):
-            yield name, tuple([index[x] for x in tup]), df, (
+            yield name, tup if index is None else tuple([index[x] for x in tup]), df, (
                 name, tup, df.partition, df.context_mode, reference)
 
 

@@ -14,7 +14,11 @@ S, S+1, ..., S+P-1, and P must be at least 2.  Pair i runs
 in each checkout, T being `run_seconds` of BENCHMARK.json, the parent first
 when i is even and the change first when it is odd; run.py writes each
 result to `.perfbench/W-seedS-trace0.json` in its checkout, and the summary
-is read from those files.
+is read from those files.  Both sides run with the same bytecode setting:
+each reads and writes compiled bytecode only under a fresh
+PYTHONPYCACHEPREFIX of its own, with PYTHONDONTWRITEBYTECODE unset, so a
+stale or missing `__pycache__` in either checkout changes no timing; the
+summary records the setting under "bytecode".
 
 For every end-to-end metric of BENCHMARK.json the summary gives each side's
 runs, median, quartiles and IQR (inclusive quartiles), and the number of
@@ -33,13 +37,17 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+BYTECODE = ("each side's runs read and write compiled bytecode only under a fresh "
+            "PYTHONPYCACHEPREFIX of that side, PYTHONDONTWRITEBYTECODE unset")
 
 
 def _workload(text: str) -> tuple[str, int, int]:
@@ -53,11 +61,21 @@ def _result_path(checkout: Path, workload: str, seed: int) -> Path:
     return checkout / ".perfbench" / f"{workload}-seed{seed}-trace0.json"
 
 
-def _run(checkout: Path, workload: str, seed: int, seconds: float) -> None:
+def _environment(pycache_prefix: Path) -> dict:
+    """The environment of one side's runs: compiled bytecode kept under
+    `pycache_prefix` alone, and written there."""
+    env = {key: value for key, value in os.environ.items()
+           if key not in ("PYTHONDONTWRITEBYTECODE", "PYTHONPYCACHEPREFIX")}
+    env["PYTHONPYCACHEPREFIX"] = str(pycache_prefix)
+    return env
+
+
+def _run(checkout: Path, workload: str, seed: int, seconds: float, env: dict) -> None:
     command = [sys.executable, "perfbench/run.py", "--workload", workload,
                "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     print(f"{checkout.name}: {' '.join(command[1:])}", flush=True)
-    subprocess.run(command, cwd=checkout, check=True, stdout=subprocess.DEVNULL, timeout=600)
+    subprocess.run(command, cwd=checkout, env=env, check=True, stdout=subprocess.DEVNULL,
+                   timeout=600)
 
 
 def _side_summary(values: list[float]) -> dict:
@@ -125,6 +143,7 @@ def summarize(benchmark: dict, checkouts: dict[str, Path],
         "command": "python3 perfbench/run.py --workload W --seed S "
                    f"--seconds {benchmark['run_seconds']:g} --trace 0",
         "order": "pair i runs the parent first when i is even, the change first when odd",
+        "bytecode": BYTECODE,
         **{side: _checkout_facts(results[side]) for side in SIDES},
         "machine": {key: results["parent"][0]["context"].get(key)
                     for key in ("python", "nproc", "cpus_allowed")},
@@ -132,22 +151,24 @@ def summarize(benchmark: dict, checkouts: dict[str, Path],
     }
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", type=Path, required=True)
     parser.add_argument("--change", type=Path, required=True)
     parser.add_argument("--out", type=Path, required=True)
     parser.add_argument("--workload", type=_workload, action="append", required=True,
                         help="NAME:FIRST_SEED:PAIRS")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = benchmark["run_seconds"]
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
 
-    for name, first_seed, pairs in args.workload:
-        for i in range(pairs):
-            for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
-                _run(checkouts[side], name, first_seed + i, seconds)
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as caches:
+        envs = {side: _environment(Path(caches) / side) for side in SIDES}
+        for name, first_seed, pairs in args.workload:
+            for i in range(pairs):
+                for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
+                    _run(checkouts[side], name, first_seed + i, seconds, envs[side])
 
     summary = summarize(benchmark, checkouts, args.workload)
     args.out.write_text(json.dumps(summary, indent=1) + "\n")

@@ -659,14 +659,15 @@ def check_jep(klass: FiniteClass, bound: int) -> JepReport:
 def check_dap(klass: FiniteClass, bound: int = 2) -> DapReport:
     """DAP via two independent routes that must agree.
 
-    Route one is check_ndap at n = 2.  Route two checks the direct overlap
-    formulation: every overlap diagram (`_overlaps`) of every pair T, T' of
-    members of size <= bound, S a part of T with phi its inclusion and phi'
-    an embedding S -> T', must complete at size |T| + |T'| - |S|.  For
-    substructure-closed classes that arise as the age of a single countable
-    structure the two formulations are equivalent, and disagreement raises
-    RuntimeError: it means the class is outside that scope (typically it
-    lacks joint embedding), so neither verdict alone deserves the name DAP.
+    Route one is check_ndap at n = 2, two one-point members over the empty
+    base.  Route two checks the direct overlap formulation: every overlap
+    diagram (`_overlaps`) of every pair T, T' of members of size <= bound,
+    S a part of T with phi its inclusion and phi' an embedding S -> T',
+    must complete at size |T| + |T'| - |S|.  Route two covers route one, so
+    they disagree only where route two fails alone: on classes without
+    joint embedding, but also on ages of one structure such as the perfect
+    matching's.  Then RuntimeError names the failing diagram and whether
+    `check_jep` fails, and no verdict is called DAP.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
@@ -677,12 +678,15 @@ def check_dap(klass: FiniteClass, bound: int = 2) -> DapReport:
                 for diagram in _overlaps(t, tp))
     failed = next((diagram for diagram in diagrams
                    if not _dap_instance_holds(klass, *diagram)), None)
-    if (failed is None) != ndap2.holds:
+    if (failed is None) != ndap2.holds:  # so route one holds and `failed` is a diagram
+        jep_bound = min(bound, klass.cap // 2)
+        why = (f"the class lacks joint embedding (check_jep at bound {jep_bound})"
+               if not check_jep(klass, jep_bound).holds else f"joint embedding holds up to "
+               f"bound {jep_bound}, and route one amalgamates over the empty base only")
         raise RuntimeError(
-            f"2-point family amalgamation and the direct overlap formulation disagree "
-            f"on class {klass.name!r}: the class is outside the scope where the two "
-            "are equivalent (it is not the age of a single structure, e.g. it lacks "
-            "joint embedding), so no DAP verdict is returned")
+            f"on class {klass.name!r} 2-point family amalgamation (check_ndap at n = 2) holds "
+            f"but the direct overlap formulation fails over a base of size {failed[0].n} "
+            f"({failed[1]!r} and {failed[2]!r}); {why}; no DAP verdict is returned")
     counterexample = None
     if failed is not None:
         counterexample = {key: json.loads(serialize(x))

@@ -17,9 +17,11 @@ changes there is planned once (`_Plan`).  A frame-wise step at s reads
 what the steps below s built, and raises `AmalgamationFailure` at any
 subset with no amalgam: its restriction to S needs the whole of
 [1, max S], since drawing S alone would skip a failure outside S and
-return a result where the sample has none.  Sequential growth conditions
-step m on all of [1, m - 1]; the bespoke samplers of `catalog` draw whole
-samples.
+return a result where the sample has none.  At a kept size its samples
+walk a decision trie of their choices, of at most `_MAX_PLANNED_STEPS`
+nodes, with the same draws in the same order, and each distinct sample
+is built once.  Sequential growth conditions step m on all of
+[1, m - 1]; the bespoke samplers of `catalog` draw whole samples.
 """
 
 from __future__ import annotations
@@ -217,6 +219,30 @@ def _class_index(u: float, count: int, rep_weights: Optional[tuple]) -> int:
     return count - 1
 
 
+class _KeptSteps(list):
+    """Kept steps (`_step_plan`), singletons first in `walk`, trie root in `children`."""
+
+
+class _Node:
+    """A trie step: its classes, their orbits (None for one amalgam), and per
+    choice made there the next step's node or, after the last, the sample."""
+
+    __slots__ = ("classes", "orbits", "children")
+
+    def __init__(self, classes, orbits):
+        self.classes, self.orbits, self.children = classes, orbits, {}
+
+
+def _choice(orbits: list, s: tuple, k: int, src: HierarchicalRandomSource,
+            rep_weights: Optional[tuple]) -> tuple[int, int]:
+    """The (class index, orbit rank) that xi_s and, above singletons, s's order pick."""
+    if k == 1:
+        return _class_index(src.xi(s), len(orbits), None), 0
+    index = _class_index(src.xi(s), len(orbits), rep_weights)
+    order, size = src.ordering(s), len(orbits[index])
+    return index, permutation_rank([s.index(x) + 1 for x in order]) % size if size > 1 else 0
+
+
 def _step_plan(klass: FiniteClass, n: int):
     """The steps of a frame-wise sample of size n in visiting order: subset
     s, its size k, for each support size that can hold a tuple (below k, at
@@ -242,8 +268,10 @@ def _step_plan(klass: FiniteClass, n: int):
         return steps
     if sum(map(len, plans.values())) + count > _MAX_PLANNED_STEPS:
         plans.clear()
-    plans[n] = list(steps)
-    return plans[n]
+    plan = plans[n] = _KeptSteps(steps)
+    plan.children, plan.nodes = {}, 0
+    plan.walk = [((i,), 1, (), None) for i in range(1, n + 1)] + plan
+    return plan
 
 
 def sample_framewise(klass: FiniteClass, n: int, src: HierarchicalRandomSource,
@@ -259,12 +287,10 @@ def sample_framewise(klass: FiniteClass, n: int, src: HierarchicalRandomSource,
     concrete member within the class is orbit[rank(ordering of s) mod orbit
     size], which is uniform because the orbit size divides |s|!.
 
-    The steps, what no seed changes, are planned once per size and kept on
-    the class for as long as it lives, up to `_MAX_PLANNED_STEPS` steps in
-    all; a larger size generates them as it goes (`_step_plan`).  A sample
-    reads the k = 1 table and each k's empty-partial table once; other steps
-    look up their decided tuples, relabelled onto [1, |s|], with
-    `_step_classes`, scanning only the sizes that hold tuples.
+    The steps, what no seed changes, are kept on the class per size, up to
+    `_MAX_PLANNED_STEPS` steps in all (`_step_plan`).  A step looks up its
+    decided tuples, relabelled onto [1, |s|], with `_step_classes`,
+    scanning only the sizes that hold tuples a step can read.
 
     Only subsets of size at most max(arity, locality) are visited, or every
     subset when the class's locality is unknown: above that size the step
@@ -277,7 +303,12 @@ def sample_framewise(klass: FiniteClass, n: int, src: HierarchicalRandomSource,
     carries no stream state, so skipping a draw changes no other draw.
 
     The decision at s reads only the structures already built on proper
-    subsets of s, xi_s, and the ordering of s.
+    subsets of s, xi_s, and the ordering of s, so a sample is a function of
+    its choices.  A kept size grows a decision trie of them (`_Node`, one
+    for all `rep_weights`), walked with the same draws, one lookup a step,
+    to the sample its path built; a new choice rebuilds the path's state
+    without draws and adds nodes up to `_MAX_PLANNED_STEPS`, never one of
+    a failing step.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -286,55 +317,65 @@ def sample_framewise(klass: FiniteClass, n: int, src: HierarchicalRandomSource,
         if not rep_weights or not all(math.isfinite(w) and w > 0 for w in rep_weights):
             raise ValueError("rep_weights must be finite and positive")
     signature = klass.signature
-    names = signature.names()
     if n == 0:
         return Structure._trusted(signature, 0, {})
 
-    xi, ordering = src.xi, src.ordering
-    # each size-1 member is a class of its own: singles[index][0] its pairs
-    singles = _step_classes(klass, 1).new_tuples
-    if not singles:
+    steps = _step_plan(klass, n)
+    trie = steps if isinstance(steps, _KeptSteps) else None
+    steps = trie.walk if trie is not None else itertools.chain(
+        (((i,), 1, (), None) for i in range(1, n + 1)), steps)  # singletons first
+    node, path = None if trie is None else trie.children.get(()), []  # (node, choice) a step
+    if node is not None:
+        for s, k, _, _ in steps:
+            orbits = node.orbits
+            choice = (0, 0) if orbits is None else _choice(orbits, s, k, src, rep_weights)
+            path.append((node, choice))
+            node = node.children.get(choice)
+            if node is None:
+                break
+        else:
+            return node
+
+    empty = {1: _step_classes(klass, 1)}  # k -> the amalgam classes of the empty partial
+    if not empty[1].orbits:
         raise ValueError(f"class {klass.name!r} has no members of size 1")
+    names = signature.names()
     relations: dict[str, list] = {name: [] for name in names}
     # sorted support -> its decided (name, tuple) pairs, the tuples with
     # exactly that range, labelled on [1, |support|]; only nonempty entries
     decided: dict[tuple, tuple] = {}
-    for i in range(1, n + 1):
-        index = 0 if len(singles) == 1 else _class_index(xi((i,)), len(singles), None)
-        if singles[index][0]:
-            decided[(i,)] = singles[index][0]
-            for name, tup in singles[index][0]:
-                relations[name].append((i,) * len(tup))
-    # the support sizes that `decided` holds
-    sizes = {1} if decided else set()
-
-    empty: dict[int, object] = {}  # k -> the amalgam classes of the empty partial
-    for s, k, groups, memo in _step_plan(klass, n):
-        # the decided tuples inside s, relabelled onto [1, k]
-        inside = [(name, tuple([pos[c - 1] for c in tup]))
-                  for size, group in groups if size in sizes
-                  for support, pos in zip(itertools.combinations(s, size), group)
-                  for name, tup in decided.get(support, ())]
-        classes = (_step_classes(klass, k, inside) if inside
-                   else empty.get(k) or empty.setdefault(k, _step_classes(klass, k)))
-        orbits = classes.orbits
-        if not orbits:
-            local = Structure._trusted(signature, k, _partial(names, inside))
-            family = [restrict(local, [j for j in range(1, k + 1) if j != i])
-                      for i in range(1, k + 1)]
-            raise AmalgamationFailure(s, family, klass.name)
-        if len(orbits) == 1 and len(orbits[0]) == 1:
-            index, rank = 0, 0
+    sizes = set()  # the support sizes below the largest step's that `decided` holds
+    top = n if klass.forced_above is None else min(n, klass.forced_above)
+    node, choice = trie, ()  # the trie node of the last step and the choice made there
+    path.reverse()
+    for s, k, groups, memo in steps:
+        if path:  # a step walked in the trie: its choice is made
+            node, choice = path.pop()
+            classes = node.classes
         else:
-            index = _class_index(xi(s), len(orbits), rep_weights)
-            order = ordering(s)
-            orbit_size = len(orbits[index])
-            rank = (permutation_rank([s.index(x) + 1 for x in order]) % orbit_size
-                    if orbit_size > 1 else 0)
-        new = classes.new_tuples[index][rank]
+            # the decided tuples inside s, relabelled onto [1, k]
+            inside = [(name, tuple([pos[c - 1] for c in tup]))
+                      for size, group in groups if size in sizes
+                      for support, pos in zip(itertools.combinations(s, size), group)
+                      for name, tup in decided.get(support, ())] if sizes else []
+            classes = (_step_classes(klass, k, inside) if inside
+                       else empty.get(k) or empty.setdefault(k, _step_classes(klass, k)))
+            if not classes.orbits:
+                local = Structure._trusted(signature, k, _partial(names, inside))
+                family = [restrict(local, [j for j in range(1, k + 1) if j != i])
+                          for i in range(1, k + 1)]
+                raise AmalgamationFailure(s, family, klass.name)
+            parent, node, orbits = node, None, classes.orbits
+            orbits = None if len(orbits) == 1 and len(orbits[0]) == 1 else orbits
+            if parent is not None and trie.nodes < _MAX_PLANNED_STEPS:
+                node = parent.children[choice] = _Node(classes, orbits)
+                trie.nodes += 1
+            choice = (0, 0) if orbits is None else _choice(orbits, s, k, src, rep_weights)
+        new = classes.new_tuples[choice[0]][choice[1]]
         if new:
             decided[s] = new
-            sizes.add(k)
+            if k < top:  # no step reads a support of the largest step's size
+                sizes.add(k)
             placed = memo.get(new) if memo is not None else None
             if placed is None:
                 placed = [(name, tuple([s[c - 1] for c in tup])) for name, tup in new]
@@ -342,7 +383,10 @@ def sample_framewise(klass: FiniteClass, n: int, src: HierarchicalRandomSource,
                     memo[new] = placed
             for name, tup in placed:
                 relations[name].append(tup)
-    return Structure._trusted(signature, n, relations)
+    sample = Structure._trusted(signature, n, relations)
+    if node is not None and trie.nodes < _MAX_PLANNED_STEPS:
+        node.children[choice], trie.nodes = sample, trie.nodes + 1
+    return sample
 
 
 # --- age-indexed laws and sequential growth ------------------------------------

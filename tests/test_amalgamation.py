@@ -519,6 +519,32 @@ def test_dap_raises_outside_equivalence_scope():
         check_dap(_complete_or_empty_class(), bound=2)
 
 
+def _matching_age_class():
+    """Equivalence relations with classes of size at most 2: the age of the
+    perfect matching, an ultrahomogeneous structure (locality 3)."""
+    def small_blocks(s):
+        return all(sum(s.has("E", (x, y)) for y in s.universe()) <= 2 for x in s.universe())
+
+    return FiniteClass("matching-age", EQUIV.signature,
+                       lambda s: EQUIV.contains(s) and small_blocks(s),
+                       lambda n: [s for s in EQUIV.enumerate(n) if small_blocks(s)],
+                       cap=6, locality=3)
+
+
+def test_dap_names_the_failing_route_on_an_age_with_joint_embedding():
+    # two pairs over a shared point have no disjoint amalgam, while two
+    # points always do: the routes disagree on the age of one structure
+    klass = _matching_age_class()
+    assert check_jep(klass, 2).holds and check_jep(klass, 3).holds
+    with pytest.raises(RuntimeError) as raised:
+        check_dap(klass, bound=2)
+    message = str(raised.value)
+    assert "check_ndap at n = 2) holds but the direct overlap formulation" in message
+    assert "over a base of size 1" in message
+    assert "joint embedding holds up to bound 2" in message
+    assert "lacks joint embedding" not in message
+
+
 def _dap_verdicts(klass, bound=2):
     """(library, brute force) verdict of every overlap diagram of every
     ordered pair of members of size <= bound."""

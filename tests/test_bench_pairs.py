@@ -110,3 +110,40 @@ def test_summary_gives_each_op_kinds_median_latency_per_side(tmp_path):
     assert kinds["slow"]["parent"]["runs"] == [0.080, 0.090]
     assert kinds["slow"]["change"]["runs"] == [0.050, 0.060]
     assert kinds["slow"]["change"]["median"] == pytest.approx(0.055)
+
+
+def test_both_sides_run_with_the_same_bytecode_setting(tmp_path, monkeypatch):
+    # each side gets a pycache prefix of its own, fresh and kept for all its
+    # runs, whatever bytecode setting the caller's environment holds
+    script = _load_script()
+    checkouts = _checkouts(tmp_path)
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    monkeypatch.setenv("PYTHONPYCACHEPREFIX", str(tmp_path / "callers-cache"))
+    envs = {"parent": [], "change": []}
+    end_to_end = json.loads((SCRIPT.parent.parent / "BENCHMARK.json").read_text())["end_to_end"]
+
+    def fake_run(command, cwd, env, **kwargs):
+        side = Path(cwd).name
+        envs[side].append(env)
+        prefix = Path(env["PYTHONPYCACHEPREFIX"])
+        assert not prefix.exists() or len(envs[side]) > 1
+        prefix.mkdir(parents=True, exist_ok=True)
+        seed = int(command[command.index("--seed") + 1])
+        _write_run(Path(cwd), "exch-small", seed, 10.0, 0.1, 0.0075, "same")
+        path = Path(cwd) / ".perfbench" / f"exch-small-seed{seed}-trace0.json"
+        run = json.loads(path.read_text())
+        run["metrics"] = {spec["name"]: {"value": 1.0} for spec in end_to_end}
+        path.write_text(json.dumps(run))
+
+    monkeypatch.setattr(script.subprocess, "run", fake_run)
+    out = tmp_path / "summary.json"
+    assert script.main(["--parent", str(checkouts["parent"]), "--change",
+                        str(checkouts["change"]), "--out", str(out),
+                        "--workload", "exch-small:5:2"]) == 0
+    prefixes = {side: {env["PYTHONPYCACHEPREFIX"] for env in envs[side]} for side in envs}
+    assert all(len(envs[side]) == 2 and len(prefixes[side]) == 1 for side in envs)
+    assert prefixes["parent"] != prefixes["change"]
+    assert str(tmp_path / "callers-cache") not in prefixes["parent"] | prefixes["change"]
+    assert not any("PYTHONDONTWRITEBYTECODE" in env for side in envs for env in envs[side])
+    assert not any(Path(prefix).exists() for prefix in prefixes["parent"] | prefixes["change"])
+    assert json.loads(out.read_text())["bytecode"] == script.BYTECODE

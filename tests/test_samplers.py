@@ -371,6 +371,87 @@ def test_framewise_plans_keep_to_their_bound(monkeypatch):
     assert all(memo is None for *_, memo in relex.samplers._step_plan(klass, 6))
 
 
+def _same_outcome(outcome, expected):
+    assert outcome == expected
+    if isinstance(expected[0], Structure):
+        assert (outcome[0].key(), repr(outcome[0])) == (expected[0].key(), repr(expected[0]))
+
+
+@pytest.mark.parametrize("bound", ["default", 5])
+@pytest.mark.parametrize("label, make", FRAMEWISE_CLASSES,
+                         ids=[label for label, _ in FRAMEWISE_CLASSES])
+def test_framewise_trie_walks_match_the_sampler_without_a_step_plan(label, make, bound,
+                                                                    monkeypatch):
+    # a first visit grows the trie, a second walks it; at a bound of 5 nodes
+    # most walks fall off the full trie partway through the sample
+    if bound != "default":
+        monkeypatch.setattr(relex.samplers, "_MAX_PLANNED_STEPS", bound)
+    klass = make()
+    for rep_weights in (None, (1.0, 3.0)):
+        for n in range(8):
+            for seed in range(12):
+                expected = _logged_outcome(naive_sample_framewise, klass, n, seed, rep_weights)
+                for visit in range(2):
+                    _same_outcome(_logged_outcome(sample_framewise, klass, n, seed, rep_weights),
+                                  expected)
+
+
+def _trie_counts(parent):
+    """The nodes and the leaves below a trie node, or below the kept steps
+    that hold the trie's root."""
+    nodes = leaves = 0
+    for child in parent.children.values():
+        if isinstance(child, Structure):
+            leaves += 1
+        else:
+            below = _trie_counts(child)
+            nodes, leaves = nodes + 1 + below[0], leaves + below[1]
+    return nodes, leaves
+
+
+def _no_pairs_class():
+    """Graphs on at most one point: every pair step fails at the empty partial."""
+    return FiniteClass("no-pairs", GRAPHS.signature, lambda s: s.n <= 1 and GRAPHS.contains(s),
+                       lambda n: GRAPHS.enumerate(n) if n <= 1 else (), locality=2)
+
+
+@pytest.mark.parametrize("name, n", [("parity3", 5), ("equivalence", 4), ("no-pairs", 3)])
+def test_framewise_failures_raise_alike_on_every_visit(name, n):
+    klass = _no_pairs_class() if name == "no-pairs" else make_builtin_class(name)
+    failing = [seed for seed in range(40)
+               if not isinstance(_framewise_outcome(klass, n, seed), Structure)]
+    assert failing, name
+    trie = klass._step_plans[n]
+    stored = trie.nodes
+    assert sum(_trie_counts(trie)) == stored
+    for seed in failing:
+        expected = _logged_outcome(naive_sample_framewise, klass, n, seed, None)
+        for visit in range(2):
+            outcome = _logged_outcome(sample_framewise, klass, n, seed, None)
+            assert outcome == expected and not isinstance(outcome[0], Structure)
+    # the failing steps were not stored: the repeated visits added nothing
+    assert trie.nodes == stored
+
+
+def test_framewise_trie_keeps_to_its_bound():
+    klass = make_builtin_class("graphs")
+    for src in _sources(2000, meta_seed=9):
+        sample_framewise(klass, 12, src)
+    trie = klass._step_plans[12]
+    nodes, leaves = _trie_counts(trie)
+    assert nodes + leaves == trie.nodes <= relex.samplers._MAX_PLANNED_STEPS
+    assert leaves >= 1
+
+
+def test_framewise_equal_samples_at_a_kept_size_are_one_object():
+    klass = make_builtin_class("tournaments")
+    by_key = {}
+    for src in _sources(300, meta_seed=4):
+        sample = sample_framewise(klass, 3, src)
+        assert by_key.setdefault(sample.key(), sample) is sample
+    assert len(by_key) == 8  # each orientation of the three pairs
+
+
 FRAMEWISE_BUILTINS = [name for name in BUILTIN_CLASS_NAMES if builtin_class(name).enumerate(1)]
 
 

@@ -324,7 +324,8 @@ def sample_framewise(klass: FiniteClass, n: int, src: HierarchicalRandomSource,
     trie = steps if isinstance(steps, _KeptSteps) else None
     steps = trie.walk if trie is not None else itertools.chain(
         (((i,), 1, (), None) for i in range(1, n + 1)), steps)  # singletons first
-    node, path = None if trie is None else trie.children.get(()), []  # (node, choice) a step
+    # the trie's root, and (node, choice) of each step walked in the trie
+    node, path = None if trie is None else trie.children.get(()), []
     if node is not None:
         for s, k, _, _ in steps:
             orbits = node.orbits

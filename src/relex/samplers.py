@@ -250,14 +250,15 @@ def _step_plan(klass: FiniteClass, n: int):
     shared by all s of one size, and a memo from a member's tuples on
     [1, k] to the same in global labels.  A class keeps them as a list, up
     to _MAX_PLANNED_STEPS steps for all sizes, dropping the others to fit a
-    new size; past that, itertools chains them afresh for every sample, with
-    None for the memo: a step that is not kept never meets a second sample."""
+    new size; past that, or with none, itertools chains them afresh for
+    every sample, with None for the memo: a step that is not kept never
+    meets a second sample, and a size of singletons alone keeps no trie."""
     plans = klass._step_plans
     if n in plans:
         return plans[n]
     top = n if klass.forced_above is None else min(n, klass.forced_above)
     count = sum(math.comb(n, k) for k in range(2, top + 1))
-    kept = count <= _MAX_PLANNED_STEPS
+    kept = 0 < count <= _MAX_PLANNED_STEPS
     steps = itertools.chain.from_iterable(
         zip(map(_labelled, itertools.combinations(range(1, n + 1), k)), itertools.repeat(k),
             itertools.repeat([(size, list(itertools.combinations(range(1, k + 1), size)))

@@ -443,6 +443,15 @@ def test_framewise_trie_keeps_to_its_bound():
     assert leaves >= 1
 
 
+def test_framewise_sizes_of_singletons_alone_keep_no_trie():
+    # subsets visits singletons only (max(arity, locality) = 1), so no size
+    # has a plan to keep: sampling many sizes grows nothing on the class
+    klass = make_builtin_class("subsets")
+    for n in range(1, 60):
+        sample_framewise(klass, n, HierarchicalRandomSource(n))
+    assert klass._step_plans == {}
+
+
 def test_framewise_equal_samples_at_a_kept_size_are_one_object():
     klass = make_builtin_class("tournaments")
     by_key = {}

@@ -22,9 +22,11 @@ summary records the setting under "bytecode".
 
 For every end-to-end metric of BENCHMARK.json the summary gives each side's
 runs, median, quartiles and IQR (inclusive quartiles), and the number of
-pairs the change won (ties count for neither side), together with the seeds
-and the git sha and source hash each checkout's runs recorded.  Each
-workload also gives each side's gauge readings in the same form: the median
+pairs the change won (ties count for neither side) and its `reading`:
+`gain`, `worse`, `unresolved` or `within bound` (see `_reading`), together
+with the seeds and the git sha and source hash each checkout's runs
+recorded.  Each workload also gives each side's gauge readings in the same
+form: the median
 `gauge_s` of every run, the time of the fixed pure-Python loop that run.py
 scales latencies by, so that summaries made at different times can be
 compared for the machine's speed.  `op_kind_p50_s` gives, for each op kind
@@ -83,6 +85,25 @@ def _side_summary(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1, "runs": values}
 
 
+def _reading(metric: dict) -> str:
+    """`gain` when the change won at least 9 in 10 of the pairs and its median
+    is better than the parent's by more than the parent's IQR; else `worse`
+    when its median is worse by more than the metric's bound (a fraction of
+    the parent's median); else `unresolved` when the parent's IQR is wider
+    than that bound; else `within bound`."""
+    parent, change = metric["parent"], metric["change"]
+    sign = 1 if metric["better"] == "higher" else -1
+    better_by = sign * (change["median"] - parent["median"])
+    bound = metric["bound"] * (abs(parent["median"]) or 1.0)
+    if metric["change_wins"] >= 0.9 * metric["pairs"] and better_by > parent["iqr"]:
+        return "gain"
+    if -better_by > bound:
+        return "worse"
+    if parent["iqr"] > bound:
+        return "unresolved"
+    return "within bound"
+
+
 def _kind_medians(run: dict) -> dict[str, float]:
     """The median latency of each op kind's ok ops in one run."""
     latencies: dict[str, list] = {}
@@ -130,6 +151,7 @@ def summarize(benchmark: dict, checkouts: dict[str, Path],
                                "bound": spec["bound"],
                                **{side: _side_summary(values[side]) for side in SIDES},
                                "change_wins": wins, "pairs": pairs}
+            metrics[metric]["reading"] = _reading(metrics[metric])
         summaries[name] = {"seeds": seeds, "metrics": metrics,
                            "gauge_s": {side: _side_summary([r["gauge_s"]["median"]
                                                             for r in runs[side]])
@@ -176,7 +198,8 @@ def main(argv=None) -> int:
         for metric, m in entry["metrics"].items():
             print(f"{name:16} {metric:12} {m['parent']['median']:.6g} "
                   f"(IQR {m['parent']['iqr']:.3g}) -> {m['change']['median']:.6g} "
-                  f"(IQR {m['change']['iqr']:.3g}), change won {m['change_wins']}/{m['pairs']}")
+                  f"(IQR {m['change']['iqr']:.3g}), change won {m['change_wins']}/{m['pairs']}: "
+                  f"{m['reading']}")
         gauge = entry["gauge_s"]
         print(f"{name:16} {'gauge_s':12} {gauge['parent']['median']:.6g} -> "
               f"{gauge['change']['median']:.6g}")

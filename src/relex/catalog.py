@@ -237,20 +237,31 @@ class LoopViolatorSampler:
     """Frame-wise graph sampler with a loop forced at vertex 1.
 
     Deliberately breaks exchangeability (vertex 1 is distinguishable);
-    used to exercise the failing side of the exchangeability test.
+    used to exercise the failing side of the exchangeability test.  Each
+    distinct base sample is looped once; the map of copies is cleared at
+    1,024 entries, or when its base samples hold 2^14 edges (about 3 MB).
     """
+
+    _MAX_LOOPED, _MAX_LOOPED_EDGES = 1 << 10, 1 << 14
 
     def __init__(self):
         self._base = FramewiseSampler(builtin_class("graphs"))
         self.signature = self._base.signature
+        self._looped: dict[Structure, Structure] = {}  # base sample -> its looped copy
+        self._edges = 0  # the edges of the base samples in `_looped`
 
     def sample(self, src: HierarchicalRandomSource, n: int) -> Structure:
         graph = self._base.sample(src, n)
-        if n == 0:
-            return graph
-        edges = set(graph.tuples("E"))
-        edges.add((1, 1))
-        return Structure._trusted(self.signature, n, {"E": edges})
+        looped = self._looped.get(graph) if n else graph
+        if looped is None:
+            edges = set(graph.tuples("E"))
+            self._edges += len(edges)
+            if len(self._looped) >= self._MAX_LOOPED or self._edges > self._MAX_LOOPED_EDGES:
+                self._looped.clear()
+                self._edges = len(edges)
+            edges.add((1, 1))
+            looped = self._looped[graph] = Structure._trusted(self.signature, n, {"E": edges})
+        return looped
 
 
 # --- the named examples ---------------------------------------------------------

@@ -22,6 +22,9 @@ The byte contract, pinned by tests/golden/randomness.json:
     block into the next; a draw above i is thrown away and read again, and
     the accepted draw j swaps positions i and j.
 
+For a pair {a < b} the contract reads as one bit, never thrown away: the
+ordering is (b, a) when byte 0 of block 0 is below 128, and (a, b) otherwise.
+
 SeedStream keys the same way with its meta seed and hashes `seed|index`
 to an 8-byte digest, read big-endian.
 
@@ -112,9 +115,11 @@ class HierarchicalRandomSource:
         if len(items) < 2:
             return tuple(items)
         label = b"ord|" + items.text + b"#"
-        items = list(items)
         block = self._hasher.copy()
         block.update(label + b"0")
+        if len(items) == 2:  # one draw, i = k = 1: the top bit of byte 0, never thrown away
+            return items[::-1] if block.digest()[0] < 128 else tuple(items)
+        items = list(items)
         buffer, used, counter, stem = block.digest(), 0, 1, None
         for i in range(len(items) - 1, 0, -1):
             k = i.bit_length()

@@ -232,10 +232,15 @@ def test_equal_law(law_a: EmpiricalLaw, law_b: EmpiricalLaw,
     """Two-sample chi-square homogeneity test on merged support.
 
     A single surviving cell yields a degenerate (always-passing) report:
-    both laws are concentrated on the same support atom.
+    both laws are concentrated on the same support atom.  Laws that hold
+    recorded structures must share their signature.
     """
     if len(law_a.subset) != len(law_b.subset):
         raise ValueError("laws live on subsets of different sizes")
+    signatures = [next((s.signature for s in law.structures.values()), None)
+                  for law in (law_a, law_b)]
+    if None not in signatures and signatures[0] != signatures[1]:
+        raise ValueError(f"laws over different signatures: {signatures[0]} and {signatures[1]}")
     if not (0.0 < alpha < 1.0):
         raise ValueError("alpha must lie in (0, 1)")
     n_a, n_b = law_a.n_samples, law_b.n_samples

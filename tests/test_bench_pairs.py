@@ -72,6 +72,42 @@ def test_summary_counts_wins_and_reads_gauge_medians(tmp_path):
     assert summary["command"].endswith("--seconds 22 --trace 0")
 
 
+def _read(tmp_path, parent, change):
+    """The readings of ten hand-written pairs of (ops_per_s, op_p50_s) runs."""
+    checkouts = _checkouts(tmp_path)
+    for seed, (p, c) in enumerate(zip(parent, change)):
+        _write_run(checkouts["parent"], "exch-small", seed, *p, 0.008, digest="d")
+        _write_run(checkouts["change"], "exch-small", seed, *c, 0.008, digest="d")
+    summary = _load_script().summarize(BENCHMARK, checkouts, [("exch-small", 0, 10)])
+    metrics = summary["workloads"]["exch-small"]["metrics"]
+    return metrics["ops_per_s"]["reading"], metrics["op_p50_s"]["reading"]
+
+
+def test_readings_gain_and_worse(tmp_path):
+    # parent ops/s 20.0-20.9 (IQR 0.45); the change wins 9 of 10 pairs by about
+    # +25%; its op_p50 is 30% slower than the parent's, more than the 25% bound
+    parent = [(20.0 + i / 10, 0.010) for i in range(10)]
+    change = [(25.0 + i / 10 if i else 19.0, 0.013) for i in range(10)]
+    assert _read(tmp_path, parent, change) == ("gain", "worse")
+
+
+def test_a_gain_needs_nine_wins_in_ten_and_more_than_the_parents_iqr(tmp_path):
+    parent = [(20.0 + i / 10, 0.010) for i in range(10)]
+    eight_wins = [(25.0 + i / 10 if i > 1 else 19.0, 0.0101) for i in range(10)]
+    assert _read(tmp_path / "a", parent, eight_wins) == ("within bound", "within bound")
+    # ten wins by 0.4 ops/s, within the parent's IQR of 0.45
+    small = [(20.4 + i / 10, 0.010) for i in range(10)]
+    assert _read(tmp_path / "b", parent, small) == ("within bound", "within bound")
+
+
+def test_readings_unresolved_and_within_bound(tmp_path):
+    # parent ops/s spread 10-30 (IQR 10, half its median of 20, wider than the
+    # bound); op_p50 tight on both sides, 5% slower
+    parent = [(10.0 + 20 * (i % 2) + i / 10, 0.0100) for i in range(10)]
+    change = [(20.0 + i / 10, 0.0105) for i in range(10)]
+    assert _read(tmp_path, parent, change) == ("unresolved", "within bound")
+
+
 def test_summary_flags_digest_mismatches_and_mixed_sources(tmp_path):
     checkouts = _checkouts(tmp_path)
     for seed in (1, 2):
@@ -112,7 +148,7 @@ def test_summary_gives_each_op_kinds_median_latency_per_side(tmp_path):
     assert kinds["slow"]["change"]["median"] == pytest.approx(0.055)
 
 
-def test_both_sides_run_with_the_same_bytecode_setting(tmp_path, monkeypatch):
+def test_both_sides_run_with_the_same_bytecode_setting(tmp_path, monkeypatch, capsys):
     # each side gets a pycache prefix of its own, fresh and kept for all its
     # runs, whatever bytecode setting the caller's environment holds
     script = _load_script()
@@ -147,3 +183,6 @@ def test_both_sides_run_with_the_same_bytecode_setting(tmp_path, monkeypatch):
     assert not any("PYTHONDONTWRITEBYTECODE" in env for side in envs for env in envs[side])
     assert not any(Path(prefix).exists() for prefix in prefixes["parent"] | prefixes["change"])
     assert json.loads(out.read_text())["bytecode"] == script.BYTECODE
+    # every metric's reading is printed with its line
+    assert "exch-small       ops_per_s    1 (IQR 0) -> 1 (IQR 0), change won 0/2: within bound" \
+        in capsys.readouterr().out

@@ -1,16 +1,21 @@
 """Named reference structures, example samplers, and their verification suite."""
 
 import itertools
+from collections import Counter
 
 import pytest
 
 from relex import HierarchicalRandomSource, SeedStream
+from relex.amalgamation import builtin_class
 from relex.catalog import (_REFERENCE_ORACLES, PAPER_EXAMPLE_NAMES, LoopViolatorSampler,
                            TdcSampler, _ExampleSampler,
                            evens_oracle, odd_target_oracle, paper_example,
                            parity_overlay_oracle, same_class_triple_oracle,
                            verify_all, verify_parity_overlay, verify_strong_rep,
                            verify_tdc_evens, verify_weak_rep)
+from relex.samplers import FramewiseSampler
+from relex.stattests import _tally
+from relex.structures import GRAPH_SIGNATURE, Structure, restrict
 
 
 def test_example_names_are_stable():
@@ -113,6 +118,75 @@ def test_loop_violator_pins_vertex_one():
     s = sampler.sample(HierarchicalRandomSource(5), 3)
     assert s.has("E", (1, 1))
     assert not s.has("E", (2, 2))
+
+
+
+class _NaiveLoopViolator:
+    """The loop violator built afresh for every sample and checked."""
+
+    signature = GRAPH_SIGNATURE
+
+    def __init__(self):
+        self._base = FramewiseSampler(builtin_class("graphs"))
+
+    def sample(self, src, n):
+        graph = self._base.sample(src, n)
+        return graph if n == 0 else Structure(GRAPH_SIGNATURE, n,
+                                              {"E": [*graph.tuples("E"), (1, 1)]})
+
+
+@pytest.mark.parametrize("n, seeds", [(0, range(200)), (1, range(200)), (3, range(200)),
+                                      (12, range(200)), (60, range(40))])
+def test_loop_violator_matches_a_naive_build(n, seeds):
+    # n = 60 is past the frame-wise trie's bound: every base sample is a new object
+    sampler, naive = LoopViolatorSampler(), _NaiveLoopViolator()
+    expected = {seed: naive.sample(HierarchicalRandomSource(seed), n) for seed in seeds}
+    for _ in range(2):                                # a first and a repeated visit
+        for seed in seeds:
+            got = sampler.sample(HierarchicalRandomSource(seed), n)
+            assert got == expected[seed] and got.key() == expected[seed].key()
+            assert repr(got) == repr(expected[seed])
+            assert got.has("E", (1, 1)) == (n > 0)
+
+
+def test_loop_violator_returns_one_object_per_distinct_sample():
+    sampler = LoopViolatorSampler()
+    objects = {}
+    for seed in range(300):
+        sample = sampler.sample(HierarchicalRandomSource(seed), 3)
+        objects.setdefault(sample, set()).add(id(sample))
+    assert len(objects) == 8 and all(len(ids) == 1 for ids in objects.values())
+
+
+def test_loop_violator_map_stays_bounded():
+    def held(sampler):
+        edges = sum(len(base.tuples("E")) for base in sampler._looped)
+        assert edges == sampler._edges
+        return len(sampler._looped), edges
+
+    by_entries = LoopViolatorSampler()
+    by_entries._MAX_LOOPED_EDGES = 1 << 30            # the entry bound alone
+    sizes = []
+    for seed in range(1100):                          # more distinct samples than entries
+        by_entries.sample(HierarchicalRandomSource(seed), 12)
+        sizes.append(held(by_entries)[0])
+    assert max(sizes) == 1024 and sizes[-1] == 1100 - 1024
+
+    sampler = LoopViolatorSampler()
+    for n, count in ((6, 1100), (12, 300), (60, 12)):
+        for seed in range(count):
+            sampler.sample(HierarchicalRandomSource(seed), n)
+            entries, edges = held(sampler)
+            assert entries <= 1024 and edges <= 1 << 14
+    assert entries <= 9                               # about 1,770 edges each at n = 60
+
+
+def test_loop_violator_tally_equals_the_sample_by_sample_law():
+    seeds, points = SeedStream(4), (1, 2, 3)
+    tally = _tally(LoopViolatorSampler(), points, 300, seeds, 10)
+    naive = Counter(restrict(_NaiveLoopViolator().sample(HierarchicalRandomSource(seeds[10 + i]),
+                                                           3), points) for i in range(300))
+    assert tally == naive and list(tally) == list(naive)
 
 
 # --- verification suite -------------------------------------------------------------------

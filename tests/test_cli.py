@@ -321,6 +321,14 @@ def test_test_equal_law_same_sampler_passes():
     assert json.loads(result.stdout)["verdict"] == "pass"
 
 
+
+def test_test_equal_law_over_different_signatures_exits_2():
+    result = run_cli("test", "equal", "--sampler", "framewise:graphs",
+                     "--b", "framewise:subsets", "--subset", "1,2", "--N", "20")
+    assert result.returncode == 2
+    assert "different signatures: Signature(E/2) and Signature(P/1)" in result.stderr
+    assert result.stdout == ""
+
 def test_test_dissociation_json():
     result = run_cli("--json", "test", "dissoc", "--sampler", "framewise:graphs",
                      "--s", "1,2", "--t", "3,4", "--N", "400", "--meta-seed", "3")

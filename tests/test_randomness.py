@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from relex import (HierarchicalRandomSource, InducedOrdering, SeedStream,
                    induced_ordering, permutation_rank)
-from relex.randomness import _MEMO_MAX_LEN, _label
+from relex.randomness import _MEMO_MAX_LEN, _label, _labelled
 
 from helpers import naive_keyed_draws
 
@@ -139,6 +139,34 @@ def test_random_subsets_match_the_documented_construction(seed, subset):
     """Unsorted, duplicated subsets; the label memo is warm for many of them."""
     src = HierarchicalRandomSource(seed)
     assert (src.xi(subset), src.ordering(subset)) == naive_keyed_draws(seed, subset)
+
+
+
+def test_pair_orderings_match_the_documented_construction():
+    """A pair's ordering is one bit; both outcomes, every spelling of the pair."""
+    np = pytest.importorskip("numpy")
+    rng = random.Random(20261019)
+    outcomes = Counter()
+    for seed in range(-1000, 1000):
+        seed = seed if seed % 3 else rng.randrange(2 ** 64)
+        a, b = sorted(rng.sample(range(1, 40), 2))
+        expected = naive_keyed_draws(seed, (a, b))[1]
+        outcomes[expected == (b, a)] += 1
+        src = HierarchicalRandomSource(seed)
+        for spelling in ((a, b), [b, a], (np.int64(b), np.int32(a)), _labelled((a, b))):
+            drawn = src.ordering(spelling)
+            assert drawn == expected and type(drawn) is tuple
+            assert all(type(x) is int for x in drawn)
+    assert min(outcomes.values()) > 900          # both outcomes, each about half
+
+
+def test_pair_orderings_keep_every_check():
+    src = HierarchicalRandomSource(5)
+    src.ordering((1, 2))                              # memoises (1, 2)
+    for subset, message in (((1.5, 2), "subset element 1.5 "), (("2", 1), "subset element '2' "),
+                            ((0, 2), "positive integers")):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            src.ordering(subset)
 
 
 # --- the label memo keeps every check ----------------------------------------------

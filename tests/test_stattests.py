@@ -5,6 +5,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -409,6 +410,19 @@ def test_equal_law_validation():
     with pytest.raises(ValueError):
         st.test_equal_law(empty_a, empty_b)
 
+
+
+def test_equal_law_rejects_laws_over_different_signatures():
+    graphs = st.empirical_law(_graphs_sampler(), (1, 2), 20, 3)
+    marks = st.empirical_law(FramewiseSampler(builtin_class("subsets")), (1, 2), 20, 3, offset=20)
+    for law_a, law_b, names in ((graphs, marks, "E/2) and Signature(P/1"),
+                                (marks, graphs, "P/1) and Signature(E/2")):
+        with pytest.raises(ValueError, match=re.escape(f"different signatures: Signature({names})")):
+            st.test_equal_law(law_a, law_b)
+    # hand-built laws hold no structures, so they meet any law of the same size
+    assert st.test_equal_law(graphs, _law(graphs.counts, subset=(1, 2))).passed
+    again = st.empirical_law(_graphs_sampler(), (1, 2), 20, 4)
+    assert st.test_equal_law(graphs, again).name == "equal-law"
 
 # --- exchangeability --------------------------------------------------------------
 

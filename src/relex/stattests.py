@@ -237,10 +237,9 @@ def test_equal_law(law_a: EmpiricalLaw, law_b: EmpiricalLaw,
     """
     if len(law_a.subset) != len(law_b.subset):
         raise ValueError("laws live on subsets of different sizes")
-    signatures = [next((s.signature for s in law.structures.values()), None)
-                  for law in (law_a, law_b)]
-    if None not in signatures and signatures[0] != signatures[1]:
-        raise ValueError(f"laws over different signatures: {signatures[0]} and {signatures[1]}")
+    seen = dict.fromkeys(s.signature for law in (law_a, law_b) for s in law.structures.values())
+    if len(seen) > 1:  # the signatures of the recorded structures
+        raise ValueError(f"laws over different signatures: {' and '.join(map(str, seen))}")
     if not (0.0 < alpha < 1.0):
         raise ValueError("alpha must lie in (0, 1)")
     n_a, n_b = law_a.n_samples, law_b.n_samples

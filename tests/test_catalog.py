@@ -120,7 +120,6 @@ def test_loop_violator_pins_vertex_one():
     assert not s.has("E", (2, 2))
 
 
-
 class _NaiveLoopViolator:
     """The loop violator built afresh for every sample and checked."""
 

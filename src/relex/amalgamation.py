@@ -430,8 +430,8 @@ def _amalgam_classes(klass: FiniteClass, n: int, fixed) -> AmalgamClasses:
         groups: dict[str, list[Structure]] = {}
         for s in amalgams_list:
             groups.setdefault(canonical_form(s).key(), []).append(s)
-        orbits = [sorted(group, key=lambda s: s.key()) for group in groups.values()]
-        orbits.sort(key=lambda orbit: orbit[0].key())
+        # by canonical form, so a class's index names its type wherever the partial's points sit
+        orbits = [sorted(group, key=lambda s: s.key()) for _, group in sorted(groups.items())]
     names = klass.signature.names()
     new_tuples = [[tuple((name, tup) for name in names for tup in member.tuples(name)
                          if len(set(tup)) == n) for member in orbit] for orbit in orbits]

@@ -28,10 +28,10 @@ ordering is (b, a) when byte 0 of block 0 is below 128, and (a, b) otherwise.
 SeedStream keys the same way with its meta seed and hashes `seed|index`
 to an 8-byte digest, read big-endian.
 
-The sorted subset and its label text are memoised per validated subset of
-at most 8 elements (the elements as exact ints, after `operator.index`), in
-a module-level cache of at most 1024 subsets shared by all sources; every
-call still runs every input check, and no byte of any draw changes.
+The sorted subset, its text and its draw labels are memoised per validated
+subset of at most 8 elements (the elements as exact ints, after
+`operator.index`), in a module-level cache of at most 1024 subsets shared
+by all sources; every call still runs every input check.
 """
 
 from __future__ import annotations
@@ -58,15 +58,16 @@ def _integer(value, what: str) -> int:
 
 
 class _Subset(tuple):
-    """A checked subset's sorted distinct elements, with their text as `text`."""
+    """A checked subset's sorted distinct elements; `text`, and `xi`, `ord` its draw labels."""
 
 
 def _labelled(ints: Iterable[int]) -> _Subset:
-    """A subset of exact ints, checked, with its comma-separated decimal text."""
+    """A subset of exact ints, checked, with its text and draw labels."""
     items = _Subset(sorted(set(ints)))
     if items and items[0] < 1:
         raise ValueError("subset elements must be positive integers")
     items.text = ",".join(map(str, items)).encode("ascii")
+    items.xi, items.ord = b"xi|" + items.text + b"#0", b"ord|" + items.text + b"#"
     return items
 
 
@@ -102,7 +103,7 @@ class HierarchicalRandomSource:
         variable shared by the whole sample.
         """
         hasher = self._hasher.copy()
-        hasher.update(b"xi|" + self._check(subset).text + b"#0")
+        hasher.update(self._check(subset).xi)
         return (int.from_bytes(hasher.digest()[:7], "big") >> 3) / (1 << 53)
 
     def ordering(self, subset: Iterable[int]) -> tuple[int, ...]:
@@ -114,7 +115,7 @@ class HierarchicalRandomSource:
         items = self._check(subset)
         if len(items) < 2:
             return tuple(items)
-        label = b"ord|" + items.text + b"#"
+        label = items.ord
         block = self._hasher.copy()
         block.update(label + b"0")
         if len(items) == 2:  # one draw, i = k = 1: the top bit of byte 0, never thrown away

@@ -75,13 +75,13 @@ def tuple_pattern(tup: Sequence[int]) -> tuple[int, ...]:
 class DecisionContext:
     """Lazy view of everything a decision function may read for one tuple.
 
-    Made per tuple and sample: its sorted subset, pattern, context key and
-    memos of draws by positions are built on first use, for one decision.
-    Context keys are also kept by content, for every reference.
+    Its sorted subset, pattern and context key are built on first use, and
+    each draw goes to the source.  Context keys are also kept by content, for
+    every reference.
     """
 
     __slots__ = ("source", "relation", "tuple", "partition", "context_mode", "reference",
-                 "_subset", "_pattern", "_key", "_xi_cache", "_rank_cache")
+                 "_subset", "_pattern", "_key")
     _keys: dict[tuple, str] = {}  # every reference's context keys, by content
 
     def __init__(self, source: HierarchicalRandomSource, relation: str,
@@ -93,8 +93,7 @@ class DecisionContext:
         self.partition = tuple(partition)
         self.context_mode = context_mode
         self.reference = reference
-        # built on first use; the memos map positions (None: all) to draws, ranks
-        self._subset = self._pattern = self._key = self._xi_cache = self._rank_cache = None
+        self._subset = self._pattern = self._key = None  # built on first use
 
     # -- coordinate selection -------------------------------------------------
 
@@ -123,9 +122,8 @@ class DecisionContext:
         return self._pattern
 
     def xi(self, positions: Optional[Sequence[int]] = None) -> float:
-        """The keyed draw of the selected entries' set, memoized by positions."""
-        positions = positions if positions is None else tuple(positions)
-        return self._xi(positions, self.elements(positions))
+        """The keyed draw of the selected entries' set."""
+        return self.source.xi(self.elements(positions))
 
     def interval(self, positions: Optional[Sequence[int]] = None) -> int:
         """Index of the partition cell containing xi(positions)."""
@@ -134,28 +132,7 @@ class DecisionContext:
     def ordering_ranks(self, positions: Optional[Sequence[int]] = None) -> tuple[int, ...]:
         """Ranks of the selected entries under the keyed ordering of their set."""
         entries = self.elements(positions)
-        return self._ranks(positions if positions is None else tuple(positions), entries, entries)
-
-    # draws memoized by positions, given the entries there and their set
-    def _xi(self, positions: Optional[tuple[int, ...]], subset) -> float:
-        memo = self._xi_cache
-        if memo is None:
-            memo = self._xi_cache = {}
-        value = memo.get(positions)
-        if value is None:
-            value = memo[positions] = self.source.xi(subset)
-        return value
-
-    def _ranks(self, positions: Optional[tuple[int, ...]], subset,
-               entries: tuple[int, ...]) -> tuple[int, ...]:
-        memo = self._rank_cache
-        if memo is None:
-            memo = self._rank_cache = {}
-        ranks = memo.get(positions)
-        if ranks is None:
-            ranks = memo[positions] = induced_ordering(
-                entries, self.source.ordering(subset)).ranks
-        return ranks
+        return induced_ordering(entries, self.source.ordering(entries)).ranks
 
     # -- reference-structure channels ------------------------------------------
 
@@ -201,11 +178,12 @@ class DecisionContext:
                      for image in itertools.product(elems, repeat=arity)]
             content = (reference.signature, tuple([elems.index(c) + 1 for c in self.tuple]),
                        *holds)
-            if content not in self._keys:
+            key = self._keys.get(content)
+            if key is None:
                 if len(self._keys) >= 1 << 12:
                     self._keys.clear()
-                self._keys[content] = context_key(self.restriction(), content[1])
-            self._key = self._keys[content]
+                key = self._keys[content] = context_key(self.restriction(), content[1])
+            self._key = key
         return self._key
 
 
@@ -286,6 +264,8 @@ class TableDecisionFunction(DecisionFunction):
         super().__init__(relation, arity, context_mode, partition)
         self.entries = tuple(self._checked(entry) for entry in entries)
         self.default = bool(default)
+        self._entry_keys = {entry.context_key for entry in self.entries} - {None}
+        self._templates: dict[tuple, tuple] = {}  # (pattern, an entry's key or None) -> entries
 
     def _checked(self, entry: TableEntry) -> TableEntry:
         """The entry, checked, with its positions as the tuples `matches` reads."""
@@ -309,27 +289,29 @@ class TableDecisionFunction(DecisionFunction):
                        thresholds=normalized(entry.thresholds),
                        orderings=normalized(entry.orderings))
 
-    def resolve(self, ctx: DecisionContext) -> tuple:
-        """Without drawing, the entries whose pattern and context key hold, cut after
-        the first with no draw condition, with positions bound to the set there."""
-        resolved, check = [], HierarchicalRandomSource._check
-        for entry in self.entries:
-            if entry.pattern is not None and ctx.pattern() != entry.pattern:
-                continue
-            if entry.context_key is not None and ctx.context_key() != entry.context_key:
-                continue
-            resolved.append((entry.bit, tuple([
-                (positions, check(ctx.elements(positions)), allowed)
-                for positions, allowed in entry.thresholds or ()]), tuple([
-                (positions, check(entries), entries, ranks)
-                for positions, ranks in entry.orderings or ()
-                for entries in [ctx.elements(positions)]])))
-            if not (resolved[-1][1] or resolved[-1][2]):
-                break
-        return tuple(resolved)
+    def resolve(self, ctx: DecisionContext, draws: "_Draws") -> tuple:
+        """Without drawing, the entries that ctx's pattern and context key let fire,
+        up to the first with no draw condition (kept by both), bound to its tuple:
+        (bit, ((draw id, allowed cells), ...), ((draw id, entries, ranks), ...))."""
+        key = ctx.context_key() if self._entry_keys else None
+        key = (ctx.pattern(), key if key in self._entry_keys else None)
+        if key not in self._templates:
+            matching = [entry for entry in self.entries
+                        if entry.pattern in (None, key[0]) and entry.context_key in (None, key[1])]
+            cut = next((i for i, entry in enumerate(matching, 1)
+                        if not (entry.thresholds or entry.orderings)), None)
+            self._templates[key] = tuple(matching[:cut])
+        return tuple([(entry.bit, tuple([(draws.id(p, ctx.elements(p)), allowed)
+                                         for p, allowed in entry.thresholds or ()]),
+                       tuple([(draws.id(p, at), at, ranks) for p, ranks in entry.orderings or ()
+                              for at in [ctx.elements(p)]]))
+                      for entry in self._templates[key]])
 
     def decide(self, ctx: DecisionContext) -> bool:
-        return _first_bit(self.resolve(ctx), self.default, ctx.partition, ctx)
+        draws = _Draws()
+        draws.by_positions = True
+        step = (None, None, ctx.partition, self.default, self.resolve(ctx, draws))
+        return next(_bits((step,), ctx.source, draws))
 
     def to_json(self) -> dict:
         return {
@@ -341,14 +323,45 @@ class TableDecisionFunction(DecisionFunction):
         }
 
 
-def _first_bit(resolved: tuple, default: bool, partition: tuple, ctx: DecisionContext) -> bool:
-    """The bit of the first resolved entry whose thresholds and orderings hold
-    under the context's draws, else `default`: the one table-entry evaluator."""
-    for bit, thresholds, orderings in resolved:
-        if all(bisect_right(partition, ctx._xi(p, s)) in allowed for p, s, allowed in thresholds) \
-                and (not orderings or all(ctx._ranks(p, s, e) == r for p, s, e, r in orderings)):
-            return bit
-    return default
+class _Draws(dict):
+    """The labelled sets that compiled steps draw on, by sorted elements, or
+    for one decision by positions, as a context's channels draw."""
+
+    by_positions = False
+
+    def id(self, positions: tuple, elements: tuple) -> tuple:
+        key = positions if self.by_positions else tuple(sorted(set(elements)))
+        if key not in self:
+            self[key] = HierarchicalRandomSource._check(elements)
+        return key
+
+
+def _bits(steps: Iterable[tuple], src: HierarchicalRandomSource, sets: dict):
+    """The bit of each step (relation, local tuple, partition, default, entries
+    from `resolve`), or (relation, local tuple, context arguments, rule, None)
+    for a function rule; each of the `sets` is drawn when first read."""
+    xis, orders = {}, {}
+    for _, _, partition, bit, entries in steps:
+        if entries is None:  # a function rule in the default's place
+            bit = bit.decide(DecisionContext(src, *partition))
+        for value, thresholds, orderings in entries or ():
+            for d, allowed in thresholds:
+                u = xis.get(d)
+                if u is None:
+                    u = xis[d] = src.xi(sets[d])
+                if bisect_right(partition, u) not in allowed:
+                    break
+            else:
+                for d, elements, ranks in orderings:
+                    drawn = orders.get(d)
+                    if drawn is None:
+                        drawn = orders[d] = src.ordering(sets[d])
+                    if induced_ordering(elements, drawn).ranks != ranks:
+                        break
+                else:
+                    bit = value
+                    break
+        yield bit
 
 
 class FunctionDecisionFunction(DecisionFunction):

@@ -13,15 +13,15 @@ tuple from the draws on subsets of its range and the reference there (on
 [1, max entry] in segment mode), so its restriction to a set of points
 reads only the draws on subsets of those points (`sample_on`), and the
 statistical tests draw only the points they probe; all that no seed
-changes there is planned once (`_Plan`).  A frame-wise step at s reads
-what the steps below s built, and raises `AmalgamationFailure` at any
-subset with no amalgam: its restriction to S needs the whole of
-[1, max S], since drawing S alone would skip a failure outside S and
-return a result where the sample has none.  At a kept size its samples
-walk a decision trie of their choices, of at most `_MAX_PLANNED_STEPS`
-nodes, with the same draws in the same order, and each distinct sample
-is built once.  Sequential growth conditions step m on all of
-[1, m - 1]; the bespoke samplers of `catalog` draw whole samples.
+changes there is compiled once (`_Plan`), each set drawn once a sample.  A
+frame-wise step at s reads what the steps below s built, and raises
+`AmalgamationFailure` at any subset with no amalgam: its restriction to S
+needs the whole of [1, max S], since drawing S alone would skip a failure
+outside S and return a result where the sample has none.  At a kept size
+its samples walk a decision trie of their choices, of at most
+`_MAX_PLANNED_STEPS` nodes, with the same draws in the same order, and
+each distinct sample is built once.  Sequential growth conditions step m
+on all of [1, m - 1]; the bespoke samplers of `catalog` draw whole samples.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .amalgamation import FiniteClass, _partial, _step_classes
 from .embeddings import (Oracle, enumerate_embeddings, ensure_lazy,
                          natural_embedding)
 from .randomness import HierarchicalRandomSource, SeedStream, _labelled, permutation_rank
-from .rules import (DecisionContext, TableDecisionFunction, _first_bit, context_key_signature,
+from .rules import (DecisionContext, TableDecisionFunction, _bits, _Draws, context_key_signature,
                     normalize_rules, rules_signature)
 from .stattests import _tally
 from .structures import Injection, Signature, Structure, relabel, restrict
@@ -145,23 +145,29 @@ def _steps(rules: _RuleSet, points: tuple[int, ...]):
 
 
 class _Plan:
-    """The steps on sorted points (`_steps`), each with a table rule's resolved
-    entries or None: a source gives their bits, and the bits the sample."""
+    """The steps on sorted points (`_steps`) compiled for `rules._bits`, and the
+    sets they draw on; unless kept, compiled as its one sample walks them."""
 
-    __slots__ = ("signature", "size", "steps")
+    __slots__ = ("signature", "size", "sets", "steps", "_walked")
 
-    def __init__(self, rules: _RuleSet, points: tuple[int, ...]):
-        self.signature, self.size = rules.signature, len(points)
-        self.steps = [(name, local, df, args, df.resolve(DecisionContext(None, *args))
-                       if isinstance(df, TableDecisionFunction) else None)
-                      for name, local, df, args in _steps(rules, points)]
+    def __init__(self, rules: _RuleSet, points: tuple[int, ...], kept: bool = True):
+        self.signature, self.size, self.sets = rules.signature, len(points), _Draws()
+        steps = ((name, local, df.partition, df.default, df.resolve(DecisionContext(None, *args),
+                                                                    self.sets))
+                 if isinstance(df, TableDecisionFunction) else (name, local, args, df, None)
+                 for name, local, df, args in _steps(rules, points))
+        if kept:
+            self.steps = self._walked = list(steps)
+        else:  # walked in step with `structure`, holding one step at a time
+            self.steps, self._walked = itertools.tee(steps)
 
     def bits(self, src: HierarchicalRandomSource) -> tuple[bool, ...]:
-        return tuple([_first_bit(resolved, df.default, df.partition, DecisionContext(src, *args))
-                      if resolved is not None else df.decide(DecisionContext(src, *args))
-                      for _, _, df, args, resolved in self.steps])
+        return tuple(_bits(self._walked, src, self.sets))
 
-    def structure(self, bits: tuple[bool, ...]) -> Structure:
+    def sample(self, src: HierarchicalRandomSource) -> Structure:
+        return self.structure(_bits(self._walked, src, self.sets))
+
+    def structure(self, bits) -> Structure:
         relations = {name: [] for name in self.signature.names()}
         for name, local, *_ in itertools.compress(self.steps, bits):
             relations[name].append(local)
@@ -170,19 +176,13 @@ class _Plan:
 
 def _sample_by_rules(rules, points: Sequence[int], src: HierarchicalRandomSource, kind: str,
                      oracle: Optional[Oracle]) -> Structure:
-    """The plan on sorted `points` applied to one source, or, past _MAX_PLANNED_STEPS
-    tuples, each tuple decided as it comes; `rules` may be a `_RuleSet` for kind."""
+    """The plan on sorted `points` walked by one source, past _MAX_PLANNED_STEPS
+    tuples not kept; `rules` may be a `_RuleSet` for kind."""
     if not (isinstance(rules, _RuleSet) and rules.kind == kind and rules.oracle is oracle):
         rules = _RuleSet(rules, kind, oracle)
     points = tuple(points)
-    if sum(len(points) ** df.arity for _, df in rules.steps) <= _MAX_PLANNED_STEPS:
-        plan = rules.plan(points)
-        return plan.structure(plan.bits(src))
-    relations = {name: [] for name in rules.signature.names()}
-    for name, local, df, args in _steps(rules, points):
-        if df.decide(DecisionContext(src, *args)):
-            relations[name].append(local)
-    return Structure._trusted(rules.signature, len(points), relations)
+    kept = sum(len(points) ** df.arity for _, df in rules.steps) <= _MAX_PLANNED_STEPS
+    return (rules.plan(points) if kept else _Plan(rules, points, kept=False)).sample(src)
 
 
 def sample_exchangeable(rules, n: int, src: HierarchicalRandomSource) -> Structure:
@@ -277,16 +277,17 @@ def _step_plan(klass: FiniteClass, n: int):
 
 def sample_framewise(klass: FiniteClass, n: int, src: HierarchicalRandomSource,
                      rep_weights: Optional[Sequence[float]] = None) -> Structure:
-    """Grow a structure subset by subset, uniformly over amalgam classes.
+    """Grow a structure subset by subset, uniformly over amalgam classes
+    unless `rep_weights` weighs them.
 
     Singletons are drawn from the size-1 members through an equal-measure
     partition of xi_{i}.  Each larger subset s (size order, then
     lexicographic) gets the tuples with range exactly s: the members on
     [1, |s|] extending all proper restrictions are grouped by isomorphism
-    class; xi_s picks a class (equal-width intervals over the representative
-    list, or `rep_weights` at steps where the class count matches); the
-    concrete member within the class is orbit[rank(ordering of s) mod orbit
-    size], which is uniform because the orbit size divides |s|!.
+    class; xi_s picks a class (equal-width intervals, or `rep_weights` in
+    the classes' canonical order at steps where the class count matches);
+    the concrete member within the class is orbit[rank(ordering of s) mod
+    orbit size], which is uniform because the orbit size divides |s|!.
 
     The steps, what no seed changes, are kept on the class per size, up to
     `_MAX_PLANNED_STEPS` steps in all (`_step_plan`).  A step looks up its

@@ -170,9 +170,9 @@ def _tally(sampler, points: tuple[int, ...], n_samples: int, seeds,
     `points`, on [1, |points|], comes up, in first-seen order.
 
     A rule sampler's restriction is a function of the draws on subsets of
-    `points` alone, so its plan on `points` (`_plan`) resolves the tuples over
+    `points` alone, so its plan on `points` (`_plan`) compiles the tuples over
     them and the table entries their patterns and context keys allow once;
-    each seed only draws a tuple of bits, and each distinct one is built once.
+    each seed only walks it to a tuple of bits, and each distinct one is built once.
     Other samplers have no local form: they are sampled on [1, max(points)]
     and restricted.  A frame-wise step at s reads what was built below s,
     and raises `AmalgamationFailure` at any subset with no amalgam, inside

@@ -13,6 +13,7 @@ import itertools
 import json
 import random
 from bisect import bisect_right
+from collections import Counter
 
 from relex import (AmalgamationFailure, HierarchicalRandomSource, Injection, Signature,
                    Structure, embedding_exists, enumerate_embeddings, induced_ordering,
@@ -258,7 +259,7 @@ def naive_decide(df, ctx) -> bool:
     their checked positions directly: every draw checks and sorts its
     positions through the public `elements` and `subset`, and goes to the
     context's source; draws are memoized by positions within the decision,
-    as the context memoizes them."""
+    as a table's `decide` draws them."""
     draws: dict = {}
 
     def draw(kind, positions):
@@ -413,21 +414,28 @@ def _naive_rule_bit(df, src, tup, reference) -> bool:
 
 
 class RecordingSource(HierarchicalRandomSource):
-    """A source that records the set of every subset it draws on, by kind."""
+    """A source that records the set of every subset it draws on, by kind,
+    and in `calls` how often it drew on each."""
 
     def __init__(self, seed):
         super().__init__(seed)
         self.drawn = set()
+        self.calls = Counter()
 
     def xi(self, subset=()):
         subset = tuple(subset)
-        self.drawn.add(("xi", tuple(sorted(set(subset)))))
+        self._record("xi", subset)
         return super().xi(subset)
 
     def ordering(self, subset):
         subset = tuple(subset)
-        self.drawn.add(("ordering", tuple(sorted(set(subset)))))
+        self._record("ordering", subset)
         return super().ordering(subset)
+
+    def _record(self, kind, subset):
+        drawn = (kind, tuple(sorted(set(subset))))
+        self.drawn.add(drawn)
+        self.calls[drawn] += 1
 
 
 def naive_law(sampler, subset, n_samples: int, seeds, offset: int = 0, along=None):

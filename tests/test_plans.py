@@ -9,18 +9,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (NaiveRuleSampler, RecordingSource, naive_context_key, naive_law,
-                     naive_restrict)
+from helpers import (NaiveRuleSampler, RecordingSource, naive_context_key, naive_decide,
+                     naive_law, naive_restrict)
 from relex import rules as rules_module
 from relex import samplers
 from relex.amalgamation import builtin_class
-from relex.catalog import evens_oracle, same_class_triple_oracle, two_coin_rules, weak_rep_rules
+from relex.catalog import (evens_oracle, parity_overlay_oracle, parity_overlay_rules,
+                           random_graph_rules, same_class_triple_oracle, two_coin_rules,
+                           weak_rep_rules)
+from relex.embeddings import ensure_lazy
 from relex.randomness import HierarchicalRandomSource, SeedStream, _labelled, _Subset
 from relex.rules import (DecisionContext, FunctionDecisionFunction, TableDecisionFunction,
-                         TableEntry)
+                         TableEntry, _Draws)
 from relex.samplers import ExchangeableSampler, MaxSegSampler, MExchangeableSampler
 from relex.stattests import _tally
-from relex.structures import Signature, Structure
+from relex.structures import Signature, Structure, restrict
 
 GRAPH = Signature((("E", 2),))
 # the evens on [1, 6], finite
@@ -119,6 +122,84 @@ def test_tallies_from_plans_match_the_naive_law(samplers_, points, meta_seed, of
     _assert_plan_matches_naive(sampler, naive, tuple(sorted(points)), meta_seed, offset)
 
 
+def _decided_alone(rules, points, seed) -> tuple:
+    """Each tuple over the sorted `points` decided on its own context, in
+    plan order: a table rule entry by entry (`naive_decide`), a function rule
+    by its `decide`."""
+    reference = (None if rules.oracle is None
+                 else ensure_lazy(rules.oracle).initial_segment(points[-1]))
+    return tuple(
+        (naive_decide if isinstance(df, TableDecisionFunction) else type(df).decide)(
+            df, DecisionContext(HierarchicalRandomSource(seed), name, tup, df.partition,
+                                df.context_mode, reference))
+        for name, df in rules.steps for tup in itertools.product(points, repeat=df.arity))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_rule_samplers(), st.sets(st.integers(1, REFERENCE.n), min_size=1),
+       st.integers(0, 2 ** 32 - 1))
+def test_compiled_bits_match_each_tuple_decided_alone(samplers_, points, seed):
+    # tuples over the points share subsets ((1, 2) and (2, 1), (1, 1) and (1,)),
+    # which the compiled program draws once a sample
+    sampler, _ = samplers_
+    points = tuple(sorted(points))
+    plan = sampler._plan(points)
+    assert plan.bits(HierarchicalRandomSource(seed)) == _decided_alone(sampler._rules, points, seed)
+
+
+def test_entries_reading_one_set_through_other_positions_draw_it_once():
+    # xi of {i, j} through (1, 2) and (2, 1), the order of {i, j} twice, and
+    # an order that no ordering gives
+    df = TableDecisionFunction("E", 2, [
+        TableEntry(bit=True, thresholds=(((1, 2), frozenset({0})), ((2, 1), frozenset({0})))),
+        TableEntry(bit=False, orderings=(((1, 2), (0, 1)),)),
+        TableEntry(bit=True, orderings=(((2, 1), (0, 1)), ((1, 2), (0, 0))))],
+        default=True, partition=(0.5,))
+    sampler, points = ExchangeableSampler({"E": df}), (1, 3, 4)
+    for seed in range(20):
+        src = RecordingSource(seed)
+        bits = sampler._plan(points).bits(src)
+        assert bits == _decided_alone(sampler._rules, points, seed)
+        assert set(src.calls.values()) == {1}
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_parity_overlay_draws_each_subset_once(seed):
+    sampler = MExchangeableSampler(parity_overlay_rules(),
+                                   parity_overlay_oracle(HierarchicalRandomSource(seed + 100)))
+    planned = RecordingSource(seed)
+    sample = sampler.sample(planned, 6)
+    # one xi draw per point at most, where deciding tuple by tuple draws each
+    # point's xi once for every tuple that reads it
+    assert set(planned.calls.values()) == {1} and len(planned.calls) <= 6
+    alone = RecordingSource(seed)
+    reference = sampler.oracle.initial_segment(6)
+    df = sampler.rules["S"]
+    bits = [naive_decide(df, DecisionContext(alone, "S", tup, df.partition, "restriction",
+                                             reference))
+            for tup in itertools.product(range(1, 7), repeat=2)]
+    assert sample.tuples("S") == tuple(itertools.compress(
+        itertools.product(range(1, 7), repeat=2), bits))
+    assert planned.drawn <= alone.drawn
+    assert sum(alone.calls.values()) > 2 * sum(planned.calls.values())
+
+
+@pytest.mark.parametrize("rules, oracle", [(random_graph_rules(), None),
+                                           (weak_rep_rules(), same_class_triple_oracle())])
+def test_samples_past_the_plan_bound_restrict_to_their_local_draws(rules, oracle):
+    # 40 points carry 1,600 ordered pairs, past _MAX_PLANNED_STEPS: compiled
+    # as walked and dropped
+    sampler = (ExchangeableSampler(rules) if oracle is None else MaxSegSampler(rules, oracle))
+    naive = NaiveRuleSampler(rules, oracle)
+    for seed in range(3):
+        whole = sampler.sample(HierarchicalRandomSource(seed), 40)
+        assert whole == naive.sample(HierarchicalRandomSource(seed), 40)
+        for points in [tuple(range(1, 41)), tuple(range(3, 41)), (2, 7, 39)]:
+            assert sampler.sample_on(HierarchicalRandomSource(seed), points) == \
+                restrict(whole, points)
+    assert not sampler._rules._plans or max(map(len, sampler._rules._plans)) == 3
+
+
 @pytest.mark.parametrize("points", [(1, 2, 3), (2, 5, 6), (1, 4), (3,)])
 def test_weak_rep_tallies_from_plans_match_the_naive_law(points):
     rules = weak_rep_rules()
@@ -134,27 +215,34 @@ def test_resolve_keeps_the_entries_that_may_fire_up_to_an_unconditional_one():
         TableEntry(bit=False, thresholds=cells),
         TableEntry(bit=True, pattern=(0, 1)),                     # off it, no draw condition
         TableEntry(bit=False, thresholds=cells)], partition=(0.5,))
-    off = df.resolve(DecisionContext(None, "E", (9, 4), df.partition))
+    draws = _Draws()
+    off = df.resolve(DecisionContext(None, "E", (9, 4), df.partition), draws)
     assert [bit for bit, _, _ in off] == [False, True]
-    (positions, subset, allowed), = off[0][1]
-    assert (positions, subset, allowed) == ((1,), (9,), frozenset({0}))
-    assert type(subset) is _Subset and subset.text == b"9"
+    (d, allowed), = off[0][1]
+    assert allowed == frozenset({0}) and draws[d] == (9,)
+    assert type(draws[d]) is _Subset and draws[d].text == b"9"
     assert off[1][1:] == ((), ())
-    on = df.resolve(DecisionContext(None, "E", (4, 4), df.partition))
+    on = df.resolve(DecisionContext(None, "E", (4, 4), df.partition), draws)
     assert [bit for bit, _, _ in on] == [True, False, False]
+    # every threshold of (4, 4) reads the set {4}: one id, labelled once
+    assert len({d for _, thresholds, _ in on for d, _ in thresholds}) == 1
+    assert list(draws.values()) == [(9,), (4,)]
 
 
 def test_resolve_binds_orderings_to_the_entries_and_their_set():
     df = TableDecisionFunction("E", 3, [TableEntry(bit=True, orderings=(((3, 1, 3), (1, 0, 1)),))])
-    (_, thresholds, orderings), = df.resolve(DecisionContext(None, "E", (7, 2, 5), ()))
-    assert thresholds == () and orderings == (((3, 1, 3), (5, 7), (5, 7, 5), (1, 0, 1)),)
+    draws = _Draws()
+    (_, thresholds, orderings), = df.resolve(DecisionContext(None, "E", (7, 2, 5), ()), draws)
+    (d, entries, ranks), = orderings
+    assert thresholds == () and (entries, ranks) == ((5, 7, 5), (1, 0, 1))
+    assert draws[d] == (5, 7)
 
 
 def test_a_plan_resolves_each_tuple_once_for_all_seeds(monkeypatch):
     resolved = []
     resolve = TableDecisionFunction.resolve
-    monkeypatch.setattr(TableDecisionFunction, "resolve",
-                        lambda df, ctx: resolved.append(ctx.tuple) or resolve(df, ctx))
+    monkeypatch.setattr(TableDecisionFunction, "resolve", lambda df, ctx, draws: (
+        resolved.append(ctx.tuple) or resolve(df, ctx, draws)))
     sampler = MExchangeableSampler(two_coin_rules(), evens_oracle())
     for points in ((2, 4), (1, 2), (2, 4)):
         _tally(sampler, points, 30, SeedStream(1), 0)

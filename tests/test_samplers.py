@@ -28,7 +28,8 @@ from relex.catalog import (evens_oracle, mixed_two_coin_rules, odd_target_oracle
                            parity_overlay_oracle, parity_overlay_rules,
                            random_graph_rules, same_class_triple_oracle,
                            tournament_rules, two_coin_rules, weak_rep_rules)
-from relex.theory import load_theory
+from relex.stattests import test_exchangeability as check_exchangeability
+from relex.theory import load_theory, parse_theory
 
 GRAPHS = builtin_class("graphs")
 UNARY = Signature((("P", 1),))
@@ -194,6 +195,16 @@ def test_framewise_rep_weights_shift_the_class_choice():
     assert abs(lo + hi - 1.0) < 0.06        # and they mirror each other
     near_half = edge_rate((1.0, 1.0))
     assert abs(near_half - 0.5) < 0.06
+
+
+def test_framewise_rep_weights_follow_the_class_types():
+    # marked digraphs without loops: the pair step's classes depend on where
+    # the P-point sits, and a weight must name the same type either way (with
+    # classes ordered by their least labelled member this read p ~ 8e-310)
+    klass = from_theory(parse_theory("rel P/1; rel E/2; forall x . !E(x,x);"))
+    sampler = FramewiseSampler(klass, rep_weights=(1, 20, 1, 1))
+    report = check_exchangeability(sampler, n=2, n_samples=2000, meta_seed=0)
+    assert report.passed and report.p_value > 0.05
 
 
 def test_framewise_rep_weights_ignored_when_count_differs():

@@ -58,7 +58,7 @@ def _integer(value, what: str) -> int:
 
 
 class _Subset(tuple):
-    """A checked subset's sorted distinct elements; `text`, and `xi`, `ord` its draw labels."""
+    """A checked subset's sorted distinct elements, with its `text` and its draws' labels."""
 
 
 def _labelled(ints: Iterable[int]) -> _Subset:

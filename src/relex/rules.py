@@ -104,7 +104,7 @@ class DecisionContext:
         for p in positions:
             if p < 1 or p > len(self.tuple):
                 raise ValueError(f"position {p} out of range for arity {len(self.tuple)}")
-        return tuple(self.tuple[p - 1] for p in positions)
+        return tuple([self.tuple[p - 1] for p in positions])
 
     def subset(self, positions: Optional[Sequence[int]] = None) -> tuple[int, ...]:
         """Sorted distinct entries at the positions (the tuple's range by default)."""

@@ -172,7 +172,7 @@ def _tally(sampler, points: tuple[int, ...], n_samples: int, seeds,
     A rule sampler's restriction is a function of the draws on subsets of
     `points` alone, so its plan on `points` (`_plan`) compiles the tuples over
     them and the table entries their patterns and context keys allow once;
-    each seed only walks it to a tuple of bits, and each distinct one is built once.
+    each seed walks it to a tuple of bits, and each distinct one is built once.
     Other samplers have no local form: they are sampled on [1, max(points)]
     and restricted.  A frame-wise step at s reads what was built below s,
     and raises `AmalgamationFailure` at any subset with no amalgam, inside

@@ -368,6 +368,19 @@ def test_table_decisions_match_the_checked_channels(df, data, seed):
             channel((1, bad))
 
 
+def test_table_decide_draws_once_per_positions_as_the_channels_do():
+    # (1,) is read by both entries and (2,) by the second: on (4, 4) both
+    # positions select {4}, drawn once per positions, as the channels draw
+    df = TableDecisionFunction("E", 2, entries=(
+        TableEntry(bit=False, thresholds=(((1,), frozenset()),)),
+        TableEntry(bit=True, thresholds=(((1,), frozenset({0, 1})), ((2,), frozenset({0, 1}))))),
+        partition=(0.5,))
+    sources = [_LoggingSource(5) for _ in range(2)]
+    ctxs = [DecisionContext(src, "E", (4, 4), df.partition) for src in sources]
+    assert df.decide(ctxs[0]) is naive_decide(df, ctxs[1]) is True
+    assert sources[0].log == sources[1].log == [("xi", (4,)), ("xi", (4,))]
+
+
 def test_table_positions_beyond_a_short_tuple_raise():
     # a context whose tuple is shorter than the table's arity
     for condition in ({"thresholds": (((2,), frozenset({0})),)},

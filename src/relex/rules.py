@@ -24,9 +24,10 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .randomness import HierarchicalRandomSource, induced_ordering
@@ -72,28 +73,65 @@ def tuple_pattern(tup: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _types(reference: Optional[Structure], tuples: Iterable[tuple[int, ...]], arity: int):
+    """The type of each of `tuples`, all of length `arity`: its pattern and its
+    context key over `reference` (None without one).  Types are memoized per
+    reference signature (`DecisionContext._keys`) by content, read column by
+    column from the member sets: which positions hold equal entries, and at
+    which images of positions each relation holds.  Every tuple is checked to
+    lie in the universe; only a new content calls `context_key`."""
+    signature = None if reference is None else reference.signature
+    memos = DecisionContext._keys
+    if len(memos) >= 1 << 6 and signature not in memos:  # 64 signatures of 4,096 contents
+        memos.clear()
+    keys, n = memos.setdefault(signature, {}), float("inf") if reference is None else reference.n
+    reads = [(partial(itertools.starmap, operator.eq), pair)
+             for pair in itertools.combinations(range(arity), 2)]
+    reads += [(partial(map, reference._members[name].__contains__), at) for name, size
+              in signature or () for at in itertools.product(range(arity), repeat=size)]
+    tuples, lows, highs, *streams = itertools.tee(tuples, 3 + len(reads))
+    columns = [read(map(operator.itemgetter(*at), stream) if len(at) > 1
+                    else zip(map(operator.itemgetter(*at), stream)))
+               for (read, at), stream in zip(reads, streams)]
+    lows, highs = ((map(min, lows), map(max, highs)) if arity  # an empty tuple has no entry
+                   else (itertools.repeat(1), itertools.repeat(0)))
+    for tup, low, high, content in zip(tuples, lows, highs, zip(itertools.repeat(arity), *columns)):
+        if low < 1 or high > n:
+            raise ValueError(f"tuple {tup} leaves the universe [1, {n}]")
+        typ = keys.get(content)
+        if typ is None:
+            if len(keys) >= 1 << 12:
+                keys.clear()
+            elems = sorted(set(tup))
+            typ = keys[content] = (tuple_pattern(tup), None if reference is None else context_key(
+                restrict(reference, elems), tuple([elems.index(c) + 1 for c in tup])))
+        yield typ
+
+
 class DecisionContext:
     """Lazy view of everything a decision function may read for one tuple.
 
-    Its sorted subset, pattern and context key are built on first use, and
-    each draw goes to the source.  Context keys are also kept by content, for
-    every reference.
+    Its context key is read on first use (`_types`).  Alone, it hands each
+    draw to the source; in a sample, `drawn` holds the sets and the xi and
+    ordering maps of `_bits`, and a set is drawn once, shared with tables.
     """
 
     __slots__ = ("source", "relation", "tuple", "partition", "context_mode", "reference",
-                 "_subset", "_pattern", "_key")
-    _keys: dict[tuple, str] = {}  # every reference's context keys, by content
+                 "drawn", "_key")
+    _keys: dict[Optional[Signature], dict[tuple, tuple]] = {}  # signature -> content -> type
 
     def __init__(self, source: HierarchicalRandomSource, relation: str,
                  tup: tuple[int, ...], partition: tuple[float, ...] = (),
-                 context_mode: str = "none", reference: Optional[Structure] = None):
+                 context_mode: str = "none", reference: Optional[Structure] = None,
+                 drawn: Optional[tuple["_Draws", dict, dict]] = None):
         self.source = source
         self.relation = relation
         self.tuple = tuple(tup)
         self.partition = tuple(partition)
         self.context_mode = context_mode
         self.reference = reference
-        self._subset = self._pattern = self._key = None  # built on first use
+        self.drawn = drawn
+        self._key = None  # built on first use
 
     # -- coordinate selection -------------------------------------------------
 
@@ -108,22 +146,26 @@ class DecisionContext:
 
     def subset(self, positions: Optional[Sequence[int]] = None) -> tuple[int, ...]:
         """Sorted distinct entries at the positions (the tuple's range by default)."""
-        if positions is not None:
-            return tuple(sorted(set(self.elements(positions))))
-        if self._subset is None:
-            self._subset = tuple(sorted(set(self.tuple)))
-        return self._subset
+        return tuple(sorted(set(self.elements(positions))))
 
     # -- randomness channels --------------------------------------------------
 
     def pattern(self) -> tuple[int, ...]:
-        if self._pattern is None:
-            self._pattern = tuple_pattern(self.tuple)
-        return self._pattern
+        return tuple_pattern(self.tuple)
+
+    def _draw(self, kind: int, elements: tuple[int, ...]):
+        """xi (kind 1) or the ordering (kind 2) of the elements' set."""
+        draw = (None, self.source.xi, self.source.ordering)[kind]
+        if self.drawn is None:
+            return draw(elements)
+        d, drawn = self.drawn[0].id(None, elements), self.drawn[kind]
+        if d not in drawn:
+            drawn[d] = draw(self.drawn[0][d])
+        return drawn[d]
 
     def xi(self, positions: Optional[Sequence[int]] = None) -> float:
         """The keyed draw of the selected entries' set."""
-        return self.source.xi(self.elements(positions))
+        return self._draw(1, self.elements(positions))
 
     def interval(self, positions: Optional[Sequence[int]] = None) -> int:
         """Index of the partition cell containing xi(positions)."""
@@ -132,7 +174,7 @@ class DecisionContext:
     def ordering_ranks(self, positions: Optional[Sequence[int]] = None) -> tuple[int, ...]:
         """Ranks of the selected entries under the keyed ordering of their set."""
         entries = self.elements(positions)
-        return induced_ordering(entries, self.source.ordering(entries)).ranks
+        return induced_ordering(entries, self._draw(2, entries)).ranks
 
     # -- reference-structure channels ------------------------------------------
 
@@ -164,26 +206,12 @@ class DecisionContext:
         [1, max entry] restricted to the tuple's range is the same structure,
         and the restriction keeps keys small and isomorphism-invariant.
 
-        It is memoized by content for every reference, the mapped tuple and
-        whether each relation holds at each tuple over the range: a fresh
-        reference reads back the keys of earlier ones, and only a miss calls
-        `context_key`.  The context keeps it for its table's other entries.
+        It is read by content (`_types`), as a plan reads it, so a fresh
+        reference reads back the keys of earlier ones of its signature.
         """
         if self._key is None:
             reference = self._reference("context_key", ("restriction", "segment"))
-            elems = self.subset()
-            if elems and (elems[0] < 1 or elems[-1] > reference.n):
-                raise ValueError(f"tuple {self.tuple} leaves the universe [1, {reference.n}]")
-            holds = [reference.has(name, image) for name, arity in reference.signature
-                     for image in itertools.product(elems, repeat=arity)]
-            content = (reference.signature, tuple([elems.index(c) + 1 for c in self.tuple]),
-                       *holds)
-            key = self._keys.get(content)
-            if key is None:
-                if len(self._keys) >= 1 << 12:
-                    self._keys.clear()
-                key = self._keys[content] = context_key(self.restriction(), content[1])
-            self._key = key
+            self._key = next(_types(reference, [self.tuple], len(self.tuple)))[1]
         return self._key
 
 
@@ -289,29 +317,49 @@ class TableDecisionFunction(DecisionFunction):
                        thresholds=normalized(entry.thresholds),
                        orderings=normalized(entry.orderings))
 
-    def resolve(self, ctx: DecisionContext, draws: "_Draws") -> tuple:
-        """Without drawing, the entries that ctx's pattern and context key let fire,
-        up to the first with no draw condition (kept by both), bound to its tuple:
-        (bit, ((draw id, allowed cells), ...), ((draw id, entries, ranks), ...))."""
-        key = ctx.context_key() if self._entry_keys else None
-        key = (ctx.pattern(), key if key in self._entry_keys else None)
+    def template(self, pattern: tuple[int, ...], key: Optional[str]) -> tuple:
+        """The entries that a tuple of this type lets fire, up to the first with
+        no draw condition (kept by both), as (bit, ((indices, allowed cells),
+        ...), ((indices, ranks), ...)), indices 0-based into the tuple and
+        checked once, when the template is made."""
+        key = (pattern, key if key in self._entry_keys else None)
         if key not in self._templates:
             matching = [entry for entry in self.entries
-                        if entry.pattern in (None, key[0]) and entry.context_key in (None, key[1])]
+                        if entry.pattern in (None, pattern) and entry.context_key in (None, key[1])]
             cut = next((i for i, entry in enumerate(matching, 1)
                         if not (entry.thresholds or entry.orderings)), None)
-            self._templates[key] = tuple(matching[:cut])
-        return tuple([(entry.bit, tuple([(draws.id(p, ctx.elements(p)), allowed)
-                                         for p, allowed in entry.thresholds or ()]),
-                       tuple([(draws.id(p, at), at, ranks) for p, ranks in entry.orderings or ()
-                              for at in [ctx.elements(p)]]))
-                      for entry in self._templates[key]])
+            def indexed(conditions):
+                return tuple((tuple([p - 1 for p in _normalize_positions(at, len(pattern))]), value)
+                             for at, value in conditions or ())
+            self._templates[key] = tuple([(entry.bit, indexed(entry.thresholds),
+                                           indexed(entry.orderings)) for entry in matching[:cut]])
+        return self._templates[key]
+
+    def resolve(self, tuples: Iterable[tuple[int, ...]], draws: "_Draws", types: Iterable[tuple]):
+        """Without drawing, each tuple's template, of its type (pattern, context
+        key) in `types`, bound to it by indexing: (bit, ((draw id, allowed
+        cells), ...), ((draw id, entries, ranks), ...)), each set labelled once
+        in `draws`."""
+        templates, keyed = self._templates, self._entry_keys
+        for tup, (pattern, key) in zip(tuples, types):
+            get, bound = tup.__getitem__, []
+            template = templates.get((pattern, key if key in keyed else None))
+            for bit, thresholds, orderings in template or self.template(pattern, key):
+                drawn, ordered = [], []
+                for at, allowed in thresholds:
+                    drawn.append((draws.id(at, tuple(map(get, at))), allowed))
+                for at, ranks in orderings:
+                    elements = tuple(map(get, at))
+                    ordered.append((draws.id(at, elements), elements, ranks))
+                bound.append((bit, tuple(drawn), tuple(ordered)))
+            yield tuple(bound)
 
     def decide(self, ctx: DecisionContext) -> bool:
         draws = _Draws()
         draws.by_positions = True
-        step = (None, None, ctx.partition, self.default, self.resolve(ctx, draws))
-        return next(_bits((step,), ctx.source, draws))
+        types = [(ctx.pattern(), ctx.context_key() if self._entry_keys else None)]
+        entries = next(self.resolve([ctx.tuple], draws, types))
+        return next(_bits([(None, None, ctx.partition, self.default, entries)], ctx.source, draws))
 
     def to_json(self) -> dict:
         return {
@@ -324,26 +372,27 @@ class TableDecisionFunction(DecisionFunction):
 
 
 class _Draws(dict):
-    """The labelled sets that compiled steps draw on, by sorted elements, or
-    for one decision by positions, as a context's channels draw."""
+    """The labelled sets that compiled steps draw on, by set, or for one
+    decision by positions, as a context's channels draw."""
 
     by_positions = False
 
-    def id(self, positions: tuple, elements: tuple) -> tuple:
-        key = positions if self.by_positions else tuple(sorted(set(elements)))
+    def id(self, positions: Optional[tuple], elements: Sequence[int]) -> tuple:
+        key = positions if self.by_positions else frozenset(elements)
         if key not in self:
             self[key] = HierarchicalRandomSource._check(elements)
         return key
 
 
-def _bits(steps: Iterable[tuple], src: HierarchicalRandomSource, sets: dict):
+def _bits(steps: Iterable[tuple], src: HierarchicalRandomSource, sets: _Draws):
     """The bit of each step (relation, local tuple, partition, default, entries
     from `resolve`), or (relation, local tuple, context arguments, rule, None)
-    for a function rule; each of the `sets` is drawn when first read."""
+    for a function rule; each of the `sets` is drawn when first read, by a
+    table entry or a function rule's context."""
     xis, orders = {}, {}
     for _, _, partition, bit, entries in steps:
         if entries is None:  # a function rule in the default's place
-            bit = bit.decide(DecisionContext(src, *partition))
+            bit = bit.decide(DecisionContext(src, *partition, drawn=(sets, xis, orders)))
         for value, thresholds, orderings in entries or ():
             for d, allowed in thresholds:
                 u = xis.get(d)

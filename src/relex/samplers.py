@@ -34,8 +34,8 @@ from .amalgamation import FiniteClass, _partial, _step_classes
 from .embeddings import (Oracle, enumerate_embeddings, ensure_lazy,
                          natural_embedding)
 from .randomness import HierarchicalRandomSource, SeedStream, _labelled, permutation_rank
-from .rules import (DecisionContext, TableDecisionFunction, _bits, _Draws, context_key_signature,
-                    normalize_rules, rules_signature)
+from .rules import (TableDecisionFunction, _bits, _Draws, _types,
+                    context_key_signature, normalize_rules, rules_signature)
 from .stattests import _tally
 from .structures import Injection, Signature, Structure, relabel, restrict
 
@@ -132,30 +132,38 @@ def _segment(n: int) -> range:
     return range(1, n + 1)
 
 
-def _steps(rules: _RuleSet, points: tuple[int, ...]):
-    """Each tuple over the sorted, distinct, positive `points` as (relation, tuple
-    on [1, |points|], rule, context arguments as in a sample on [1, max(points)])."""
+def _steps(rules: _RuleSet, points: tuple[int, ...], sets: _Draws):
+    """The steps over the sorted, distinct, positive `points` for `rules._bits`:
+    (relation, tuple on [1, |points|], partition, default, entries from
+    `resolve`) for a table rule, or (relation, local tuple, context arguments,
+    rule, None), with the reference on [1, max(points)], for a function rule."""
     reference = (ensure_lazy(rules.oracle).initial_segment(points[-1] if points else 0)
                  if rules.reads_reference else None)
     index = {x: i for i, x in enumerate(points, 1)} if points[-1:] != (len(points),) else None
     for name, df in rules.steps:
-        for tup in itertools.product(points, repeat=df.arity):
-            yield name, tup if index is None else tuple([index[x] for x in tup]), df, (
-                name, tup, df.partition, df.context_mode, reference)
+        tuples, typed = itertools.tee(itertools.product(points, repeat=df.arity))
+        local = tuples if index is None else (tuple([index[x] for x in tup]) for tup in tuples)
+        if isinstance(df, TableDecisionFunction):
+            typed, other = itertools.tee(typed)
+            types = _types(reference if df._entry_keys else None, other, df.arity)
+            yield from zip(itertools.repeat(name), local, itertools.repeat(df.partition),
+                           itertools.repeat(df.default), df.resolve(typed, sets, types))
+        else:
+            yield from ((name, at, (name, tup, df.partition, df.context_mode, reference), df, None)
+                        for at, tup in zip(local, typed))
 
 
 class _Plan:
     """The steps on sorted points (`_steps`) compiled for `rules._bits`, and the
-    sets they draw on; unless kept, compiled as its one sample walks them."""
+    sets they draw on; unless kept, compiled as its one sample walks them.  A
+    table tuple is bound to the template of its type, read by content with
+    no context (`rules._types`); only function rules get a context."""
 
     __slots__ = ("signature", "size", "sets", "steps", "_walked")
 
     def __init__(self, rules: _RuleSet, points: tuple[int, ...], kept: bool = True):
         self.signature, self.size, self.sets = rules.signature, len(points), _Draws()
-        steps = ((name, local, df.partition, df.default, df.resolve(DecisionContext(None, *args),
-                                                                    self.sets))
-                 if isinstance(df, TableDecisionFunction) else (name, local, args, df, None)
-                 for name, local, df, args in _steps(rules, points))
+        steps = _steps(rules, points, self.sets)
         if kept:
             self.steps = self._walked = list(steps)
         else:  # walked in step with `structure`, holding one step at a time

@@ -267,12 +267,15 @@ def relabel(structure: Structure, phi: Injection) -> tuple[Structure, Injection]
 def restrict(structure: Structure, subset: Iterable[int]) -> Structure:
     """Restriction to a subset of the universe, re-indexed to [1, |subset|].
 
-    Memoized on the structure by sorted subset: a repeated restriction
+    The whole universe gives the structure itself; any other subset is
+    memoized on the structure by sorted subset: a repeated restriction
     returns the stored instance, kept for as long as the structure lives.
     A range of step 1 is its own sorted subset, read without a sort.
     """
     elems = (tuple(subset) if isinstance(subset, range) and subset.step == 1
              else tuple(sorted(set(int(x) for x in subset))))
+    if len(elems) == structure.n and elems == tuple(range(1, structure.n + 1)):
+        return structure
     memo = structure._restrictions
     if memo is None:
         memo = structure._restrictions = {}

@@ -4,13 +4,15 @@ only in their draws.  Plans are checked against a sampler that reads its
 rules entry by entry, sample by sample (`helpers.NaiveRuleSampler`)."""
 
 import itertools
+import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (NaiveRuleSampler, RecordingSource, naive_context_key, naive_decide,
-                     naive_law, naive_restrict)
+                     naive_law, naive_restrict, random_structure)
 from relex import rules as rules_module
 from relex import samplers
 from relex.amalgamation import builtin_class
@@ -20,7 +22,7 @@ from relex.catalog import (evens_oracle, parity_overlay_oracle, parity_overlay_r
 from relex.embeddings import ensure_lazy
 from relex.randomness import HierarchicalRandomSource, SeedStream, _labelled, _Subset
 from relex.rules import (DecisionContext, FunctionDecisionFunction, TableDecisionFunction,
-                         TableEntry, _Draws)
+                         TableEntry, _Draws, _types)
 from relex.samplers import ExchangeableSampler, MaxSegSampler, MExchangeableSampler
 from relex.stattests import _tally
 from relex.structures import Signature, Structure, restrict
@@ -36,12 +38,12 @@ PARTITIONS = [(), (0.5,), (0.25, 0.75), (0.1, 0.4, 0.9)]
 N_SAMPLES = 8
 
 
-def _reference_keys(arity):
-    """Every key of REFERENCE restricted to the range of a tuple of this arity."""
+def _reference_keys(arity, reference=REFERENCE):
+    """Every key of the reference restricted to the range of a tuple of this arity."""
     keys = set()
-    for tup in itertools.product(range(1, REFERENCE.n + 1), repeat=arity):
+    for tup in itertools.product(range(1, reference.n + 1), repeat=arity):
         support = sorted(set(tup))
-        keys.add(naive_context_key(naive_restrict(REFERENCE, support),
+        keys.add(naive_context_key(naive_restrict(reference, support),
                                    tuple(support.index(c) + 1 for c in tup)))
     return sorted(keys)
 
@@ -56,7 +58,7 @@ def _reading_rule(ctx):
 
 
 @st.composite
-def _rule(draw, name, modes):
+def _rule(draw, name, modes, keys=REFERENCE_KEYS):
     arity = draw(st.integers(1, 3), label="arity")
     mode = draw(st.sampled_from(modes), label="mode")
     partition = draw(st.sampled_from(PARTITIONS))
@@ -71,7 +73,7 @@ def _rule(draw, name, modes):
             tup = draw(st.lists(st.integers(1, 3), min_size=arity, max_size=arity))
             conditions["pattern"] = tuple(list(dict.fromkeys(tup)).index(c) for c in tup)
         if mode != "none" and draw(st.booleans()):
-            conditions["context_key"] = draw(st.sampled_from(REFERENCE_KEYS[arity]))
+            conditions["context_key"] = draw(st.sampled_from(keys[arity]))
         if draw(st.booleans()):
             conditions["thresholds"] = tuple(draw(st.lists(st.tuples(
                 positions, st.frozensets(st.integers(0, len(partition)))), max_size=2)))
@@ -208,6 +210,11 @@ def test_weak_rep_tallies_from_plans_match_the_naive_law(points):
                                points, meta_seed=5, offset=0)
 
 
+def _resolved(df, tup, draws):
+    """The entries that `resolve` binds `tup` to, its type read by `_types`."""
+    return next(df.resolve([tup], draws, _types(None, [tup], len(tup))))
+
+
 def test_resolve_keeps_the_entries_that_may_fire_up_to_an_unconditional_one():
     cells = (((1,), frozenset({0})),)
     df = TableDecisionFunction("E", 2, [
@@ -216,13 +223,13 @@ def test_resolve_keeps_the_entries_that_may_fire_up_to_an_unconditional_one():
         TableEntry(bit=True, pattern=(0, 1)),                     # off it, no draw condition
         TableEntry(bit=False, thresholds=cells)], partition=(0.5,))
     draws = _Draws()
-    off = df.resolve(DecisionContext(None, "E", (9, 4), df.partition), draws)
+    off = _resolved(df, (9, 4), draws)
     assert [bit for bit, _, _ in off] == [False, True]
     (d, allowed), = off[0][1]
     assert allowed == frozenset({0}) and draws[d] == (9,)
     assert type(draws[d]) is _Subset and draws[d].text == b"9"
     assert off[1][1:] == ((), ())
-    on = df.resolve(DecisionContext(None, "E", (4, 4), df.partition), draws)
+    on = _resolved(df, (4, 4), draws)
     assert [bit for bit, _, _ in on] == [True, False, False]
     # every threshold of (4, 4) reads the set {4}: one id, labelled once
     assert len({d for _, thresholds, _ in on for d, _ in thresholds}) == 1
@@ -232,7 +239,7 @@ def test_resolve_keeps_the_entries_that_may_fire_up_to_an_unconditional_one():
 def test_resolve_binds_orderings_to_the_entries_and_their_set():
     df = TableDecisionFunction("E", 3, [TableEntry(bit=True, orderings=(((3, 1, 3), (1, 0, 1)),))])
     draws = _Draws()
-    (_, thresholds, orderings), = df.resolve(DecisionContext(None, "E", (7, 2, 5), ()), draws)
+    (_, thresholds, orderings), = _resolved(df, (7, 2, 5), draws)
     (d, entries, ranks), = orderings
     assert thresholds == () and (entries, ranks) == ((5, 7, 5), (1, 0, 1))
     assert draws[d] == (5, 7)
@@ -241,8 +248,8 @@ def test_resolve_binds_orderings_to_the_entries_and_their_set():
 def test_a_plan_resolves_each_tuple_once_for_all_seeds(monkeypatch):
     resolved = []
     resolve = TableDecisionFunction.resolve
-    monkeypatch.setattr(TableDecisionFunction, "resolve", lambda df, ctx, draws: (
-        resolved.append(ctx.tuple) or resolve(df, ctx, draws)))
+    monkeypatch.setattr(TableDecisionFunction, "resolve", lambda df, tuples, draws, types: resolve(
+        df, (resolved.append(tup) or tup for tup in tuples), draws, types))
     sampler = MExchangeableSampler(two_coin_rules(), evens_oracle())
     for points in ((2, 4), (1, 2), (2, 4)):
         _tally(sampler, points, 30, SeedStream(1), 0)
@@ -314,3 +321,111 @@ def test_step_plans_hand_the_source_labelled_subsets(monkeypatch, bound):
     assert subsets == [s for k in range(2, top + 1) for s in itertools.combinations(range(1, 5), k)]
     assert all(type(s) is _Subset and s.text == ",".join(map(str, s)).encode() for s in subsets)
     klass._step_plans.clear()
+
+
+# --- types: a table tuple's pattern and context key, read by content ------------------
+
+OVERLAY = Signature((("E", 2), ("R", 3)))
+
+
+@st.composite
+def _fresh_reference_samplers(draw):
+    """A library sampler over a fresh random reference on [1, 4] of one of three
+    signatures, with rules keyed by that reference's own keys, and the naive
+    sampler over the same."""
+    signature = draw(st.sampled_from([REFERENCE_P.signature, GRAPH, OVERLAY]), label="signature")
+    reference = random_structure(random.Random(draw(st.integers(0, 2 ** 32 - 1))), signature, 4,
+                                 density=draw(st.sampled_from([0.2, 0.5, 0.8])))
+    keys = {arity: _reference_keys(arity, reference) for arity in (1, 2, 3)}
+    kind = draw(st.sampled_from(["m-exchangeable", "maxseg"]), label="kind")
+    rules = {name: draw(_rule(name, KINDS[kind][1:], keys)) for name in ("A", "B")}
+    make = MExchangeableSampler if kind == "m-exchangeable" else MaxSegSampler
+    return make(rules, reference), NaiveRuleSampler(rules, reference)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(_fresh_reference_samplers(), st.sets(st.integers(1, 4), min_size=1),
+       st.integers(0, 2 ** 32 - 1))
+def test_plans_over_fresh_references_bind_each_tuple_to_its_type(samplers_, points, seed):
+    # the type memo outlives each reference: later examples read the contents
+    # that earlier references of the same signature stored
+    sampler, naive = samplers_
+    points = tuple(sorted(points))
+    bits = sampler._plan(points).bits(HierarchicalRandomSource(seed))
+    assert bits == _decided_alone(sampler._rules, points, seed)
+    assert sampler._plan(points).structure(bits) == naive.sample_on(
+        HierarchicalRandomSource(seed), points)
+
+
+def test_a_keyed_table_past_the_plan_bound_matches_the_naive_sampler():
+    # 1,100 unary tuples over a fresh reference, past _MAX_PLANNED_STEPS
+    rules = two_coin_rules()
+    for seed in range(2):
+        sampler = MExchangeableSampler(rules, evens_oracle())
+        assert sampler.sample(HierarchicalRandomSource(seed), 1100) == NaiveRuleSampler(
+            rules, evens_oracle()).sample(HierarchicalRandomSource(seed), 1100)
+        assert sampler._rules._plans == {}
+
+
+def test_references_of_two_signatures_with_one_content_get_their_own_keys(monkeypatch):
+    # P and Q both hold at 1: one tuple mapped onto [1, 1], one hold bit
+    monkeypatch.setattr(DecisionContext, "_keys", {})
+    references = [Structure(Signature(((name, 1),)), 2, {name: [(1,)]}) for name in "PQ"]
+    keys = [naive_context_key(naive_restrict(ref, [1]), (1,)) for ref in references]
+    assert keys[0] != keys[1]
+    for i in (0, 1, 1, 0):
+        ctx = DecisionContext(None, "S", (1,), context_mode="restriction", reference=references[i])
+        assert ctx.context_key() == keys[i]
+        rules = {"S": TableDecisionFunction("S", 1, [TableEntry(bit=True, context_key=keys[i])],
+                                            context_mode="restriction")}
+        sample = MExchangeableSampler(rules, references[i]).sample(HierarchicalRandomSource(i), 2)
+        assert sample.tuples("S") == ((1,),)
+    # one memo a signature, each with two contents: P (or Q) at the point or not
+    assert {sig.names(): len(memo) for sig, memo in DecisionContext._keys.items()} == \
+        {("P",): 2, ("Q",): 2}
+    # a memo hit does not hide a tuple outside the reference
+    with pytest.raises(ValueError, match="universe"):
+        list(_types(references[0], [(1,), (3,)], 1))
+    with pytest.raises(ValueError, match="universe"):
+        DecisionContext(None, "S", (1, 3), context_mode="segment",
+                        reference=references[0]).context_key()
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_a_weak_rep_sample_draws_each_set_once(seed):
+    rules = weak_rep_rules()
+    src = RecordingSource(seed)
+    sample = MaxSegSampler(rules, same_class_triple_oracle()).sample(src, 10)
+    # each function-rule tuple (i, j), i != j, reads xi of {i}: one call per set
+    assert src.calls == Counter({("xi", (i,)): 1 for i in range(1, 11)})
+    assert sample == NaiveRuleSampler(rules, same_class_triple_oracle()).sample(
+        HierarchicalRandomSource(seed), 10)
+
+
+def test_function_rules_and_tables_share_the_draws_of_a_sample():
+    table = TableDecisionFunction("E", 2, [TableEntry(
+        bit=True, thresholds=(((1,), frozenset({0})),), orderings=(((1, 2), (0, 1)),))],
+        partition=(0.5,))
+    def reading(ctx):
+        return ctx.xi((1,)) < 0.5 and ctx.ordering_ranks() == (1, 0)
+    for names in ("AB", "BA"):   # the table's steps first, then the function's, and back
+        rules = {names[0]: replace_relation(table, names[0]),
+                 names[1]: FunctionDecisionFunction(names[1], 2, reading)}
+        sampler, naive = ExchangeableSampler(rules), NaiveRuleSampler(rules)
+        for seed in range(6):
+            src = RecordingSource(seed)
+            assert sampler.sample_on(src, (2, 3, 5)) == naive.sample_on(
+                HierarchicalRandomSource(seed), (2, 3, 5))
+            assert set(src.calls.values()) == {1}
+    # a context on its own draws on every call
+    src = RecordingSource(1)
+    ctx = DecisionContext(src, "B", (3, 5))
+    for _ in range(2):
+        ctx.xi((1,)), ctx.ordering_ranks()
+    assert src.calls == Counter({("xi", (3,)): 2, ("ordering", (3, 5)): 2})
+
+
+def replace_relation(df, name):
+    """The table rule `df` for relation `name`."""
+    return TableDecisionFunction(name, df.arity, df.entries, df.default, df.context_mode,
+                                 df.partition)

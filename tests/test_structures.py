@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import all_structures, naive_restrict, random_structure
-from relex import (Injection, Signature, Structure, canonical_form, deserialize,
+from relex import (Injection, LazyStructure, Signature, Structure, canonical_form, deserialize,
                    dump_structure, is_isomorphic, load_structure, relabel,
                    restrict, serialize)
 
@@ -216,6 +216,28 @@ def test_restrict_and_relabel_match_naive_pull_back():
             pulled, index_map = relabel(source, phi)
             assert pulled == naive_restrict(source, phi.image_sequence())
             assert index_map.image_sequence() == phi.domain
+
+
+def test_restricting_to_the_whole_universe_returns_the_structure_itself():
+    rng = random.Random(5)
+    s = random_structure(rng, MIXED, 4)
+    copy = Structure(MIXED, 4, s.relation_sets())
+    key, digest = s.key(), hash(s)
+    for whole in (range(1, 5), [4, 2, 3, 1, 2], {1, 2, 3, 4}, (1, 2, 3, 4)):
+        assert restrict(s, whole) is s
+    # nothing is memoized for it, so the structure holds no reference to itself
+    assert s._restrictions is None
+    assert s == copy and hash(s) == digest == hash(copy) and s.key() == key == copy.key()
+    assert restrict(s, [1, 2, 4]) == naive_restrict(s, [1, 2, 4])
+    assert all(r is not s for r in s._restrictions.values())
+    empty = Structure(MIXED, 0)
+    assert restrict(empty, ()) is empty and restrict(empty, range(1, 1)) is empty
+    # an oracle's largest segment is served as the structure its builder made
+    oracle = LazyStructure(GRAPH, lambda m: Structure(GRAPH, m, {"E": [(1, m)]}))
+    assert oracle.initial_segment(3) is oracle._segment
+    assert oracle.initial_segment(2) == Structure(GRAPH, 2)
+    with pytest.raises(ValueError, match="outside the universe"):
+        restrict(s, [0, 1, 2, 3])
 
 
 def test_memoized_restriction_equals_and_hashes_like_a_fresh_one():

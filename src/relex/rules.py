@@ -377,7 +377,7 @@ class _Draws(dict):
 
     by_positions = False
 
-    def id(self, positions: Optional[tuple], elements: Sequence[int]) -> tuple:
+    def id(self, positions: Optional[tuple], elements: Sequence[int]) -> Union[frozenset, tuple]:
         key = positions if self.by_positions else frozenset(elements)
         if key not in self:
             self[key] = HierarchicalRandomSource._check(elements)

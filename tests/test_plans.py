@@ -403,13 +403,13 @@ def test_a_weak_rep_sample_draws_each_set_once(seed):
 
 
 def test_function_rules_and_tables_share_the_draws_of_a_sample():
-    table = TableDecisionFunction("E", 2, [TableEntry(
-        bit=True, thresholds=(((1,), frozenset({0})),), orderings=(((1, 2), (0, 1)),))],
-        partition=(0.5,))
+    entries = [TableEntry(bit=True, thresholds=(((1,), frozenset({0})),),
+                          orderings=(((1, 2), (0, 1)),))]
+
     def reading(ctx):
         return ctx.xi((1,)) < 0.5 and ctx.ordering_ranks() == (1, 0)
     for names in ("AB", "BA"):   # the table's steps first, then the function's, and back
-        rules = {names[0]: replace_relation(table, names[0]),
+        rules = {names[0]: TableDecisionFunction(names[0], 2, entries, partition=(0.5,)),
                  names[1]: FunctionDecisionFunction(names[1], 2, reading)}
         sampler, naive = ExchangeableSampler(rules), NaiveRuleSampler(rules)
         for seed in range(6):
@@ -424,8 +424,3 @@ def test_function_rules_and_tables_share_the_draws_of_a_sample():
         ctx.xi((1,)), ctx.ordering_ranks()
     assert src.calls == Counter({("xi", (3,)): 2, ("ordering", (3, 5)): 2})
 
-
-def replace_relation(df, name):
-    """The table rule `df` for relation `name`."""
-    return TableDecisionFunction(name, df.arity, df.entries, df.default, df.context_mode,
-                                 df.partition)

@@ -31,30 +31,24 @@ OVERLAY_SIG = Signature((("E", 2), ("R", 3)))
 def evens_oracle() -> LazyStructure:
     """Unary P holding exactly the even numbers."""
     def builder(m: int) -> Structure:
-        return Structure(UNARY_SIGNATURE, m, {"P": [(i,) for i in range(2, m + 1, 2)]})
+        return Structure._trusted(UNARY_SIGNATURE, m, {"P": [(i,) for i in range(2, m + 1, 2)]})
     return LazyStructure(UNARY_SIGNATURE, builder)
-
-
-def _block_of(i: int, x: int) -> int:
-    """Block of x in the three-way split relative to i: {i}, evens, odds."""
-    if x == i:
-        return 0
-    return 1 if x % 2 == 0 else 2
 
 
 def same_class_triple_oracle() -> LazyStructure:
     """Ternary R(i, j, k) iff j and k fall in the same block relative to i.
 
     Relative to each i the base set splits into three blocks: {i}, the
-    other evens, and the other odds.
+    other evens, and the other odds; the triples are built block by block.
     """
     def builder(m: int) -> Structure:
-        tuples = [(i, j, k)
-                  for i in range(1, m + 1)
-                  for j in range(1, m + 1)
-                  for k in range(1, m + 1)
-                  if _block_of(i, j) == _block_of(i, k)]
-        return Structure(TRIPLE_SIG, m, {"R": tuples})
+        tuples = []
+        for i in range(1, m + 1):
+            tuples.append((i, i, i))
+            for parity in (2, 1):
+                block = [x for x in range(parity, m + 1, 2) if x != i]
+                tuples.extend((i, j, k) for j in block for k in block)
+        return Structure._trusted(TRIPLE_SIG, m, {"R": tuples})
     return LazyStructure(TRIPLE_SIG, builder)
 
 
@@ -62,7 +56,7 @@ def odd_target_oracle() -> LazyStructure:
     """Binary E(i, j) iff j is odd and j != i."""
     def builder(m: int) -> Structure:
         tuples = [(i, j) for i in range(1, m + 1) for j in range(1, m + 1, 2) if j != i]
-        return Structure(GRAPH_SIGNATURE, m, {"E": tuples})
+        return Structure._trusted(GRAPH_SIGNATURE, m, {"E": tuples})
     return LazyStructure(GRAPH_SIGNATURE, builder)
 
 
@@ -79,7 +73,7 @@ def parity_overlay_oracle(src: HierarchicalRandomSource) -> LazyStructure:
     def builder(m: int) -> Structure:
         graph = sample_framewise(graphs, m, src)
         edges = graph.tuples("E")
-        return Structure(OVERLAY_SIG, m, {"E": edges, "R": _odd_triples(m, set(edges))})
+        return Structure._trusted(OVERLAY_SIG, m, {"E": edges, "R": _odd_triples(m, set(edges))})
     return LazyStructure(OVERLAY_SIG, builder)
 
 

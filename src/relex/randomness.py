@@ -31,7 +31,11 @@ to an 8-byte digest, read big-endian.
 The sorted subset, its text and its draw labels are memoised per validated
 subset of at most 8 elements (the elements as exact ints, after
 `operator.index`), in a module-level cache of at most 1024 subsets shared
-by all sources; every call still runs every input check.
+by all sources; every call on any other input still runs every input
+check.  A subset labelled here (a `_Subset`, as `_check` returns it) is
+drawn as it is: `xi` and `ordering` read its stored labels, `xi|s#0` and,
+for the first block of an ordering, `ord|s#0`, and xi_s is read as the
+first 8 bytes of block 0 shifted right by 11, the same 53 bits.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import operator
+import struct
 from typing import Iterable, Sequence
 
 _MASK64 = (1 << 64) - 1
@@ -47,6 +52,7 @@ _MASK64 = (1 << 64) - 1
 # frame-wise sampler draws on subsets of at most max(arity, locality)
 # elements, 4 for the builtin classes, and rule samplers on tuples' entry sets.
 _MEMO_MAX_LEN = 8
+_TOP64 = struct.Struct(">Q").unpack_from  # a digest's first 8 bytes, big-endian
 
 
 def _integer(value, what: str) -> int:
@@ -68,6 +74,7 @@ def _labelled(ints: Iterable[int]) -> _Subset:
         raise ValueError("subset elements must be positive integers")
     items.text = ",".join(map(str, items)).encode("ascii")
     items.xi, items.ord = b"xi|" + items.text + b"#0", b"ord|" + items.text + b"#"
+    items.ord0 = items.ord + b"0"
     return items
 
 
@@ -103,8 +110,8 @@ class HierarchicalRandomSource:
         variable shared by the whole sample.
         """
         hasher = self._hasher.copy()
-        hasher.update(self._check(subset).xi)
-        return (int.from_bytes(hasher.digest()[:7], "big") >> 3) / (1 << 53)
+        hasher.update((subset if type(subset) is _Subset else self._check(subset)).xi)
+        return (_TOP64(hasher.digest())[0] >> 11) / (1 << 53)
 
     def ordering(self, subset: Iterable[int]) -> tuple[int, ...]:
         """Uniform random total order on the subset.
@@ -112,15 +119,14 @@ class HierarchicalRandomSource:
         Returned as the subset's elements listed smallest-first in the
         drawn order; all |s|! orders are equally likely across seeds.
         """
-        items = self._check(subset)
+        items = subset if type(subset) is _Subset else self._check(subset)
         if len(items) < 2:
             return tuple(items)
-        label = items.ord
         block = self._hasher.copy()
-        block.update(label + b"0")
+        block.update(items.ord0)
         if len(items) == 2:  # one draw, i = k = 1: the top bit of byte 0, never thrown away
             return items[::-1] if block.digest()[0] < 128 else tuple(items)
-        items = list(items)
+        label, items = items.ord, list(items)
         buffer, used, counter, stem = block.digest(), 0, 1, None
         for i in range(len(items) - 1, 0, -1):
             k = i.bit_length()

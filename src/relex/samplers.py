@@ -232,23 +232,15 @@ class _KeptSteps(list):
 
 
 class _Node:
-    """A trie step: its classes, their orbits (None for one amalgam), and per
-    choice made there the next step's node or, after the last, the sample."""
+    """A trie step: its classes, their orbits (None for one amalgam), the step
+    before it and the choice made there (the kept steps and () at the root),
+    and per choice made here the next step's node or, after the last, the sample."""
 
-    __slots__ = ("classes", "orbits", "children")
+    __slots__ = ("classes", "orbits", "parent", "via", "children")
 
-    def __init__(self, classes, orbits):
-        self.classes, self.orbits, self.children = classes, orbits, {}
-
-
-def _choice(orbits: list, s: tuple, k: int, src: HierarchicalRandomSource,
-            rep_weights: Optional[tuple]) -> tuple[int, int]:
-    """The (class index, orbit rank) that xi_s and, above singletons, s's order pick."""
-    if k == 1:
-        return _class_index(src.xi(s), len(orbits), None), 0
-    index = _class_index(src.xi(s), len(orbits), rep_weights)
-    order, size = src.ordering(s), len(orbits[index])
-    return index, permutation_rank([s.index(x) + 1 for x in order]) % size if size > 1 else 0
+    def __init__(self, classes, orbits, parent, via):
+        self.classes, self.orbits, self.parent, self.via = classes, orbits, parent, via
+        self.children = {}
 
 
 def _step_plan(klass: FiniteClass, n: int):
@@ -283,6 +275,15 @@ def _step_plan(klass: FiniteClass, n: int):
     return plan
 
 
+def _build_state(klass: FiniteClass, n: int):
+    """A built sample's state, empty: support -> its decided tuples, labelled
+    on [1, |support|], nonempty only; the sizes of those supports below the
+    largest step's; its (name, tuple) pairs; k -> the classes of the empty
+    partial; and the largest step's size."""
+    top = n if klass.forced_above is None else min(n, klass.forced_above)
+    return {}, set(), [], {1: _step_classes(klass, 1)}, top
+
+
 def sample_framewise(klass: FiniteClass, n: int, src: HierarchicalRandomSource,
                      rep_weights: Optional[Sequence[float]] = None) -> Structure:
     """Grow a structure subset by subset, uniformly over amalgam classes
@@ -315,10 +316,15 @@ def sample_framewise(klass: FiniteClass, n: int, src: HierarchicalRandomSource,
     The decision at s reads only the structures already built on proper
     subsets of s, xi_s, and the ordering of s, so a sample is a function of
     its choices.  A kept size grows a decision trie of them (`_Node`, one
-    for all `rep_weights`), walked with the same draws, one lookup a step,
-    to the sample its path built; a new choice rebuilds the path's state
-    without draws and adds nodes up to `_MAX_PLANNED_STEPS`, never one of
-    a failing step.
+    for all `rep_weights`).  One loop runs the steps: a step takes its
+    orbits from its trie node while the sample's path is in the trie, and
+    otherwise from the step table (also past the trie's bound, or at a size
+    not kept), and its choice is read in one place, with the same draws in
+    the same order either way.  A path walked to its end is the sample
+    stored there, found with one lookup a step.  A path that leaves the
+    trie places the tuples of the steps walked, read up the trie without
+    drawing again, and builds on, adding nodes up to `_MAX_PLANNED_STEPS`,
+    never one of a failing step.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -334,35 +340,14 @@ def sample_framewise(klass: FiniteClass, n: int, src: HierarchicalRandomSource,
     trie = steps if isinstance(steps, _KeptSteps) else None
     steps = trie.walk if trie is not None else itertools.chain(
         (((i,), 1, (), None) for i in range(1, n + 1)), steps)  # singletons first
-    # the trie's root, and (node, choice) of each step walked in the trie
-    node, path = None if trie is None else trie.children.get(()), []
-    if node is not None:
-        for s, k, _, _ in steps:
-            orbits = node.orbits
-            choice = (0, 0) if orbits is None else _choice(orbits, s, k, src, rep_weights)
-            path.append((node, choice))
-            node = node.children.get(choice)
-            if node is None:
-                break
-        else:
-            return node
-
-    empty = {1: _step_classes(klass, 1)}  # k -> the amalgam classes of the empty partial
-    if not empty[1].orbits:
-        raise ValueError(f"class {klass.name!r} has no members of size 1")
-    names = signature.names()
-    relations: dict[str, list] = {name: [] for name in names}
-    # sorted support -> its decided (name, tuple) pairs, the tuples with
-    # exactly that range, labelled on [1, |support|]; only nonempty entries
-    decided: dict[tuple, tuple] = {}
-    sizes = set()  # the support sizes below the largest step's that `decided` holds
-    top = n if klass.forced_above is None else min(n, klass.forced_above)
+    xi, ordering = src.xi, src.ordering
+    at = None if trie is None else trie.children.get(())  # this step's node while walked
     node, choice = trie, ()  # the trie node of the last step and the choice made there
-    path.reverse()
+    if at is None:
+        decided, sizes, pairs, empty, top = _build_state(klass, n)
     for s, k, groups, memo in steps:
-        if path:  # a step walked in the trie: its choice is made
-            node, choice = path.pop()
-            classes = node.classes
+        if at is not None:
+            orbits = at.orbits
         else:
             # the decided tuples inside s, relabelled onto [1, k]
             inside = [(name, tuple([pos[c - 1] for c in tup]))
@@ -372,29 +357,58 @@ def sample_framewise(klass: FiniteClass, n: int, src: HierarchicalRandomSource,
             classes = (_step_classes(klass, k, inside) if inside
                        else empty.get(k) or empty.setdefault(k, _step_classes(klass, k)))
             if not classes.orbits:
-                local = Structure._trusted(signature, k, _partial(names, inside))
+                if k == 1:
+                    raise ValueError(f"class {klass.name!r} has no members of size 1")
+                local = Structure._trusted(signature, k, _partial(signature.names(), inside))
                 family = [restrict(local, [j for j in range(1, k + 1) if j != i])
                           for i in range(1, k + 1)]
                 raise AmalgamationFailure(s, family, klass.name)
             parent, node, orbits = node, None, classes.orbits
             orbits = None if len(orbits) == 1 and len(orbits[0]) == 1 else orbits
             if parent is not None and trie.nodes < _MAX_PLANNED_STEPS:
-                node = parent.children[choice] = _Node(classes, orbits)
+                node = parent.children[choice] = _Node(classes, orbits, parent, choice)
                 trie.nodes += 1
-            choice = (0, 0) if orbits is None else _choice(orbits, s, k, src, rep_weights)
-        new = classes.new_tuples[choice[0]][choice[1]]
-        if new:
-            decided[s] = new
-            if k < top:  # no step reads a support of the largest step's size
-                sizes.add(k)
-            placed = memo.get(new) if memo is not None else None
-            if placed is None:
-                placed = [(name, tuple([s[c - 1] for c in tup])) for name, tup in new]
-                if memo is not None:
-                    memo[new] = placed
-            for name, tup in placed:
-                relations[name].append(tup)
-    sample = Structure._trusted(signature, n, relations)
+        if orbits is None:  # one amalgam: nothing drawn
+            choice = (0, 0)
+        else:  # xi_s picks the class and, above singletons, s's order the orbit member
+            u, count = xi(s), len(orbits)
+            index = (min(int(u * count), count - 1) if k == 1 or rep_weights is None
+                     else _class_index(u, count, rep_weights))
+            rank = 0
+            if k > 1:
+                order, size = ordering(s), len(orbits[index])
+                rank = permutation_rank([s.index(x) + 1 for x in order]) % size if size > 1 else 0
+            choice = (index, rank)
+        if at is not None:
+            node, at = at, at.children.get(choice)
+            if at is not None:
+                continue
+            # the path left the trie: place the steps walked, drawn already,
+            # read up the trie from this one, and build on
+            decided, sizes, pairs, empty, top = _build_state(klass, n)
+            up, made, path = node, choice, []
+            while up is not trie:
+                path.append((up.classes, made))
+                up, made = up.parent, up.via
+            done = ((s, k, memo, classes, made)
+                    for (s, k, _, memo), (classes, made) in zip(steps, reversed(path)))
+        else:
+            done = ((s, k, memo, classes, choice),)
+        for s, k, memo, classes, (index, rank) in done:
+            new = classes.new_tuples[index][rank]
+            if new:
+                decided[s] = new
+                if k < top:  # no step reads a support of the largest step's size
+                    sizes.add(k)
+                placed = memo.get(new) if memo is not None else None
+                if placed is None:
+                    placed = [(name, tuple([s[c - 1] for c in tup])) for name, tup in new]
+                    if memo is not None:
+                        memo[new] = placed
+                pairs.extend(placed)
+    if at is not None:  # walked to its end: the stored sample
+        return at
+    sample = Structure._trusted(signature, n, _partial(signature.names(), pairs))
     if node is not None and trie.nodes < _MAX_PLANNED_STEPS:
         node.children[choice], trie.nodes = sample, trie.nodes + 1
     return sample

@@ -179,12 +179,13 @@ def _tally(sampler, points: tuple[int, ...], n_samples: int, seeds,
     `points` or not: drawing `points` alone would turn that into a result.
 
     Samples compare literally, so a law recorded from the tally equals one
-    recorded sample by sample."""
+    recorded sample by sample.  One `Counter` pass counts them: each seed
+    is read once, in order, through `seeds[offset + i]` and made a source."""
     plan = sampler._plan(points) if hasattr(sampler, "_plan") else None
-    counts: Counter = Counter()
-    for i in range(n_samples):
-        src = HierarchicalRandomSource(seeds[offset + i])
-        counts[plan.bits(src) if plan is not None else sampler.sample(src, points[-1])] += 1
+    sources = map(HierarchicalRandomSource, map(seeds.__getitem__,
+                                                range(offset, offset + n_samples)))
+    counts = Counter(map(plan.bits, sources) if plan is not None
+                     else map(sampler.sample, sources, itertools.repeat(points[-1])))
     tally: Counter = Counter()
     for outcome, count in counts.items():
         tally[plan.structure(outcome) if plan is not None else restrict(outcome, points)] += count

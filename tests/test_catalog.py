@@ -7,15 +7,16 @@ import pytest
 
 from relex import HierarchicalRandomSource, SeedStream
 from relex.amalgamation import builtin_class
-from relex.catalog import (_REFERENCE_ORACLES, PAPER_EXAMPLE_NAMES, LoopViolatorSampler,
+from relex.catalog import (_REFERENCE_ORACLES, OVERLAY_SIG, PAPER_EXAMPLE_NAMES, TRIPLE_SIG,
+                           LoopViolatorSampler,
                            TdcSampler, _ExampleSampler,
                            evens_oracle, odd_target_oracle, paper_example,
                            parity_overlay_oracle, same_class_triple_oracle,
                            verify_all, verify_parity_overlay, verify_strong_rep,
                            verify_tdc_evens, verify_weak_rep)
-from relex.samplers import FramewiseSampler
+from relex.samplers import FramewiseSampler, sample_framewise
 from relex.stattests import _tally
-from relex.structures import GRAPH_SIGNATURE, Structure, restrict
+from relex.structures import GRAPH_SIGNATURE, UNARY_SIGNATURE, Structure, restrict
 
 
 def test_example_names_are_stable():
@@ -59,6 +60,41 @@ def test_parity_overlay_oracle_parity_claim():
             pairs = sum(seg.has("E", (a, b))
                         for a, b in ((i, j), (i, k), (j, k)))
             assert seg.has("R", triple) == (pairs % 2 == 1)
+
+
+def _naive_block(i, x):
+    return 0 if x == i else 1 if x % 2 == 0 else 2
+
+
+def _naive_oracle_segment(name, m, src):
+    """The named oracle's segment on [1, m] through the checked constructor,
+    each tuple tested against the oracle's defining rule."""
+    points = range(1, m + 1)
+    if name == "evens":
+        return Structure(UNARY_SIGNATURE, m, {"P": [(i,) for i in points if i % 2 == 0]})
+    if name == "odd-target":
+        return Structure(GRAPH_SIGNATURE, m, {"E": [(i, j) for i, j in itertools.product(
+            points, repeat=2) if j % 2 == 1 and j != i]})
+    if name == "same-class-triple":
+        return Structure(TRIPLE_SIG, m, {"R": [(i, j, k) for i, j, k in itertools.product(
+            points, repeat=3) if _naive_block(i, j) == _naive_block(i, k)]})
+    edges = set(sample_framewise(builtin_class("graphs"), m, src).tuples("E"))  # symmetric
+    odd = [(x, y, z) for x, y, z in itertools.permutations(points, 3)
+           if sum(pair in edges for pair in ((x, y), (x, z), (y, z))) % 2]
+    return Structure(OVERLAY_SIG, m, {"E": edges, "R": odd})
+
+
+@pytest.mark.parametrize("name", ["evens", "odd-target", "same-class-triple", "parity-overlay"])
+def test_oracle_builders_match_the_checked_constructor(name):
+    for m in range(13):
+        for seed in ((0, 1, 7) if name == "parity-overlay" else (None,)):
+            src = None if seed is None else HierarchicalRandomSource(seed)
+            oracle = (_REFERENCE_ORACLES[name]() if src is None
+                      else parity_overlay_oracle(src))
+            built = oracle.initial_segment(m)
+            expected = _naive_oracle_segment(name, m, src)
+            assert built == expected, (name, m, seed)
+            assert (built.key(), repr(built)) == (expected.key(), repr(expected))
 
 
 # --- example dispatch ---------------------------------------------------------------

@@ -142,6 +142,26 @@ def test_random_subsets_match_the_documented_construction(seed, subset):
 
 
 
+def test_every_input_kind_draws_the_documented_construction():
+    """Labelled subsets are drawn as they are, every other kind through the
+    checks; each gives the documented draws, at sizes 0 to 3 and past the
+    label memo."""
+    np = pytest.importorskip("numpy")
+    rng = random.Random(20261020)
+    for seed in range(500):
+        seed = seed if seed % 2 else rng.randrange(-2 ** 70, 2 ** 70)
+        src = HierarchicalRandomSource(seed)
+        for size in (0, 1, 2, 3, _MEMO_MAX_LEN + 1):
+            subset = rng.sample(range(1, 30), size)
+            expected = naive_keyed_draws(seed, subset)
+            spellings = [tuple(subset), list(subset), np.array(subset, dtype=np.int64)]
+            spellings.append(_labelled(subset) if size > _MEMO_MAX_LEN else _label(tuple(subset)))
+            for spelling in spellings:
+                drawn = (src.xi(spelling), src.ordering(spelling))
+                assert drawn == expected, (seed, size, type(spelling))
+                assert type(drawn[1]) is tuple and all(type(x) is int for x in drawn[1])
+
+
 def test_pair_orderings_match_the_documented_construction():
     """A pair's ordering is one bit; both outcomes, every spelling of the pair."""
     np = pytest.importorskip("numpy")

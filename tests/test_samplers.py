@@ -426,6 +426,54 @@ def _no_pairs_class():
                        lambda n: GRAPHS.enumerate(n) if n <= 1 else (), locality=2)
 
 
+def _stored_leaf(trie, sample) -> bool:
+    """Whether `sample` is, as an object, one of the samples the trie stores."""
+    return any(child is sample if isinstance(child, Structure) else _stored_leaf(child, sample)
+               for child in trie.children.values())
+
+
+def _path_kind(klass, n, before, outcome):
+    """How one sample ran, from the trie at size n before and after it:
+    `before` is (had a root, interior nodes, leaves), None at a size not kept."""
+    trie = klass._step_plans.get(n)
+    if trie is None or before is None:
+        return "not kept" if trie is None else "first at this size"
+    had_root, nodes, leaves = before
+    after = _trie_counts(trie)
+    if not had_root:
+        return "grew the root"
+    if after[0] > nodes:
+        return "left mid-walk"
+    if after[1] > leaves:
+        return "left at the last step"
+    if isinstance(outcome, Structure) and _stored_leaf(trie, outcome):
+        return "walked to the end"
+    return "failed" if not isinstance(outcome, Structure) else "built past the bound"
+
+
+@pytest.mark.parametrize("bound", ["default", 4])
+@pytest.mark.parametrize("name", ["graphs", "tournaments", "digraphs", "equivalence"])
+def test_framewise_one_loop_walks_and_builds_as_the_naive_sampler(name, bound, monkeypatch):
+    # the same structure or failure as the naive sampler, with the same
+    # draws in the same order, whichever way the sample ran through the trie
+    if bound != "default":
+        monkeypatch.setattr(relex.samplers, "_MAX_PLANNED_STEPS", bound)
+    klass, kinds = make_builtin_class(name), set()
+    for rep_weights in (None, (1.0, 3.0)):
+        for n in range(1, 6):
+            for seed in range(16):
+                expected = _logged_outcome(naive_sample_framewise, klass, n, seed, rep_weights)
+                trie = klass._step_plans.get(n)
+                before = (None if trie is None
+                          else (() in trie.children, *_trie_counts(trie)))
+                outcome = _logged_outcome(sample_framewise, klass, n, seed, rep_weights)
+                _same_outcome(outcome, expected)
+                kinds.add(_path_kind(klass, n, before, outcome[0]))
+    # a trie at its bound grows no more: a path that leaves it is built past the bound
+    assert ({"walked to the end", "left mid-walk", "left at the last step"} if bound == "default"
+            else {"walked to the end", "not kept", "built past the bound"}) <= kinds, kinds
+
+
 @pytest.mark.parametrize("name, n", [("parity3", 5), ("equivalence", 4), ("no-pairs", 3)])
 def test_framewise_failures_raise_alike_on_every_visit(name, n):
     klass = _no_pairs_class() if name == "no-pairs" else make_builtin_class(name)

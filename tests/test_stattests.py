@@ -230,6 +230,29 @@ def test_law_pulls_back_each_distinct_restriction_once(monkeypatch):
     assert len(calls) < len(distinct_samples)
 
 
+class _CountingSeeds(SeedStream):
+    """A seed stream that logs every index read through `__getitem__`."""
+
+    def __init__(self, meta_seed):
+        super().__init__(meta_seed)
+        self.reads = []
+
+    def __getitem__(self, index):
+        self.reads.append(index)
+        return super().__getitem__(index)
+
+
+@pytest.mark.parametrize("label, make, points", [("framewise-graphs", _graphs_sampler, (1, 2, 3)),
+                                                 ("two-coin", _two_coin_sampler, (2, 4))])
+def test_tally_reads_each_seed_once_in_order(label, make, points):
+    sampler, offset = make(), 37
+    seeds = _CountingSeeds(5)
+    tally = st._tally(sampler, points, 50, seeds, offset)
+    assert seeds.reads == list(range(offset, offset + 50))
+    listed = st._tally(sampler, points, 50, SeedStream(5).take(50, offset), 0)
+    assert list(tally.items()) == list(listed.items())
+
+
 # --- local draws: the rule samplers' laws drawn on the probed points alone -----------
 
 LOCAL_SAMPLERS = {

@@ -18,13 +18,13 @@ above that size adds nothing.  Unknown locality (None) keeps every search
 exhaustive.
 
 One completion search, `_completions`, serves n-DAP, DAP, `amalgams` and
-frame-wise steps: the members that hold a partial structure outside a set
-of free tuples, found by trying every assignment of the free tuples, or by
-scanning the class enumeration above _MAX_FREE_TUPLES free tuples.  Its
-partial structure has one format, a set of (name, tuple) pairs: the union
-of the located slot members, and, as a frozenset, its own key in the
-amalgam table.  Only `_partial` turns pairs into relation sets, once per
-search.
+frame-wise steps: the members that hold a partial structure off a set of
+free supports (entry sets of tuples), decided in colex order from the
+amalgam tables, each part on at most max(arity, L) points checked once
+decided, the whole universe last.  Its partial structure has one format, a
+set of (name, tuple) pairs: the union of the located slot members, and, as
+a frozenset, its own key in the amalgam table.  Only `_partial` turns
+pairs into relation sets, once per search.
 
 JEP and DAP ask one question of two members: does their layout over a
 shared part complete in the class (`_dap_instance_holds`)?  One overlap
@@ -58,7 +58,6 @@ class CapExceededError(ValueError):
     """Requested enumeration is beyond the configured budget."""
 
 
-_MAX_FREE_TUPLES = 20
 _MAX_MEMBERS = 1 << 18
 _DEFAULT_CAP = 6  # largest enumerated size unless a class is built with its own cap
 
@@ -342,51 +341,80 @@ def _partial(names, pairs) -> dict[str, set]:
     return partial
 
 
-def _completions(klass: FiniteClass, m: int, fixed, free: list[tuple[str, tuple[int, ...]]],
+def _completions(klass: FiniteClass, m: int, fixed, supports,
                  first_only: bool = False) -> list[Structure]:
-    """The members on [1, m] that hold exactly the `fixed` pairs outside `free`.
-
-    Each (name, tuple) pair in `free` may go either way; every other pair
-    is in the member exactly when it is in `fixed`.  Up to
-    _MAX_FREE_TUPLES free tuples, enumerate their assignments and keep the
-    members; above that, scan the class enumeration.  Members come in
-    serialization order, except that `first_only` returns the first member
-    found, unsorted (sorting would serialize every candidate).
-    """
-    names = klass.signature.names()
-    if len(free) > _MAX_FREE_TUPLES:
-        free_set, fixed_set = set(free), set(fixed)
-        matching = (member for member in klass.enumerate(m)
-                    if {(name, t) for name in names for t in member.tuples(name)}
-                    - free_set == fixed_set)
-        return list(itertools.islice(matching, 1 if first_only else None))
-
-    partial = _partial(names, fixed)
-    found = []
-    for bits in itertools.product((0, 1), repeat=len(free)):
-        relations = {name: set(tups) for name, tups in partial.items()}
-        for (name, tup), bit in zip(free, bits):
-            if bit:
-                relations[name].add(tup)
-        candidate = Structure._trusted(klass.signature, m, relations)
-        if klass.contains(candidate):
-            if first_only:
-                return [candidate]
-            found.append(candidate)
+    """The members on [1, m], sorted by key, that hold exactly the `fixed`
+    pairs off the free `supports` (entry sets of tuples).  Callers free
+    whole supports: n-DAP and the amalgam tables [1, m] alone,
+    `_dap_instance_holds` those mixing its two private parts.  The sets of
+    `_steps` are decided in order from the amalgam tables
+    (`_step_classes`); [1, m] then tries its assignments in product order,
+    each candidate checked whole.  `first_only` returns the first member
+    found, trying the candidate with every free tuple absent before any
+    set-up."""
+    signature = klass.signature
+    partial = _partial(signature.names(), fixed)
+    if first_only and klass.contains(candidate := Structure._trusted(signature, m, partial)):
+        return [candidate]
+    free = [(name, tup) for name, arity in signature if arity >= m
+            for tup in itertools.product(range(1, m + 1), repeat=arity)
+            if len(set(tup)) == m] if tuple(range(1, m + 1)) in supports else []
+    below = tuple(s for s in supports if len(s) < m)
+    steps = _steps(m, below, klass.forced_above or 0, signature.max_arity()) if below else ()
+    decided: dict = {}  # support -> its pairs
+    for name, tup in fixed if steps else ():
+        decided.setdefault(tuple(sorted(set(tup))), []).append((name, tup))
+    found, stack = [], [iter([()])]  # the root's one option: nothing decided
+    while stack:
+        option = next(stack[-1], None)
+        if option is None:
+            stack.pop()
+            continue
+        if len(stack) > 1:
+            decided[steps[len(stack) - 2][0]] = option
+        if len(stack) <= len(steps):
+            points, inner = steps[len(stack) - 1]
+            local = {x: i for i, x in enumerate(points, 1)}
+            inside = [(name, tuple([local[c] for c in tup]))
+                      for sub in inner for name, tup in decided.get(sub, ())]
+            stack.append(iter([[(name, tuple([points[c - 1] for c in tup])) for name, tup in new]
+                               for new in itertools.chain.from_iterable(
+                                   _step_classes(klass, len(points), inside).new_tuples)]))
+            continue
+        # without steps, the candidate with every free tuple absent was tried above
+        for bits in itertools.islice(itertools.product((0, 1), repeat=len(free)),
+                                     int(first_only and not steps), None):
+            candidate = {name: set(tups) for name, tups in partial.items()}
+            for name, tup in itertools.chain(*(decided[points] for points, _ in steps),
+                                             itertools.compress(free, bits)):
+                candidate[name].add(tup)
+            member = Structure._trusted(signature, m, candidate)
+            if klass.contains(member):
+                if first_only:
+                    return [member]
+                found.append(member)
     return sorted(found, key=lambda s: s.key())
+
+
+@functools.lru_cache(maxsize=1024)
+def _steps(m: int, supports: tuple, bound: int, max_arity: int) -> tuple:
+    """The free `supports` in colex order (largest entry, size, entries), each
+    followed by the sets of more than `max_arity`, at most `bound` points below
+    [1, m] that it ends, each set with its subsets of at most `max_arity`."""
+    supports = sorted(supports, key=lambda s: (s[-1], len(s), s))
+    last = {a: max((i for i, s in enumerate(supports) if set(s) <= set(a)), default=None)
+            for size in range(max_arity + 1, min(bound, m - 1) + 1)
+            for a in itertools.combinations(range(1, m + 1), size)}
+    sets = sorted([(i, 0, s) for i, s in enumerate(supports)]
+                  + [(i, 1, a) for a, i in last.items() if i is not None])
+    return tuple((s, tuple(sub for size in range(1, min(len(s) - 1, max_arity) + 1)
+                           for sub in itertools.combinations(s, size))) for _, _, s in sets)
 
 
 def _complete_partial(klass: FiniteClass, n: int, fixed,
                       first_only: bool = False) -> list[Structure]:
-    """All members on [1, n] whose non-surjective pairs are exactly `fixed`.
-
-    Only tuples whose range is all of [1, n] are free; a relation of arity
-    below n has none.
-    """
-    free = [(name, tup) for name, arity in klass.signature if arity >= n
-            for tup in itertools.product(range(1, n + 1), repeat=arity)
-            if len(set(tup)) == n]
-    return _completions(klass, n, fixed, free, first_only)
+    """All members on [1, n] whose non-surjective pairs are exactly `fixed`."""
+    return _completions(klass, n, fixed, [tuple(range(1, n + 1))], first_only)
 
 
 @dataclass
@@ -595,28 +623,22 @@ def _dap_instance_holds(klass: FiniteClass, s: Structure, t: Structure,
     identically, tp's non-overlap part on the fresh tail, the overlap glued
     through phi and phip.  Tuples inside either part are fixed by t or tp
     (both embed s, so they agree on the overlap); tuples mixing the two
-    private parts are free.  Sound and complete for classes closed under
-    isomorphism and substructure.
+    private parts are free.  Whether a tuple mixes them depends on its
+    entry set alone, so the free tuples are whole supports.  Sound and
+    complete for classes closed under isomorphism and substructure.
     """
     m = t.n + tp.n - s.n
     if m > klass.cap:
         raise CapExceededError(f"amalgam host size {m} exceeds cap {klass.cap}")
     shared = {phip(x): phi(x) for x in range(1, s.n + 1)}
-    tau = {}
-    fresh = t.n
-    for y in range(1, tp.n + 1):
-        if y in shared:
-            tau[y] = shared[y]
-        else:
-            fresh += 1
-            tau[y] = fresh
-    t_part, tp_part = list(range(1, t.n + 1)), [tau[y] for y in range(1, tp.n + 1)]
-    fixed = _located_tuples(t, t_part) | _located_tuples(tp, tp_part)
-    parts = (set(t_part), set(tp_part))
-    free = [(name, tup) for name, arity in klass.signature
-            for tup in itertools.product(range(1, m + 1), repeat=arity)
-            if not any(part.issuperset(tup) for part in parts)]
-    return bool(_completions(klass, m, fixed, free, first_only=True))
+    fresh = iter(range(t.n + 1, m + 1))
+    tp_part = [shared[y] if y in shared else next(fresh) for y in range(1, tp.n + 1)]
+    fixed = _located_tuples(t, range(1, t.n + 1)) | _located_tuples(tp, tp_part)
+    parts = (set(range(1, t.n + 1)), set(tp_part))
+    supports = [s for size in range(2, klass.signature.max_arity() + 1)
+                for s in itertools.combinations(range(1, m + 1), size)
+                if not any(part.issuperset(s) for part in parts)]
+    return bool(_completions(klass, m, fixed, supports, first_only=True))
 
 
 def _overlaps(t: Structure, tp: Structure):

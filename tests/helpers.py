@@ -203,6 +203,49 @@ def naive_dap_instance(klass, s, t, tp, phi, phip) -> bool:
     return False
 
 
+def free_tuples(signature: Signature, m: int, supports) -> list:
+    """The (name, tuple) pairs on [1, m] whose entry set is one of the
+    `supports` (sorted tuples), in signature order, each relation's tuples
+    in product order."""
+    supports = set(supports)
+    return [(name, tup) for name, arity in signature
+            for tup in itertools.product(range(1, m + 1), repeat=arity)
+            if tuple(sorted(set(tup))) in supports]
+
+
+def naive_completions(klass, m: int, fixed, free, first_only: bool = False,
+                      max_free: int = 20) -> list[Structure]:
+    """The members on [1, m] that hold exactly the `fixed` pairs outside the
+    (name, tuple) pairs in `free`, by the two routes of the completion
+    search that the support search replaced.
+
+    Up to `max_free` free tuples, every assignment of them in product
+    order; above that, a scan of the class enumeration.  Members come
+    sorted by key, except that `first_only` returns the first one found.
+    """
+    names = klass.signature.names()
+    if len(free) > max_free:
+        free_set, fixed_set = set(free), set(fixed)
+        matching = (member for member in klass.enumerate(m)
+                    if {(name, t) for name in names for t in member.tuples(name)}
+                    - free_set == fixed_set)
+        return list(itertools.islice(matching, 1 if first_only else None))
+    found = []
+    for bits in itertools.product((0, 1), repeat=len(free)):
+        relations = {name: set() for name in names}
+        for name, tup in fixed:
+            relations[name].add(tup)
+        for (name, tup), bit in zip(free, bits):
+            if bit:
+                relations[name].add(tup)
+        candidate = Structure(klass.signature, m, relations)
+        if klass.contains(candidate):
+            if first_only:
+                return [candidate]
+            found.append(candidate)
+    return sorted(found, key=lambda s: s.key())
+
+
 def naive_jep(klass, bound: int):
     """(holds, witness pair) of joint embedding over members of size <= bound.
 

@@ -5,8 +5,8 @@ import itertools
 from pathlib import Path
 
 import pytest
-from helpers import (all_structures, naive_dap_instance, naive_embeddings, naive_jep,
-                     naive_ndap_witness)
+from helpers import (all_structures, free_tuples, naive_completions, naive_dap_instance,
+                     naive_embeddings, naive_jep, naive_ndap_witness)
 
 from relex import (CapExceededError, FiniteClass, Signature, Structure,
                    amalgamation, amalgams, builtin_class, check_dap, check_jep,
@@ -582,9 +582,137 @@ def _search_outputs():
     return out
 
 
-@pytest.mark.parametrize("limit", [0, 10 ** 9])
-def test_completion_routes_agree(monkeypatch, limit):
-    # 0 scans the class enumeration for every completion; 10**9 never does
+@pytest.mark.parametrize("max_free", [0, 10 ** 9])
+def test_completion_routes_agree(monkeypatch, max_free):
+    # the support search against the two routes it replaced: 0 scans the class
+    # enumeration for every completion, 10**9 tries every assignment of the
+    # free tuples
     expected = _search_outputs()
-    monkeypatch.setattr(amalgamation, "_MAX_FREE_TUPLES", limit)
+
+    def reference(klass, m, fixed, supports, first_only=False):
+        return naive_completions(klass, m, fixed, free_tuples(klass.signature, m, supports),
+                                 first_only, max_free)
+
+    monkeypatch.setattr(amalgamation, "_completions", reference)
     assert _search_outputs() == expected
+
+
+_LAYOUT_FACTORIES = (
+    [(name, lambda name=name: make_builtin_class(name)) for name in BUILTIN_CLASS_NAMES]
+    + [(path.name, lambda path=path: from_theory(load_theory(str(path)), cap=6))
+       for path in _THEORIES])
+
+
+def _recorded_layouts(monkeypatch, klass, bound):
+    """The distinct (m, fixed, supports) that check_dap and check_jep at the
+    bound hand to the completion search, in the order first seen."""
+    search, layouts = amalgamation._completions, {}
+
+    def recording(klass, m, fixed, supports, first_only=False):
+        layouts.setdefault((m, frozenset(fixed), tuple(supports)), None)
+        return search(klass, m, fixed, supports, first_only)
+
+    monkeypatch.setattr(amalgamation, "_completions", recording)
+    check_dap(klass, bound)
+    check_jep(klass, bound)
+    monkeypatch.setattr(amalgamation, "_completions", search)
+    return list(layouts)
+
+
+@pytest.mark.parametrize("bound", [2, 3])
+@pytest.mark.parametrize("factory", [factory for _, factory in _LAYOUT_FACTORIES],
+                         ids=[label for label, _ in _LAYOUT_FACTORIES])
+def test_completion_search_matches_the_product_on_dap_and_jep_layouts(
+        monkeypatch, factory, bound):
+    klass = factory()
+    layouts = _recorded_layouts(monkeypatch, klass, bound)
+    # up to 40 layouts spread over the list, and only where the product is small
+    compared = 0
+    for m, fixed, supports in layouts[::max(1, len(layouts) // 40)]:
+        free = free_tuples(klass.signature, m, supports)
+        if len(free) > 10:
+            continue
+        ours = amalgamation._completions(klass, m, fixed, supports)
+        assert ours == naive_completions(klass, m, fixed, free)
+        first = amalgamation._completions(klass, m, fixed, supports, first_only=True)
+        assert bool(first) == bool(ours)
+        assert all(klass.contains(s) for s in first)
+        compared += 1
+    assert compared
+    if bound == 3 and klass.signature.max_arity() > 1:
+        # several supports below [1, m], not [1, m] alone
+        assert any(len(supports) > 1 for _, _, supports in layouts)
+
+
+def test_dap_layouts_free_whole_supports():
+    # the free tuples of every overlap layout are exactly those that mix the
+    # two private parts, and no fixed pair lies on a free support
+    search, seen = amalgamation._completions, []
+
+    def recording(klass, m, fixed, supports, first_only=False):
+        seen.append((m, fixed, supports))
+        return search(klass, m, fixed, supports, first_only)
+
+    for name in ("graphs", "hypergraphs3", "parity3", "equivalence"):
+        klass = make_builtin_class(name)
+        members = [m for size in range(3) for m in klass.enumerate(size)]
+        for t, tp in itertools.product(members, repeat=2):
+            for diagram in _overlaps(t, tp):
+                s, _, _, phi, phip = diagram
+                seen.clear()
+                amalgamation._completions = recording
+                try:
+                    _dap_instance_holds(klass, *diagram)
+                finally:
+                    amalgamation._completions = search
+                m, fixed, supports = seen[0]  # later calls fill amalgam tables
+                tp_points = {phi(x) for x in range(1, s.n + 1)} | set(range(t.n + 1, m + 1))
+                mixing = [(rel, tup) for rel, arity in klass.signature
+                          for tup in itertools.product(range(1, m + 1), repeat=arity)
+                          if not set(tup) <= set(range(1, t.n + 1)) and not set(tup) <= tp_points]
+                assert free_tuples(klass.signature, m, supports) == mixing
+                assert not set(fixed) & set(mixing)
+
+
+def _membership_calls(klass, check, size):
+    """The report of `check(klass, size)` and how often it asked the class
+    predicate."""
+    predicate, calls = klass._predicate, []
+
+    def counting(structure):
+        calls.append(1)
+        return predicate(structure)
+
+    klass._predicate = counting
+    return check(klass, size), len(calls)
+
+
+def test_completion_search_bounds_membership_calls():
+    # the 2^free product asked 53,810 and 604,157 times on parity3 at bound 3
+    for check, klass, most in ((check_jep, "parity3", 2_000), (check_dap, "parity3", 2_000),
+                               (check_dap, "digraphs", 33_070)):
+        report, calls = _membership_calls(make_builtin_class(klass), check, 3)
+        assert report.holds and calls <= most
+
+
+@pytest.mark.parametrize("factory", [factory for _, factory in _CLASS_FACTORIES],
+                         ids=[label for label, _ in _CLASS_FACTORIES])
+def test_ndap_search_asks_the_predicate_as_often_as_the_product(monkeypatch, factory):
+    # n-DAP frees [1, n] alone: its candidates are the product's, in its order
+    def product(klass, m, fixed, supports, first_only=False):
+        return naive_completions(klass, m, fixed, free_tuples(klass.signature, m, supports),
+                                 first_only, 10 ** 9)
+
+    top = min(factory().forced_above, 4)
+    ours = [_membership_calls(factory(), check_ndap, n) for n in range(1, top + 1)]
+    monkeypatch.setattr(amalgamation, "_completions", product)
+    assert ours == [_membership_calls(factory(), check_ndap, n) for n in range(1, top + 1)]
+
+
+def test_dap_of_3_hypergraphs_holds_at_bound_3():
+    # a scan of the class enumeration at size 6 raised CapExceededError here
+    assert check_dap(builtin_class("hypergraphs3"), 3).holds
+
+
+def test_dap_at_bound_4():
+    assert check_dap(make_builtin_class("subsets", cap=8), 4).holds

@@ -64,6 +64,13 @@ def test_check_dap_and_jep_graphs():
     assert run_cli("check", "jep", "--class", "graphs").returncode == 0
 
 
+def test_check_dap_hypergraphs3_at_bound_3_holds():
+    # size-6 layouts with more than 20 free tuples once scanned 2^20 members and exited 2
+    result = run_cli("check", "dap", "--class", "hypergraphs3", "--bound", "3")
+    assert result.returncode == 0, result.stderr
+    assert "holds" in result.stdout
+
+
 def test_check_unknown_class_is_usage_error():
     result = run_cli("check", "ndap", "--class", "nosuch")
     assert result.returncode == 2

@@ -347,11 +347,10 @@ def _completions(klass: FiniteClass, m: int, fixed, supports,
     pairs off the free `supports` (entry sets of tuples).  Callers free
     whole supports: n-DAP and the amalgam tables [1, m] alone,
     `_dap_instance_holds` those mixing its two private parts.  The sets of
-    `_steps` are decided in order from the amalgam tables
-    (`_step_classes`); [1, m] then tries its assignments in product order,
-    each candidate checked whole.  `first_only` returns the first member
-    found, trying the candidate with every free tuple absent before any
-    set-up."""
+    `_steps` take their options from the amalgam tables (`_step_classes`);
+    [1, m] then tries its assignments in product order, each candidate
+    checked whole.  `first_only` returns the first member found, after the
+    candidate with every free tuple absent, tried before any set-up."""
     signature = klass.signature
     partial = _partial(signature.names(), fixed)
     if first_only and klass.contains(candidate := Structure._trusted(signature, m, partial)):
@@ -399,8 +398,8 @@ def _completions(klass: FiniteClass, m: int, fixed, supports,
 @functools.lru_cache(maxsize=1024)
 def _steps(m: int, supports: tuple, bound: int, max_arity: int) -> tuple:
     """The free `supports` in colex order (largest entry, size, entries), each
-    followed by the sets of more than `max_arity`, at most `bound` points below
-    [1, m] that it ends, each set with its subsets of at most `max_arity`."""
+    followed by the sets of max_arity + 1 to `bound` points below [1, m] whose
+    last support it is; each set with its subsets of at most `max_arity`."""
     supports = sorted(supports, key=lambda s: (s[-1], len(s), s))
     last = {a: max((i for i, s in enumerate(supports) if set(s) <= set(a)), default=None)
             for size in range(max_arity + 1, min(bound, m - 1) + 1)
@@ -634,10 +633,9 @@ def _dap_instance_holds(klass: FiniteClass, s: Structure, t: Structure,
     fresh = iter(range(t.n + 1, m + 1))
     tp_part = [shared[y] if y in shared else next(fresh) for y in range(1, tp.n + 1)]
     fixed = _located_tuples(t, range(1, t.n + 1)) | _located_tuples(tp, tp_part)
-    parts = (set(range(1, t.n + 1)), set(tp_part))
-    supports = [s for size in range(2, klass.signature.max_arity() + 1)
-                for s in itertools.combinations(range(1, m + 1), size)
-                if not any(part.issuperset(s) for part in parts)]
+    supports = [support for size in range(2, klass.signature.max_arity() + 1)
+                for support in itertools.combinations(range(1, m + 1), size)
+                if support[-1] > t.n and not set(tp_part).issuperset(support)]
     return bool(_completions(klass, m, fixed, supports, first_only=True))
 
 

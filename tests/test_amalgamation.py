@@ -15,7 +15,7 @@ from relex import (CapExceededError, FiniteClass, Signature, Structure,
                    parse_theory, restrict, serialize)
 from relex.amalgamation import (BUILTIN_CLASS_NAMES, _amalgam_classes, _compatible,
                                 _dap_instance_holds, _located_tuples, _overlaps,
-                                _slot_elements, _step_classes)
+                                _slot_elements, _step_classes, _steps)
 
 GRAPHS = builtin_class("graphs")
 EQUIV = builtin_class("equivalence")
@@ -230,10 +230,13 @@ def test_ndap_fails_for_parity_hypergraphs_at_four():
 _THEORIES = sorted((Path(__file__).resolve().parent.parent / "theories").glob("*.th"))
 _ORACLE_BUDGET = 10 ** 5  # families in the brute-force product
 # (label, factory of a fresh instance) for every builtin and theory class
-_CLASS_FACTORIES = (
-    [(name, lambda name=name: make_builtin_class(name)) for name in BUILTIN_CLASS_NAMES]
-    + [(path.name, lambda path=path: from_theory(load_theory(str(path)), cap=4))
-       for path in _THEORIES])
+def _class_factories(theory_cap: int) -> list:
+    return ([(name, lambda name=name: make_builtin_class(name)) for name in BUILTIN_CLASS_NAMES]
+            + [(path.name, lambda path=path: from_theory(load_theory(str(path)), cap=theory_cap))
+               for path in _THEORIES])
+
+
+_CLASS_FACTORIES = _class_factories(theory_cap=4)
 
 
 def _oracle_cases():
@@ -597,10 +600,7 @@ def test_completion_routes_agree(monkeypatch, max_free):
     assert _search_outputs() == expected
 
 
-_LAYOUT_FACTORIES = (
-    [(name, lambda name=name: make_builtin_class(name)) for name in BUILTIN_CLASS_NAMES]
-    + [(path.name, lambda path=path: from_theory(load_theory(str(path)), cap=6))
-       for path in _THEORIES])
+_LAYOUT_FACTORIES = _class_factories(theory_cap=6)  # JEP at bound 3 needs hosts of size 6
 
 
 def _recorded_layouts(monkeypatch, klass, bound):
@@ -644,7 +644,42 @@ def test_completion_search_matches_the_product_on_dap_and_jep_layouts(
         assert any(len(supports) > 1 for _, _, supports in layouts)
 
 
-def test_dap_layouts_free_whole_supports():
+@pytest.mark.parametrize("name", ["parity3", "equivalence"])
+def test_search_checks_each_larger_set_right_after_its_last_support(monkeypatch, name):
+    # parity3's 4-point and equivalence's 3-point parts, above the arity
+    klass = make_builtin_class(name)
+    arity, bound = klass.signature.max_arity(), klass.forced_above
+    calls = []
+
+    def recording(*args):
+        calls.append((args, _steps(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(amalgamation, "_steps", recording)
+    check_dap(klass, 3)
+    check_jep(klass, 3)
+    assert calls
+    checked_any = False
+    for (m, below, *limits), steps in calls:
+        assert limits == [bound, arity] and all(len(s) < m for s in below)
+        order = [points for points, _ in steps]
+        assert [p for p in order if p in below] == sorted(below, key=lambda s: (s[-1], len(s), s))
+        checked = [p for p in order if p not in below]
+        assert set(checked) == {a for size in range(arity + 1, min(bound, m - 1) + 1)
+                                for a in itertools.combinations(range(1, m + 1), size)
+                                if any(set(s) <= set(a) for s in below)}
+        for i, points in enumerate(order):
+            if points in checked:
+                last = max(j for j, s in enumerate(order) if s in below and set(s) <= set(points))
+                assert all(s in checked for s in order[last + 1:i])
+                checked_any = True
+        for points, inner in steps:
+            assert set(inner) == {sub for size in range(1, min(len(points) - 1, arity) + 1)
+                                  for sub in itertools.combinations(points, size)}
+    assert checked_any
+
+
+def test_dap_layouts_free_whole_supports(monkeypatch):
     # the free tuples of every overlap layout are exactly those that mix the
     # two private parts, and no fixed pair lies on a free support
     search, seen = amalgamation._completions, []
@@ -653,6 +688,7 @@ def test_dap_layouts_free_whole_supports():
         seen.append((m, fixed, supports))
         return search(klass, m, fixed, supports, first_only)
 
+    monkeypatch.setattr(amalgamation, "_completions", recording)
     for name in ("graphs", "hypergraphs3", "parity3", "equivalence"):
         klass = make_builtin_class(name)
         members = [m for size in range(3) for m in klass.enumerate(size)]
@@ -660,11 +696,7 @@ def test_dap_layouts_free_whole_supports():
             for diagram in _overlaps(t, tp):
                 s, _, _, phi, phip = diagram
                 seen.clear()
-                amalgamation._completions = recording
-                try:
-                    _dap_instance_holds(klass, *diagram)
-                finally:
-                    amalgamation._completions = search
+                _dap_instance_holds(klass, *diagram)
                 m, fixed, supports = seen[0]  # later calls fill amalgam tables
                 tp_points = {phi(x) for x in range(1, s.n + 1)} | set(range(t.n + 1, m + 1))
                 mixing = [(rel, tup) for rel, arity in klass.signature

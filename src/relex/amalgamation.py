@@ -90,8 +90,8 @@ class FiniteClass:
         # (k, frozenset of (name, tuple) pairs) -> AmalgamClasses for
         # k <= max arity; see _amalgam_classes
         self._amalgam_cache: dict = {}
-        # n -> the frame-wise steps at size n; see samplers._step_plan
-        self._step_plans: dict = {}
+        # the frame-wise steps and trie for every size; see samplers._step_plan
+        self._step_plans = None
 
     @property
     def forced_above(self) -> Optional[int]:

@@ -17,11 +17,11 @@ changes there is compiled once (`_Plan`), each set drawn once a sample.  A
 frame-wise step at s reads what the steps below s built, and raises
 `AmalgamationFailure` at any subset with no amalgam: its restriction to S
 needs the whole of [1, max S], since drawing S alone would skip a failure
-outside S and return a result where the sample has none.  At a kept size
-its samples walk a decision trie of their choices, of at most
-`_MAX_PLANNED_STEPS` nodes, with the same draws in the same order, and
-each distinct sample is built once.  Sequential growth conditions step m
-on all of [1, m - 1]; the bespoke samplers of `catalog` draw whole samples.
+outside S and return a result where the sample has none.  The steps on
+[1, m] come first at every size, so a failure names one subset at every
+size that reaches it, and one decision trie per class builds each distinct
+sample once.  Sequential growth conditions step m on all of [1, m - 1];
+the bespoke samplers of `catalog` draw whole samples.
 """
 
 from __future__ import annotations
@@ -43,9 +43,11 @@ from .structures import Injection, Signature, Structure, relabel, restrict
 class AmalgamationFailure(RuntimeError):
     """No member extends the built substructures at some subset.
 
-    Carries the offending subset (global labels) and the family of its
-    co-dimension-one restrictions, each on [1, |subset| - 1]: a constructive
-    witness that the class lacks |subset|-DAP.
+    Carries the offending subset (global labels), the first in visiting
+    order (colex) with no amalgam, and the family of its co-dimension-one
+    restrictions, each on [1, |subset| - 1]: a constructive witness that
+    the class lacks |subset|-DAP.  The sample on [1, max(subset) - 1]
+    exists, and every size from max(subset) on raises the same failure.
     """
 
     def __init__(self, subset: tuple[int, ...], family: list[Structure],
@@ -71,7 +73,7 @@ _ALLOWED_CONTEXTS = {
     "m-exchangeable": ("none", "restriction"),
     "maxseg": ("none", "restriction", "segment"),
 }
-_MAX_PLANNED_STEPS = 1 << 10  # steps one class or rule set keeps planned, about 1 MB
+_MAX_PLANNED_STEPS = 1 << 10  # steps a class or rule set keeps; a class's trie nodes and samples
 
 
 class _RuleSet:
@@ -228,13 +230,13 @@ def _class_index(u: float, count: int, rep_weights: Optional[tuple]) -> int:
 
 
 class _KeptSteps(list):
-    """Kept steps (`_step_plan`), singletons first in `walk`, trie root in `children`."""
+    """Kept steps (`_step_plan`), `ends[m]` on [1, m]; trie root in `children`, samples by node."""
 
 
 class _Node:
     """A trie step: its classes, their orbits (None for one amalgam), the step
     before it and the choice made there (the kept steps and () at the root),
-    and per choice made here the next step's node or, after the last, the sample."""
+    and per choice made here the next step's node."""
 
     __slots__ = ("classes", "orbits", "parent", "via", "children")
 
@@ -243,36 +245,43 @@ class _Node:
         self.children = {}
 
 
-def _step_plan(klass: FiniteClass, n: int):
-    """The steps of a frame-wise sample of size n in visiting order: subset
-    s, its size k, for each support size that can hold a tuple (below k, at
-    most the max arity) the positions in s of its subsets of that size,
-    shared by all s of one size, and a memo from a member's tuples on
-    [1, k] to the same in global labels.  A class keeps them as a list, up
-    to _MAX_PLANNED_STEPS steps for all sizes, dropping the others to fit a
-    new size; past that, or with none, itertools chains them afresh for
-    every sample, with None for the memo: a step that is not kept never
-    meets a second sample, and a size of singletons alone keeps no trie."""
-    plans = klass._step_plans
-    if n in plans:
-        return plans[n]
-    top = n if klass.forced_above is None else min(n, klass.forced_above)
-    count = sum(math.comb(n, k) for k in range(2, top + 1))
-    kept = 0 < count <= _MAX_PLANNED_STEPS
-    steps = itertools.chain.from_iterable(
-        zip(map(_labelled, itertools.combinations(range(1, n + 1), k)), itertools.repeat(k),
+def _colex_steps(klass: FiniteClass, m: int, kept: bool):
+    """The steps whose largest point is m, by size then entries (`_step_plan`)."""
+    top = m if klass.forced_above is None else min(m, max(1, klass.forced_above))
+    return itertools.chain.from_iterable(
+        zip(map(_labelled, (rest + (m,) for rest in itertools.combinations(range(1, m), k - 1))),
+            itertools.repeat(k),
             itertools.repeat([(size, list(itertools.combinations(range(1, k + 1), size)))
                               for size in range(1, min(k - 1, klass.signature.max_arity()) + 1)]),
             iter(dict, None) if kept else itertools.repeat(None))
-        for k in range(2, top + 1))
-    if not kept:
-        return steps
-    if sum(map(len, plans.values())) + count > _MAX_PLANNED_STEPS:
-        plans.clear()
-    plan = plans[n] = _KeptSteps(steps)
-    plan.children, plan.nodes = {}, 0
-    plan.walk = [((i,), 1, (), None) for i in range(1, n + 1)] + plan
-    return plan
+        for k in range(1, top + 1))
+
+
+def _step_plan(klass: FiniteClass, n: int):
+    """The steps of a frame-wise sample on [1, n] in visiting order, and the
+    last one's subset if they are kept, else None.  A step is a subset s,
+    its size k, for each support size that can hold a tuple (below k, at
+    most the max arity) the positions in s of its subsets of that size,
+    shared by all s of one size, and a memo from a member's tuples on
+    [1, k] to the same in global labels.  A class keeps one colex list,
+    grown a largest point at a time up to _MAX_PLANNED_STEPS steps; past
+    that, fresh steps with memo None follow, each meeting one sample."""
+    plan = klass._step_plans
+    if plan is None:
+        plan = klass._step_plans = _KeptSteps()
+        plan.ends, plan.children, plan.samples, plan.nodes = [0], {}, {}, 0
+    ends = plan.ends
+    while len(ends) <= n:
+        m = len(ends)
+        top = m if klass.forced_above is None else min(m, max(1, klass.forced_above))
+        if sum(math.comb(m, k) for k in range(1, top + 1)) > _MAX_PLANNED_STEPS:
+            break
+        plan.extend(_colex_steps(klass, m, kept=True))
+        ends.append(len(plan))
+    if n < len(ends):
+        return itertools.islice(plan, ends[n]), plan[ends[n] - 1][0]
+    return itertools.chain(
+        plan, *(_colex_steps(klass, m, kept=False) for m in range(len(ends), n + 1))), None
 
 
 def _build_state(klass: FiniteClass, n: int):
@@ -289,42 +298,36 @@ def sample_framewise(klass: FiniteClass, n: int, src: HierarchicalRandomSource,
     """Grow a structure subset by subset, uniformly over amalgam classes
     unless `rep_weights` weighs them.
 
-    Singletons are drawn from the size-1 members through an equal-measure
-    partition of xi_{i}.  Each larger subset s (size order, then
-    lexicographic) gets the tuples with range exactly s: the members on
-    [1, |s|] extending all proper restrictions are grouped by isomorphism
-    class; xi_s picks a class (equal-width intervals, or `rep_weights` in
-    the classes' canonical order at steps where the class count matches);
-    the concrete member within the class is orbit[rank(ordering of s) mod
-    orbit size], which is uniform because the orbit size divides |s|!.
+    Subsets are visited in colex order (largest point, size, entries), each
+    after its proper subsets: singletons, and above them only subsets of at
+    most max(arity, locality) points, or all when the locality is unknown,
+    since a larger step adds no tuple and cannot fail (see `amalgamation`).
+    A singleton picks a size-1 member by equal parts of xi_{i}; a larger
+    subset s gets the tuples with range exactly s: the members on [1, |s|]
+    extending all proper restrictions are grouped by isomorphism class;
+    xi_s picks a class (equal-width intervals, or `rep_weights` in the
+    classes' canonical order at steps where the class count matches); the
+    member within the class is orbit[rank(ordering of s) mod orbit size],
+    uniform as the orbit size divides |s|!.  A step with one amalgam draws
+    nothing; every other step draws both xi_s and the ordering of s (the
+    benchmark's interaction map expects ordering draws on frame-wise
+    graphs), and ranks the ordering only when the chosen orbit has more
+    than one member.  Keyed randomness carries no stream state, so
+    skipping a draw changes no other draw.
 
-    The steps, what no seed changes, are kept on the class per size, up to
-    `_MAX_PLANNED_STEPS` steps in all (`_step_plan`).  A step looks up its
-    decided tuples, relabelled onto [1, |s|], with `_step_classes`,
-    scanning only the sizes that hold tuples a step can read.
-
-    Only subsets of size at most max(arity, locality) are visited, or every
-    subset when the class's locality is unknown: above that size the step
-    adds no tuple and cannot fail (see `amalgamation`).  A step with one
-    amalgam, a singleton when there is one size-1 member or a larger subset
-    with one class of one member, draws nothing; every step with a choice
-    draws both xi_s and the ordering of s (the benchmark's interaction map
-    expects ordering draws on frame-wise graphs), and ranks the ordering
-    only when the chosen orbit has more than one member.  Keyed randomness
-    carries no stream state, so skipping a draw changes no other draw.
-
-    The decision at s reads only the structures already built on proper
-    subsets of s, xi_s, and the ordering of s, so a sample is a function of
-    its choices.  A kept size grows a decision trie of them (`_Node`, one
-    for all `rep_weights`).  One loop runs the steps: a step takes its
-    orbits from its trie node while the sample's path is in the trie, and
-    otherwise from the step table (also past the trie's bound, or at a size
-    not kept), and its choice is read in one place, with the same draws in
-    the same order either way.  A path walked to its end is the sample
-    stored there, found with one lookup a step.  A path that leaves the
-    trie places the tuples of the steps walked, read up the trie without
-    drawing again, and builds on, adding nodes up to `_MAX_PLANNED_STEPS`,
-    never one of a failing step.
+    The decision at s reads only what was built on the proper subsets of s,
+    xi_s and the ordering of s, so a sample is a function of its choices.
+    A class keeps one list of steps (`_step_plan`), those on [1, m] first
+    for every n >= m, and one decision trie of choices along it (`_Node`,
+    for every size and `rep_weights`), with the sample on [1, m] at the
+    choice made at the last step on [1, m].  One loop runs the steps: a
+    step takes its orbits from its trie node while the path is in the trie,
+    and otherwise from the step table, scanning only the support sizes that
+    hold tuples it can read; its choice is read in one place, with the same
+    draws in the same order either way.  A walked path ends at the stored
+    sample, one lookup a step; a path that leaves the trie places the steps
+    walked, read up the trie without drawing again, and builds on, adding
+    nodes and samples, `_MAX_PLANNED_STEPS` in all, none at a failing step.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -336,12 +339,9 @@ def sample_framewise(klass: FiniteClass, n: int, src: HierarchicalRandomSource,
     if n == 0:
         return Structure._trusted(signature, 0, {})
 
-    steps = _step_plan(klass, n)
-    trie = steps if isinstance(steps, _KeptSteps) else None
-    steps = trie.walk if trie is not None else itertools.chain(
-        (((i,), 1, (), None) for i in range(1, n + 1)), steps)  # singletons first
-    xi, ordering = src.xi, src.ordering
-    at = None if trie is None else trie.children.get(())  # this step's node while walked
+    steps, last = _step_plan(klass, n)
+    trie, xi, ordering = klass._step_plans, src.xi, src.ordering
+    at = trie.children.get(())  # this step's node while walked
     node, choice = trie, ()  # the trie node of the last step and the choice made there
     if at is None:
         decided, sizes, pairs, empty, top = _build_state(klass, n)
@@ -365,7 +365,7 @@ def sample_framewise(klass: FiniteClass, n: int, src: HierarchicalRandomSource,
                 raise AmalgamationFailure(s, family, klass.name)
             parent, node, orbits = node, None, classes.orbits
             orbits = None if len(orbits) == 1 and len(orbits[0]) == 1 else orbits
-            if parent is not None and trie.nodes < _MAX_PLANNED_STEPS:
+            if parent is not None and memo is not None and trie.nodes < _MAX_PLANNED_STEPS:
                 node = parent.children[choice] = _Node(classes, orbits, parent, choice)
                 trie.nodes += 1
         if orbits is None:  # one amalgam: nothing drawn
@@ -380,7 +380,7 @@ def sample_framewise(klass: FiniteClass, n: int, src: HierarchicalRandomSource,
                 rank = permutation_rank([s.index(x) + 1 for x in order]) % size if size > 1 else 0
             choice = (index, rank)
         if at is not None:
-            node, at = at, at.children.get(choice)
+            node, at = at, at.children.get(choice) if s is not last else trie.samples.get((at, choice))
             if at is not None:
                 continue
             # the path left the trie: place the steps walked, drawn already,
@@ -391,7 +391,7 @@ def sample_framewise(klass: FiniteClass, n: int, src: HierarchicalRandomSource,
                 path.append((up.classes, made))
                 up, made = up.parent, up.via
             done = ((s, k, memo, classes, made)
-                    for (s, k, _, memo), (classes, made) in zip(steps, reversed(path)))
+                    for (s, k, _, memo), (classes, made) in zip(trie, reversed(path)))
         else:
             done = ((s, k, memo, classes, choice),)
         for s, k, memo, classes, (index, rank) in done:
@@ -410,7 +410,7 @@ def sample_framewise(klass: FiniteClass, n: int, src: HierarchicalRandomSource,
         return at
     sample = Structure._trusted(signature, n, _partial(signature.names(), pairs))
     if node is not None and trie.nodes < _MAX_PLANNED_STEPS:
-        node.children[choice], trie.nodes = sample, trie.nodes + 1
+        trie.samples[node, choice], trie.nodes = sample, trie.nodes + 1
     return sample
 
 

@@ -9,7 +9,9 @@ For seeds 0-9 and n in {0, 1, 3, 6} it records the sha256 of
 frame-wise graphs with `rep_weights=(1, 3)`, for `LoopViolatorSampler`, and
 for every named example drawn through `catalog.paper_example`.  Where a
 frame-wise sample raises AmalgamationFailure, the record holds the failure's
-subset and serialized family instead.
+subset and serialized family instead: the first subset with no amalgam in
+the sampler's visiting order, colex (largest point, size, entries), which
+names the same subset at every size that reaches it.
 
 The rule samplers are pinned at n in {0, 1, 3, 6, 10}, so that segment
 restrictions of a large reference are covered: `ExchangeableSampler` over

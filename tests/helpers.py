@@ -331,60 +331,62 @@ def naive_decide(df, ctx) -> bool:
     return next((entry.bit for entry in df.entries if matches(entry)), df.default)
 
 
-def naive_sample_framewise(klass, n: int, src, rep_weights=None) -> Structure:
+def naive_sample_framewise(klass, n: int, src, rep_weights=None, order="size") -> Structure:
     """The frame-wise sampler with every step laid out afresh per sample.
 
-    Each step enumerates its subsets and the supports inside them, looks
-    the partial up through `_step_classes`, and relabels the chosen
-    member's tuples when the sample is assembled; the draws are the ones
-    the library's sampler makes, in the same order.
+    The subsets are visited in `order`: "size" (size, then entries) or
+    "colex" (largest point, size, then entries), the library's order.  Both
+    put each subset after its proper subsets, so they give the same samples,
+    but a failure may name another subset.  Each step looks its partial up
+    through `_step_classes` from the tuples decided on every proper subset,
+    and the chosen members' tuples are relabelled when the sample is
+    assembled; the draws are the ones the library's sampler makes, and in
+    colex order they come in the same order.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
+    if order not in ("size", "colex"):
+        raise ValueError(f"unknown order {order!r}")
     if rep_weights is not None:
         rep_weights = tuple(float(w) for w in rep_weights)
     signature = klass.signature
     names = signature.names()
     if n == 0:
         return Structure(signature, 0)
-    singles = _step_classes(klass, 1).new_tuples
-    if not singles:
+    if not _step_classes(klass, 1).orbits:
         raise ValueError(f"class {klass.name!r} has no members of size 1")
-    decided: dict[tuple, tuple] = {}
-    for i in range(1, n + 1):
-        index = 0 if len(singles) == 1 else _class_index(src.xi((i,)), len(singles), None)
-        if singles[index][0]:
-            decided[(i,)] = singles[index][0]
-    sizes = {1} if decided else set()
     forced_above = klass.forced_above
-    top = n if forced_above is None else min(n, forced_above)
-    for k in range(2, top + 1):
-        positions = [(size, list(itertools.combinations(range(1, k + 1), size)))
-                     for size in sorted(sizes)]
-        for s in itertools.combinations(range(1, n + 1), k):
-            inside = [(name, tuple([pos[c - 1] for c in tup]))
-                      for size, sub_positions in positions
-                      for support, pos in zip(itertools.combinations(s, size), sub_positions)
-                      for name, tup in decided.get(support, ())]
-            classes = _step_classes(klass, k, inside)
-            orbits = classes.orbits
-            if not orbits:
-                local = Structure(signature, k, _partial(names, inside))
-                family = [restrict(local, [j for j in range(1, k + 1) if j != i])
-                          for i in range(1, k + 1)]
-                raise AmalgamationFailure(s, family, klass.name)
-            if len(orbits) == 1 and len(orbits[0]) == 1:
-                index, rank = 0, 0
-            else:
-                index = _class_index(src.xi(s), len(orbits), rep_weights)
-                order = src.ordering(s)
-                orbit_size = len(orbits[index])
-                rank = (permutation_rank([s.index(x) + 1 for x in order]) % orbit_size
-                        if orbit_size > 1 else 0)
-            new = classes.new_tuples[index][rank]
-            if new:
-                decided[s] = new
-                sizes.add(k)
+    top = n if forced_above is None else min(n, max(1, forced_above))
+    subsets = [s for k in range(1, top + 1) for s in itertools.combinations(range(1, n + 1), k)]
+    if order == "colex":
+        subsets.sort(key=lambda s: (s[-1], len(s), s))
+    decided: dict[tuple, tuple] = {}
+    for s in subsets:
+        k = len(s)
+        local = {x: i for i, x in enumerate(s, 1)}
+        inside = [(name, tuple(local[support[c - 1]] for c in tup))
+                  for size in range(1, k) for support in itertools.combinations(s, size)
+                  for name, tup in decided.get(support, ())]
+        classes = _step_classes(klass, k, inside)
+        orbits = classes.orbits
+        if not orbits:
+            partial = Structure(signature, k, _partial(names, inside))
+            family = [restrict(partial, [j for j in range(1, k + 1) if j != i])
+                      for i in range(1, k + 1)]
+            raise AmalgamationFailure(s, family, klass.name)
+        if len(orbits) == 1 and len(orbits[0]) == 1:
+            index, rank = 0, 0
+        elif k == 1:  # a singleton's choice is never weighted and has no orbit to rank
+            index, rank = _class_index(src.xi(s), len(orbits), None), 0
+        else:
+            index = _class_index(src.xi(s), len(orbits), rep_weights)
+            perm = src.ordering(s)
+            orbit_size = len(orbits[index])
+            rank = (permutation_rank([s.index(x) + 1 for x in perm]) % orbit_size
+                    if orbit_size > 1 else 0)
+        new = classes.new_tuples[index][rank]
+        if new:
+            decided[s] = new
     relations: dict[str, list] = {name: [] for name in names}
     for support, pairs in decided.items():
         for name, tup in pairs:

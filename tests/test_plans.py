@@ -315,12 +315,16 @@ def test_draws_past_the_plan_bound_hold_no_plan(monkeypatch, bound):
 def test_step_plans_hand_the_source_labelled_subsets(monkeypatch, bound):
     monkeypatch.setattr(samplers, "_MAX_PLANNED_STEPS", bound)
     klass = builtin_class("graphs")
-    klass._step_plans.clear()
-    subsets = [s for s, *_ in samplers._step_plan(klass, 4)]
+    klass._step_plans = None
+    steps, last = samplers._step_plan(klass, 4)
+    subsets = [s for s, *_ in steps]
     top = min(4, klass.forced_above or 4)
-    assert subsets == [s for k in range(2, top + 1) for s in itertools.combinations(range(1, 5), k)]
+    # kept at the default bound, chained afresh past a bound of 3 steps
+    assert last is (subsets[-1] if bound > 3 else None) and subsets == sorted(
+        (s for k in range(1, top + 1) for s in itertools.combinations(range(1, 5), k)),
+        key=lambda s: (s[-1], len(s), s))
     assert all(type(s) is _Subset and s.text == ",".join(map(str, s)).encode() for s in subsets)
-    klass._step_plans.clear()
+    klass._step_plans = None
 
 
 # --- types: a table tuple's pattern and context key, read by content ------------------

@@ -1,6 +1,7 @@
 """Samplers: rule-driven, frame-wise, age-indexed sequential; projectivity
 and the failure-witness contracts."""
 
+import functools
 import itertools
 import os
 import subprocess
@@ -259,10 +260,12 @@ class _CountingSource(HierarchicalRandomSource):
 
 def test_framewise_graphs_draw_only_on_pairs():
     # one size-1 member: singletons draw nothing; above the pairs
-    # max(arity, locality) = 2 no subset is visited
+    # max(arity, locality) = 2 no subset is visited; pairs come in colex
+    # order, by largest point
     src = _CountingSource(3)
     sample_framewise(GRAPHS, 5, src)
-    pairs = list(itertools.combinations(range(1, 6), 2))
+    pairs = sorted(itertools.combinations(range(1, 6), 2), key=lambda s: (s[-1], s))
+    assert pairs[:4] == [(1, 2), (1, 3), (2, 3), (1, 4)]
     assert src.draws == {"xi": pairs, "ordering": pairs}
 
 
@@ -351,35 +354,67 @@ def _logged_outcome(sample, klass, n, seed, rep_weights):
     return outcome, src.log
 
 
+naive_colex = functools.partial(naive_sample_framewise, order="colex")
+
+
 @pytest.mark.parametrize("locality", ["declared", "unknown"])
 @pytest.mark.parametrize("label, make", FRAMEWISE_CLASSES,
                          ids=[label for label, _ in FRAMEWISE_CLASSES])
 def test_framewise_matches_the_sampler_without_a_step_plan(label, make, locality):
-    # same structure or failure (subset and family), same draws in the same order
+    # same structure or failure (subset and family), same draws in the same
+    # order, with sizes visited upward and then downward over one class
     klass = make()
     if locality == "unknown":
         klass = FiniteClass(label, klass.signature, klass.contains, klass.enumerate,
                             cap=klass.cap)
     for rep_weights in (None, (1.0, 3.0)):
-        for n in range(8):
+        for n in (*range(8), *range(7, -1, -1)):
             for seed in range(30):
-                expected = _logged_outcome(naive_sample_framewise, klass, n, seed, rep_weights)
+                expected = _logged_outcome(naive_colex, klass, n, seed, rep_weights)
                 assert _logged_outcome(sample_framewise, klass, n, seed,
                                        rep_weights) == expected, (n, seed, rep_weights)
 
 
+@pytest.mark.parametrize("label, make", FRAMEWISE_CLASSES,
+                         ids=[label for label, _ in FRAMEWISE_CLASSES])
+def test_framewise_size_and_colex_orders_agree_on_every_success(label, make):
+    # both orders visit each subset after its proper subsets, so they build
+    # the same samples and fail on the same seeds, though a failure may name
+    # another subset
+    klass = make()
+    for rep_weights in (None, (1.0, 3.0)):
+        for n in range(8):
+            for seed in range(30):
+                by_size = _logged_outcome(naive_sample_framewise, klass, n, seed, rep_weights)[0]
+                by_colex = _logged_outcome(naive_colex, klass, n, seed, rep_weights)[0]
+                if isinstance(by_size, Structure) or isinstance(by_colex, Structure):
+                    assert by_colex == by_size, (n, seed, rep_weights)
+                else:
+                    assert type(by_colex) is type(by_size), (n, seed, rep_weights)
+
+
 def test_framewise_plans_keep_to_their_bound(monkeypatch):
-    # graphs visit C(n, 2) pairs: 10 steps at n = 5, 6 at n = 4, 15 at n = 6
+    # graphs visit n singletons and C(n, 2) pairs: 10 steps on [1, 4], 15 on
+    # [1, 5]; one list keeps the 10 for every size, in colex order
     monkeypatch.setattr(relex.samplers, "_MAX_PLANNED_STEPS", 10)
     klass = make_builtin_class("graphs")
-    for n, kept in ((5, [5]), (4, [4]), (6, [4]), (3, [4, 3])):
+    for n in (5, 4, 6, 3, 1):
         for seed in range(5):
-            expected = _logged_outcome(naive_sample_framewise, klass, n, seed, None)
+            expected = _logged_outcome(naive_colex, klass, n, seed, None)
             assert _logged_outcome(sample_framewise, klass, n, seed, None) == expected
-        assert sorted(klass._step_plans) == sorted(kept), n
+        assert klass._step_plans.ends == [0, 1, 3, 6, 10], n
+    colex = [(1,), (2,), (1, 2), (3,), (1, 3), (2, 3), (4,), (1, 4), (2, 4), (3, 4)]
+    assert [s for s, *_ in klass._step_plans] == colex
     # kept steps carry a memo; steps chained afresh past the bound carry none
-    assert all(isinstance(memo, dict) for *_, memo in relex.samplers._step_plan(klass, 4))
-    assert all(memo is None for *_, memo in relex.samplers._step_plan(klass, 6))
+    steps, last = relex.samplers._step_plan(klass, 3)
+    steps = list(steps)
+    assert [s for s, *_ in steps] == colex[:6] and last is steps[-1][0]
+    steps, last = relex.samplers._step_plan(klass, 6)
+    steps = list(steps)
+    assert last is None and len(steps) == 21 and steps[:10] == klass._step_plans
+    assert [s for s, *_ in steps[10:12]] == [(5,), (1, 5)]
+    assert all(memo is None for *_, memo in steps[10:])
+    assert all(isinstance(memo, dict) for *_, memo in klass._step_plans)
 
 
 def _same_outcome(outcome, expected):
@@ -401,23 +436,18 @@ def test_framewise_trie_walks_match_the_sampler_without_a_step_plan(label, make,
     for rep_weights in (None, (1.0, 3.0)):
         for n in range(8):
             for seed in range(12):
-                expected = _logged_outcome(naive_sample_framewise, klass, n, seed, rep_weights)
+                expected = _logged_outcome(naive_colex, klass, n, seed, rep_weights)
                 for visit in range(2):
                     _same_outcome(_logged_outcome(sample_framewise, klass, n, seed, rep_weights),
                                   expected)
 
 
-def _trie_counts(parent):
-    """The nodes and the leaves below a trie node, or below the kept steps
-    that hold the trie's root."""
-    nodes = leaves = 0
-    for child in parent.children.values():
-        if isinstance(child, Structure):
-            leaves += 1
-        else:
-            below = _trie_counts(child)
-            nodes, leaves = nodes + 1 + below[0], leaves + below[1]
-    return nodes, leaves
+def _trie_counts(trie):
+    """The nodes below the kept steps that hold the trie's root, and the
+    samples stored."""
+    def below(parent):
+        return sum(1 + below(child) for child in parent.children.values())
+    return below(trie), len(trie.samples)
 
 
 def _no_pairs_class():
@@ -426,27 +456,22 @@ def _no_pairs_class():
                        lambda n: GRAPHS.enumerate(n) if n <= 1 else (), locality=2)
 
 
-def _stored_leaf(trie, sample) -> bool:
-    """Whether `sample` is, as an object, one of the samples the trie stores."""
-    return any(child is sample if isinstance(child, Structure) else _stored_leaf(child, sample)
-               for child in trie.children.values())
-
-
 def _path_kind(klass, n, before, outcome):
-    """How one sample ran, from the trie at size n before and after it:
-    `before` is (had a root, interior nodes, leaves), None at a size not kept."""
-    trie = klass._step_plans.get(n)
-    if trie is None or before is None:
-        return "not kept" if trie is None else "first at this size"
-    had_root, nodes, leaves = before
+    """How one sample ran, from the class's trie before and after it:
+    `before` is (nodes, samples), None on a class with no trie yet."""
+    trie = klass._step_plans
+    if before is None:
+        return "first on the class"
+    if n >= len(trie.ends):
+        return "not kept"
+    nodes, samples = before
     after = _trie_counts(trie)
-    if not had_root:
-        return "grew the root"
     if after[0] > nodes:
         return "left mid-walk"
-    if after[1] > leaves:
+    if after[1] > samples:
         return "left at the last step"
-    if isinstance(outcome, Structure) and _stored_leaf(trie, outcome):
+    if isinstance(outcome, Structure) and any(sample is outcome
+                                              for sample in trie.samples.values()):
         return "walked to the end"
     return "failed" if not isinstance(outcome, Structure) else "built past the bound"
 
@@ -455,17 +480,18 @@ def _path_kind(klass, n, before, outcome):
 @pytest.mark.parametrize("name", ["graphs", "tournaments", "digraphs", "equivalence"])
 def test_framewise_one_loop_walks_and_builds_as_the_naive_sampler(name, bound, monkeypatch):
     # the same structure or failure as the naive sampler, with the same
-    # draws in the same order, whichever way the sample ran through the trie
+    # draws in the same order, whichever way the sample ran through the
+    # trie; sizes go down, so that a smaller sample walks a larger one's
+    # path to its last step, and then up
     if bound != "default":
         monkeypatch.setattr(relex.samplers, "_MAX_PLANNED_STEPS", bound)
     klass, kinds = make_builtin_class(name), set()
-    for rep_weights in (None, (1.0, 3.0)):
-        for n in range(1, 6):
+    for rep_weights, sizes in ((None, range(5, 0, -1)), ((1.0, 3.0), range(1, 6))):
+        for n in sizes:
             for seed in range(16):
-                expected = _logged_outcome(naive_sample_framewise, klass, n, seed, rep_weights)
-                trie = klass._step_plans.get(n)
-                before = (None if trie is None
-                          else (() in trie.children, *_trie_counts(trie)))
+                expected = _logged_outcome(naive_colex, klass, n, seed, rep_weights)
+                trie = klass._step_plans
+                before = None if trie is None else _trie_counts(trie)
                 outcome = _logged_outcome(sample_framewise, klass, n, seed, rep_weights)
                 _same_outcome(outcome, expected)
                 kinds.add(_path_kind(klass, n, before, outcome[0]))
@@ -480,11 +506,11 @@ def test_framewise_failures_raise_alike_on_every_visit(name, n):
     failing = [seed for seed in range(40)
                if not isinstance(_framewise_outcome(klass, n, seed), Structure)]
     assert failing, name
-    trie = klass._step_plans[n]
+    trie = klass._step_plans
     stored = trie.nodes
     assert sum(_trie_counts(trie)) == stored
     for seed in failing:
-        expected = _logged_outcome(naive_sample_framewise, klass, n, seed, None)
+        expected = _logged_outcome(naive_colex, klass, n, seed, None)
         for visit in range(2):
             outcome = _logged_outcome(sample_framewise, klass, n, seed, None)
             assert outcome == expected and not isinstance(outcome[0], Structure)
@@ -496,19 +522,54 @@ def test_framewise_trie_keeps_to_its_bound():
     klass = make_builtin_class("graphs")
     for src in _sources(2000, meta_seed=9):
         sample_framewise(klass, 12, src)
-    trie = klass._step_plans[12]
-    nodes, leaves = _trie_counts(trie)
-    assert nodes + leaves == trie.nodes <= relex.samplers._MAX_PLANNED_STEPS
-    assert leaves >= 1
+    trie = klass._step_plans
+    nodes, samples = _trie_counts(trie)
+    assert nodes + samples == trie.nodes <= relex.samplers._MAX_PLANNED_STEPS
+    assert samples >= 1
 
 
-def test_framewise_sizes_of_singletons_alone_keep_no_trie():
-    # subsets visits singletons only (max(arity, locality) = 1), so no size
-    # has a plan to keep: sampling many sizes grows nothing on the class
+def test_framewise_one_bound_holds_per_class():
+    # every size shares the class's one step list and one trie, so sampling
+    # many sizes keeps within one bound (one trie per size held 14,383 nodes and samples)
+    klass = make_builtin_class("graphs")
+    for n in range(2, 19):
+        for src in _sources(300, meta_seed=n):
+            sample_framewise(klass, n, src)
+    trie = klass._step_plans
+    assert sum(_trie_counts(trie)) == trie.nodes <= relex.samplers._MAX_PLANNED_STEPS
+    assert len(trie) == trie.ends[-1] <= relex.samplers._MAX_PLANNED_STEPS
+    assert trie.ends[18] == 18 + 153
+
+
+def test_framewise_sizes_of_singletons_alone_share_the_class_trie():
+    # subsets visits singletons only (max(arity, locality) = 1): the steps on
+    # [1, n] are the first n of one list, and every size walks one trie
     klass = make_builtin_class("subsets")
     for n in range(1, 60):
         sample_framewise(klass, n, HierarchicalRandomSource(n))
-    assert klass._step_plans == {}
+    trie = klass._step_plans
+    assert [s for s, *_ in trie] == [(i,) for i in range(1, 60)]
+    assert trie.ends == list(range(60))
+    assert sum(_trie_counts(trie)) == trie.nodes <= relex.samplers._MAX_PLANNED_STEPS
+
+
+@pytest.mark.parametrize("name", ["equivalence", "parity3"])
+@pytest.mark.parametrize("n", [6, 8])
+def test_framewise_failures_are_projective(name, n):
+    # a failure names the first subset s in colex order with no amalgam: the
+    # sample on [1, max(s) - 1] exists, and every size from max(s) on raises
+    # with the same subset and family
+    klass, failures = builtin_class(name), 0
+    for seed in range(200):
+        outcome = _framewise_outcome(klass, n, seed)
+        if isinstance(outcome, Structure):
+            continue
+        failures += 1
+        top = max(outcome[0])
+        assert isinstance(_framewise_outcome(klass, top - 1, seed), Structure), seed
+        for m in range(top, n + 1):
+            assert _framewise_outcome(klass, m, seed) == outcome, (seed, m)
+    assert failures, name
 
 
 def test_framewise_equal_samples_at_a_kept_size_are_one_object():
@@ -533,8 +594,10 @@ def test_framewise_projective_over_random_seeds(name, n, data, seed):
     if isinstance(big, Structure):
         assert restrict(big, range(1, m + 1)) == small
     elif max(big[0]) <= m:
-        # the subsets inside [1, m] come in the same order at n and at m
+        # the steps on [1, m] come first at n, in the same order
         assert small == big
+    else:
+        assert isinstance(small, Structure)
 
 
 @settings(max_examples=25, deadline=None)

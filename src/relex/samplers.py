@@ -230,7 +230,7 @@ def _class_index(u: float, count: int, rep_weights: Optional[tuple]) -> int:
 
 
 class _KeptSteps(list):
-    """Kept steps (`_step_plan`), `ends[m]` on [1, m]; trie root in `children`, samples by node."""
+    """Kept steps (`_step_plan`), `ends[m]` on [1, m]; trie root, `samples` by (node, choice)."""
 
 
 class _Node:
@@ -341,7 +341,7 @@ def sample_framewise(klass: FiniteClass, n: int, src: HierarchicalRandomSource,
 
     steps, last = _step_plan(klass, n)
     trie, xi, ordering = klass._step_plans, src.xi, src.ordering
-    at = trie.children.get(())  # this step's node while walked
+    at, samples = trie.children.get(()), trie.samples  # this step's node while walked
     node, choice = trie, ()  # the trie node of the last step and the choice made there
     if at is None:
         decided, sizes, pairs, empty, top = _build_state(klass, n)
@@ -380,7 +380,7 @@ def sample_framewise(klass: FiniteClass, n: int, src: HierarchicalRandomSource,
                 rank = permutation_rank([s.index(x) + 1 for x in order]) % size if size > 1 else 0
             choice = (index, rank)
         if at is not None:
-            node, at = at, at.children.get(choice) if s is not last else trie.samples.get((at, choice))
+            node, at = at, at.children.get(choice) if s is not last else samples.get((at, choice))
             if at is not None:
                 continue
             # the path left the trie: place the steps walked, drawn already,
@@ -410,7 +410,7 @@ def sample_framewise(klass: FiniteClass, n: int, src: HierarchicalRandomSource,
         return at
     sample = Structure._trusted(signature, n, _partial(signature.names(), pairs))
     if node is not None and trie.nodes < _MAX_PLANNED_STEPS:
-        trie.samples[node, choice], trie.nodes = sample, trie.nodes + 1
+        samples[node, choice], trie.nodes = sample, trie.nodes + 1
     return sample
 
 

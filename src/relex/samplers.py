@@ -279,7 +279,7 @@ def _step_plan(klass: FiniteClass, n: int):
         plan.extend(_colex_steps(klass, m, kept=True))
         ends.append(len(plan))
     if n < len(ends):
-        return itertools.islice(plan, ends[n]), plan[ends[n] - 1][0]
+        return plan[:ends[n]], plan[ends[n] - 1][0]
     return itertools.chain(
         plan, *(_colex_steps(klass, m, kept=False) for m in range(len(ends), n + 1))), None
 

@@ -259,6 +259,17 @@ def _cmd_theory(args) -> int:
     return 0
 
 
+def _emit_failure(failure: AmalgamationFailure, as_json: bool) -> None:
+    payload = {
+        "error": "amalgamation-failure",
+        "subset": list(failure.subset),
+        "family": [json.loads(serialize(s)) for s in failure.family],
+    }
+    lines = [f"amalgamation failure at subset {failure.subset}; "
+             "family of one-point-deleted restrictions:", *_slot_lines(failure.family)]
+    _emit(payload, as_json, lines)
+
+
 def _cmd_sample(args) -> int:
     _check_kind_options(args)
     seed = args.seed if args.seed is not None else _default_seed()
@@ -271,47 +282,46 @@ def _cmd_sample(args) -> int:
     try:
         structure = sampler.sample(src, args.n)
     except AmalgamationFailure as failure:
-        payload = {
-            "error": "amalgamation-failure",
-            "subset": list(failure.subset),
-            "family": [json.loads(serialize(s)) for s in failure.family],
-        }
-        lines = [f"amalgamation failure at subset {failure.subset}; "
-                 "family of one-point-deleted restrictions:", *_slot_lines(failure.family)]
-        code = 1
-    else:
-        payload = {"seed": seed, "n": args.n, "structure": json.loads(serialize(structure))}
-        lines = [serialize(structure)]
-        code = 0
-    _emit(payload, args.json, lines)
-    return code
+        _emit_failure(failure, args.json)
+        return 1
+    payload = {"seed": seed, "n": args.n, "structure": json.loads(serialize(structure))}
+    _emit(payload, args.json, [serialize(structure)])
+    return 0
 
 
 def _cmd_test(args) -> int:
+    """Exit 0 when the test passes, 1 when it rejects, and 2 when a frame-wise
+    sampler has no amalgam at some subset, so that the test could not run."""
     _check_kind_options(args)
     sampler = _build_sampler(args.sampler, args.cap)
-    if args.kind == "exch":
-        report = test_exchangeability(sampler, args.n, args.N, alpha=args.alpha,
-                                      meta_seed=args.meta_seed)
-    elif args.kind == "rel-exch":
-        report = test_relative_exchangeability(
-            sampler, _load_oracle(args.ref), args.n, args.N, alpha=args.alpha,
-            window=args.window, meta_seed=args.meta_seed)
-    elif args.kind == "dissoc":
-        report = test_dissociation(sampler, _parse_subset(args.s),
-                                   _parse_subset(args.t), args.N,
-                                   alpha=args.alpha, meta_seed=args.meta_seed)
-    else:
-        subset = _parse_subset(args.subset)
-        law_a = empirical_law(sampler, subset, args.N, args.meta_seed, offset=0)
-        law_b = empirical_law(_build_sampler(args.b, args.cap), subset, args.N,
-                              args.meta_seed, offset=args.N)
-        report = test_equal_law(law_a, law_b, alpha=args.alpha)
+    try:
+        report = _run_test(args, sampler)
+    except AmalgamationFailure as failure:
+        _emit_failure(failure, args.json)
+        return 2
     lines = [f"{report.name}: {report.verdict.upper()} "
              f"(statistic {report.statistic:.4f}, dof {report.dof}, "
              f"p {report.p_value:.6f}, alpha {report.alpha})"]
     _emit(report.to_json(), args.json, lines)
     return 0 if report.passed else 1
+
+
+def _run_test(args, sampler):
+    if args.kind == "exch":
+        return test_exchangeability(sampler, args.n, args.N, alpha=args.alpha,
+                                    meta_seed=args.meta_seed)
+    if args.kind == "rel-exch":
+        return test_relative_exchangeability(
+            sampler, _load_oracle(args.ref), args.n, args.N, alpha=args.alpha,
+            window=args.window, meta_seed=args.meta_seed)
+    if args.kind == "dissoc":
+        return test_dissociation(sampler, _parse_subset(args.s), _parse_subset(args.t),
+                                 args.N, alpha=args.alpha, meta_seed=args.meta_seed)
+    subset = _parse_subset(args.subset)
+    law_a = empirical_law(sampler, subset, args.N, args.meta_seed, offset=0)
+    law_b = empirical_law(_build_sampler(args.b, args.cap), subset, args.N,
+                          args.meta_seed, offset=args.N)
+    return test_equal_law(law_a, law_b, alpha=args.alpha)
 
 
 def _cmd_verify(args) -> int:

@@ -87,7 +87,7 @@ class HierarchicalRandomSource:
     """Deterministic per-seed family of per-subset uniforms and orders."""
 
     def __init__(self, seed: int):
-        self.seed = _integer(seed, "seed") & _MASK64
+        self.seed = (seed if type(seed) is int else _integer(seed, "seed")) & _MASK64
         # keyed once; every block hashes a copy
         self._hasher = hashlib.blake2b(key=self.seed.to_bytes(8, "big"), digest_size=32)
 
@@ -227,7 +227,8 @@ class SeedStream:
 
     def __getitem__(self, index: int) -> int:
         hasher = self._hasher.copy()
-        hasher.update(b"seed|%d" % _integer(index, "stream index"))
+        hasher.update(b"seed|%d" % (index if type(index) is int
+                                    else _integer(index, "stream index")))
         return int.from_bytes(hasher.digest(), "big")
 
     def take(self, count: int, offset: int = 0) -> list[int]:

@@ -230,19 +230,32 @@ def _class_index(u: float, count: int, rep_weights: Optional[tuple]) -> int:
 
 
 class _KeptSteps(list):
-    """Kept steps (`_step_plan`), `ends[m]` on [1, m]; trie root, `samples` by (node, choice)."""
+    """A class's kept steps (`_step_plan`), `ends[m]` of them on [1, m], and the
+    root of its trie (`_Node`): `children[()]` is the first node a walk
+    visits, `i` the index before the first step, and `nodes` counts the
+    trie's nodes and samples."""
+
+    __slots__ = ("ends", "children", "i", "nodes")
 
 
 class _Node:
-    """A trie step: its classes, their orbits (None for one amalgam), the step
-    before it and the choice made there (the kept steps and () at the root),
-    and per choice made here the next step's node."""
+    """A trie step on one path of choices: its subset s, size k and index i in
+    the kept list, its classes and their orbits (None for one amalgam), the
+    node before it and the choice made there (the kept list and () at the
+    first step), per choice made here the next node a walk visits, and at
+    the last step on some [1, m] the sample on [1, m] per choice (else
+    None).  A walk passes over steps with one amalgam: a link skips a run
+    of them to the node after it, or to the last one while the path ends
+    there."""
 
-    __slots__ = ("classes", "orbits", "parent", "via", "children")
+    __slots__ = ("s", "k", "i", "classes", "orbits", "parent", "via", "children", "samples")
 
-    def __init__(self, classes, orbits, parent, via):
-        self.classes, self.orbits, self.parent, self.via = classes, orbits, parent, via
-        self.children = {}
+    def __init__(self, s, k, i, classes, orbits, parent, via, samples):
+        self.s, self.k, self.i, self.classes, self.orbits = s, k, i, classes, orbits
+        self.parent, self.via, self.children, self.samples = parent, via, {}, samples
+
+
+_FORCED = (0, 0)  # the choice at a step with one amalgam
 
 
 def _colex_steps(klass: FiniteClass, m: int, kept: bool):
@@ -257,19 +270,13 @@ def _colex_steps(klass: FiniteClass, m: int, kept: bool):
         for k in range(1, top + 1))
 
 
-def _step_plan(klass: FiniteClass, n: int):
-    """The steps of a frame-wise sample on [1, n] in visiting order, and the
-    last one's subset if they are kept, else None.  A step is a subset s,
-    its size k, for each support size that can hold a tuple (below k, at
-    most the max arity) the positions in s of its subsets of that size,
-    shared by all s of one size, and a memo from a member's tuples on
-    [1, k] to the same in global labels.  A class keeps one colex list,
-    grown a largest point at a time up to _MAX_PLANNED_STEPS steps; past
-    that, fresh steps with memo None follow, each meeting one sample."""
+def _kept_steps(klass: FiniteClass, n: int) -> _KeptSteps:
+    """The class's kept steps, grown a largest point at a time up to [1, n]
+    while they stay within _MAX_PLANNED_STEPS."""
     plan = klass._step_plans
     if plan is None:
         plan = klass._step_plans = _KeptSteps()
-        plan.ends, plan.children, plan.samples, plan.nodes = [0], {}, {}, 0
+        plan.ends, plan.children, plan.i, plan.nodes = [0], {}, -1, 0
     ends = plan.ends
     while len(ends) <= n:
         m = len(ends)
@@ -278,10 +285,23 @@ def _step_plan(klass: FiniteClass, n: int):
             break
         plan.extend(_colex_steps(klass, m, kept=True))
         ends.append(len(plan))
+    return plan
+
+
+def _step_plan(klass: FiniteClass, n: int, start: int = 0):
+    """The steps of a frame-wise sample on [1, n] in visiting order, from the
+    one at index `start`.  A step is a subset s, its size k, for each
+    support size that can hold a tuple (below k, at most the max arity) the
+    positions in s of its subsets of that size, shared by all s of one
+    size, and a memo from a member's tuples on [1, k] to the same in global
+    labels.  A class keeps one colex list (`_kept_steps`); past it, fresh
+    steps with memo None follow, each meeting one sample."""
+    plan = _kept_steps(klass, n)
+    ends = plan.ends
     if n < len(ends):
-        return plan[:ends[n]], plan[ends[n] - 1][0]
+        return plan[start:ends[n]]
     return itertools.chain(
-        plan, *(_colex_steps(klass, m, kept=False) for m in range(len(ends), n + 1))), None
+        plan[start:], *(_colex_steps(klass, m, kept=False) for m in range(len(ends), n + 1)))
 
 
 def _build_state(klass: FiniteClass, n: int):
@@ -319,15 +339,16 @@ def sample_framewise(klass: FiniteClass, n: int, src: HierarchicalRandomSource,
     xi_s and the ordering of s, so a sample is a function of its choices.
     A class keeps one list of steps (`_step_plan`), those on [1, m] first
     for every n >= m, and one decision trie of choices along it (`_Node`,
-    for every size and `rep_weights`), with the sample on [1, m] at the
-    choice made at the last step on [1, m].  One loop runs the steps: a
-    step takes its orbits from its trie node while the path is in the trie,
-    and otherwise from the step table, scanning only the support sizes that
-    hold tuples it can read; its choice is read in one place, with the same
-    draws in the same order either way.  A walked path ends at the stored
-    sample, one lookup a step; a path that leaves the trie places the steps
-    walked, read up the trie without drawing again, and builds on, adding
-    nodes and samples, `_MAX_PLANNED_STEPS` in all, none at a failing step.
+    for every size and `rep_weights`).  One loop runs the steps, its choice
+    read in one place, with the same draws in the same order on every path.
+    A walk starts at the trie's root and reads no step list: each node
+    holds its step, the links pass over the steps with one amalgam, and the
+    walk ends at the step of index `ends[n] - 1`, whose node stores the
+    sample for each choice made there.  A path that leaves the trie places
+    the steps walked, read up the trie without drawing again, and builds on
+    from the step list, adding nodes and samples, `_MAX_PLANNED_STEPS` in
+    all, none at a failing step; a size past the kept list walks the kept
+    steps and builds the rest.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -335,20 +356,58 @@ def sample_framewise(klass: FiniteClass, n: int, src: HierarchicalRandomSource,
         rep_weights = tuple(float(w) for w in rep_weights)
         if not rep_weights or not all(math.isfinite(w) and w > 0 for w in rep_weights):
             raise ValueError("rep_weights must be finite and positive")
-    signature = klass.signature
     if n == 0:
-        return Structure._trusted(signature, 0, {})
+        return Structure._trusted(klass.signature, 0, {})
 
-    steps, last = _step_plan(klass, n)
-    trie, xi, ordering = klass._step_plans, src.xi, src.ordering
-    at, samples = trie.children.get(()), trie.samples  # this step's node while walked
-    node, choice = trie, ()  # the trie node of the last step and the choice made there
-    if at is None:
-        decided, sizes, pairs, empty, top = _build_state(klass, n)
-    for s, k, groups, memo in steps:
-        if at is not None:
-            orbits = at.orbits
+    trie = klass._step_plans
+    if trie is None or n >= len(trie.ends):
+        trie = _kept_steps(klass, n)
+    ends, xi, ordering = trie.ends, src.xi, src.ordering
+    kept = n < len(ends)
+    end = ends[n] - 1 if kept else len(trie) - 1  # the index of the last step walked
+    node, choice, steps = trie, (), None  # the node of the last step, its choice; steps built
+    while True:
+        if steps is None:
+            at = node.children.get(choice)
+            if at is not None and at.i <= end:
+                node, s, k, orbits = at, at.s, at.k, at.orbits
+            else:
+                if at is not None and node.i < end:  # the end is a step with one amalgam passed over
+                    node, choice = at.parent, _FORCED
+                    while node.i > end:
+                        node = node.parent
+                if kept and node.i == end:
+                    sample = node.samples.get(choice)
+                    if sample is not None:
+                        return sample
+                # the path leaves the trie: place the steps walked, drawn
+                # already, read up the trie from this one, and build on
+                decided, sizes, pairs, empty, top = _build_state(klass, n)
+                up, made, path = node, choice, []
+                while up is not trie:
+                    path.append((up, made))
+                    up, made = up.parent, up.via
+                done = ((at.s, at.k, trie[at.i][3], at.classes, made) for at, made in reversed(path))
+                steps, i = iter(_step_plan(klass, n, node.i + 1)), node.i
+                continue
         else:
+            for s, k, memo, classes, (index, rank) in done:
+                new = classes.new_tuples[index][rank]
+                if new:
+                    decided[s] = new
+                    if k < top:  # no step reads a support of the largest step's size
+                        sizes.add(k)
+                    placed = memo.get(new) if memo is not None else None
+                    if placed is None:
+                        placed = [(name, tuple([s[c - 1] for c in tup])) for name, tup in new]
+                        if memo is not None:
+                            memo[new] = placed
+                    pairs.extend(placed)
+            step = next(steps, None)
+            if step is None:
+                break
+            s, k, groups, memo = step
+            i += 1
             # the decided tuples inside s, relabelled onto [1, k]
             inside = [(name, tuple([pos[c - 1] for c in tup]))
                       for size, group in groups if size in sizes
@@ -359,6 +418,7 @@ def sample_framewise(klass: FiniteClass, n: int, src: HierarchicalRandomSource,
             if not classes.orbits:
                 if k == 1:
                     raise ValueError(f"class {klass.name!r} has no members of size 1")
+                signature = klass.signature
                 local = Structure._trusted(signature, k, _partial(signature.names(), inside))
                 family = [restrict(local, [j for j in range(1, k + 1) if j != i])
                           for i in range(1, k + 1)]
@@ -366,51 +426,31 @@ def sample_framewise(klass: FiniteClass, n: int, src: HierarchicalRandomSource,
             parent, node, orbits = node, None, classes.orbits
             orbits = None if len(orbits) == 1 and len(orbits[0]) == 1 else orbits
             if parent is not None and memo is not None and trie.nodes < _MAX_PLANNED_STEPS:
-                node = parent.children[choice] = _Node(classes, orbits, parent, choice)
+                node = parent.children[choice] = _Node(
+                    s, k, i, classes, orbits, parent, choice, {} if ends[s[-1]] == i + 1 else None)
                 trie.nodes += 1
+                # the steps with one amalgam just before it link past themselves to it
+                while parent is not trie and parent.orbits is None:
+                    parent.parent.children[parent.via] = node
+                    parent = parent.parent
         if orbits is None:  # one amalgam: nothing drawn
-            choice = (0, 0)
+            choice = _FORCED
         else:  # xi_s picks the class and, above singletons, s's order the orbit member
             u, count = xi(s), len(orbits)
-            index = (min(int(u * count), count - 1) if k == 1 or rep_weights is None
+            # u is a multiple of 2^-53 below 1, so u * count rounds below count
+            index = (int(u * count) if k == 1 or rep_weights is None
                      else _class_index(u, count, rep_weights))
             rank = 0
             if k > 1:
                 order, size = ordering(s), len(orbits[index])
                 rank = permutation_rank([s.index(x) + 1 for x in order]) % size if size > 1 else 0
             choice = (index, rank)
-        if at is not None:
-            node, at = at, at.children.get(choice) if s is not last else samples.get((at, choice))
-            if at is not None:
-                continue
-            # the path left the trie: place the steps walked, drawn already,
-            # read up the trie from this one, and build on
-            decided, sizes, pairs, empty, top = _build_state(klass, n)
-            up, made, path = node, choice, []
-            while up is not trie:
-                path.append((up.classes, made))
-                up, made = up.parent, up.via
-            done = ((s, k, memo, classes, made)
-                    for (s, k, _, memo), (classes, made) in zip(trie, reversed(path)))
-        else:
+        if steps is not None:
             done = ((s, k, memo, classes, choice),)
-        for s, k, memo, classes, (index, rank) in done:
-            new = classes.new_tuples[index][rank]
-            if new:
-                decided[s] = new
-                if k < top:  # no step reads a support of the largest step's size
-                    sizes.add(k)
-                placed = memo.get(new) if memo is not None else None
-                if placed is None:
-                    placed = [(name, tuple([s[c - 1] for c in tup])) for name, tup in new]
-                    if memo is not None:
-                        memo[new] = placed
-                pairs.extend(placed)
-    if at is not None:  # walked to its end: the stored sample
-        return at
+    signature = klass.signature
     sample = Structure._trusted(signature, n, _partial(signature.names(), pairs))
-    if node is not None and trie.nodes < _MAX_PLANNED_STEPS:
-        samples[node, choice], trie.nodes = sample, trie.nodes + 1
+    if node is not None and trie.nodes < _MAX_PLANNED_STEPS:  # at the step of index `end`
+        node.samples[choice], trie.nodes = sample, trie.nodes + 1
     return sample
 
 
@@ -607,7 +647,7 @@ class FramewiseSampler:
         self.signature = klass.signature
 
     def sample(self, src: HierarchicalRandomSource, n: int) -> Structure:
-        return sample_framewise(self.klass, n, src, rep_weights=self.rep_weights)
+        return sample_framewise(self.klass, n, src, self.rep_weights)
 
 
 class SequentialSampler:

@@ -336,6 +336,35 @@ def test_test_equal_law_over_different_signatures_exits_2():
     assert "different signatures: Signature(E/2) and Signature(P/1)" in result.stderr
     assert result.stdout == ""
 
+FAILING_TESTS = [
+    "test exch --sampler framewise:equivalence --n 3 --N 300 --meta-seed 1",
+    "test rel-exch --sampler framewise:parity3 --ref evens --n 2 --N 100 --meta-seed 1",
+    "test dissoc --sampler framewise:equivalence --s 1,2 --t 3,4 --N 200 --meta-seed 3",
+    "test equal --sampler framewise:equivalence --b framewise:graphs --subset 1,2,3 "
+    "--N 100 --meta-seed 1"]
+
+
+@pytest.mark.parametrize("command", FAILING_TESTS, ids=[c.split()[1] for c in FAILING_TESTS])
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+def test_test_with_a_sampler_that_finds_no_amalgam_exits_2(command, as_json):
+    # the test could not run: the failure is reported as `relex sample`
+    # reports it, with no traceback
+    result = run_cli(*(["--json"] if as_json else []), *shlex.split(command))
+    assert result.returncode == 2 and result.stderr == ""
+    if as_json:
+        payload = json.loads(result.stdout)
+        assert set(payload) == {"error", "subset", "family"}
+        assert payload["error"] == "amalgamation-failure"
+        family = [deserialize(json.dumps(member)) for member in payload["family"]]
+        assert len(family) == len(payload["subset"]) >= 3
+        assert all(member.n == len(family) - 1 for member in family)
+    else:
+        first, *slots = result.stdout.splitlines()
+        assert first.startswith("amalgamation failure at subset (")
+        assert [line.split(":")[0] for line in slots] == [
+            f"  slot {i}" for i in range(1, len(slots) + 1)]
+
+
 def test_test_dissociation_json():
     result = run_cli("--json", "test", "dissoc", "--sampler", "framewise:graphs",
                      "--s", "1,2", "--t", "3,4", "--N", "400", "--meta-seed", "3")

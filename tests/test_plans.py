@@ -316,11 +316,12 @@ def test_step_plans_hand_the_source_labelled_subsets(monkeypatch, bound):
     monkeypatch.setattr(samplers, "_MAX_PLANNED_STEPS", bound)
     klass = builtin_class("graphs")
     klass._step_plans = None
-    steps, last = samplers._step_plan(klass, 4)
+    steps = samplers._step_plan(klass, 4)
     subsets = [s for s, *_ in steps]
     top = min(4, klass.forced_above or 4)
-    # kept at the default bound, chained afresh past a bound of 3 steps
-    assert last is (subsets[-1] if bound > 3 else None) and subsets == sorted(
+    # kept at the default bound (a slice of the kept list), chained afresh
+    # past a bound of 3 steps
+    assert isinstance(steps, list) == (bound > 3) and subsets == sorted(
         (s for k in range(1, top + 1) for s in itertools.combinations(range(1, 5), k)),
         key=lambda s: (s[-1], len(s), s))
     assert all(type(s) is _Subset and s.text == ",".join(map(str, s)).encode() for s in subsets)

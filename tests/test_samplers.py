@@ -405,13 +405,14 @@ def test_framewise_plans_keep_to_their_bound(monkeypatch):
         assert klass._step_plans.ends == [0, 1, 3, 6, 10], n
     colex = [(1,), (2,), (1, 2), (3,), (1, 3), (2, 3), (4,), (1, 4), (2, 4), (3, 4)]
     assert [s for s, *_ in klass._step_plans] == colex
-    # kept steps carry a memo; steps chained afresh past the bound carry none
-    steps, last = relex.samplers._step_plan(klass, 3)
-    steps = list(steps)
-    assert [s for s, *_ in steps] == colex[:6] and last is steps[-1][0]
-    steps, last = relex.samplers._step_plan(klass, 6)
-    steps = list(steps)
-    assert last is None and len(steps) == 21 and steps[:10] == klass._step_plans
+    # kept steps carry a memo; steps chained afresh past the bound carry none;
+    # a path that leaves the trie at index i takes the steps from i + 1 on
+    steps = relex.samplers._step_plan(klass, 3)
+    assert [s for s, *_ in steps] == colex[:6] and steps == klass._step_plans[:6]
+    assert relex.samplers._step_plan(klass, 3, 4) == steps[4:]
+    steps = list(relex.samplers._step_plan(klass, 6))
+    assert len(steps) == 21 and steps[:10] == klass._step_plans
+    assert list(relex.samplers._step_plan(klass, 6, 8)) == steps[8:]
     assert [s for s, *_ in steps[10:12]] == [(5,), (1, 5)]
     assert all(memo is None for *_, memo in steps[10:])
     assert all(isinstance(memo, dict) for *_, memo in klass._step_plans)
@@ -442,12 +443,28 @@ def test_framewise_trie_walks_match_the_sampler_without_a_step_plan(label, make,
                                   expected)
 
 
+def _trie_nodes(trie):
+    """Every node of a class's trie: those a walk reaches through the links
+    from the kept steps that hold the root, and the steps with one amalgam
+    that those links pass over, reached up the parents."""
+    nodes, todo = set(), [trie]
+    while todo:
+        for child in todo.pop().children.values():
+            if child not in nodes:
+                todo.append(child)
+            while child is not trie and child not in nodes:
+                nodes.add(child)
+                child = child.parent
+    return nodes
+
+
+def _trie_samples(trie):
+    return [sample for node in _trie_nodes(trie) for sample in (node.samples or {}).values()]
+
+
 def _trie_counts(trie):
-    """The nodes below the kept steps that hold the trie's root, and the
-    samples stored."""
-    def below(parent):
-        return sum(1 + below(child) for child in parent.children.values())
-    return below(trie), len(trie.samples)
+    """The nodes of the trie and the samples stored."""
+    return len(_trie_nodes(trie)), len(_trie_samples(trie))
 
 
 def _no_pairs_class():
@@ -471,7 +488,7 @@ def _path_kind(klass, n, before, outcome):
     if after[1] > samples:
         return "left at the last step"
     if isinstance(outcome, Structure) and any(sample is outcome
-                                              for sample in trie.samples.values()):
+                                              for sample in _trie_samples(trie)):
         return "walked to the end"
     return "failed" if not isinstance(outcome, Structure) else "built past the bound"
 
@@ -498,6 +515,74 @@ def test_framewise_one_loop_walks_and_builds_as_the_naive_sampler(name, bound, m
     # a trie at its bound grows no more: a path that leaves it is built past the bound
     assert ({"walked to the end", "left mid-walk", "left at the last step"} if bound == "default"
             else {"walked to the end", "not kept", "built past the bound"}) <= kinds, kinds
+
+
+@pytest.mark.parametrize("name", BUILTIN_CLASS_NAMES)
+def test_framewise_walks_a_warmed_class_as_a_fresh_one(name, monkeypatch):
+    # the same draws in the same order and the same structure or failure on a
+    # class whose trie grows along the run as on one with no kept steps and
+    # no trie, at three bounds; the path kinds are read off where a path
+    # left the trie (the index `_step_plan` starts at) and whether the trie
+    # grew.  Equivalence and parity3 pass over steps with one amalgam that
+    # depend on the path
+    starts, step_plan, kinds = [], relex.samplers._step_plan, set()
+
+    def recording_step_plan(klass, n, start=0):
+        starts.append(start)
+        return step_plan(klass, n, start)
+
+    monkeypatch.setattr(relex.samplers, "_step_plan", recording_step_plan)
+    for bound in (5, 40, 1024):
+        monkeypatch.setattr(relex.samplers, "_MAX_PLANNED_STEPS", bound)
+        warmed, fresh = make_builtin_class(name), make_builtin_class(name)
+        # unweighted sizes go down from 3 and then from 6, so that a smaller
+        # sample walks a larger one's path to its last step and a larger one
+        # leaves a smaller one's path, even on a class of one path
+        for rep_weights, sizes in ((None, (3, 2, 1, 6, 5, 4)), ((1, 3), range(1, 7))):
+            for n in sizes:
+                for seed in range(50):
+                    fresh._step_plans = None  # its amalgam table stays: no draw reads it
+                    expected = _logged_outcome(sample_framewise, fresh, n, seed, rep_weights)
+                    trie, starts[:] = warmed._step_plans, []
+                    before = None if trie is None else trie.nodes
+                    outcome = _logged_outcome(sample_framewise, warmed, n, seed, rep_weights)
+                    _same_outcome(outcome, expected)
+                    trie = warmed._step_plans
+                    if before is None or not isinstance(outcome[0], Structure):
+                        continue
+                    if n >= len(trie.ends):
+                        kinds.add("not kept")
+                    elif not starts:
+                        kinds.add("walked to the end")
+                    elif trie.nodes == before:
+                        kinds.add("built past the bound")
+                    else:
+                        kinds.add("left at the last step" if starts == [trie.ends[n]]
+                                  else "left mid-walk")
+    assert kinds == {"walked to the end", "left mid-walk", "left at the last step",
+                     "not kept", "built past the bound"}, kinds
+
+
+@pytest.mark.parametrize("name", ["graphs", "equivalence", "parity3", "trivial"])
+def test_framewise_walk_links_pass_over_steps_with_one_amalgam(name):
+    # a walk visits a step with one amalgam only where its path ends: a link
+    # from any node leads to a step with a choice or to the last step built
+    klass = make_builtin_class(name)
+    for n in (2, 5, 3, 1, 4):
+        for seed in range(30):
+            _framewise_outcome(klass, n, seed)
+    trie = klass._step_plans
+    linked, todo = set(), [trie]
+    while todo:
+        for child in todo.pop().children.values():
+            if child not in linked:
+                linked.add(child)
+                todo.append(child)
+    assert linked and all(node.orbits is not None or not node.children for node in linked)
+    passed_over = _trie_nodes(trie) - linked
+    assert passed_over and all(node.orbits is None and node.children for node in passed_over)
+    if name == "graphs":  # singletons have one amalgam: the first node walked is (1, 2)
+        assert trie.children[()].s == (1, 2)
 
 
 @pytest.mark.parametrize("name, n", [("parity3", 5), ("equivalence", 4), ("no-pairs", 3)])

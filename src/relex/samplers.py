@@ -346,9 +346,10 @@ def sample_framewise(klass: FiniteClass, n: int, src: HierarchicalRandomSource,
     walk ends at the step of index `ends[n] - 1`, whose node stores the
     sample for each choice made there.  A path that leaves the trie places
     the steps walked, read up the trie without drawing again, and builds on
-    from the step list, adding nodes and samples, `_MAX_PLANNED_STEPS` in
-    all, none at a failing step; a size past the kept list walks the kept
-    steps and builds the rest.
+    from the step list, a built step scanning only the support sizes that
+    hold tuples it can read, adding nodes and samples, `_MAX_PLANNED_STEPS`
+    in all, none at a failing step; a size past the kept list walks the
+    kept steps and builds the rest.
     """
     if n < 0:
         raise ValueError("n must be >= 0")

@@ -93,21 +93,22 @@ def test_integral_seed_stand_ins_are_accepted():
     assert SeedStream(False)[True] == SeedStream(0)[1]
 
 
-# (seed, its masked value, xi_{1,2} of its source, SeedStream(7)[seed]), as
-# drawn before exact ints took their own path past `_integer`
-_SEED_VALUES = [
-    (True, 1, 0.8751142998356879, 529427963529702219),
-    ("numpy.int64(3)", 3, 0.7459351789570076, 13610215039522078008),
-    (3, 3, 0.7459351789570076, 13610215039522078008),
-    (2 ** 64 + 5, 5, 0.721034464020387, 4690117133163991547),  # the index is hashed unmasked
-    (-1, 2 ** 64 - 1, 0.7112230048405452, 16838171316396128453)]
+# (the seed, its masked value, xi_{1,2} of its source, SeedStream(7)[seed]),
+# as drawn before exact ints took their own path past `_integer`
+_SEED_VALUES = {
+    "True": (lambda: True, 1, 0.8751142998356879, 529427963529702219),
+    "numpy.int64(3)": (lambda: pytest.importorskip("numpy").int64(3),
+                       3, 0.7459351789570076, 13610215039522078008),
+    "3": (lambda: 3, 3, 0.7459351789570076, 13610215039522078008),
+    # a stream index is hashed unmasked
+    "2**64+5": (lambda: 2 ** 64 + 5, 5, 0.721034464020387, 4690117133163991547),
+    "-1": (lambda: -1, 2 ** 64 - 1, 0.7112230048405452, 16838171316396128453)}
 
 
-@pytest.mark.parametrize("seed, masked, xi, streamed", _SEED_VALUES,
-                         ids=[str(seed) for seed, *_ in _SEED_VALUES])
-def test_seed_entry_points_read_every_kind_of_integer_as_before(seed, masked, xi, streamed):
-    if seed == "numpy.int64(3)":
-        seed = pytest.importorskip("numpy").int64(3)
+@pytest.mark.parametrize("make, masked, xi, streamed", _SEED_VALUES.values(),
+                         ids=_SEED_VALUES.keys())
+def test_seed_entry_points_read_every_kind_of_integer_as_before(make, masked, xi, streamed):
+    seed = make()
     src = HierarchicalRandomSource(seed)
     assert (src.seed, src.xi((1, 2)), SeedStream(7)[seed]) == (masked, xi, streamed)
     assert type(src.seed) is int

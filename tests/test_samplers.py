@@ -443,18 +443,26 @@ def test_framewise_trie_walks_match_the_sampler_without_a_step_plan(label, make,
                                   expected)
 
 
-def _trie_nodes(trie):
-    """Every node of a class's trie: those a walk reaches through the links
-    from the kept steps that hold the root, and the steps with one amalgam
-    that those links pass over, reached up the parents."""
-    nodes, todo = set(), [trie]
+def _linked_nodes(trie):
+    """The nodes a walk reaches through the links from the kept steps that
+    hold the trie's root."""
+    linked, todo = set(), [trie]
     while todo:
         for child in todo.pop().children.values():
-            if child not in nodes:
+            if child not in linked:
+                linked.add(child)
                 todo.append(child)
-            while child is not trie and child not in nodes:
-                nodes.add(child)
-                child = child.parent
+    return linked
+
+
+def _trie_nodes(trie):
+    """Every node of a class's trie: the linked ones and, up their parents,
+    the steps with one amalgam that the links pass over."""
+    nodes = set()
+    for node in _linked_nodes(trie):
+        while node is not trie and node not in nodes:
+            nodes.add(node)
+            node = node.parent
     return nodes
 
 
@@ -543,7 +551,8 @@ def test_framewise_walks_a_warmed_class_as_a_fresh_one(name, monkeypatch):
                 for seed in range(50):
                     fresh._step_plans = None  # its amalgam table stays: no draw reads it
                     expected = _logged_outcome(sample_framewise, fresh, n, seed, rep_weights)
-                    trie, starts[:] = warmed._step_plans, []
+                    starts.clear()
+                    trie = warmed._step_plans
                     before = None if trie is None else trie.nodes
                     outcome = _logged_outcome(sample_framewise, warmed, n, seed, rep_weights)
                     _same_outcome(outcome, expected)
@@ -572,12 +581,7 @@ def test_framewise_walk_links_pass_over_steps_with_one_amalgam(name):
         for seed in range(30):
             _framewise_outcome(klass, n, seed)
     trie = klass._step_plans
-    linked, todo = set(), [trie]
-    while todo:
-        for child in todo.pop().children.values():
-            if child not in linked:
-                linked.add(child)
-                todo.append(child)
+    linked = _linked_nodes(trie)
     assert linked and all(node.orbits is not None or not node.children for node in linked)
     passed_over = _trie_nodes(trie) - linked
     assert passed_over and all(node.orbits is None and node.children for node in passed_over)

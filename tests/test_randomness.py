@@ -72,11 +72,13 @@ def test_integral_stand_ins_are_accepted():
 
 @pytest.mark.parametrize("make, culprit", [
     (lambda: HierarchicalRandomSource(2.7), "seed 2.7 "),
+    (lambda: HierarchicalRandomSource(2.0), "seed 2.0 "),
     (lambda: HierarchicalRandomSource("5"), "seed '5' "),
     (lambda: HierarchicalRandomSource(None), "seed None "),
     (lambda: SeedStream(0.9), "meta seed 0.9 "),
     (lambda: SeedStream("1"), "meta seed '1' "),
     (lambda: SeedStream(0)[1.5], "stream index 1.5 "),
+    (lambda: SeedStream(0)[2.0], "stream index 2.0 "),
     (lambda: SeedStream(0)["3"], "stream index '3' "),
     (lambda: SeedStream(0).take(2, offset=0.5), "stream index 0.5 ")])
 def test_non_integral_seeds_and_stream_indices_are_rejected(make, culprit):
@@ -112,15 +114,6 @@ def test_seed_entry_points_read_every_kind_of_integer_as_before(make, masked, xi
     src = HierarchicalRandomSource(seed)
     assert (src.seed, src.xi((1, 2)), SeedStream(7)[seed]) == (masked, xi, streamed)
     assert type(src.seed) is int
-
-
-@pytest.mark.parametrize("seed", [2.0, "5"])
-def test_seed_entry_points_reject_what_is_not_an_integer(seed):
-    with pytest.raises(ValueError, match=f"^seed {re.escape(repr(seed))} is not an integer"):
-        HierarchicalRandomSource(seed)
-    with pytest.raises(ValueError,
-                       match=f"^stream index {re.escape(repr(seed))} is not an integer"):
-        SeedStream(7)[seed]
 
 
 # --- ordering ----------------------------------------------------------------------
